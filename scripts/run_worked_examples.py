@@ -10,6 +10,7 @@ import argparse
 import json
 from pathlib import Path
 
+from torcrep.cli import group_from_spec, parse_group
 from torcrep.cli import main as torcrep_main
 from torcrep.errors import ResolutionNotFound
 from torcrep.fans import fan_to_json, fans_equal, make_cone, make_fan, validate_fan
@@ -25,6 +26,13 @@ CASES = [
 ]
 
 OBSTRUCTED = ["2:(1,1,1,1)", "7:(1,1,2,3)"]
+
+
+def run_ok(argv) -> None:
+    """Run one torcrep command; stop unless it exits 0 (also under python -O)."""
+    code = torcrep_main(argv)
+    if code != 0:
+        raise SystemExit(f"torcrep {' '.join(argv)} exited {code}")
 
 
 def nonstar_model(outdir: Path) -> None:
@@ -43,18 +51,19 @@ def nonstar_model(outdir: Path) -> None:
     fan = make_fan(z6.lattice, [make_cone([pts[a] for a in t]) for t in triangles])
     validate_fan(fan)
     summary = certify_fan(z6, fan, star_sequence=False)
-    assert summary.smooth and summary.crepant
+    if not (summary.smooth and summary.crepant):
+        raise SystemExit("the non-star model must be smooth and crepant")
     # not reachable by any star-subdivision order of the four juniors
     from itertools import permutations
 
     for perm in permutations(z6.juniors):
-        assert not fans_equal(resolve(z6, perm).fan, fan)
+        if fans_equal(resolve(z6, perm).fan, fan):
+            raise SystemExit("the non-star model must not be a star sequence")
     path = outdir / "z6_nonstar.json"
     path.write_text(json.dumps(fan_to_json(fan), sort_keys=True, indent=1) + "\n")
     print(f"== hand-entered non-star model -> {path}")
-    code = torcrep_main(["verify", str(path), "6:(1,2,3)",
-                         "--out", str(outdir / "z6_nonstar_report.json")])
-    assert code == 0
+    run_ok(["verify", str(path), "6:(1,2,3)",
+            "--out", str(outdir / "z6_nonstar_report.json")])
     torcrep_main(["export-graph", str(path), "6:(1,2,3)",
                   "--svg", str(outdir / "z6_nonstar.svg")])
 
@@ -73,10 +82,9 @@ def main() -> None:
         cmd = ["resolve", group, "--out", str(fan_path)]
         cmd += ["--sequence", sequence] if sequence else ["--search", "hilbert"]
         print(f"== {name}: torcrep {' '.join(cmd[:2])} ...")
-        assert torcrep_main(cmd) == 0
-        report = outdir / f"{name}_report.json"
-        assert torcrep_main(["verify", str(fan_path), group,
-                             "--out", str(report)]) == 0
+        run_ok(cmd)
+        run_ok(["verify", str(fan_path), group,
+                "--out", str(outdir / f"{name}_report.json")])
         data = json.loads(fan_path.read_text())
         if data["fan"]["lattice"]["n"] == 3:
             torcrep_main(["export-graph", str(fan_path), group,
@@ -86,12 +94,7 @@ def main() -> None:
     for group in OBSTRUCTED:
         torcrep_main(["analyze", group])
         try:
-            search_resolution(
-                close_group([LatticePoint(
-                    tuple(int(x) for x in group.split("(")[1][:-1].split(",")),
-                    int(group.split(":")[0]))]),
-                "juniors_only",
-            )
+            search_resolution(group_from_spec(parse_group(group)), "juniors_only")
             raise AssertionError("obstructed group must not resolve crepantly")
         except ResolutionNotFound as exc:
             print(f"   {group}: {exc}")

@@ -27,7 +27,6 @@ from .fans import (
     cone_index,
     fan_from_json,
     fan_to_json,
-    is_canonical,
     is_terminal,
     make_cone,
     make_fan,
@@ -38,14 +37,11 @@ from .fans import (
 )
 from .groups import (
     GroupData,
-    JuniorSimplex,
     ObstructionReport,
-    age,
     close_group,
     compact_juniors,
     crepant_obstructions,
     element_names,
-    junior_simplex,
 )
 from .hilbert import HilbertBasis, hilbert_basis, is_irreducible
 from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form
@@ -74,7 +70,6 @@ __all__ = [
     "GroupData",
     "HilbertBasis",
     "IntMatrix",
-    "JuniorSimplex",
     "LatticePoint",
     "ObstructionReport",
     "QuotientLattice",
@@ -84,7 +79,6 @@ __all__ = [
     "SurfaceType",
     "TDivisor",
     "TorcrepError",
-    "age",
     "age_affinity_check",
     "build_lattice",
     "canonical_divisor",
@@ -103,10 +97,8 @@ __all__ = [
     "fan_to_json",
     "hermite_normal_form",
     "hilbert_basis",
-    "is_canonical",
     "is_irreducible",
     "is_terminal",
-    "junior_simplex",
     "make_cone",
     "make_fan",
     "principal_divisor",

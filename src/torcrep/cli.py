@@ -135,8 +135,8 @@ def cmd_analyze(args) -> int:
     print(f"junior simplex: {len(juniors)} junior point(s)"
           f" [{', '.join(names[g] for g in juniors)}]")
     print(f"compact juniors: [{', '.join(names[g] for g in compact)}]")
-    hlb_names = [names.get(p, 'e') if not _is_unit(p) else _unit_name(p)
-                 for p in hlb.elements]
+    labels = names | {u: f"e{i + 1}" for i, u in enumerate(group.units())}
+    hlb_names = [labels.get(p, "e") for p in hlb.elements]
     print(f"Hilbert basis ({len(hlb)}): {', '.join(sorted(hlb_names))}")
     if report.not_generated_by_juniors:
         print("no crepant resolution: not generated by juniors")
@@ -145,14 +145,6 @@ def cmd_analyze(args) -> int:
     if not report.crepant_excluded:
         print("no crepant obstruction found")
     return 0
-
-
-def _is_unit(p: LatticePoint) -> bool:
-    return sorted(p.coords) == [0] * (p.dim - 1) + [p.denom]
-
-
-def _unit_name(p: LatticePoint) -> str:
-    return f"e{p.coords.index(p.denom) + 1}"
 
 
 def cmd_resolve(args) -> int:

@@ -12,9 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import NotInDualLattice
+from .errors import InvariantError, NotInDualLattice
 from .fans import Fan
-from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form, solve_integer
+from .intlinalg import (
+    IntMatrix,
+    hermite_normal_form,
+    smith_normal_form,
+    solve,
+    solve_integer,
+)
 from .lattice import LatticePoint, ScaledLattice
 
 
@@ -43,16 +49,12 @@ def dual_basis(lattice: ScaledLattice) -> IntMatrix:
     The dual consists of the integer vectors pairing integrally with every
     lattice point; it has index ``#G`` in ``Z^n``.
     """
-    n = lattice.dim
-    inv_cols = []
-    for j in range(n):
-        e = tuple(int(i == j) for i in range(n))
-        # basis_coords_rational scales by r, so this is column j of r * basis^{-1}
-        x = lattice.basis_coords_rational(e)
-        assert all(v.denominator == 1 for v in x)
-        inv_cols.append(tuple(int(v) for v in x))
-    m = IntMatrix.from_columns(inv_cols).transpose()
-    h, _ = hermite_normal_form(m)
+    r = lattice.denom
+    # basis * num = d * I, so the columns of r * basis^-1 are r * num / d
+    num, d = solve(lattice.basis, IntMatrix.identity(lattice.dim).columns())
+    if any(r * v % d for col in num for v in col):
+        raise InvariantError("lattice does not contain Z^n")
+    h, _ = hermite_normal_form(IntMatrix([[r * v // d for v in col] for col in num]))
     return h
 
 

@@ -44,6 +44,10 @@ class ExplosionGuard(TorcrepError):
     """Group closure exceeded the configured element bound."""
 
 
+class InvariantError(TorcrepError):
+    """An exact invariant that the mathematics guarantees did not hold."""
+
+
 class DenomMismatch(TorcrepError):
     """Lattice point denominator differs from the ambient lattice's."""
 

@@ -12,12 +12,12 @@ total space; in the crepant case the divisor is the canonical one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 
 from .divisors import TDivisor
 from .errors import (
     CertificateFailure,
+    InvariantError,
     LiftAmbiguous,
     NotComplete,
     NotSmooth,
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .fans import Cone, Fan, barycentric, make_cone, make_fan
 from .groups import GroupData
-from .intlinalg import IntMatrix, solve_rational
+from .intlinalg import IntMatrix, solve
 from .lattice import LatticePoint, QuotientLattice, ScaledLattice, quotient_by_ray
 
 
@@ -127,14 +127,16 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
     return StarFan(quo, star, g_hat, ordered, complete)
 
 
+def _lift_age(u: LatticePoint) -> int:
+    total = sum(u.coords)
+    if total % u.denom:
+        raise InvariantError(f"lift {u} has non-integral age")
+    return total // u.denom
+
+
 def age_weighted_divisor(star: StarFan) -> TDivisor:
     """Star-fan divisor with coefficient minus the age of each ray's lift."""
-    out = {}
-    for ubar, u in star.lifts:
-        a = u.age
-        assert a.denominator == 1, "lift ages must be integers"
-        out[ubar] = -int(a)
-    return TDivisor.from_dict(out)
+    return TDivisor.from_dict({ubar: -_lift_age(u) for ubar, u in star.lifts})
 
 
 def total_space_fan(star: StarFan, div: TDivisor) -> LineBundleFan:
@@ -149,7 +151,8 @@ def total_space_fan(star: StarFan, div: TDivisor) -> LineBundleFan:
             rays.append(LatticePoint(u.coords + (-div.coefficient(u),), 1))
         cones.append(make_cone(rays))
     fan = make_fan(total_lat, cones)
-    assert len(fan.rays) == len(star.fan.rays) + 1
+    if len(fan.rays) != len(star.fan.rays) + 1:
+        raise InvariantError("total-space rays do not match the star rays plus apex")
     return LineBundleFan(star, div, fan)
 
 
@@ -167,10 +170,7 @@ def _iso_matrix(fan: Fan, star: StarFan, anchor: Cone) -> IntMatrix:
     for u in anchor.rays:
         if u == g_hat:
             continue
-        ubar = quo.project(u)
-        a = u.age
-        assert a.denominator == 1
-        dom_cols.append(ubar.coords + (int(a),))
+        dom_cols.append(quo.project(u).coords + (_lift_age(u),))
         img_cols.append(lat.basis_coords(u))
     dom_cols.append((0,) * quo.dim + (1,))
     img_cols.append(lat.basis_coords(g_hat))
@@ -208,8 +208,7 @@ def certify_normal_embedding(
                 f"anchor {anchor}: induced map is not unimodular"
             )
         for ubar, u in star.lifts:
-            a = int(u.age)
-            got = iso.mul_vec(ubar.coords + (a,))
+            got = iso.mul_vec(ubar.coords + (_lift_age(u),))
             if got != lat.basis_coords(u):
                 raise CertificateFailure(
                     f"anchor {anchor}: ray {ubar} maps off its lift {u}",
@@ -296,11 +295,11 @@ def classify_surface(star: StarFan) -> SurfaceType:
     selfints = []
     for i in range(k):
         p, u, q = rays[(i - 1) % k], rays[i], rays[(i + 1) % k]
-        s = (p[0] + q[0], p[1] + q[1])
-        mat = IntMatrix.from_columns([u])
-        sol = solve_rational(mat, s)
-        assert sol is not None and sol[0].denominator == 1
-        selfints.append(-int(sol[0]))
+        # adjacent bases force p + q = -a * u with a an integer
+        sol = solve(IntMatrix.from_columns([u]), [(p[0] + q[0], p[1] + q[1])])
+        if sol is None or sol[0][0][0] % sol[1]:
+            raise InvariantError(f"neighbours of {u} do not sum to a multiple of it")
+        selfints.append(-(sol[0][0][0] // sol[1]))
     vec = tuple(selfints)
     if k == 3:
         return SurfaceType("P2", None, vec)
@@ -318,13 +317,13 @@ def classify_surface(star: StarFan) -> SurfaceType:
 
 def age_affinity_check(cone: Cone, b: LatticePoint) -> bool:
     """Ages are affine along exact expansions over a cone basis."""
-    lam = barycentric(cone, b)
-    if lam is None:
+    bary = barycentric(cone, b)
+    if bary is None:
         raise ValueError(f"{b} is not in the span of the cone")
-    total = Fraction(0)
-    for coeff, ray in zip(lam, cone.rays):
-        total += coeff * ray.age
-    return total == b.age
+    nums, d = bary
+    # sum (nums_i / d) * age(ray_i) == age(b), cleared of all denominators
+    lhs = b.denom * sum(x * sum(r.coords) for x, r in zip(nums, cone.rays))
+    return lhs == d * cone.rays[0].denom * sum(b.coords)
 
 
 def certificate_to_json(cert: EmbeddingCertificate,

@@ -15,25 +15,20 @@ which is bit-exact across runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd
 
 from .errors import (
     InvalidFan,
+    InvariantError,
     NotInLattice,
     NotInSupport,
     NotPrimitive,
 )
-from .intlinalg import (
-    IntMatrix,
-    hermite_normal_form,
-    rank,
-    smith_normal_form,
-    solve_rational,
-)
+from .intlinalg import IntMatrix, hermite_normal_form, rank, smith_normal_form, solve
 from .lattice import LatticePoint, ScaledLattice
 
 
@@ -64,36 +59,33 @@ def make_cone(points) -> Cone:
     return Cone(rays)
 
 
-def faces(cone: Cone) -> tuple[Cone, ...]:
-    """All faces of a simplicial cone: one per subset of rays."""
-    out = []
-    for k in range(cone.dim + 1):
-        for sub in combinations(cone.rays, k):
-            out.append(Cone(sub))
-    return tuple(out)
-
-
 def contains_point(cone: Cone, p: LatticePoint, strict: bool = False) -> bool:
     """Exact membership test; ``strict`` tests the relative interior."""
     if not cone.rays:
         return p.is_zero() and not strict
-    rd = cone.rays[0].denom
-    # clear denominators: (rays/rd) lam = p/pd  <=>  (pd*rays) lam = rd*p
-    mat = IntMatrix.from_columns(
-        [tuple(p.denom * c for c in r.coords) for r in cone.rays]
-    )
-    lam = solve_rational(mat, tuple(rd * c for c in p.coords))
-    if lam is None:
+    bary = barycentric(cone, p)
+    if bary is None:
         return False
     if strict:
-        return all(x > 0 for x in lam)
-    return all(x >= 0 for x in lam)
+        return all(x > 0 for x in bary[0])
+    return all(x >= 0 for x in bary[0])
 
 
-def barycentric(cone: Cone, p: LatticePoint) -> tuple[Fraction, ...] | None:
-    """Coefficients of ``p`` over the cone's rays, or None if not in the span."""
-    mat = IntMatrix.from_columns([r.coords for r in cone.rays])
-    return solve_rational(mat, p.coords)
+def barycentric(cone: Cone, p: LatticePoint) -> tuple[tuple[int, ...], int] | None:
+    """Coefficients of ``p`` over the cone's rays as ``(numerators, d)``.
+
+    ``p = sum(numerators[i] / d * rays[i])`` with ``d > 0``, so signs of
+    the coefficients are signs of the numerators; None if ``p`` is not in
+    the span of the rays.
+    """
+    rd, pd = cone.rays[0].denom, p.denom
+    g = gcd(rd, pd)
+    # clear denominators: (rays/rd) lam = p/pd  <=>  (pd*rays) lam = rd*p
+    mat = IntMatrix.from_columns(
+        [tuple(pd // g * c for c in r.coords) for r in cone.rays]
+    )
+    sol = solve(mat, [tuple(rd // g * c for c in p.coords)])
+    return None if sol is None else (sol[0][0], sol[1])
 
 
 def ray_matrix(cone: Cone, lattice: ScaledLattice) -> IntMatrix:
@@ -132,30 +124,25 @@ def _saturation_coords(cone: Cone, lattice: ScaledLattice) -> IntMatrix:
 def psi_lattice_points(cone: Cone, lattice: ScaledLattice):
     """Lattice points of ``Conv(0, rays)`` with barycentric coordinates.
 
-    Yields pairs ``(point, lambdas)`` in the saturated span lattice, found
-    by an exact bounding-box walk.
+    Yields ``(point, numerators, d)`` with ``point`` in the saturated span
+    lattice and barycentric coordinates ``numerators / d`` (``d > 0``),
+    found by an exact bounding-box walk.
     """
     x = _saturation_coords(cone, lattice)
-    d = cone.dim
-    det = x.det()
-    adj = [
-        [_cofactor(x, j, i) for j in range(d)] for i in range(d)
-    ]  # adjugate: inverse times det
-    vertices = [(0,) * d] + x.columns()
-    lo = [min(v[i] for v in vertices) for i in range(d)]
-    hi = [max(v[i] for v in vertices) for i in range(d)]
-    sign = 1 if det > 0 else -1
-    absdet = abs(det)
+    dim = cone.dim
+    cols, d = solve(x, IntMatrix.identity(dim).columns())
+    inv = list(zip(*cols))  # rows of d * x^-1
+    vertices = [(0,) * dim] + x.columns()
+    lo = [min(v[i] for v in vertices) for i in range(dim)]
+    hi = [max(v[i] for v in vertices) for i in range(dim)]
 
     def walk(prefix, i):
-        if i == d:
+        if i == dim:
             pt = tuple(prefix)
-            lam_num = [sum(adj[k][j] * pt[j] for j in range(d)) for k in range(d)]
-            if any(sign * v < 0 for v in lam_num):
+            lam = [sum(a * c for a, c in zip(row, pt)) for row in inv]
+            if any(v < 0 for v in lam) or sum(lam) > d:
                 return
-            if sign * sum(lam_num) > absdet:
-                return
-            yield pt, tuple(Fraction(sign * v, absdet) for v in lam_num)
+            yield pt, tuple(lam), d
             return
         for c in range(lo[i], hi[i] + 1):
             yield from walk(prefix + [c], i + 1)
@@ -163,36 +150,11 @@ def psi_lattice_points(cone: Cone, lattice: ScaledLattice):
     yield from walk([], 0)
 
 
-def _cofactor(m: IntMatrix, i: int, j: int) -> int:
-    minor = [
-        [m[a][b] for b in range(m.cols) if b != j]
-        for a in range(m.rows)
-        if a != i
-    ]
-    if not minor:
-        return 1
-    s = -1 if (i + j) % 2 else 1
-    return s * IntMatrix(minor).det()
-
-
 def is_terminal(cone: Cone, lattice: ScaledLattice) -> bool:
     """True when the only lattice points of ``Conv(0, rays)`` are its vertices."""
-    d = cone.dim
-    for pt, lam in psi_lattice_points(cone, lattice):
-        if all(v == 0 for v in lam):
-            continue
-        if sum(1 for v in lam if v != 0) == 1 and any(v == 1 for v in lam):
-            continue
-        return False
-    return True
-
-
-def is_canonical(cone: Cone, lattice: ScaledLattice) -> bool:
-    """True when all nonzero points of ``Conv(0, rays)`` lie on the far facet."""
-    for pt, lam in psi_lattice_points(cone, lattice):
-        if all(v == 0 for v in lam):
-            continue
-        if sum(lam) != 1:
+    for _, lam, d in psi_lattice_points(cone, lattice):
+        nonzero = [v for v in lam if v]
+        if nonzero and nonzero != [d]:
             return False
     return True
 
@@ -319,12 +281,12 @@ def star_subdivision(fan: Fan, mu: LatticePoint) -> Fan:
     hit = False
     new_cones = []
     for cone in fan.maximal_cones:
-        lam = barycentric(cone, mu)
-        if lam is None or any(v < 0 for v in lam):
+        bary = barycentric(cone, mu)
+        if bary is None or any(v < 0 for v in bary[0]):
             new_cones.append(cone)
             continue
         hit = True
-        for i, v in enumerate(lam):
+        for i, v in enumerate(bary[0]):
             if v > 0:
                 rays = [r for j, r in enumerate(cone.rays) if j != i]
                 rays.append(mu)
@@ -332,7 +294,8 @@ def star_subdivision(fan: Fan, mu: LatticePoint) -> Fan:
     if not hit:
         raise NotInSupport(f"{mu} is outside the support of the fan")
     result = make_fan(lat, new_cones)
-    assert set(result.rays) == set(fan.rays) | {mu}
+    if set(result.rays) != set(fan.rays) | {mu}:
+        raise InvariantError(f"subdividing at {mu} changed rays other than {mu}")
     return result
 
 
@@ -391,21 +354,24 @@ def fan_to_json(fan: Fan) -> dict:
     }
 
 
-def fan_to_json_str(fan: Fan) -> str:
-    return json.dumps(fan_to_json(fan), sort_keys=True, separators=(",", ":"))
+def _json_int(x) -> int:
+    # int() would silently truncate 6.9 to 6, and bool is a subclass of int
+    if type(x) is not int:
+        raise InvalidFan(f"malformed fan data: expected an integer, got {x!r}")
+    return x
 
 
 def fan_from_json(data: dict, validate: bool = True) -> Fan:
     try:
-        lat = ScaledLattice(
-            int(data["lattice"]["n"]),
-            int(data["lattice"]["r"]),
-            IntMatrix(data["lattice"]["basis"]),
-        )
-        rays = [LatticePoint(tuple(c), lat.denom) for c in data["rays"]]
+        n, r = _json_int(data["lattice"]["n"]), _json_int(data["lattice"]["r"])
+        basis = IntMatrix([map(_json_int, row) for row in data["lattice"]["basis"]])
+        if (basis.rows, basis.cols) != (n, n) or basis.det() == 0:
+            raise ValueError("lattice basis must be a nonsingular n-by-n matrix")
+        lat = ScaledLattice(n, r, basis)
+        rays = [LatticePoint(tuple(map(_json_int, c)), r) for c in data["rays"]]
         cones = []
         for idxs in data["maximal_cones"]:
-            if any(not 0 <= i < len(rays) for i in idxs):
+            if any(not 0 <= _json_int(i) < len(rays) for i in idxs):
                 raise ValueError(f"ray index out of range in {idxs}")
             cones.append(make_cone([rays[i] for i in idxs]))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -417,52 +383,6 @@ def fan_from_json(data: dict, validate: bool = True) -> Fan:
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:
-    """Bit-exact fan equality via the canonical serialization."""
-    return fan_to_json_str(a) == fan_to_json_str(b)
+    """Exact fan equality via the canonical serialization."""
+    return fan_to_json(a) == fan_to_json(b)
 
-
-# ---------------------------------------------------------------------------
-# Unimodular normal form for two-dimensional fans
-
-
-def gl2_normal_form(fan: Fan) -> str:
-    """Canonical serialization of a 2-dimensional fan modulo GL(2, Z).
-
-    Every ordered unimodular ray pair inside a maximal cone is used as an
-    anchor basis; the lexicographically smallest transformed serialization
-    is a complete invariant of the GL(2, Z) orbit.
-    """
-    if fan.lattice.dim != 2:
-        raise ValueError("normal form only defined for 2-dimensional fans")
-    anchors = []
-    for c in fan.maximal_cones:
-        if c.dim != 2:
-            continue
-        u, v = (r.coords for r in c.rays)
-        if abs(u[0] * v[1] - u[1] * v[0]) == 1:
-            anchors.append((u, v))
-            anchors.append((v, u))
-    if not anchors:
-        raise ValueError("fan has no unimodular anchor pair")
-    forms = []
-    denom = fan.lattice.denom
-    for u, v in anchors:
-        t = IntMatrix([[u[0], v[0]], [u[1], v[1]]]).inverse_unimodular()
-        mapped = {
-            r: LatticePoint(t.mul_vec(r.coords), denom) for r in fan.rays
-        }
-        rays = sorted((mapped[r].coords for r in fan.rays))
-        index = {c: i for i, c in enumerate(rays)}
-        cones = sorted(
-            sorted(index[mapped[r].coords] for r in c.rays)
-            for c in fan.maximal_cones
-        )
-        forms.append(
-            json.dumps({"rays": [list(r) for r in rays], "cones": cones},
-                       sort_keys=True, separators=(",", ":"))
-        )
-    return min(forms)
-
-
-def gl2_equivalent(a: Fan, b: Fan) -> bool:
-    return gl2_normal_form(a) == gl2_normal_form(b)

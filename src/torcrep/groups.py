@@ -9,11 +9,10 @@ under componentwise addition mod r.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, ExplosionGuard, NotInSL
+from .errors import DimensionMismatch, ExplosionGuard, InvariantError, NotInSL
 from .lattice import LatticePoint, ScaledLattice, build_lattice, unit_point
 
 DEFAULT_MAX_ELEMENTS = 10**6
@@ -39,7 +38,8 @@ class GroupData:
     @cached_property
     def lattice(self) -> ScaledLattice:
         lat = build_lattice(self.generators, self.n, self.r)
-        assert lat.index_over_std == self.order, "lattice index must equal #G"
+        if lat.index_over_std != self.order:
+            raise InvariantError("lattice index must equal #G")
         return lat
 
     @cached_property
@@ -102,27 +102,6 @@ def close_group(generators, n: int | None = None, *,
         frontier = nxt
     elements = tuple(LatticePoint(c, r) for c in sorted(seen))
     return GroupData(n, r, elements, tuple(gens))
-
-
-def age(p: LatticePoint) -> Fraction:
-    """Coordinate sum over the denominator; an integer on group elements."""
-    return p.age
-
-
-@dataclass(frozen=True)
-class JuniorSimplex:
-    """Lattice points of ``Conv(e_1, ..., e_n)``: vertices plus age-1 elements."""
-
-    vertices: tuple[LatticePoint, ...]
-    interior_points: tuple[LatticePoint, ...]
-
-    @property
-    def points(self) -> tuple[LatticePoint, ...]:
-        return self.vertices + self.interior_points
-
-
-def junior_simplex(group: GroupData) -> JuniorSimplex:
-    return JuniorSimplex(group.units(), group.juniors)
 
 
 def compact_juniors(group: GroupData) -> tuple[LatticePoint, ...]:

@@ -14,7 +14,6 @@ from functools import cached_property
 from itertools import product
 
 from .errors import NotInCone
-from .fans import Fan, is_smooth_cone
 from .groups import GroupData
 from .lattice import LatticePoint
 
@@ -95,10 +94,3 @@ def hilbert_basis(group: GroupData) -> HilbertBasis:
         if ok:
             keep.append(v)
     return HilbertBasis(tuple(keep))
-
-
-def hilbert_candidate_rays_check(fan: Fan, hlb: HilbertBasis) -> bool:
-    """True when the fan's rays are exactly the basis and all cones are smooth."""
-    if set(fan.rays) != set(hlb.elements):
-        return False
-    return all(is_smooth_cone(c, fan.lattice) for c in fan.maximal_cones)

@@ -1,11 +1,17 @@
 """Exact integer matrices with Hermite and Smith normal forms.
 
-Everything here runs on Python's arbitrary-precision integers (and
-``fractions.Fraction`` for the rational solvers); no floating point is
-ever involved, so results are bit-exact and deterministic.
+Everything here runs on Python's arbitrary-precision integers; no
+fractions and no floating point are ever involved, so results are
+bit-exact and deterministic.
 
 Conventions:
 
+* One fraction-free (Bareiss) forward elimination, ``_echelon``, backs
+  ``IntMatrix.det``, ``rank``, ``solve`` and ``inverse_unimodular``.
+  ``solve(m, cols)`` returns ``(numerators, d)`` with ``d > 0`` and
+  ``m * numerators[k] = d * cols[k]``; rational solutions are
+  ``numerators / d`` and callers that need them integral test
+  ``num % d == 0``.
 * ``hermite_normal_form(m)`` returns ``(h, u)`` with ``h = m * u`` and
   ``u`` unimodular.  The form is column-style: pivots walk down the rows,
   pivot entries are positive, entries to the left of a pivot in its row
@@ -16,8 +22,6 @@ Conventions:
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -103,40 +107,92 @@ class IntMatrix:
         """Determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
         a = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        pivots, sign = _echelon(a, self.cols)
+        return sign * a[-1][-1] if len(pivots) == self.rows else 0
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse; the matrix must be unimodular."""
-        if not self.is_unimodular():
-            raise ValueError("matrix is not unimodular")
-        n = self.rows
-        cols = []
-        for j in range(n):
-            e = tuple(int(i == j) for i in range(n))
-            sol = solve_rational(self, e)
-            cols.append(tuple(int(x) for x in sol))
-        return IntMatrix.from_columns(cols)
+        if self.rows == self.cols:
+            try:
+                cols, d = solve(self, IntMatrix.identity(self.rows).columns())
+            except ValueError:  # singular
+                d = 0
+            if d == 1:
+                return IntMatrix.from_columns(cols)
+        raise ValueError("matrix is not unimodular")
+
+
+def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of the rows ``a``, in place.
+
+    Pivots are taken in the first ``ncols`` columns; a column with no
+    nonzero entry at or below the current row is skipped, and columns past
+    ``ncols`` (right-hand sides) are carried along.  Every entry stays an
+    integer minor of the input, so each division is exact, and the last
+    pivot is the determinant of the pivot rows and columns as swapped.
+    Returns the pivot columns and the sign of the row permutation.
+    """
+    nrows, width = len(a), len(a[0])
+    pivots: list[int] = []
+    sign = prev = 1
+    for j in range(ncols):
+        r = len(pivots)
+        for i in range(r, nrows):
+            if a[i][j]:
+                break
+        else:
+            continue
+        if i != r:
+            a[r], a[i] = a[i], a[r]
+            sign = -sign
+        top = a[r]
+        piv = top[j]
+        for row in a[r + 1:]:
+            f = row[j]
+            row[j] = 0
+            for c in range(j + 1, width):
+                row[c] = (piv * row[c] - f * top[c]) // prev
+        prev = piv
+        pivots.append(j)
+        if r + 1 == nrows:
+            break
+    return pivots, sign
+
+
+def solve(m: IntMatrix, rhs_columns) -> tuple[list[tuple[int, ...]], int] | None:
+    """Unique rational solutions of ``m * x = b``, one per column ``b``.
+
+    Returns ``(numerator_columns, d)`` with ``d > 0`` and
+    ``m * numerator_columns[k] = d * rhs_columns[k]``, or None when some
+    column makes the system inconsistent.  ``d`` is the absolute
+    determinant of the rows used as pivots (``|det m|`` for square ``m``),
+    so it need not be the least common denominator.  Requires the columns
+    of ``m`` to be linearly independent (raises ValueError otherwise).
+    """
+    rhs = [tuple(b) for b in rhs_columns]
+    if any(len(b) != m.rows for b in rhs):
+        raise ValueError("dimension mismatch")
+    n = m.cols
+    a = [list(row) + [b[i] for b in rhs] for i, row in enumerate(m.data)]
+    if len(_echelon(a, n)[0]) < n:
+        raise ValueError("columns are linearly dependent")
+    if any(any(row[n:]) for row in a[n:]):
+        return None
+    d = abs(a[n - 1][n - 1])
+    # back substitution stays exact: d * x is integral by Cramer's rule
+    out = []
+    for c in range(n, n + len(rhs)):
+        x = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            acc = d * row[c] - sum(row[j] * x[j] for j in range(i + 1, n))
+            x[i] = acc // row[i]
+        out.append(tuple(x))
+    return out, d
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -265,23 +321,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix(s), IntMatrix(p), IntMatrix(q)
 
 
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal of the Smith normal form."""
-    s, _, _ = smith_normal_form(m)
-    diag = [s[i][i] for i in range(min(s.rows, s.cols))]
-    return tuple(d for d in diag if d != 0)
-
-
-def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel ``{x : m*x = 0}``."""
-    h, u = hermite_normal_form(m)
-    out = []
-    for j in range(h.cols):
-        if all(h[i][j] == 0 for i in range(h.rows)):
-            out.append(u.column(j))
-    return out
-
-
 def solve_integer(m: IntMatrix, b) -> tuple[int, ...] | None:
     """One integer solution of ``m*x = b``, or None when there is none."""
     b = tuple(int(x) for x in b)
@@ -306,56 +345,6 @@ def solve_integer(m: IntMatrix, b) -> tuple[int, ...] | None:
     return u.mul_vec(y)
 
 
-def solve_rational(m: IntMatrix, b) -> tuple[Fraction, ...] | None:
-    """Unique rational solution of ``m*x = b``.
-
-    Returns None when the system is inconsistent.  Requires the columns of
-    ``m`` to be linearly independent (raises ValueError otherwise), which
-    is the only case this package needs.
-    """
-    b = [Fraction(int(x)) for x in b]
-    if len(b) != m.rows:
-        raise ValueError("dimension mismatch")
-    a = [[Fraction(x) for x in row] for row in m.data]
-    ncols = m.cols
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        i = next((i for i in range(r, m.rows) if a[i][j] != 0), None)
-        if i is None:
-            raise ValueError("columns are linearly dependent")
-        a[r], a[i] = a[i], a[r]
-        b[r], b[i] = b[i], b[r]
-        inv = 1 / a[r][j]
-        a[r] = [x * inv for x in a[r]]
-        b[r] = b[r] * inv
-        for k in range(m.rows):
-            if k != r and a[k][j] != 0:
-                f = a[k][j]
-                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
-                b[k] = b[k] - f * b[r]
-        pivots.append(j)
-        r += 1
-    if any(b[i] != 0 for i in range(r, m.rows)):
-        return None
-    return tuple(b[i] for i in range(ncols))
-
-
 def rank(m: IntMatrix) -> int:
-    """Rank over Q, by fraction-free elimination."""
-    a = [list(row) for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for j in range(ncols):
-        i = next((i for i in range(r, nrows) if a[i][j] != 0), None)
-        if i is None:
-            continue
-        a[r], a[i] = a[i], a[r]
-        for k in range(r + 1, nrows):
-            if a[k][j] != 0:
-                piv, val = a[r][j], a[k][j]
-                a[k] = [piv * x - val * y for x, y in zip(a[k], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank over Q."""
+    return len(_echelon([list(row) for row in m.data], m.cols)[0])

@@ -21,6 +21,7 @@ from math import gcd
 from .errors import (
     DenomMismatch,
     InvalidGenerator,
+    InvariantError,
     NotInLattice,
     NotPrimitive,
 )
@@ -56,9 +57,6 @@ class LatticePoint:
             raise DenomMismatch(f"cannot rescale denom {self.denom} to {denom}")
         f = denom // self.denom
         return LatticePoint(tuple(c * f for c in self.coords), denom)
-
-    def fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.denom) for c in self.coords)
 
     def __str__(self) -> str:
         body = ",".join(str(c) for c in self.coords)
@@ -129,19 +127,6 @@ class ScaledLattice:
             raise NotInLattice(f"{p} is not in the lattice")
         return x
 
-    def basis_coords_rational(self, p) -> tuple[Fraction, ...]:
-        """Coordinates of an arbitrary rational point in the lattice basis."""
-        if isinstance(p, LatticePoint):
-            vec = p.fractions()
-        else:
-            vec = tuple(Fraction(x) for x in p)
-        b = self.basis
-        x = []
-        for i in range(self.dim):
-            acc = vec[i] * self.denom - sum(b[i][j] * x[j] for j in range(i))
-            x.append(Fraction(acc, b[i][i]))
-        return tuple(x)
-
     def from_basis_coords(self, x) -> LatticePoint:
         return LatticePoint(self.basis.mul_vec(x), self.denom)
 
@@ -186,10 +171,11 @@ def build_lattice(gens, n: int, denom: int | None = None) -> ScaledLattice:
             )
         cols.append(g.coords)
     h, _ = hermite_normal_form(IntMatrix.from_columns(cols))
-    basis_cols = h.columns()[:n]
-    assert all(not any(c) for c in h.columns()[n:]), "Hermite form left extra columns"
-    basis = IntMatrix.from_columns(basis_cols)
-    assert basis.det() != 0
+    if any(any(c) for c in h.columns()[n:]):
+        raise InvariantError("Hermite form left extra columns")
+    basis = IntMatrix.from_columns(h.columns()[:n])
+    if basis.det() == 0:
+        raise InvariantError("lattice basis is singular")
     return ScaledLattice(n, denom, basis)
 
 
@@ -260,6 +246,6 @@ def quotient_by_ray(lattice: ScaledLattice, v: LatticePoint) -> QuotientLattice:
     hc, vmat = hermite_normal_form(proj.transpose())
     proj_c = hc.transpose()
     sect_c = sect * vmat.inverse_unimodular().transpose()
-    assert proj_c * sect_c == IntMatrix.identity(n - 1)
-    assert not any(proj_c.mul_vec(w))
+    if proj_c * sect_c != IntMatrix.identity(n - 1) or any(proj_c.mul_vec(w)):
+        raise InvariantError(f"quotient by {v} is not split by its section")
     return QuotientLattice(n - 1, proj_c, sect_c, v, lattice)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice, permutations
 
-from .errors import PreconditionNotCrepant, ResolutionNotFound
+from .errors import InputError, PreconditionNotCrepant, ResolutionNotFound
 from .fans import (
     Cone,
     Fan,
@@ -32,7 +32,15 @@ BUDGET_ENV = "TORCREP_BUDGET"
 
 def search_budget() -> int:
     raw = os.environ.get(BUDGET_ENV)
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise InputError(f"{BUDGET_ENV} must be a positive integer, got {raw!r}")
+    return budget
 
 
 @dataclass(frozen=True)

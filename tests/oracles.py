@@ -1,0 +1,224 @@
+"""Reference implementations and helpers that only the tests use.
+
+The linear-algebra oracles are the solvers torcrep used before its single
+fraction-free kernel: Fraction Gauss-Jordan, a Bareiss determinant loop,
+an unnormalised fraction-free rank loop and cofactor expansion.  The
+differential tests compare the kernel against them.
+"""
+
+import json
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+
+from torcrep.fans import Cone, Fan, is_smooth_cone, psi_lattice_points
+from torcrep.groups import GroupData
+from torcrep.hilbert import HilbertBasis
+from torcrep.intlinalg import IntMatrix, hermite_normal_form, smith_normal_form
+from torcrep.lattice import LatticePoint, ScaledLattice
+
+# ---------------------------------------------------------------------------
+# Linear-algebra oracles
+
+
+def solve_rational(m: IntMatrix, b) -> tuple[Fraction, ...] | None:
+    """Unique rational solution of ``m*x = b`` by Fraction Gauss-Jordan.
+
+    None when the system is inconsistent; ValueError when the columns of
+    ``m`` are linearly dependent.
+    """
+    b = [Fraction(int(x)) for x in b]
+    if len(b) != m.rows:
+        raise ValueError("dimension mismatch")
+    a = [[Fraction(x) for x in row] for row in m.data]
+    r = 0
+    for j in range(m.cols):
+        i = next((i for i in range(r, m.rows) if a[i][j] != 0), None)
+        if i is None:
+            raise ValueError("columns are linearly dependent")
+        a[r], a[i] = a[i], a[r]
+        b[r], b[i] = b[i], b[r]
+        inv = 1 / a[r][j]
+        a[r] = [x * inv for x in a[r]]
+        b[r] = b[r] * inv
+        for k in range(m.rows):
+            if k != r and a[k][j] != 0:
+                f = a[k][j]
+                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
+                b[k] = b[k] - f * b[r]
+        r += 1
+    if any(b[i] != 0 for i in range(r, m.rows)):
+        return None
+    return tuple(b[i] for i in range(m.cols))
+
+
+def det_loop(m: IntMatrix) -> int:
+    """Determinant by a Bareiss loop over the trailing submatrix."""
+    n = m.rows
+    a = [list(row) for row in m.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def rank_loop(m: IntMatrix) -> int:
+    """Rank over Q by cross-multiplying elimination without division."""
+    a = [list(row) for row in m.data]
+    r = 0
+    for j in range(m.cols):
+        i = next((i for i in range(r, m.rows) if a[i][j] != 0), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        for k in range(r + 1, m.rows):
+            if a[k][j] != 0:
+                piv, val = a[r][j], a[k][j]
+                a[k] = [piv * x - val * y for x, y in zip(a[k], a[r])]
+        r += 1
+        if r == m.rows:
+            break
+    return r
+
+
+def inverse_by_fractions(m: IntMatrix) -> IntMatrix:
+    """Inverse of a unimodular matrix from one Fraction solve per column."""
+    if m.rows != m.cols or abs(det_loop(m)) != 1:
+        raise ValueError("matrix is not unimodular")
+    n = m.rows
+    cols = [solve_rational(m, [int(i == j) for i in range(n)]) for j in range(n)]
+    return IntMatrix.from_columns([[int(x) for x in c] for c in cols])
+
+
+def cofactor(m: IntMatrix, i: int, j: int) -> int:
+    minor = [
+        [m[a][b] for b in range(m.cols) if b != j]
+        for a in range(m.rows)
+        if a != i
+    ]
+    if not minor:
+        return 1
+    s = -1 if (i + j) % 2 else 1
+    return s * det_loop(IntMatrix(minor))
+
+
+def adjugate(m: IntMatrix) -> list[list[int]]:
+    """Rows of the adjugate, so that ``m * adj = det(m) * I``."""
+    return [[cofactor(m, j, i) for j in range(m.rows)] for i in range(m.rows)]
+
+
+def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+    """Nonzero diagonal of the Smith normal form."""
+    s, _, _ = smith_normal_form(m)
+    diag = [s[i][i] for i in range(min(s.rows, s.cols))]
+    return tuple(d for d in diag if d != 0)
+
+
+def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
+    """Basis of the integer kernel ``{x : m*x = 0}``."""
+    h, u = hermite_normal_form(m)
+    out = []
+    for j in range(h.cols):
+        if all(h[i][j] == 0 for i in range(h.rows)):
+            out.append(u.column(j))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Cones, fans and groups
+
+
+def faces(cone: Cone) -> tuple[Cone, ...]:
+    """All faces of a simplicial cone: one per subset of rays."""
+    out = []
+    for k in range(cone.dim + 1):
+        for sub in combinations(cone.rays, k):
+            out.append(Cone(sub))
+    return tuple(out)
+
+
+def is_canonical(cone: Cone, lattice: ScaledLattice) -> bool:
+    """True when all nonzero points of ``Conv(0, rays)`` lie on the far facet."""
+    for _, lam, d in psi_lattice_points(cone, lattice):
+        if any(lam) and sum(lam) != d:
+            return False
+    return True
+
+
+def hilbert_candidate_rays_check(fan: Fan, hlb: HilbertBasis) -> bool:
+    """True when the fan's rays are exactly the basis and all cones are smooth."""
+    if set(fan.rays) != set(hlb.elements):
+        return False
+    return all(is_smooth_cone(c, fan.lattice) for c in fan.maximal_cones)
+
+
+@dataclass(frozen=True)
+class JuniorSimplex:
+    """Lattice points of ``Conv(e_1, ..., e_n)``: vertices plus age-1 elements."""
+
+    vertices: tuple[LatticePoint, ...]
+    interior_points: tuple[LatticePoint, ...]
+
+    @property
+    def points(self) -> tuple[LatticePoint, ...]:
+        return self.vertices + self.interior_points
+
+
+def junior_simplex(group: GroupData) -> JuniorSimplex:
+    return JuniorSimplex(group.units(), group.juniors)
+
+
+def gl2_normal_form(fan: Fan) -> str:
+    """Canonical serialization of a 2-dimensional fan modulo GL(2, Z).
+
+    Every ordered unimodular ray pair inside a maximal cone is used as an
+    anchor basis; the lexicographically smallest transformed serialization
+    is a complete invariant of the GL(2, Z) orbit.
+    """
+    if fan.lattice.dim != 2:
+        raise ValueError("normal form only defined for 2-dimensional fans")
+    anchors = []
+    for c in fan.maximal_cones:
+        if c.dim != 2:
+            continue
+        u, v = (r.coords for r in c.rays)
+        if abs(u[0] * v[1] - u[1] * v[0]) == 1:
+            anchors.append((u, v))
+            anchors.append((v, u))
+    if not anchors:
+        raise ValueError("fan has no unimodular anchor pair")
+    forms = []
+    denom = fan.lattice.denom
+    for u, v in anchors:
+        t = IntMatrix([[u[0], v[0]], [u[1], v[1]]]).inverse_unimodular()
+        mapped = {
+            r: LatticePoint(t.mul_vec(r.coords), denom) for r in fan.rays
+        }
+        rays = sorted((mapped[r].coords for r in fan.rays))
+        index = {c: i for i, c in enumerate(rays)}
+        cones = sorted(
+            sorted(index[mapped[r].coords] for r in c.rays)
+            for c in fan.maximal_cones
+        )
+        forms.append(
+            json.dumps({"rays": [list(r) for r in rays], "cones": cones},
+                       sort_keys=True, separators=(",", ":"))
+        )
+    return min(forms)
+
+
+def gl2_equivalent(a: Fan, b: Fan) -> bool:
+    return gl2_normal_form(a) == gl2_normal_form(b)

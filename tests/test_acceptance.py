@@ -7,6 +7,7 @@ the corresponding criterion.
 from itertools import product
 
 from conftest import random_cyclic_group
+from oracles import gl2_equivalent
 from torcrep.divisors import TDivisor, class_group
 from torcrep.exceptional import (
     age_affinity_check,
@@ -19,7 +20,6 @@ from torcrep.exceptional import (
 from torcrep.fans import (
     cone_index,
     fans_equal,
-    gl2_equivalent,
     is_terminal,
     make_cone,
     make_fan,

@@ -215,3 +215,40 @@ def test_svg_edge_count_order6(z6, z6_result):
 def test_parser_help_smoke():
     parser = build_parser()
     assert parser.prog == "torcrep"
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_bad_budget_env_is_input_error(raw, monkeypatch, capsys):
+    monkeypatch.setenv("TORCREP_BUDGET", raw)
+    assert main(["resolve", "7:(1,1,2,3)", "--search", "juniors"]) == 2
+    assert "TORCREP_BUDGET must be a positive integer" in capsys.readouterr().err
+
+
+def _set_ray(fan, old, new):
+    fan["rays"][fan["rays"].index(old)] = new
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda f: _set_ray(f, [6, 0, 0], [6.9, 0, 0]),  # int() would read [6, 0, 0]
+    lambda f: _set_ray(f, [6, 0, 0], [6.0, 0, 0]),
+    lambda f: _set_ray(f, [0, 6, 0], [0, 6, False]),
+    lambda f: f["lattice"].update(n=3.0),
+    lambda f: f["lattice"].update(r=True),
+    lambda f: f["lattice"]["basis"][0].__setitem__(0, 1.0),
+    lambda f: f["maximal_cones"][0].__setitem__(0, True),
+    lambda f: f["maximal_cones"][0].__setitem__(0, 0.0),
+    lambda f: f["lattice"].update(basis=[[0, 0, 0]] * 3),
+], ids=["float-ray", "integral-float-ray", "bool-ray", "float-n", "bool-r",
+        "float-basis", "bool-index", "float-index", "singular-basis"])
+def test_verify_rejects_malformed_fan_numbers(tmp_path, capsys, mutate):
+    fan_path = tmp_path / "z6.json"
+    assert main(["resolve", "6:(1,2,3)", "--sequence", "g1,g2,g3,g4",
+                 "--out", str(fan_path)]) == 0
+    data = json.loads(fan_path.read_text())
+    mutate(data["fan"])
+    fan_path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(fan_path), "6:(1,2,3)"]) == 2
+    captured = capsys.readouterr()
+    assert "input error: malformed fan data" in captured.err
+    assert "all certificates verified" not in captured.out

@@ -11,7 +11,7 @@ from torcrep.divisors import (
 )
 from torcrep.errors import NotInDualLattice
 from torcrep.fans import sigma_fan
-from torcrep.intlinalg import IntMatrix, solve_rational
+from torcrep.intlinalg import IntMatrix, solve
 from torcrep.lattice import LatticePoint, unit_point
 
 
@@ -22,12 +22,10 @@ def reference_basis_transform():
     standard basis; under it e1 -> (-1,2,0) and e2 -> (3,-1,-1).
     """
     cols = IntMatrix.from_columns([(1, 2, 2), (3, 1, 1), (0, 0, 5)])
-    images = []
-    for i in range(3):
-        unit_scaled = tuple(5 if k == i else 0 for k in range(3))
-        sol = solve_rational(cols, unit_scaled)
-        images.append([int(v) for v in sol])
-    return IntMatrix.from_columns(images)
+    units_scaled = [tuple(5 if k == i else 0 for k in range(3)) for i in range(3)]
+    images, d = solve(cols, units_scaled)
+    assert all(v % d == 0 for col in images for v in col)
+    return IntMatrix.from_columns([[v // d for v in col] for col in images])
 
 
 def test_reference_coordinates_of_units():

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import gl2_equivalent
 from torcrep.divisors import TDivisor, canonical_divisor
 from torcrep.errors import NotComplete, NotSurface, RayAbsent
 from torcrep.exceptional import (
@@ -15,7 +16,6 @@ from torcrep.exceptional import (
 )
 from torcrep.fans import (
     fans_equal,
-    gl2_equivalent,
     make_cone,
     make_fan,
     sigma_fan,

@@ -3,13 +3,13 @@ from itertools import product
 import pytest
 
 from conftest import random_cyclic_group
+from oracles import junior_simplex
 from torcrep.errors import ExplosionGuard, NotInSL
 from torcrep.groups import (
     close_group,
     compact_juniors,
     crepant_obstructions,
     element_names,
-    junior_simplex,
 )
 from torcrep.hilbert import hilbert_basis
 from torcrep.lattice import LatticePoint

@@ -2,15 +2,11 @@ from itertools import product
 
 import pytest
 
+from oracles import hilbert_candidate_rays_check, junior_simplex
 from torcrep.errors import NotInCone
 from torcrep.fans import sigma_fan, star_subdivision
-from torcrep.groups import close_group, junior_simplex
-from torcrep.hilbert import (
-    box_lattice_points,
-    hilbert_basis,
-    hilbert_candidate_rays_check,
-    is_irreducible,
-)
+from torcrep.groups import close_group
+from torcrep.hilbert import box_lattice_points, hilbert_basis, is_irreducible
 from torcrep.lattice import LatticePoint
 
 

@@ -1,14 +1,25 @@
+from fractions import Fraction
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
+from oracles import (
+    adjugate,
+    det_loop,
+    inverse_by_fractions,
+    invariant_factors,
+    kernel_basis,
+    rank_loop,
+    solve_rational,
+)
 from torcrep.intlinalg import (
     IntMatrix,
     hermite_normal_form,
-    invariant_factors,
-    kernel_basis,
+    rank,
     smith_normal_form,
+    solve,
     solve_integer,
-    solve_rational,
     xgcd,
 )
 
@@ -123,9 +134,9 @@ def test_solve_integer():
 
 def test_solve_rational_inconsistent():
     m = IntMatrix.from_columns([(1, 0, 0), (0, 1, 0)])
-    assert solve_rational(m, (0, 0, 1)) is None
-    sol = solve_rational(m, (3, 4, 0))
-    assert sol == (3, 4)
+    assert solve(m, [(0, 0, 1)]) is None
+    (nums,), d = solve(m, [(3, 4, 0)])
+    assert tuple(Fraction(v, d) for v in nums) == (3, 4)
 
 
 def test_kernel_basis():
@@ -140,3 +151,114 @@ def test_inverse_unimodular():
     m = IntMatrix([[2, 1], [1, 1]])
     inv = m.inverse_unimodular()
     assert m * inv == IntMatrix.identity(2)
+
+
+@st.composite
+def linear_systems(draw):
+    """Square, tall and wide matrices, some with a dependent column, plus
+    right-hand sides that are either images ``m * x`` or arbitrary."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(1, nrows + 1))
+    entries = st.integers(-9, 9)
+    data = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if ncols > 1 and draw(st.booleans()):
+        a, b = draw(entries), draw(entries)
+        for row in data:
+            row[-1] = a * row[0] + b * row[1]
+    m = IntMatrix(data)
+    rhs = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            x = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            rhs.append(m.mul_vec(x))
+        else:
+            rhs.append(tuple(draw(st.lists(entries, min_size=nrows, max_size=nrows))))
+    return m, rhs
+
+
+def square_matrices(max_dim=5, max_entry=9):
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-max_entry, max_entry), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    ).map(IntMatrix)
+
+
+@given(linear_systems())
+def test_solve_matches_fraction_oracle(system):
+    m, rhs = system
+    try:
+        expected = [solve_rational(m, b) for b in rhs]
+    except ValueError:
+        with pytest.raises(ValueError):
+            solve(m, rhs)
+        return
+    got = solve(m, rhs)
+    if any(sol is None for sol in expected):
+        assert got is None
+        return
+    nums, d = got
+    assert d > 0
+    if m.rows == m.cols:
+        assert d == abs(det_loop(m))
+    for num, b, sol in zip(nums, rhs, expected):
+        assert m.mul_vec(num) == tuple(d * v for v in b)
+        assert tuple(Fraction(v, d) for v in num) == sol
+
+
+@given(linear_systems())
+def test_det_and_rank_match_loops(system):
+    m, _ = system
+    assert rank(m) == rank_loop(m)
+    if m.rows == m.cols:
+        assert m.det() == det_loop(m)
+
+
+@given(square_matrices())
+def test_adjugate_from_solve(m):
+    # psi_lattice_points reads sign(det) * adjugate off solve(x, I)
+    det = det_loop(m)
+    if det == 0:
+        with pytest.raises(ValueError):
+            solve(m, IntMatrix.identity(m.rows).columns())
+        return
+    cols, d = solve(m, IntMatrix.identity(m.rows).columns())
+    assert d == abs(det)
+    sign = 1 if det > 0 else -1
+    expected = [[sign * v for v in row] for row in adjugate(m)]
+    assert IntMatrix.from_columns(cols) == IntMatrix(expected)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                           st.integers(-3, 3), st.booleans()), max_size=12),
+    )
+))
+def test_inverse_unimodular_matches_oracle(spec):
+    n, ops = spec
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, f, swap in ops:
+        if swap:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i != j:
+            rows[i] = [a + f * b for a, b in zip(rows[i], rows[j])]
+    m = IntMatrix(rows)
+    inv = m.inverse_unimodular()
+    assert inv == inverse_by_fractions(m)
+    assert m * inv == IntMatrix.identity(n)
+
+
+@given(square_matrices(max_dim=4, max_entry=3))
+def test_inverse_unimodular_rejects_like_oracle(m):
+    try:
+        expected = inverse_by_fractions(m)
+    except ValueError:
+        with pytest.raises(ValueError):
+            m.inverse_unimodular()
+        return
+    assert m.inverse_unimodular() == expected

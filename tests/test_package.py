@@ -1,0 +1,57 @@
+"""Whole-package checks: source hygiene and the worked-example artifacts."""
+
+import ast
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# SHA-256 of every artifact of scripts/run_worked_examples.py, recorded before
+# the linear-algebra kernel was rewritten; the outputs must stay byte-identical.
+WORKED_EXAMPLE_DIGESTS = {
+    "z5.json": "7721015c90d87351fdca3582f2365feb415d380f4ab1e32eb3d6d2bf8961a4ca",
+    "z5.svg": "ecd500772cd9bacdc5e309106b240f91615fd402ab63898837847d75d34e7352",
+    "z5_report.json": "37405709005f4622a61b1951dd00db0975727d190d03d53f2ba94d274585dc8a",
+    "z6.json": "115c039e4ecffe0bcc9680952f6cad4c8c02291e09a65bc418e983dc2192f322",
+    "z6.svg": "bb812ba34995f699b5c4b1b5501886d675a1d6bb980eef41136ee9cc78cfecbc",
+    "z6_alt.json": "fad84e9aff1418752252de45f67a9ff65b435e6ce0ab63f23b37b42df47c74f5",
+    "z6_alt.svg": "f2db049e9955141100b95a4b408a4b11a06f460e6ae4e7046265d264e86be342",
+    "z6_alt_report.json": "d8b4254fb3aacfb3e3d94cd0ad087eab4b2ba5f86116ebeb7b9ab91ca766f971",
+    "z6_nonstar.json": "3dfd0a5d4cf85b4a5c845c711729792c90a0008d16f0cabe8b3c8cd1a2a84da9",
+    "z6_nonstar.svg": "5f1cdbbc6a980118334ecd3565904c9121a86ccb5a1385bc884110b2b0ba92d9",
+    "z6_nonstar_report.json": "066477b87d71eec15e39c5b76bb8bbc4141c4807221fe06031cae690591736b1",
+    "z6_report.json": "b2fe4fcfc184a86cad361cb2a3d6438196cbf3a71ee71c855a2659d2769cbac8",
+    "z7_hilbert.json": "656764e350d1ef11ce736303ee49083f885c338307e139054cb3a98a9fc70f02",
+    "z7_hilbert_report.json": "b2d83a60886e089503f07070376685e3b8be1c50fb368c1377698cdddf116446",
+}
+
+
+def test_no_assert_statements_in_package():
+    # python -O strips asserts, so correctness checks must raise explicitly
+    found = []
+    for path in sorted((SRC / "torcrep").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_worked_example_artifacts_are_byte_identical(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_worked_examples.py"),
+         "--out", str(tmp_path)],
+        check=True, capture_output=True, env=env, timeout=300,
+    )
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(tmp_path.iterdir())
+    }
+    assert digests == WORKED_EXAMPLE_DIGESTS
