@@ -13,9 +13,9 @@ from pathlib import Path
 from torcrep.cli import group_from_spec, parse_group
 from torcrep.cli import main as torcrep_main
 from torcrep.errors import ResolutionNotFound
-from torcrep.fans import fan_to_json, fans_equal, make_cone, make_fan, validate_fan
+from torcrep.fans import Fan, fan_to_json, fans_equal, make_cone, make_fan
 from torcrep.groups import close_group
-from torcrep.lattice import LatticePoint
+from torcrep.lattice import LatticePoint, ScaledLattice
 from torcrep.resolve import certify_fan, resolve, search_resolution
 
 CASES = [
@@ -35,9 +35,12 @@ def run_ok(argv) -> None:
         raise SystemExit(f"torcrep {' '.join(argv)} exited {code}")
 
 
-def nonstar_model(outdir: Path) -> None:
-    """The hand-entered crepant model of the order-6 singularity."""
-    z6 = close_group([LatticePoint((1, 2, 3), 6)])
+def nonstar_order6_fan(lattice: ScaledLattice) -> Fan:
+    """The hand-entered crepant model of the order-6 singularity ``6:(1,2,3)``.
+
+    This triangulation has the edge g3-g4 instead of e1-g1 and cannot be
+    produced by any star-subdivision sequence at the four junior points.
+    """
     pts = {
         "e1": LatticePoint((6, 0, 0), 6), "e2": LatticePoint((0, 6, 0), 6),
         "e3": LatticePoint((0, 0, 6), 6), "g1": LatticePoint((1, 2, 3), 6),
@@ -48,8 +51,14 @@ def nonstar_model(outdir: Path) -> None:
         ("e3", "g1", "g3"), ("g3", "g1", "g4"), ("e1", "g3", "g4"),
         ("g4", "g1", "g2"), ("g2", "g1", "e2"), ("e2", "g1", "e3"),
     ]
-    fan = make_fan(z6.lattice, [make_cone([pts[a] for a in t]) for t in triangles])
-    validate_fan(fan)
+    cones = [make_cone([pts[a] for a in t]) for t in triangles]
+    return make_fan(lattice, cones, validate=True)
+
+
+def nonstar_model(outdir: Path) -> None:
+    """Certify the non-star model and write its artifacts."""
+    z6 = close_group([LatticePoint((1, 2, 3), 6)])
+    fan = nonstar_order6_fan(z6.lattice)
     summary = certify_fan(z6, fan, star_sequence=False)
     if not (summary.smooth and summary.crepant):
         raise SystemExit("the non-star model must be smooth and crepant")
@@ -64,8 +73,8 @@ def nonstar_model(outdir: Path) -> None:
     print(f"== hand-entered non-star model -> {path}")
     run_ok(["verify", str(path), "6:(1,2,3)",
             "--out", str(outdir / "z6_nonstar_report.json")])
-    torcrep_main(["export-graph", str(path), "6:(1,2,3)",
-                  "--svg", str(outdir / "z6_nonstar.svg")])
+    run_ok(["export-graph", str(path), "6:(1,2,3)",
+            "--svg", str(outdir / "z6_nonstar.svg")])
 
 
 def main() -> None:
@@ -87,8 +96,8 @@ def main() -> None:
                 "--out", str(outdir / f"{name}_report.json")])
         data = json.loads(fan_path.read_text())
         if data["fan"]["lattice"]["n"] == 3:
-            torcrep_main(["export-graph", str(fan_path), group,
-                          "--svg", str(outdir / f"{name}.svg")])
+            run_ok(["export-graph", str(fan_path), group,
+                    "--svg", str(outdir / f"{name}.svg")])
 
     print("== obstructed groups")
     for group in OBSTRUCTED:

@@ -40,7 +40,7 @@ from .exceptional import (
     coverage_check,
     star_fan,
 )
-from .fans import fan_from_json, refines, sigma_fan
+from .fans import Fan, fan_from_json, refines, sigma_fan
 from .groups import GroupData, close_group, compact_juniors, crepant_obstructions, element_names
 from .hilbert import hilbert_basis
 from .lattice import LatticePoint
@@ -102,9 +102,27 @@ def group_from_spec(spec: GroupSpec) -> GroupData:
     return close_group(points, spec.n)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot decode {path}: {exc}") from exc
+
+
 def _load_group(args) -> GroupData:
-    text = Path(args.group).read_text() if args.file else args.group
+    text = _read_text(args.group) if args.file else args.group
     return group_from_spec(parse_group(text))
+
+
+def _load_fan(path: str, group: GroupData) -> Fan:
+    """Validated fan from a bare fan JSON or a resolve output, on the group's lattice."""
+    data = json.loads(_read_text(path))
+    if isinstance(data, dict) and "fan" in data:
+        data = data["fan"]
+    fan = fan_from_json(data)
+    if fan.lattice != group.lattice:
+        raise InputError("fan lattice does not match the group lattice")
+    return fan
 
 
 def _sequence_points(group: GroupData, spec: str) -> list[LatticePoint]:
@@ -177,12 +195,7 @@ def cmd_resolve(args) -> int:
 
 def cmd_verify(args) -> int:
     group = _load_group(args)
-    data = json.loads(Path(args.fan).read_text())
-    if "fan" in data:
-        data = data["fan"]
-    fan = fan_from_json(data)
-    if fan.lattice != group.lattice:
-        raise InputError("fan lattice does not match the group lattice")
+    fan = _load_fan(args.fan, group)
     if not refines(fan, sigma_fan(group.lattice)):
         raise InputError("fan does not refine the orthant fan")
     summary = certify_fan(group, fan, star_sequence=False)
@@ -251,10 +264,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_graph(args) -> int:
     group = _load_group(args)
-    data = json.loads(Path(args.fan).read_text())
-    if "fan" in data:
-        data = data["fan"]
-    fan = fan_from_json(data)
+    fan = _load_fan(args.fan, group)
     svg = junior_graph_svg(fan, group)
     Path(args.svg).write_text(svg)
     print(f"wrote {args.svg}")

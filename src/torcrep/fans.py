@@ -152,6 +152,9 @@ def psi_lattice_points(cone: Cone, lattice: ScaledLattice):
 
 def is_terminal(cone: Cone, lattice: ScaledLattice) -> bool:
     """True when the only lattice points of ``Conv(0, rays)`` are its vertices."""
+    # a unimodular simplex has no lattice points besides its vertices
+    if is_smooth_cone(cone, lattice):
+        return True
     for _, lam, d in psi_lattice_points(cone, lattice):
         nonzero = [v for v in lam if v]
         if nonzero and nonzero != [d]:
@@ -206,9 +209,11 @@ def sigma_fan(lattice: ScaledLattice) -> Fan:
 def validate_fan(fan: Fan) -> None:
     """Structural checks: primitive rays, simpliciality, pairwise face property.
 
-    Raises InvalidFan on the first violation.  The pairwise check computes
-    the extreme rays of each intersection exactly and verifies they span
-    the cone on the common rays.
+    Raises InvalidFan on the first violation.  A pair of cones passes the
+    pairwise check at once when a facet normal of one separates them
+    (``_separates``); every other pair has the extreme rays of its
+    intersection computed exactly, and they must lie in the cone on the
+    common rays.
     """
     lat = fan.lattice
     for p in fan.rays:
@@ -220,8 +225,17 @@ def validate_fan(fan: Fan) -> None:
         mat = IntMatrix.from_columns([r.coords for r in c.rays])
         if rank(mat) != c.dim:
             raise InvalidFan(f"cone {c} is not simplicial")
+    normals = {
+        c: _facet_normals(c) for c in fan.maximal_cones if c.dim == lat.dim
+    }
     for a, b in combinations(fan.maximal_cones, 2):
         common = a.ray_set() & b.ray_set()
+        if any(
+            _separates(h, far, common)
+            for near, far in ((a, b), (b, a))
+            for h in normals.get(near, ())
+        ):
+            continue
         tau = make_cone(common) if common else Cone(())
         for x in _intersection_generators(a, b):
             pt = LatticePoint(x, a.rays[0].denom)
@@ -229,6 +243,35 @@ def validate_fan(fan: Fan) -> None:
                 raise InvalidFan(
                     f"cones {a} and {b} do not intersect in a common face"
                 )
+
+
+def _facet_normals(cone: Cone) -> list[tuple[int, ...]]:
+    """Rows of ``d * A^-1`` (``d > 0``) for a full-dimensional cone.
+
+    ``A`` has the rays as columns, so row ``i`` is positive on ray ``i``
+    and 0 on the other rays: it is the inner normal of the facet opposite
+    ray ``i``.
+    """
+    mat = IntMatrix.from_columns([r.coords for r in cone.rays])
+    cols, _ = solve(mat, IntMatrix.identity(cone.dim).columns())
+    return list(zip(*cols))
+
+
+def _separates(
+    h: tuple[int, ...], cone: Cone, common: frozenset[LatticePoint]
+) -> bool:
+    """``h <= 0`` on the rays of ``cone``, with equality only at ``common``.
+
+    With ``h`` a facet normal of a cone ``c`` and ``common`` the rays
+    ``cone`` shares with ``c``, this puts ``c ∩ cone`` inside ``{h = 0}``,
+    where ``cone`` meets it in the face on ``common``; so ``c ∩ cone`` is
+    exactly the cone on the common rays (Cox-Little-Schenck, Lemma 1.2.13).
+    """
+    for r in cone.rays:
+        v = sum(x * y for x, y in zip(h, r.coords))
+        if v > 0 or (v == 0 and r not in common):
+            return False
+    return True
 
 
 def _intersection_generators(a: Cone, b: Cone):
@@ -304,19 +347,27 @@ def support_volume(fan: Fan) -> Fraction:
 
     For a simplicial cone with rays of positive age the slab is the
     simplex on ``u_i / age(u_i)``, so the measure is additive across any
-    subdivision of the support and invariant under refinement.
+    subdivision of the support and invariant under refinement.  Raises
+    InvalidFan, naming the cone, for a cone of lower dimension or a ray of
+    non-positive age.
     """
     total = Fraction(0)
     n = fan.lattice.dim
     for c in fan.maximal_cones:
         if c.dim != n:
-            raise ValueError("support volume requires full-dimensional cones")
+            raise InvalidFan(
+                f"cone {c} has dimension {c.dim}; support volume requires "
+                f"full-dimensional cones (dimension {n})"
+            )
         det = abs(ray_matrix(c, fan.lattice).det())
         denom = Fraction(1)
         for r in c.rays:
             a = r.age
             if a <= 0:
-                raise ValueError("support volume requires rays of positive age")
+                raise InvalidFan(
+                    f"ray {r} of cone {c} has age {a}; support volume "
+                    f"requires rays of positive age"
+                )
             denom *= a
         total += Fraction(det) / denom
     return total

@@ -1,11 +1,16 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from torcrep.fans import make_cone, make_fan, validate_fan
 from torcrep.groups import close_group
 from torcrep.lattice import LatticePoint
 from torcrep.resolve import resolve
+
+# the worked-example script owns the hand-entered non-star model
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from run_worked_examples import nonstar_order6_fan  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -60,33 +65,8 @@ def z7_hilbert_result(z7):
 
 @pytest.fixture(scope="session")
 def z6_nonstar_fan(z6):
-    """Hand-entered crepant model of the order-6 example.
-
-    This triangulation has the edge g3-g4 instead of e1-g1 and cannot be
-    produced by any star-subdivision sequence at the four junior points.
-    """
-    p = {
-        "e1": LatticePoint((6, 0, 0), 6),
-        "e2": LatticePoint((0, 6, 0), 6),
-        "e3": LatticePoint((0, 0, 6), 6),
-        "g1": LatticePoint((1, 2, 3), 6),
-        "g2": LatticePoint((2, 4, 0), 6),
-        "g3": LatticePoint((3, 0, 3), 6),
-        "g4": LatticePoint((4, 2, 0), 6),
-    }
-    triangles = [
-        ("e3", "g1", "g3"),
-        ("g3", "g1", "g4"),
-        ("e1", "g3", "g4"),
-        ("g4", "g1", "g2"),
-        ("g2", "g1", "e2"),
-        ("e2", "g1", "e3"),
-    ]
-    fan = make_fan(
-        z6.lattice, [make_cone([p[a] for a in tri]) for tri in triangles]
-    )
-    validate_fan(fan)
-    return fan
+    """Hand-entered crepant model of the order-6 example (not a star fan)."""
+    return nonstar_order6_fan(z6.lattice)
 
 
 @pytest.fixture()

@@ -2,8 +2,10 @@
 
 The linear-algebra oracles are the solvers torcrep used before its single
 fraction-free kernel: Fraction Gauss-Jordan, a Bareiss determinant loop,
-an unnormalised fraction-free rank loop and cofactor expansion.  The
-differential tests compare the kernel against them.
+an unnormalised fraction-free rank loop and cofactor expansion.  The fan
+oracles are ``validate_fan`` and ``is_terminal`` before their fast paths:
+the all-pairs intersection check and the bounding-box walk.  The
+differential tests compare the package against them.
 """
 
 import json
@@ -11,10 +13,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from torcrep.fans import Cone, Fan, is_smooth_cone, psi_lattice_points
+from torcrep.errors import InvalidFan
+from torcrep.fans import (
+    Cone,
+    Fan,
+    _intersection_generators,
+    contains_point,
+    is_smooth_cone,
+    make_cone,
+    psi_lattice_points,
+)
 from torcrep.groups import GroupData
 from torcrep.hilbert import HilbertBasis
-from torcrep.intlinalg import IntMatrix, hermite_normal_form, smith_normal_form
+from torcrep.intlinalg import IntMatrix, hermite_normal_form, rank, smith_normal_form
 from torcrep.lattice import LatticePoint, ScaledLattice
 
 # ---------------------------------------------------------------------------
@@ -148,6 +159,38 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
         for sub in combinations(cone.rays, k):
             out.append(Cone(sub))
     return tuple(out)
+
+
+def validate_fan_all_pairs(fan: Fan) -> None:
+    """``validate_fan`` with every pair of maximal cones checked exactly."""
+    lat = fan.lattice
+    for p in fan.rays:
+        if not lat.contains(p):
+            raise InvalidFan(f"ray {p} is not a lattice point")
+        if not lat.is_primitive(p):
+            raise InvalidFan(f"ray {p} is not primitive")
+    for c in fan.maximal_cones:
+        mat = IntMatrix.from_columns([r.coords for r in c.rays])
+        if rank(mat) != c.dim:
+            raise InvalidFan(f"cone {c} is not simplicial")
+    for a, b in combinations(fan.maximal_cones, 2):
+        common = a.ray_set() & b.ray_set()
+        tau = make_cone(common) if common else Cone(())
+        for x in _intersection_generators(a, b):
+            pt = LatticePoint(x, a.rays[0].denom)
+            if not contains_point(tau, pt):
+                raise InvalidFan(
+                    f"cones {a} and {b} do not intersect in a common face"
+                )
+
+
+def is_terminal_box_walk(cone: Cone, lattice: ScaledLattice) -> bool:
+    """``is_terminal`` by the bounding-box walk alone, smooth cones included."""
+    for _, lam, d in psi_lattice_points(cone, lattice):
+        nonzero = [v for v in lam if v]
+        if nonzero and nonzero != [d]:
+            return False
+    return True
 
 
 def is_canonical(cone: Cone, lattice: ScaledLattice) -> bool:

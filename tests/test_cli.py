@@ -252,3 +252,39 @@ def test_verify_rejects_malformed_fan_numbers(tmp_path, capsys, mutate):
     captured = capsys.readouterr()
     assert "input error: malformed fan data" in captured.err
     assert "all certificates verified" not in captured.out
+
+
+def test_verify_lower_dimensional_cone_is_input_error(tmp_path, capsys):
+    import torcrep
+
+    z6 = torcrep.close_group([torcrep.LatticePoint((1, 2, 3), 6)])
+    data = fan_to_json(torcrep.sigma_fan(z6.lattice))
+    data["maximal_cones"] = [[0, 1]]  # a 2-dimensional cone inside the orthant
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "6:(1,2,3)"]) == 2
+    err = capsys.readouterr().err
+    assert "input error: cone Cone((1/6)(0,0,6), (1/6)(0,6,0)) has dimension 2" in err
+
+
+def test_export_graph_wrong_group(tmp_path, capsys):
+    fan_path = tmp_path / "z6.json"
+    assert main(["resolve", "6:(1,2,3)", "--sequence", "g1,g2,g3,g4",
+                 "--out", str(fan_path)]) == 0
+    svg_path = tmp_path / "w.svg"
+    assert main(["export-graph", str(fan_path), "5:(1,2,2)",
+                 "--svg", str(svg_path)]) == 2
+    assert "fan lattice does not match the group lattice" in capsys.readouterr().err
+    assert not svg_path.exists()
+
+
+@pytest.mark.parametrize("argv, body", [
+    (["analyze", "{path}", "--file"], b"\xff\xfe6:(1,2,3)\n"),
+    (["verify", "{path}", "6:(1,2,3)"], b"\xff\xfe{}\n"),
+    (["verify", "{path}", "6:(1,2,3)"], b"5\n"),
+], ids=["analyze-utf16-bom", "verify-utf16-bom", "verify-json-number"])
+def test_undecodable_or_non_object_input_is_input_error(tmp_path, capsys, argv, body):
+    path = tmp_path / "input"
+    path.write_bytes(body)
+    assert main([a.format(path=path) for a in argv]) == 2
+    assert "input error" in capsys.readouterr().err

@@ -1,10 +1,21 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import Phase, find, given, settings
 
 from conftest import random_cyclic_group
-from oracles import faces, gl2_equivalent, gl2_normal_form, is_canonical
+from oracles import (
+    faces,
+    gl2_equivalent,
+    gl2_normal_form,
+    is_canonical,
+    is_terminal_box_walk,
+    validate_fan_all_pairs,
+)
+from torcrep import fans as fans_module
 from torcrep.errors import InvalidFan, NotInSupport, NotPrimitive
+from torcrep.exceptional import age_weighted_divisor, star_fan, total_space_fan
 from torcrep.fans import (
     cone_index,
     contains_point,
@@ -21,8 +32,10 @@ from torcrep.fans import (
     support_volume,
     validate_fan,
 )
+from torcrep.groups import close_group
 from torcrep.intlinalg import IntMatrix
 from torcrep.lattice import LatticePoint, ScaledLattice, unit_point
+from torcrep.resolve import resolve
 
 
 def std_lattice(n):
@@ -188,6 +201,146 @@ def test_validate_fan_rejects_imprimitive_ray():
     c = make_cone([LatticePoint((2, 0), 1), LatticePoint((0, 1), 1)])
     with pytest.raises(InvalidFan):
         validate_fan(make_fan(lat, [c]))
+
+
+@st.composite
+def perturbed_fans(draw):
+    """Valid fans in n = 2, 3, 4, some perturbed into invalid ones.
+
+    The valid fans are star-subdivision prefixes of a cyclic group's orthant
+    and, in n = 3, line-bundle total spaces over a star fan of a crepant
+    resolution.  A perturbation drops a cone, adds a cone on existing rays,
+    swaps one ray of a cone, or subdivides only one of the cones through
+    the last subdivision point (a point on a shared face then leaves a
+    neighbour meeting the new cones beyond a common face).
+    """
+    n = draw(st.sampled_from([2, 3, 4]))
+    r = draw(st.integers(2, 5 if n == 4 else 8))
+    coords = draw(st.lists(st.integers(1, r - 1), min_size=n - 1, max_size=n - 1))
+    coords.append(-sum(coords) % r)
+    group = close_group([LatticePoint(tuple(coords), r)], n)
+    points = [p for p in group.elements
+              if not p.is_zero() and group.lattice.is_primitive(p)]
+    fan = before = sigma_fan(group.lattice)
+    mu = None
+    if n == 3 and group.juniors and draw(st.booleans()):
+        smooth = resolve(group, list(group.juniors)).fan
+        star = star_fan(smooth, draw(st.sampled_from(group.juniors)))
+        fan = total_space_fan(star, age_weighted_divisor(star)).fan
+        points = []  # the total space has its own lattice
+    else:
+        order = draw(st.permutations(points))
+        steps = min(len(order), 4 if n < 4 else 2)  # the oracle is slow in n = 4
+        for mu in order[:draw(st.integers(min(steps, 1), steps))]:
+            before, fan = fan, star_subdivision(fan, mu)
+    cones = list(fan.maximal_cones)
+    kind = draw(st.sampled_from(["add", "swap", "partial", "drop", "none"]))
+    try:
+        if kind == "partial" and mu is not None:
+            through = [c for c in before.maximal_cones if contains_point(c, mu)]
+            one = draw(st.sampled_from(through))
+            cones = [c for c in before.maximal_cones if c != one]
+            cones += star_subdivision(make_fan(before.lattice, [one]), mu).maximal_cones
+        elif kind == "add":
+            k = draw(st.sampled_from([n, n, n - 1]))
+            cones.append(make_cone(draw(st.lists(
+                st.sampled_from(fan.rays), min_size=k, max_size=k, unique=True))))
+        elif kind == "swap":
+            i = draw(st.integers(0, len(cones) - 1))
+            rays = list(cones[i].rays)
+            others = [p for p in list(fan.rays) + points if p not in rays]
+            if others:
+                rays[draw(st.integers(0, len(rays) - 1))] = draw(st.sampled_from(others))
+                cones[i] = make_cone(rays)
+        elif kind == "drop" and len(cones) > 1:
+            del cones[draw(st.integers(0, len(cones) - 1))]
+    except ValueError:  # dependent rays: keep the fan as it was
+        cones = list(fan.maximal_cones)
+    return make_fan(fan.lattice, cones)
+
+
+def _rejection(check, fan):
+    try:
+        check(fan)
+    except InvalidFan as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_fans())
+def test_validate_fan_matches_all_pairs_oracle(fan):
+    assert _rejection(validate_fan, fan) == _rejection(validate_fan_all_pairs, fan)
+
+
+def test_perturbed_fans_include_valid_and_invalid():
+    # validate_fan stands in for the slower oracle it is tested against above
+    quick = settings(deadline=None, database=None, phases=[Phase.generate])
+    for valid in (True, False):
+        find(perturbed_fans(),
+             lambda f: (_rejection(validate_fan, f) is None) == valid,
+             settings=quick)
+
+
+def test_unseparated_and_invalid_pairs_reach_exact_fallback(z6_result, monkeypatch):
+    calls = []
+    exact = fans_module._intersection_generators
+
+    def counting(a, b):
+        calls.append(frozenset({a.ray_set(), b.ray_set()}))
+        return exact(a, b)
+
+    monkeypatch.setattr(fans_module, "_intersection_generators", counting)
+    validate_fan(z6_result.fan)
+    assert calls == []  # every pair of the order-6 resolution is separated
+    # a bow tie: the diagonals p1-p3 and p2-p4 of a square cross at v, so
+    # each facet plane of a triangle holds a non-shared vertex of the one
+    # opposite, and no facet normal separates opposite triangles
+    v, p1, p2, p3, p4 = (LatticePoint(c, 1) for c in [
+        (1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1)])
+    bow_tie = make_fan(std_lattice(3), [
+        make_cone(t) for t in [(v, p2, p1), (v, p1, p4), (v, p4, p3), (v, p3, p2)]
+    ])
+    validate_fan(bow_tie)
+    assert len(calls) == 2 and set(calls) == {
+        frozenset({frozenset({v, p2, p1}), frozenset({v, p4, p3})}),
+        frozenset({frozenset({v, p1, p4}), frozenset({v, p3, p2})}),
+    }
+    # a T-junction: the ray e1+e2 of the lower cone lies on the facet
+    # cone(e1, e2) of the upper one, so they meet beyond cone(e1)
+    e1, e2, e3, m, down = (LatticePoint(c, 1) for c in [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 0, -1)])
+    t_junction = make_fan(std_lattice(3), [
+        make_cone([e1, e2, e3]), make_cone([e1, m, down])])
+    overlap = make_fan(std_lattice(2), [
+        make_cone([LatticePoint((1, 0), 1), LatticePoint((0, 1), 1)]),
+        make_cone([LatticePoint((2, 1), 1), LatticePoint((1, 2), 1)]),
+    ])
+    for invalid in (t_junction, overlap):
+        calls.clear()
+        with pytest.raises(InvalidFan, match="do not intersect in a common face"):
+            validate_fan(invalid)
+        assert len(calls) == 1
+
+
+def test_is_terminal_matches_box_walk(rng):
+    seen = {"smooth": 0, "terminal": 0, "not terminal": 0}
+    for _ in range(25):
+        group = random_cyclic_group(rng, rng.choice([2, 3, 4]), rmax=9)
+        lat = group.lattice
+        fan = sigma_fan(lat)
+        points = [p for p in group.elements if not p.is_zero()]
+        for mu in rng.sample(points, min(len(points), 2)):
+            if lat.is_primitive(mu):
+                fan = star_subdivision(fan, mu)
+        for cone in {f for c in fan.maximal_cones for f in faces(c) if f.rays}:
+            terminal = is_terminal(cone, lat)
+            assert terminal == is_terminal_box_walk(cone, lat)
+            if is_smooth_cone(cone, lat):
+                seen["smooth"] += 1
+            else:
+                seen["terminal" if terminal else "not terminal"] += 1
+    assert all(seen.values()), seen
 
 
 def test_gl2_normal_form():
