@@ -43,7 +43,7 @@ from .groups import (
     crepant_obstructions,
     element_names,
 )
-from .hilbert import HilbertBasis, hilbert_basis, is_irreducible
+from .hilbert import HilbertBasis, hilbert_basis
 from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form
 from .lattice import (
     LatticePoint,
@@ -97,7 +97,6 @@ __all__ = [
     "fan_to_json",
     "hermite_normal_form",
     "hilbert_basis",
-    "is_irreducible",
     "is_terminal",
     "make_cone",
     "make_fan",

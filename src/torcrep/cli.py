@@ -115,13 +115,15 @@ def _load_group(args) -> GroupData:
 
 
 def _load_fan(path: str, group: GroupData) -> Fan:
-    """Validated fan from a bare fan JSON or a resolve output, on the group's lattice."""
+    """Validated fan, bare or from a resolve output, refining the group's orthant."""
     data = json.loads(_read_text(path))
     if isinstance(data, dict) and "fan" in data:
         data = data["fan"]
     fan = fan_from_json(data)
     if fan.lattice != group.lattice:
         raise InputError("fan lattice does not match the group lattice")
+    if not refines(fan, sigma_fan(group.lattice)):
+        raise InputError("fan does not refine the orthant fan")
     return fan
 
 
@@ -196,8 +198,6 @@ def cmd_resolve(args) -> int:
 def cmd_verify(args) -> int:
     group = _load_group(args)
     fan = _load_fan(args.fan, group)
-    if not refines(fan, sigma_fan(group.lattice)):
-        raise InputError("fan does not refine the orthant fan")
     summary = certify_fan(group, fan, star_sequence=False)
     smooth = summary.smooth
     # the union-of-neighborhoods statement only applies to crepant resolutions

@@ -45,9 +45,6 @@ class StarFan:
     lifts: tuple[tuple[LatticePoint, LatticePoint], ...]
     complete: bool
 
-    def lift_of(self, qray: LatticePoint) -> LatticePoint:
-        return dict(self.lifts)[qray]
-
 
 @dataclass(frozen=True)
 class LineBundleFan:

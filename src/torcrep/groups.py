@@ -32,10 +32,6 @@ class GroupData:
         return len(self.elements)
 
     @cached_property
-    def element_set(self) -> frozenset[LatticePoint]:
-        return frozenset(self.elements)
-
-    @cached_property
     def lattice(self) -> ScaledLattice:
         lat = build_lattice(self.generators, self.n, self.r)
         if lat.index_over_std != self.order:
@@ -123,12 +119,16 @@ class ObstructionReport:
 
 def crepant_obstructions(group: GroupData, hlb) -> ObstructionReport:
     """Check the two senior-element obstructions against the Hilbert basis."""
-    juniors = group.juniors
-    if juniors:
-        # the closure of the juniors is a subgroup, so comparing orders suffices
-        generated = close_group(juniors, group.n).order == group.order
-    else:
-        generated = group.order == 1
+    # [Z^n + sum Z*h : Z^n] over the juniors h is the order of their subgroup.
+    # Each junior outside the lattice so far at least doubles the index, so
+    # at most log2 #G of them enter and the Hermite forms stay small.
+    gens = []
+    lattice = build_lattice(gens, group.n, group.r)
+    for h in group.juniors:
+        if not lattice.contains(h):
+            gens.append(h)
+            lattice = build_lattice(gens, group.n, group.r)
+    generated = lattice.index_over_std == group.order
     seniors_in_basis = any(p.age > 1 for p in hlb.elements)
     return ObstructionReport(
         not_generated_by_juniors=not generated,

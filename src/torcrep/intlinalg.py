@@ -45,7 +45,9 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(tuple(row) for row in data)
+        if not all(type(x) is int for row in rows for x in row):
+            raise TypeError("matrix entries must be integers")
         if not rows or not rows[0]:
             raise ValueError("matrix dimensions must be positive")
         if any(len(r) != len(rows[0]) for r in rows):

@@ -36,7 +36,10 @@ class LatticePoint:
     denom: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(x) for x in self.coords))
+        coords = tuple(self.coords)
+        if not all(type(x) is int for x in coords):
+            raise TypeError(f"coordinates must be integers, got {coords!r}")
+        object.__setattr__(self, "coords", coords)
         if self.denom < 1:
             raise ValueError("denominator must be positive")
 
@@ -51,12 +54,6 @@ class LatticePoint:
 
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-    def scale_to(self, denom: int) -> "LatticePoint":
-        if denom % self.denom:
-            raise DenomMismatch(f"cannot rescale denom {self.denom} to {denom}")
-        f = denom // self.denom
-        return LatticePoint(tuple(c * f for c in self.coords), denom)
 
     def __str__(self) -> str:
         body = ",".join(str(c) for c in self.coords)
@@ -137,12 +134,6 @@ class ScaledLattice:
         if x is None:
             raise NotInLattice(f"{p} is not in the lattice")
         return gcd(*x) == 1
-
-    def primitivize(self, p: LatticePoint) -> LatticePoint:
-        """The primitive lattice point on the ray through ``p``."""
-        x = self.basis_coords(p)
-        g = gcd(*x)
-        return self.from_basis_coords(tuple(v // g for v in x))
 
 
 def build_lattice(gens, n: int, denom: int | None = None) -> ScaledLattice:

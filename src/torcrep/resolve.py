@@ -85,13 +85,17 @@ def certify_fan(group: GroupData, fan: Fan, sequence=(),
     )
 
 
-def resolve(group: GroupData, sequence) -> ResolutionResult:
-    """Fold star subdivisions over ``sequence`` starting from the orthant."""
+def _fold(group: GroupData, seq) -> Fan:
     fan = sigma_fan(group.lattice)
-    seq = tuple(sequence)
     for mu in seq:
         fan = star_subdivision(fan, mu)
-    return certify_fan(group, fan, seq)
+    return fan
+
+
+def resolve(group: GroupData, sequence) -> ResolutionResult:
+    """Fold star subdivisions over ``sequence`` starting from the orthant."""
+    seq = tuple(sequence)
+    return certify_fan(group, _fold(group, seq), seq)
 
 
 def euler_check(result: ResolutionResult, group: GroupData) -> bool:
@@ -117,25 +121,28 @@ def search_resolution(group: GroupData, mode: str,
 
     ``mode`` is ``"juniors_only"`` (success = smooth and crepant) or
     ``"hilbert_basis"`` (success = smooth with ray set equal to the basis).
+    Only the accepted fan is certified.
     """
     if budget is None:
         budget = search_budget()
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    axes = set(group.units())
     if mode == "juniors_only":
         targets = _policy_order(group.juniors)
 
-        def accept(res):
-            return res.smooth and res.crepant
+        def accept(fan):
+            # crepant: every exceptional ray has age 1
+            return (all(ray.age == 1 for ray in fan.rays if ray not in axes)
+                    and fan.is_smooth())
 
     elif mode == "hilbert_basis":
         hlb = hilbert_basis(group)
-        axes = set(group.units())
         targets = _policy_order([p for p in hlb.elements if p not in axes])
         want = set(hlb.elements)
 
-        def accept(res):
-            return res.smooth and set(res.fan.rays) == want
+        def accept(fan):
+            return fan.ray_set == want and fan.is_smooth()
 
     else:
         raise ValueError(f"unknown search mode {mode!r}")
@@ -143,9 +150,9 @@ def search_resolution(group: GroupData, mode: str,
     tried = 0
     for perm in islice(permutations(targets), budget):
         tried += 1
-        res = resolve(group, perm)
-        if accept(res):
-            return res
+        fan = _fold(group, perm)
+        if accept(fan):
+            return certify_fan(group, fan, perm)
     raise ResolutionNotFound(
         f"no {mode} resolution within {tried} permutations"
     )

@@ -2,6 +2,7 @@ import random
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 
 from torcrep.groups import close_group
@@ -79,3 +80,16 @@ def random_cyclic_group(rng, n, rmax=12):
     coords = [rng.randrange(r) for _ in range(n - 1)]
     coords.append((-sum(coords)) % r)
     return close_group([LatticePoint(tuple(coords), r)], n)
+
+
+@st.composite
+def small_groups(draw):
+    """Groups in n = 2..5 with one to three generators of small order."""
+    n = draw(st.integers(2, 5))
+    mmax = {2: 16, 3: 9, 4: 6, 5: 4}[n]  # the box-walk oracle is slow on big groups
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(2, mmax))
+        coords = draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
+        gens.append(LatticePoint((*coords, -sum(coords) % m), m))
+    return close_group(gens, n)

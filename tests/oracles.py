@@ -4,16 +4,18 @@ The linear-algebra oracles are the solvers torcrep used before its single
 fraction-free kernel: Fraction Gauss-Jordan, a Bareiss determinant loop,
 an unnormalised fraction-free rank loop and cofactor expansion.  The fan
 oracles are ``validate_fan`` and ``is_terminal`` before their fast paths:
-the all-pairs intersection check and the bounding-box walk.  The
-differential tests compare the package against them.
+the all-pairs intersection check and the bounding-box walk.  The Hilbert
+basis oracle decides irreducibility by enumerating the lattice points of
+the box below a candidate.  The differential tests compare the package
+against them.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from torcrep.errors import InvalidFan
+from torcrep.errors import InvalidFan, NotInCone
 from torcrep.fans import (
     Cone,
     Fan,
@@ -199,6 +201,64 @@ def is_canonical(cone: Cone, lattice: ScaledLattice) -> bool:
         if any(lam) and sum(lam) != d:
             return False
     return True
+
+
+def box_lattice_points(group: GroupData, v: LatticePoint) -> list[LatticePoint]:
+    """Lattice points ``u`` with ``0 <= u <= v`` componentwise, sorted lex.
+
+    Every point of the lattice is a group element plus an integer vector,
+    so the box is enumerated residue class by residue class.
+    """
+    r = group.r
+    out = []
+    for e in group.elements:
+        ranges = []
+        for ec, vc in zip(e.coords, v.coords):
+            top = (vc - ec) // r
+            if top < 0:
+                ranges = None
+                break
+            ranges.append(range(0, top + 1))
+        if ranges is None:
+            continue
+        for shift in product(*ranges):
+            out.append(
+                LatticePoint(
+                    tuple(ec + r * z for ec, z in zip(e.coords, shift)), r
+                )
+            )
+    out.sort(key=lambda p: p.coords)
+    return out
+
+
+def is_irreducible(group: GroupData, v: LatticePoint):
+    """Decide irreducibility; on failure also return the smallest witness.
+
+    Returns ``(True, None)`` or ``(False, (u, v - u))`` with ``u`` the
+    lexicographically smallest nonzero decomposition part.
+    """
+    if v.is_zero() or any(c < 0 for c in v.coords):
+        raise NotInCone(f"{v} is not a nonzero point of the orthant")
+    if not group.lattice.contains(v):
+        raise NotInCone(f"{v} is not a lattice point")
+    for u in box_lattice_points(group, v):
+        if u.is_zero() or u == v:
+            continue
+        w = LatticePoint(
+            tuple(a - b for a, b in zip(v.coords, u.coords)), group.r
+        )
+        return False, (u, w)
+    return True, None
+
+
+def hilbert_basis_box_walk(group: GroupData) -> tuple[LatticePoint, ...]:
+    """``hilbert_basis`` by ``is_irreducible`` over every candidate."""
+    candidates = {g for g in group.elements if not g.is_zero()}
+    candidates.update(group.units())
+    return tuple(
+        v for v in sorted(candidates, key=lambda p: p.coords)
+        if is_irreducible(group, v)[0]
+    )
 
 
 def hilbert_candidate_rays_check(fan: Fan, hlb: HilbertBasis) -> bool:

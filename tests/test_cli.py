@@ -254,7 +254,7 @@ def test_verify_rejects_malformed_fan_numbers(tmp_path, capsys, mutate):
     assert "all certificates verified" not in captured.out
 
 
-def test_verify_lower_dimensional_cone_is_input_error(tmp_path, capsys):
+def _edge_fan_file(tmp_path):
     import torcrep
 
     z6 = torcrep.close_group([torcrep.LatticePoint((1, 2, 3), 6)])
@@ -262,9 +262,23 @@ def test_verify_lower_dimensional_cone_is_input_error(tmp_path, capsys):
     data["maximal_cones"] = [[0, 1]]  # a 2-dimensional cone inside the orthant
     path = tmp_path / "edge.json"
     path.write_text(json.dumps(data))
-    assert main(["verify", str(path), "6:(1,2,3)"]) == 2
+    return path
+
+
+def test_verify_lower_dimensional_cone_is_input_error(tmp_path, capsys):
+    assert main(["verify", str(_edge_fan_file(tmp_path)), "6:(1,2,3)"]) == 2
     err = capsys.readouterr().err
     assert "input error: cone Cone((1/6)(0,0,6), (1/6)(0,6,0)) has dimension 2" in err
+
+
+def test_export_graph_checks_refinement(tmp_path, capsys):
+    svg_path = tmp_path / "edge.svg"
+    assert main(["export-graph", str(_edge_fan_file(tmp_path)), "6:(1,2,3)",
+                 "--svg", str(svg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: cone Cone((1/6)(0,0,6), (1/6)(0,6,0)) has dimension 2" in err
+    assert "Traceback" not in err
+    assert not svg_path.exists()
 
 
 def test_export_graph_wrong_group(tmp_path, capsys):

@@ -1,8 +1,9 @@
 from itertools import product
 
 import pytest
+from hypothesis import Phase, find, given, settings
 
-from conftest import random_cyclic_group
+from conftest import random_cyclic_group, small_groups
 from oracles import junior_simplex
 from torcrep.errors import ExplosionGuard, NotInSL
 from torcrep.groups import (
@@ -108,6 +109,24 @@ def test_obstructions(z2, z7, z6):
     assert not rep6.not_generated_by_juniors
     assert not rep6.hilbert_basis_contains_seniors
     assert not rep6.crepant_excluded
+
+
+def _generated_by_juniors(group):
+    return not crepant_obstructions(group, hilbert_basis(group)).not_generated_by_juniors
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_groups())
+def test_junior_generation_matches_closure(group):
+    closure = close_group(group.juniors, group.n).order if group.juniors else 1
+    assert _generated_by_juniors(group) == (closure == group.order)
+
+
+def test_small_groups_include_both_junior_generation_outcomes():
+    quick = settings(deadline=None, database=None, phases=[Phase.generate])
+    for generated in (True, False):
+        find(small_groups(), lambda g: _generated_by_juniors(g) == generated,
+             settings=quick)
 
 
 def test_group_axioms_random(rng):

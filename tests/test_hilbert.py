@@ -1,12 +1,20 @@
 from itertools import product
 
 import pytest
+from hypothesis import Phase, find, given, settings
 
-from oracles import hilbert_candidate_rays_check, junior_simplex
+from conftest import small_groups
+from oracles import (
+    box_lattice_points,
+    hilbert_basis_box_walk,
+    hilbert_candidate_rays_check,
+    is_irreducible,
+    junior_simplex,
+)
 from torcrep.errors import NotInCone
 from torcrep.fans import sigma_fan, star_subdivision
 from torcrep.groups import close_group
-from torcrep.hilbert import box_lattice_points, hilbert_basis, is_irreducible
+from torcrep.hilbert import hilbert_basis
 from torcrep.lattice import LatticePoint
 
 
@@ -23,7 +31,7 @@ def test_order7_basis(z7):
         (1, 1, 2, 3), (3, 3, 6, 2), (4, 4, 1, 5), (5, 5, 3, 1),
     }
     assert {p.coords for p in hlb.elements} == expected
-    assert sorted(hlb.ages.values()) == [1, 1, 1, 1, 1, 2, 2, 2]
+    assert sorted(p.age for p in hlb.elements) == [1, 1, 1, 1, 1, 2, 2, 2]
 
 
 def test_order6_basis_equals_junior_simplex(z6):
@@ -135,3 +143,15 @@ def test_minimality_on_samples(z6, z7):
         for removed in elements:
             pool = [e for e in elements if e != removed]
             assert not decomposes(removed, pool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_groups())
+def test_hilbert_basis_matches_box_walk_oracle(group):
+    assert hilbert_basis(group).elements == hilbert_basis_box_walk(group)
+
+
+def test_small_groups_include_non_cyclic():
+    # the exponent r of a cyclic group equals its order
+    quick = settings(deadline=None, database=None, phases=[Phase.generate])
+    find(small_groups(), lambda g: g.order > g.r, settings=quick)

@@ -153,6 +153,12 @@ def test_inverse_unimodular():
     assert m * inv == IntMatrix.identity(2)
 
 
+@pytest.mark.parametrize("data", [[[1.7, 0], [0, 1]], [[True, 0], [0, 1]]])
+def test_matrix_rejects_non_integer_entries(data):
+    with pytest.raises(TypeError):
+        IntMatrix(data)
+
+
 @st.composite
 def linear_systems(draw):
     """Square, tall and wide matrices, some with a dependent column, plus

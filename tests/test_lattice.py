@@ -55,6 +55,12 @@ def test_denom_mismatch(z6):
         z6.lattice.contains(LatticePoint((1, 2, 3), 5))
 
 
+@pytest.mark.parametrize("coords", [(6.9, 0, 0), (True, 0, 0)])
+def test_point_rejects_non_integer_coordinates(coords):
+    with pytest.raises(TypeError):
+        LatticePoint(coords, 6)
+
+
 def test_primitivity(z6):
     lat = z6.lattice
     assert lat.is_primitive(unit_point(0, 3, 6))

@@ -1,10 +1,14 @@
+from itertools import permutations
+
 import pytest
 
 from torcrep.errors import PreconditionNotCrepant, ResolutionNotFound
 from torcrep.fans import fans_equal, is_terminal, refines, sigma_fan, support_volume
+from torcrep.groups import close_group
 from torcrep.hilbert import hilbert_basis
 from torcrep.lattice import LatticePoint, unit_point
 from torcrep.resolve import (
+    _policy_order,
     discrepancies,
     euler_check,
     resolve,
@@ -76,6 +80,19 @@ def test_search_hilbert_order7(z7):
     assert [p.coords for p in res.sequence] == [
         (1, 1, 2, 3), (3, 3, 6, 2), (4, 4, 1, 5), (5, 5, 3, 1),
     ]
+
+
+def test_search_hilbert_certifies_first_smooth_permutation():
+    # reference: certify every permutation in policy order, keep the first smooth one
+    group = close_group([LatticePoint((1, 1, 3, 4), 9)])
+    axes = set(group.units())
+    targets = _policy_order([p for p in hilbert_basis(group).elements if p not in axes])
+    first = next(res for res in (resolve(group, perm) for perm in permutations(targets))
+                 if res.smooth)
+    assert first.sequence != tuple(targets)  # the first permutation is singular
+    found = search_resolution(group, "hilbert_basis")
+    assert found.sequence == first.sequence
+    assert result_to_json(found) == result_to_json(first)
 
 
 def test_search_budget(z6):
