@@ -41,7 +41,7 @@ class InvalidFan(InputError):
 
 
 class ExplosionGuard(TorcrepError):
-    """Group closure exceeded the configured element bound."""
+    """Group order exceeds the configured element bound of the closure."""
 
 
 class InvariantError(TorcrepError):

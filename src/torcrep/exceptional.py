@@ -4,7 +4,7 @@ For a junior ray the star fan lives in the quotient lattice and describes
 the exceptional divisor.  Weighting each star ray by minus the age of its
 lift gives a divisor whose line-bundle total-space fan is isomorphic, via
 an explicit unimodular map, to the open subfan of maximal cones through
-the junior ray.  Verifying that map cone by cone certifies that the
+the junior ray.  Verifying that one map on every cone certifies that the
 divisor is normally embedded with tubular neighborhood equal to the whole
 total space; in the crepant case the divisor is the canonical one.
 """
@@ -181,63 +181,51 @@ def certify_normal_embedding(
 ) -> EmbeddingCertificate:
     """Verify the tubular-neighborhood isomorphism for one junior ray.
 
-    For every maximal anchor cone through the ray: the induced lattice map
-    must be unimodular, send each weighted star ray to its lift, and carry
-    the total-space cones bijectively onto the maximal cones through the
-    ray.  Raises CertificateFailure at the first violation.
+    The lattice map read off the first maximal cone through the ray must be
+    unimodular, send each weighted star ray to its lift and the apex to the
+    ray, and carry the total-space cones bijectively onto the maximal cones
+    through the ray.  One map serves every such cone: the map read off any
+    other one agrees with it on that cone's basis, which the lift and apex
+    checks cover.  Raises CertificateFailure at the first violation.
     """
     lat = fan.lattice
-    if not fan.is_smooth():
+    if not fan.is_smooth:
         raise NotSmooth("embedding certificates require a smooth fan")
     star = star_fan(fan, g_hat)
     div = age_weighted_divisor(star)
     total = total_space_fan(star, div)
-    sub = xi_g(fan, g_hat)
-    anchors = sub.maximal_cones
+    anchors = xi_g(fan, g_hat).maximal_cones
     anchor_set = set(anchors)
-
-    first_iso = None
-    first_bijection = None
-    for anchor in anchors:
-        iso = _iso_matrix(fan, star, anchor)
-        if not iso.is_unimodular():
+    anchor = anchors[0]
+    iso = _iso_matrix(fan, star, anchor)
+    if not iso.is_unimodular():
+        raise CertificateFailure(f"anchor {anchor}: induced map is not unimodular")
+    for ubar, u in star.lifts:
+        if iso.mul_vec(ubar.coords + (_lift_age(u),)) != lat.basis_coords(u):
             raise CertificateFailure(
-                f"anchor {anchor}: induced map is not unimodular"
+                f"anchor {anchor}: ray {ubar} maps off its lift {u}",
+                pair=(ubar, u),
             )
-        for ubar, u in star.lifts:
-            got = iso.mul_vec(ubar.coords + (_lift_age(u),))
-            if got != lat.basis_coords(u):
-                raise CertificateFailure(
-                    f"anchor {anchor}: ray {ubar} maps off its lift {u}",
-                    pair=(ubar, u),
-                )
-        apex = (0,) * star.quotient.dim + (1,)
-        if iso.mul_vec(apex) != lat.basis_coords(g_hat):
-            raise CertificateFailure(f"anchor {anchor}: apex does not map to the ray")
-        bijection = []
-        seen = set()
-        for tc in total.fan.maximal_cones:
-            img_rays = []
-            for ray in tc.rays:
-                x = iso.mul_vec(ray.coords)
-                img_rays.append(lat.from_basis_coords(x))
-            img = make_cone(img_rays)
-            if img not in anchor_set or img in seen:
-                raise CertificateFailure(
-                    f"cone {tc} maps to {img}, not a fresh maximal cone",
-                    pair=(tc, img),
-                )
-            seen.add(img)
-            bijection.append((tc, img))
-        if len(seen) != len(anchors):
-            raise CertificateFailure("cone map is not onto the open subfan")
-        if first_iso is None:
-            first_iso = iso
-            first_bijection = tuple(bijection)
+    apex = (0,) * star.quotient.dim + (1,)
+    if iso.mul_vec(apex) != lat.basis_coords(g_hat):
+        raise CertificateFailure(f"anchor {anchor}: apex does not map to the ray")
+    bijection = []
+    for tc in total.fan.maximal_cones:
+        img = make_cone(lat.from_basis_coords(iso.mul_vec(ray.coords))
+                        for ray in tc.rays)
+        if img not in anchor_set:
+            raise CertificateFailure(
+                f"cone {tc} maps to {img}, not a fresh maximal cone",
+                pair=(tc, img),
+            )
+        anchor_set.remove(img)
+        bijection.append((tc, img))
+    if anchor_set:
+        raise CertificateFailure("cone map is not onto the open subfan")
     return EmbeddingCertificate(
         junior=g_hat,
-        iso=first_iso,
-        cone_bijection=first_bijection,
+        iso=iso,
+        cone_bijection=tuple(bijection),
         anchor_cones_checked=len(anchors),
         verified=True,
     )

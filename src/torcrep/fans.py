@@ -28,6 +28,7 @@ from .errors import (
     NotInSupport,
     NotPrimitive,
 )
+from .groups import closure
 from .intlinalg import IntMatrix, hermite_normal_form, rank, smith_normal_form, solve
 from .lattice import LatticePoint, ScaledLattice
 
@@ -121,45 +122,23 @@ def _saturation_coords(cone: Cone, lattice: ScaledLattice) -> IntMatrix:
     return IntMatrix(top)
 
 
-def psi_lattice_points(cone: Cone, lattice: ScaledLattice):
-    """Lattice points of ``Conv(0, rays)`` with barycentric coordinates.
+def is_terminal(cone: Cone, lattice: ScaledLattice) -> bool:
+    """Reid-Tai: every nonzero element of the cone's local group has age > 1.
 
-    Yields ``(point, numerators, d)`` with ``point`` in the saturated span
-    lattice and barycentric coordinates ``numerators / d`` (``d > 0``),
-    found by an exact bounding-box walk.
+    With ``x`` the rays in a basis of ``N ∩ span(c)`` and ``(cols, d)`` from
+    ``solve(x, I)``, the local group ``N ∩ span(c) / Z<rays>`` is the
+    ``closure`` of the columns ``cols`` under addition mod ``d``: an
+    element is ``d`` times the fractional parts of a point's barycentric
+    coordinates, and its age is its coordinate sum over ``d``.  A lattice point of
+    ``Conv(0, rays)`` other than a vertex has barycentric coordinates in
+    ``[0, 1)`` (a coordinate 1 forces a vertex) summing to at most 1, so it
+    is a nonzero element of age <= 1; conversely such an element is the
+    point ``sum(lambda_i * ray_i)`` of ``Conv(0, rays)``, which is not a
+    vertex.  A smooth cone has ``d = 1`` and the group ``{0}``.
     """
     x = _saturation_coords(cone, lattice)
-    dim = cone.dim
-    cols, d = solve(x, IntMatrix.identity(dim).columns())
-    inv = list(zip(*cols))  # rows of d * x^-1
-    vertices = [(0,) * dim] + x.columns()
-    lo = [min(v[i] for v in vertices) for i in range(dim)]
-    hi = [max(v[i] for v in vertices) for i in range(dim)]
-
-    def walk(prefix, i):
-        if i == dim:
-            pt = tuple(prefix)
-            lam = [sum(a * c for a, c in zip(row, pt)) for row in inv]
-            if any(v < 0 for v in lam) or sum(lam) > d:
-                return
-            yield pt, tuple(lam), d
-            return
-        for c in range(lo[i], hi[i] + 1):
-            yield from walk(prefix + [c], i + 1)
-
-    yield from walk([], 0)
-
-
-def is_terminal(cone: Cone, lattice: ScaledLattice) -> bool:
-    """True when the only lattice points of ``Conv(0, rays)`` are its vertices."""
-    # a unimodular simplex has no lattice points besides its vertices
-    if is_smooth_cone(cone, lattice):
-        return True
-    for _, lam, d in psi_lattice_points(cone, lattice):
-        nonzero = [v for v in lam if v]
-        if nonzero and nonzero != [d]:
-            return False
-    return True
+    cols, d = solve(x, IntMatrix.identity(cone.dim).columns())
+    return all(sum(g) > d for g in closure(cols, d))
 
 
 @dataclass(frozen=True)
@@ -187,6 +166,7 @@ class Fan:
                 seen.add(Cone(tuple(sorted(pair, key=lambda p: p.coords))))
         return tuple(sorted(seen, key=lambda c: tuple(r.coords for r in c.rays)))
 
+    @cached_property
     def is_smooth(self) -> bool:
         return all(is_smooth_cone(c, self.lattice) for c in self.maximal_cones)
 
@@ -418,10 +398,17 @@ def fan_from_json(data: dict, validate: bool = True) -> Fan:
         basis = IntMatrix([map(_json_int, row) for row in data["lattice"]["basis"]])
         if (basis.rows, basis.cols) != (n, n) or basis.det() == 0:
             raise ValueError("lattice basis must be a nonsingular n-by-n matrix")
+        # membership solves against a lower-triangular Hermite basis
+        if hermite_normal_form(basis)[0] != basis:
+            raise ValueError("lattice basis must be in column Hermite form")
         lat = ScaledLattice(n, r, basis)
         rays = [LatticePoint(tuple(map(_json_int, c)), r) for c in data["rays"]]
+        if any(p.dim != n for p in rays):
+            raise ValueError(f"every ray must have {n} coordinates")
         cones = []
         for idxs in data["maximal_cones"]:
+            if not idxs:
+                raise ValueError("a maximal cone has no rays")
             if any(not 0 <= _json_int(i) < len(rays) for i in idxs):
                 raise ValueError(f"ray index out of range in {idxs}")
             cones.append(make_cone([rays[i] for i in idxs]))

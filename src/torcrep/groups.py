@@ -67,6 +67,28 @@ def _normalize_generators(generators, n):
     return [LatticePoint(tuple(c // d for c in coords), r) for coords in scaled], r
 
 
+def closure(gens, r: int):
+    """Nonzero elements of the subgroup of ``(Z/r)^k`` generated by ``gens``.
+
+    Breadth-first from 0; each element is yielded once, when first reached,
+    so a caller may stop at the first one it rejects.
+    """
+    gens = [tuple(c % r for c in g) for g in gens]
+    zero = (0,) * len(gens[0])
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for base in frontier:
+            for g in gens:
+                cand = tuple((a + b) % r for a, b in zip(base, g))
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+                    yield cand
+        frontier = nxt
+
+
 def close_group(generators, n: int | None = None, *,
                 max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupData:
     """Smallest set containing the generators and 0, closed under + mod r."""
@@ -79,23 +101,14 @@ def close_group(generators, n: int | None = None, *,
     if n is None:
         n = generators[0].dim
     gens, r = _normalize_generators(generators, n)
-    zero = (0,) * n
-    seen = {zero}
-    frontier = [zero]
-    gen_coords = [g.coords for g in gens]
-    while frontier:
-        nxt = []
-        for base in frontier:
-            for g in gen_coords:
-                cand = tuple((a + b) % r for a, b in zip(base, g))
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-                    if len(seen) > max_elements:
-                        raise ExplosionGuard(
-                            f"group closure exceeded {max_elements} elements"
-                        )
-        frontier = nxt
+    # the group order is the lattice index, known before any enumeration
+    order = build_lattice(gens, n, r).index_over_std
+    if order > max_elements:
+        raise ExplosionGuard(
+            f"group of order {order} exceeds the closure limit of "
+            f"{max_elements} elements"
+        )
+    seen = {(0,) * n, *closure([g.coords for g in gens], r)}
     elements = tuple(LatticePoint(c, r) for c in sorted(seen))
     return GroupData(n, r, elements, tuple(gens))
 

@@ -25,7 +25,7 @@ from .errors import (
     NotInLattice,
     NotPrimitive,
 )
-from .intlinalg import IntMatrix, hermite_normal_form, xgcd
+from .intlinalg import IntMatrix, hermite_normal_form
 
 
 @dataclass(frozen=True)
@@ -170,32 +170,6 @@ def build_lattice(gens, n: int, denom: int | None = None) -> ScaledLattice:
     return ScaledLattice(n, denom, basis)
 
 
-def _completion_to_basis(w: tuple[int, ...]) -> tuple[IntMatrix, IntMatrix]:
-    """Unimodular ``(u, w_mat)`` with ``u * w = e_1`` and ``w_mat = u^-1``."""
-    n = len(w)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    vec = list(w)
-    for i in range(1, n):
-        a, b = vec[0], vec[i]
-        if b == 0:
-            continue
-        if a == 0:
-            vec[0], vec[i] = vec[i], vec[0]
-            u[0], u[i] = u[i], u[0]
-            continue
-        g, x, y = xgcd(a, b)
-        r0 = u[0][:]
-        ri = u[i][:]
-        u[0] = [x * s + y * t for s, t in zip(r0, ri)]
-        u[i] = [-(b // g) * s + (a // g) * t for s, t in zip(r0, ri)]
-        vec[0], vec[i] = g, 0
-    if vec[0] < 0:
-        u[0] = [-x for x in u[0]]
-        vec[0] = -vec[0]
-    umat = IntMatrix(u)
-    return umat, umat.inverse_unimodular()
-
-
 @dataclass(frozen=True)
 class QuotientLattice:
     """Quotient ``N / Z*v`` identified with ``Z^(n-1)``.
@@ -229,10 +203,12 @@ def quotient_by_ray(lattice: ScaledLattice, v: LatticePoint) -> QuotientLattice:
     w = lattice.basis_coords(v)
     if not lattice.is_primitive(v):
         raise NotPrimitive(f"{v} is not primitive")
-    u, wmat = _completion_to_basis(w)
+    # w^T u = e_1^T: the last columns of u span the annihilator of w, and
+    # the matching rows of u^-1 are a section of the projection they define
+    _, u = hermite_normal_form(IntMatrix([w]))
     n = lattice.dim
-    proj = IntMatrix(u.data[1:])
-    sect = IntMatrix.from_columns(wmat.columns()[1:])
+    proj = IntMatrix(u.columns()[1:])
+    sect = IntMatrix.from_columns(u.inverse_unimodular().data[1:])
     # canonicalize by a row Hermite form of the projection
     hc, vmat = hermite_normal_form(proj.transpose())
     proj_c = hc.transpose()

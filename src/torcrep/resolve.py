@@ -71,7 +71,7 @@ def certify_fan(group: GroupData, fan: Fan, sequence=(),
     disc = discrepancies(fan, group)
     axes = set(group.units())
     crepant = all(v == 0 for ray, v in disc.items() if ray not in axes)
-    smooth = fan.is_smooth()
+    smooth = fan.is_smooth
     terminal_flags = {c: is_terminal(c, lat) for c in fan.maximal_cones}
     return ResolutionResult(
         fan=fan,
@@ -119,31 +119,21 @@ def search_resolution(group: GroupData, mode: str,
                       budget: int | None = None) -> ResolutionResult:
     """Try permutations of the target set in a deterministic policy order.
 
-    ``mode`` is ``"juniors_only"`` (success = smooth and crepant) or
-    ``"hilbert_basis"`` (success = smooth with ray set equal to the basis).
-    Only the accepted fan is certified.
+    ``mode`` is ``"juniors_only"`` (targets: the juniors) or
+    ``"hilbert_basis"`` (targets: the non-axis Hilbert basis elements); the
+    first permutation whose fan is smooth wins.  Only the accepted fan is
+    certified.
     """
     if budget is None:
         budget = search_budget()
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    axes = set(group.units())
     if mode == "juniors_only":
         targets = _policy_order(group.juniors)
-
-        def accept(fan):
-            # crepant: every exceptional ray has age 1
-            return (all(ray.age == 1 for ray in fan.rays if ray not in axes)
-                    and fan.is_smooth())
-
     elif mode == "hilbert_basis":
-        hlb = hilbert_basis(group)
-        targets = _policy_order([p for p in hlb.elements if p not in axes])
-        want = set(hlb.elements)
-
-        def accept(fan):
-            return fan.ray_set == want and fan.is_smooth()
-
+        axes = set(group.units())
+        targets = _policy_order([p for p in hilbert_basis(group).elements
+                                 if p not in axes])
     else:
         raise ValueError(f"unknown search mode {mode!r}")
 
@@ -151,7 +141,9 @@ def search_resolution(group: GroupData, mode: str,
     for perm in islice(permutations(targets), budget):
         tried += 1
         fan = _fold(group, perm)
-        if accept(fan):
+        # every target is folded in, so the rays (and with juniors, crepancy)
+        # hold by construction; only smoothness can fail
+        if fan.is_smooth:
             return certify_fan(group, fan, perm)
     raise ResolutionNotFound(
         f"no {mode} resolution within {tried} permutations"

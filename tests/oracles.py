@@ -3,8 +3,10 @@
 The linear-algebra oracles are the solvers torcrep used before its single
 fraction-free kernel: Fraction Gauss-Jordan, a Bareiss determinant loop,
 an unnormalised fraction-free rank loop and cofactor expansion.  The fan
-oracles are ``validate_fan`` and ``is_terminal`` before their fast paths:
-the all-pairs intersection check and the bounding-box walk.  The Hilbert
+oracles are ``validate_fan`` before its fast path (the all-pairs
+intersection check), ``is_terminal`` before the age rule (the
+bounding-box walk over ``Conv(0, rays)``) and ``certify_normal_embedding``
+before it checked one map per junior (a map per anchor cone).  The Hilbert
 basis oracle decides irreducibility by enumerating the lattice points of
 the box below a candidate.  The differential tests compare the package
 against them.
@@ -15,19 +17,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from torcrep.errors import InvalidFan, NotInCone
+from torcrep.errors import CertificateFailure, InvalidFan, NotInCone, NotSmooth
+from torcrep.exceptional import (
+    EmbeddingCertificate,
+    _iso_matrix,
+    _lift_age,
+    age_weighted_divisor,
+    star_fan,
+    total_space_fan,
+    xi_g,
+)
 from torcrep.fans import (
     Cone,
     Fan,
     _intersection_generators,
+    _saturation_coords,
     contains_point,
     is_smooth_cone,
     make_cone,
-    psi_lattice_points,
 )
 from torcrep.groups import GroupData
 from torcrep.hilbert import HilbertBasis
-from torcrep.intlinalg import IntMatrix, hermite_normal_form, rank, smith_normal_form
+from torcrep.intlinalg import (
+    IntMatrix,
+    hermite_normal_form,
+    rank,
+    smith_normal_form,
+    solve,
+)
 from torcrep.lattice import LatticePoint, ScaledLattice
 
 # ---------------------------------------------------------------------------
@@ -186,6 +203,35 @@ def validate_fan_all_pairs(fan: Fan) -> None:
                 )
 
 
+def psi_lattice_points(cone: Cone, lattice: ScaledLattice):
+    """Lattice points of ``Conv(0, rays)`` with barycentric coordinates.
+
+    Yields ``(point, numerators, d)`` with ``point`` in the saturated span
+    lattice and barycentric coordinates ``numerators / d`` (``d > 0``),
+    found by an exact bounding-box walk.
+    """
+    x = _saturation_coords(cone, lattice)
+    dim = cone.dim
+    cols, d = solve(x, IntMatrix.identity(dim).columns())
+    inv = list(zip(*cols))  # rows of d * x^-1
+    vertices = [(0,) * dim] + x.columns()
+    lo = [min(v[i] for v in vertices) for i in range(dim)]
+    hi = [max(v[i] for v in vertices) for i in range(dim)]
+
+    def walk(prefix, i):
+        if i == dim:
+            pt = tuple(prefix)
+            lam = [sum(a * c for a, c in zip(row, pt)) for row in inv]
+            if any(v < 0 for v in lam) or sum(lam) > d:
+                return
+            yield pt, tuple(lam), d
+            return
+        for c in range(lo[i], hi[i] + 1):
+            yield from walk(prefix + [c], i + 1)
+
+    yield from walk([], 0)
+
+
 def is_terminal_box_walk(cone: Cone, lattice: ScaledLattice) -> bool:
     """``is_terminal`` by the bounding-box walk alone, smooth cones included."""
     for _, lam, d in psi_lattice_points(cone, lattice):
@@ -325,3 +371,64 @@ def gl2_normal_form(fan: Fan) -> str:
 
 def gl2_equivalent(a: Fan, b: Fan) -> bool:
     return gl2_normal_form(a) == gl2_normal_form(b)
+
+
+def certify_normal_embedding_per_anchor(
+    fan: Fan, g_hat: LatticePoint, group: GroupData
+) -> EmbeddingCertificate:
+    """``certify_normal_embedding`` with the map rebuilt on every anchor cone."""
+    lat = fan.lattice
+    if not fan.is_smooth:
+        raise NotSmooth("embedding certificates require a smooth fan")
+    star = star_fan(fan, g_hat)
+    div = age_weighted_divisor(star)
+    total = total_space_fan(star, div)
+    sub = xi_g(fan, g_hat)
+    anchors = sub.maximal_cones
+    anchor_set = set(anchors)
+
+    first_iso = None
+    first_bijection = None
+    for anchor in anchors:
+        iso = _iso_matrix(fan, star, anchor)
+        if not iso.is_unimodular():
+            raise CertificateFailure(
+                f"anchor {anchor}: induced map is not unimodular"
+            )
+        for ubar, u in star.lifts:
+            got = iso.mul_vec(ubar.coords + (_lift_age(u),))
+            if got != lat.basis_coords(u):
+                raise CertificateFailure(
+                    f"anchor {anchor}: ray {ubar} maps off its lift {u}",
+                    pair=(ubar, u),
+                )
+        apex = (0,) * star.quotient.dim + (1,)
+        if iso.mul_vec(apex) != lat.basis_coords(g_hat):
+            raise CertificateFailure(f"anchor {anchor}: apex does not map to the ray")
+        bijection = []
+        seen = set()
+        for tc in total.fan.maximal_cones:
+            img_rays = []
+            for ray in tc.rays:
+                x = iso.mul_vec(ray.coords)
+                img_rays.append(lat.from_basis_coords(x))
+            img = make_cone(img_rays)
+            if img not in anchor_set or img in seen:
+                raise CertificateFailure(
+                    f"cone {tc} maps to {img}, not a fresh maximal cone",
+                    pair=(tc, img),
+                )
+            seen.add(img)
+            bijection.append((tc, img))
+        if len(seen) != len(anchors):
+            raise CertificateFailure("cone map is not onto the open subfan")
+        if first_iso is None:
+            first_iso = iso
+            first_bijection = tuple(bijection)
+    return EmbeddingCertificate(
+        junior=g_hat,
+        iso=first_iso,
+        cone_bijection=first_bijection,
+        anchor_cones_checked=len(anchors),
+        verified=True,
+    )

@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from torcrep.cli import GroupSpec, build_parser, group_from_spec, main, parse_group
 from torcrep.errors import DimensionMismatch, GroupSyntaxError, NotInSL
 from torcrep.fans import fan_to_json
+from torcrep.resolve import result_to_json
 from torcrep.svg import junior_graph_svg
 
 
@@ -238,8 +245,16 @@ def _set_ray(fan, old, new):
     lambda f: f["maximal_cones"][0].__setitem__(0, True),
     lambda f: f["maximal_cones"][0].__setitem__(0, 0.0),
     lambda f: f["lattice"].update(basis=[[0, 0, 0]] * 3),
+    lambda f: f["maximal_cones"].append([]),
+    lambda f: f["maximal_cones"].append({}),
+    lambda f: _set_ray(f, [6, 0, 0], [6, 0]),
+    lambda f: _set_ray(f, [6, 0, 0], [6, 0, 0, 0]),
+    # the order-6 lattice again, but not in the lower-triangular Hermite form
+    lambda f: f["lattice"].update(basis=[[1, -6, 0], [2, 0, 0], [3, 0, 6]]),
 ], ids=["float-ray", "integral-float-ray", "bool-ray", "float-n", "bool-r",
-        "float-basis", "bool-index", "float-index", "singular-basis"])
+        "float-basis", "bool-index", "float-index", "singular-basis",
+        "empty-cone", "empty-object-cone", "short-ray", "long-ray",
+        "non-hermite-basis"])
 def test_verify_rejects_malformed_fan_numbers(tmp_path, capsys, mutate):
     fan_path = tmp_path / "z6.json"
     assert main(["resolve", "6:(1,2,3)", "--sequence", "g1,g2,g3,g4",
@@ -302,3 +317,68 @@ def test_undecodable_or_non_object_input_is_input_error(tmp_path, capsys, argv, 
     path.write_bytes(body)
     assert main([a.format(path=path) for a in argv]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+def test_verify_huge_ray_is_not_smooth(tmp_path, z6_result, capsys):
+    # the cone through the ray has index about 3.9e20: too many lattice
+    # points to walk, but its group has an element of age <= 1 at once
+    data = result_to_json(z6_result)
+    _set_ray(data["fan"], [4, 2, 0], [2**70, 2, 0])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "6:(1,2,3)"]) == 1
+    assert "not smooth" in capsys.readouterr().out
+
+
+_JUNK = st.one_of(
+    st.integers(-8, 8),
+    st.sampled_from([2**70, -(2**70), 0.5, 6.0, True, None, "g1", [], {},
+                     [0], [6, 0, 0], [[1, 0, 0]], {"n": 3}]),
+).map(lambda v: json.loads(json.dumps(v)))  # a fresh copy: edits mutate it
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _edited_resolution(draw, doc):
+    """The JSON document with one to three random edits applied."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        kind = draw(st.sampled_from(["set", "delete", "append"]))
+        if not path:
+            doc = draw(_JUNK)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]]
+        if kind == "delete":
+            del parent[path[-1]]
+        elif kind == "append" and isinstance(target, list):
+            target.append(draw(_JUNK))
+        else:
+            parent[path[-1]] = draw(_JUNK)
+    return doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_survives_edited_fan_json(z6_result, data):
+    doc = data.draw(_edited_resolution(result_to_json(z6_result)))
+    with tempfile.TemporaryDirectory() as tmp:
+        fan = Path(tmp) / "fan.json"
+        fan.write_text(json.dumps(doc))
+        for argv in (["verify", str(fan), "6:(1,2,3)", "--out", f"{tmp}/v.json"],
+                     ["export-graph", str(fan), "6:(1,2,3)", "--svg", f"{tmp}/g.svg"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in {0, 1, 2, 3}

@@ -1,11 +1,14 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import Phase, find, given, settings
 
-from oracles import gl2_equivalent
+from oracles import certify_normal_embedding_per_anchor, gl2_equivalent
 from torcrep.divisors import TDivisor, canonical_divisor
-from torcrep.errors import NotComplete, NotSurface, RayAbsent
+from torcrep.errors import CertificateFailure, NotComplete, NotSurface, RayAbsent
 from torcrep.exceptional import (
     StarFan,
     age_affinity_check,
+    certificate_to_json,
     certify_normal_embedding,
     classify_surface,
     coverage_check,
@@ -19,11 +22,14 @@ from torcrep.fans import (
     make_cone,
     make_fan,
     sigma_fan,
+    star_subdivision,
     validate_fan,
 )
+from torcrep.groups import close_group
 from torcrep.hilbert import hilbert_basis
 from torcrep.intlinalg import IntMatrix
 from torcrep.lattice import LatticePoint, ScaledLattice, quotient_by_ray, unit_point
+from torcrep.resolve import resolve
 
 
 def std_lattice(n):
@@ -165,6 +171,62 @@ def test_certificate_order7_age_weighted(z7, z7_hilbert_result):
     assert cert.anchor_cones_checked == len(
         xi_g(z7_hilbert_result.fan, LatticePoint((1, 1, 2, 3), 7)).maximal_cones
     )
+
+
+@st.composite
+def smooth_fans(draw):
+    """A group in n = 2, 3 and a smooth fan refining its orthant.
+
+    All juniors are folded in a random order, which in n <= 3 gives a
+    smooth crepant fan, then up to two blow-ups along the sum of the rays
+    of a face keep the fan smooth and add rays of age >= 2, whose
+    certificates fail.
+    """
+    n = draw(st.integers(2, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        m = draw(st.integers(2, 7))
+        coords = draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
+        gens.append(LatticePoint((*coords, -sum(coords) % m), m))
+    group = close_group(gens, n)
+    fan = resolve(group, draw(st.permutations(group.juniors))).fan
+    for _ in range(draw(st.integers(0, 2))):
+        cone = draw(st.sampled_from(fan.maximal_cones))
+        face = draw(st.lists(st.sampled_from(cone.rays), min_size=2, unique=True))
+        mu = LatticePoint(tuple(map(sum, zip(*(r.coords for r in face)))), group.r)
+        fan = star_subdivision(fan, mu)
+    return group, fan
+
+
+def _certificate_outcome(certify, fan, ray, group):
+    """``(None, certificate JSON)``, or the exception's type and message."""
+    try:
+        return None, certificate_to_json(certify(fan, ray, group))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(smooth_fans())
+def test_certificate_matches_per_anchor_oracle(case):
+    group, fan = case
+    assert fan.is_smooth
+    for ray in fan.rays:
+        assert _certificate_outcome(certify_normal_embedding, fan, ray, group) == \
+            _certificate_outcome(certify_normal_embedding_per_anchor, fan, ray, group)
+
+
+def test_smooth_fans_include_failing_certificates():
+    def fails(case):
+        group, fan = case
+        return any(
+            _certificate_outcome(certify_normal_embedding, fan, ray, group)[0]
+            is CertificateFailure
+            for ray in fan.rays
+        )
+
+    quick = settings(deadline=None, database=None, phases=[Phase.generate])
+    find(smooth_fans(), fails, settings=quick)
 
 
 def test_certificates_nonstar_fan(z6, z6_nonstar_fan):

@@ -33,7 +33,7 @@ from torcrep.fans import (
     validate_fan,
 )
 from torcrep.groups import close_group
-from torcrep.intlinalg import IntMatrix
+from torcrep.intlinalg import IntMatrix, hermite_normal_form
 from torcrep.lattice import LatticePoint, ScaledLattice, unit_point
 from torcrep.resolve import resolve
 
@@ -341,6 +341,23 @@ def test_is_terminal_matches_box_walk(rng):
             else:
                 seen["terminal" if terminal else "not terminal"] += 1
     assert all(seen.values()), seen
+
+
+def _cyclic_lattice(r, weights):
+    """Lattice ``Z^3 + Z * (1/r) weights``, in or out of SL(3)."""
+    cols = [(r, 0, 0), (0, r, 0), (0, 0, r), weights]
+    h, _ = hermite_normal_form(IntMatrix.from_columns(cols))
+    return ScaledLattice(3, r, IntMatrix.from_columns(h.columns()[:3]))
+
+
+def test_is_terminal_on_large_cyclic_quotients():
+    # terminal lemma: 1/r(1, -1, a) with gcd(a, r) = 1 is terminal; its
+    # cone has index 4999, far too many lattice points for a box walk
+    r = 4999
+    for weights, terminal in [((1, r - 1, 2), True), ((1, r - 1, 0), False),
+                              ((1, 2, r - 3), False)]:
+        lat = _cyclic_lattice(r, weights)
+        assert is_terminal(make_cone(lat.units()), lat) is terminal
 
 
 def test_gl2_normal_form():

@@ -49,7 +49,8 @@ def test_close_normalizes_denominator():
 
 
 def test_explosion_guard():
-    with pytest.raises(ExplosionGuard):
+    # the order is the lattice index, so the guard fires before enumerating
+    with pytest.raises(ExplosionGuard, match="group of order 10000 exceeds"):
         close_group(
             [LatticePoint((1, 99, 0), 100), LatticePoint((0, 1, 99), 100)],
             max_elements=50,
