@@ -106,6 +106,9 @@ def main() -> None:
             search_resolution(group_from_spec(parse_group(group)), "juniors_only")
             raise AssertionError("obstructed group must not resolve crepantly")
         except ResolutionNotFound as exc:
+            # a budget stop proves nothing; only an exhausted search is an obstruction
+            if not exc.exhausted:
+                raise SystemExit(f"{group}: search stopped early: {exc}") from exc
             print(f"   {group}: {exc}")
 
     nonstar_model(outdir)

@@ -38,13 +38,12 @@ from .exceptional import (
     certify_normal_embedding,
     classify_surface,
     coverage_check,
-    star_fan,
 )
 from .fans import Fan, fan_from_json, refines, sigma_fan
 from .groups import GroupData, close_group, compact_juniors, crepant_obstructions, element_names
 from .hilbert import hilbert_basis
 from .lattice import LatticePoint
-from .resolve import certify_fan, resolve, result_to_json, search_resolution
+from .resolve import is_crepant, resolve, result_to_json, search_resolution
 from .svg import junior_graph_svg
 
 _GEN_RE = re.compile(r"^\s*(\d+)\s*:\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*$")
@@ -198,12 +197,10 @@ def cmd_resolve(args) -> int:
 def cmd_verify(args) -> int:
     group = _load_group(args)
     fan = _load_fan(args.fan, group)
-    summary = certify_fan(group, fan, star_sequence=False)
-    smooth = summary.smooth
+    smooth = fan.is_smooth
+    crepant = is_crepant(fan, group)
     # the union-of-neighborhoods statement only applies to crepant resolutions
-    coverage = (
-        coverage_check(fan, group) if smooth and summary.crepant else None
-    )
+    coverage = coverage_check(fan, group) if smooth and crepant else None
     bundle = {
         "group": {
             "n": group.n,
@@ -211,7 +208,7 @@ def cmd_verify(args) -> int:
             "generators": [list(g.coords) for g in group.generators],
         },
         "smooth": smooth,
-        "crepant": summary.crepant,
+        "crepant": crepant,
         "coverage": coverage,
         "certificates": [],
     }
@@ -228,16 +225,14 @@ def cmd_verify(args) -> int:
     failures = []
     for g in junior_rays if smooth else []:
         try:
-            cert = certify_normal_embedding(fan, g, group)
+            cert = certify_normal_embedding(fan, g)
         except CertificateFailure as exc:
             failures.append((g, str(exc)))
             all_ok = False
             continue
         surface = None
-        if group.n == 3:
-            s = star_fan(fan, g)
-            if s.complete:
-                surface = classify_surface(s)
+        if group.n == 3 and cert.star.complete:
+            surface = classify_surface(cert.star)
         bundle["certificates"].append(certificate_to_json(cert, surface))
         extra = f", surface {surface}" if surface else ""
         print(f"junior {names[g]} {g}: verified over "
@@ -294,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--sequence", help="comma-separated element names, e.g. g1,g2")
     mode.add_argument("--search", choices=["juniors", "hilbert"],
-                      help="search permutations for a resolution")
+                      help="search star-subdivision sequences, each fan once")
     p.add_argument("--out", help="write the resolution JSON here")
     p.set_defaults(func=cmd_resolve)
 

@@ -85,7 +85,15 @@ class PreconditionNotCrepant(TorcrepError):
 
 
 class ResolutionNotFound(TorcrepError):
-    """Search exhausted its budget without finding a resolution."""
+    """The search found no smooth fan (CLI exit code 3).
+
+    ``exhausted`` is True when every star-subdivision sequence over the
+    targets failed (other fans are not covered), False at the budget.
+    """
+
+    def __init__(self, message, exhausted: bool):
+        super().__init__(message)
+        self.exhausted = exhausted
 
 
 class CertificateFailure(TorcrepError):

@@ -74,6 +74,7 @@ class SurfaceType:
 @dataclass(frozen=True)
 class EmbeddingCertificate:
     junior: LatticePoint
+    star: StarFan
     iso: IntMatrix
     cone_bijection: tuple[tuple[Cone, Cone], ...]
     anchor_cones_checked: int
@@ -176,9 +177,7 @@ def _iso_matrix(fan: Fan, star: StarFan, anchor: Cone) -> IntMatrix:
     return t * d.inverse_unimodular()
 
 
-def certify_normal_embedding(
-    fan: Fan, g_hat: LatticePoint, group: GroupData
-) -> EmbeddingCertificate:
+def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertificate:
     """Verify the tubular-neighborhood isomorphism for one junior ray.
 
     The lattice map read off the first maximal cone through the ray must be
@@ -224,6 +223,7 @@ def certify_normal_embedding(
         raise CertificateFailure("cone map is not onto the open subfan")
     return EmbeddingCertificate(
         junior=g_hat,
+        star=star,
         iso=iso,
         cone_bijection=tuple(bijection),
         anchor_cones_checked=len(anchors),

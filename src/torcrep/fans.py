@@ -46,6 +46,17 @@ class Cone:
     def ray_set(self) -> frozenset[LatticePoint]:
         return frozenset(self.rays)
 
+    @cached_property
+    def facet_normals(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(rows, d)``: rows of ``d * A^-1``, ``d = |det A|``, ``A`` the rays.
+
+        ``A`` must be square; row ``i`` is the inner normal of the facet
+        opposite ray ``i``.  Cones that a star subdivision keeps bring them.
+        """
+        mat = IntMatrix.from_columns([r.coords for r in self.rays])
+        cols, d = solve(mat, IntMatrix.identity(self.dim).columns())
+        return tuple(zip(*cols)), d
+
     def __str__(self) -> str:
         return "Cone(" + ", ".join(str(r) for r in self.rays) + ")"
 
@@ -77,15 +88,20 @@ def barycentric(cone: Cone, p: LatticePoint) -> tuple[tuple[int, ...], int] | No
 
     ``p = sum(numerators[i] / d * rays[i])`` with ``d > 0``, so signs of
     the coefficients are signs of the numerators; None if ``p`` is not in
-    the span of the rays.
+    the span of the rays.  Solving ``(s*A) x = t*p`` (``A`` the rays,
+    ``s = pd/g``, ``t = rd/g``) gives ``d = s^n * |det A|`` and numerators
+    ``s^(n-1) * t`` times the facet normals dotted with ``p``.
     """
     rd, pd = cone.rays[0].denom, p.denom
     g = gcd(rd, pd)
-    # clear denominators: (rays/rd) lam = p/pd  <=>  (pd*rays) lam = rd*p
-    mat = IntMatrix.from_columns(
-        [tuple(pd // g * c for c in r.coords) for r in cone.rays]
-    )
-    sol = solve(mat, [tuple(rd // g * c for c in p.coords)])
+    s, t = pd // g, rd // g
+    if cone.dim == p.dim == cone.rays[0].dim:
+        rows, d = cone.facet_normals
+        scale = s ** (cone.dim - 1) * t
+        nums = tuple(scale * sum(x * y for x, y in zip(h, p.coords)) for h in rows)
+        return nums, s ** cone.dim * d
+    mat = IntMatrix.from_columns([tuple(s * c for c in r.coords) for r in cone.rays])
+    sol = solve(mat, [tuple(t * c for c in p.coords)])
     return None if sol is None else (sol[0][0], sol[1])
 
 
@@ -205,15 +221,12 @@ def validate_fan(fan: Fan) -> None:
         mat = IntMatrix.from_columns([r.coords for r in c.rays])
         if rank(mat) != c.dim:
             raise InvalidFan(f"cone {c} is not simplicial")
-    normals = {
-        c: _facet_normals(c) for c in fan.maximal_cones if c.dim == lat.dim
-    }
     for a, b in combinations(fan.maximal_cones, 2):
         common = a.ray_set() & b.ray_set()
         if any(
             _separates(h, far, common)
-            for near, far in ((a, b), (b, a))
-            for h in normals.get(near, ())
+            for near, far in ((a, b), (b, a)) if near.dim == lat.dim
+            for h in near.facet_normals[0]
         ):
             continue
         tau = make_cone(common) if common else Cone(())
@@ -223,18 +236,6 @@ def validate_fan(fan: Fan) -> None:
                 raise InvalidFan(
                     f"cones {a} and {b} do not intersect in a common face"
                 )
-
-
-def _facet_normals(cone: Cone) -> list[tuple[int, ...]]:
-    """Rows of ``d * A^-1`` (``d > 0``) for a full-dimensional cone.
-
-    ``A`` has the rays as columns, so row ``i`` is positive on ray ``i``
-    and 0 on the other rays: it is the inner normal of the facet opposite
-    ray ``i``.
-    """
-    mat = IntMatrix.from_columns([r.coords for r in cone.rays])
-    cols, _ = solve(mat, IntMatrix.identity(cone.dim).columns())
-    return list(zip(*cols))
 
 
 def _separates(

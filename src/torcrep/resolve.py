@@ -3,7 +3,10 @@
 A resolution attempt folds star subdivisions over a sequence of lattice
 points starting from the orthant fan, then certifies the result: ray
 discrepancies, smoothness, crepancy, per-cone terminality and the Euler
-number (= number of maximal cones).
+number (= number of maximal cones).  The search walks the star-subdivision
+sequences over a target set depth first, each distinct fan once, and
+returns the first smooth fan, proves that no sequence gives one
+(exhausted), or stops when it has expanded ``TORCREP_BUDGET`` fans.
 """
 
 from __future__ import annotations
@@ -11,13 +14,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice, permutations
 
 from .errors import InputError, PreconditionNotCrepant, ResolutionNotFound
 from .fans import (
     Cone,
     Fan,
+    contains_point,
     fan_to_json,
+    is_smooth_cone,
     is_terminal,
     sigma_fan,
     star_subdivision,
@@ -58,28 +62,24 @@ class ResolutionResult:
 def discrepancies(fan: Fan, group: GroupData) -> dict[LatticePoint, Fraction]:
     """Discrepancy ``age(u) - 1`` per exceptional ray; orthant rays get 0."""
     axes = set(group.units())
-    out = {}
-    for ray in fan.rays:
-        out[ray] = Fraction(0) if ray in axes else ray.age - 1
-    return out
+    return {ray: Fraction(0) if ray in axes else ray.age - 1 for ray in fan.rays}
+
+
+def is_crepant(fan: Fan, group: GroupData) -> bool:
+    """Every exceptional ray has discrepancy 0."""
+    return not any(discrepancies(fan, group).values())
 
 
 def certify_fan(group: GroupData, fan: Fan, sequence=(),
                 star_sequence: bool = True) -> ResolutionResult:
     """Populate all certificate fields for a fan refining the orthant."""
-    lat = group.lattice
-    disc = discrepancies(fan, group)
-    axes = set(group.units())
-    crepant = all(v == 0 for ray, v in disc.items() if ray not in axes)
-    smooth = fan.is_smooth
-    terminal_flags = {c: is_terminal(c, lat) for c in fan.maximal_cones}
     return ResolutionResult(
         fan=fan,
         sequence=tuple(sequence),
-        discrepancies=disc,
-        smooth=smooth,
-        crepant=crepant,
-        terminal_flags=terminal_flags,
+        discrepancies=discrepancies(fan, group),
+        smooth=fan.is_smooth,
+        crepant=is_crepant(fan, group),
+        terminal_flags={c: is_terminal(c, group.lattice) for c in fan.maximal_cones},
         euler=len(fan.maximal_cones),
         star_sequence=star_sequence,
     )
@@ -115,14 +115,32 @@ def _policy_order(points) -> list[LatticePoint]:
     )
 
 
+def _has_dead_cone(fan: Fan, pending) -> bool:
+    """A singular maximal cone that contains none of the pending targets."""
+    return any(not is_smooth_cone(c, fan.lattice)
+               and not any(contains_point(c, t) for t in pending)
+               for c in fan.maximal_cones)
+
+
 def search_resolution(group: GroupData, mode: str,
                       budget: int | None = None) -> ResolutionResult:
-    """Try permutations of the target set in a deterministic policy order.
+    """Depth-first search over star-subdivision sequences of the targets.
 
     ``mode`` is ``"juniors_only"`` (targets: the juniors) or
-    ``"hilbert_basis"`` (targets: the non-axis Hilbert basis elements); the
-    first permutation whose fan is smooth wins.  Only the accepted fan is
-    certified.
+    ``"hilbert_basis"`` (targets: the non-axis Hilbert basis elements).
+    A fan's children are its star subdivisions at its pending targets (not
+    yet rays), in policy order.  Two skips drop only subtrees without a
+    smooth leaf.  *Seen fans:* a fan's rays fix its pending targets and so
+    its subtree, which was ruled out when the fan was first met (a success
+    returns, a budget stop ends the search).  *Dead cones:*
+    a star subdivision at ``mu`` replaces exactly the maximal cones that
+    contain ``mu``, so a singular one containing no pending target is a
+    cone of every leaf below.  So the first smooth leaf met is the fold of
+    the first permutation of the targets (``itertools.permutations``
+    order) with a smooth fan, and it is certified as it stands.
+
+    ``budget`` (default ``TORCREP_BUDGET``) bounds the fans expanded;
+    ResolutionNotFound has ``exhausted`` False when the budget stopped it.
     """
     if budget is None:
         budget = search_budget()
@@ -137,17 +155,35 @@ def search_resolution(group: GroupData, mode: str,
     else:
         raise ValueError(f"unknown search mode {mode!r}")
 
-    tried = 0
-    for perm in islice(permutations(targets), budget):
-        tried += 1
-        fan = _fold(group, perm)
-        # every target is folded in, so the rays (and with juniors, crepancy)
-        # hold by construction; only smoothness can fail
-        if fan.is_smooth:
-            return certify_fan(group, fan, perm)
-    raise ResolutionNotFound(
-        f"no {mode} resolution within {tried} permutations"
-    )
+    seen = set()
+    expanded = 0
+    frames = []  # (fan, its sequence, iterator over its pending targets)
+    fan, seq = sigma_fan(group.lattice), ()
+    while True:
+        if fan.maximal_cones not in seen:
+            seen.add(fan.maximal_cones)
+            pending = [t for t in targets if t not in fan.ray_set]
+            if not _has_dead_cone(fan, pending):
+                if not pending:
+                    return certify_fan(group, fan, seq)
+                if expanded == budget:
+                    raise ResolutionNotFound(
+                        f"budget hit: the {mode} search stopped after expanding {budget} "
+                        f"fans ({BUDGET_ENV}); a resolution may still exist", exhausted=False)
+                expanded += 1
+                frames.append((fan, seq, iter(pending)))
+        while frames:
+            parent, prefix, children = frames[-1]
+            mu = next(children, None)
+            if mu is not None:
+                fan, seq = star_subdivision(parent, mu), prefix + (mu,)
+                break
+            frames.pop()
+        else:
+            raise ResolutionNotFound(
+                f"exhausted: no star-subdivision sequence over the {mode} targets "
+                f"({len(targets)} points) gives a smooth fan; fans expanded: {expanded}; "
+                f"fans that are not star subdivisions are not covered", exhausted=True)
 
 
 def result_to_json(result: ResolutionResult) -> dict:

@@ -6,18 +6,28 @@ an unnormalised fraction-free rank loop and cofactor expansion.  The fan
 oracles are ``validate_fan`` before its fast path (the all-pairs
 intersection check), ``is_terminal`` before the age rule (the
 bounding-box walk over ``Conv(0, rays)``) and ``certify_normal_embedding``
-before it checked one map per junior (a map per anchor cone).  The Hilbert
-basis oracle decides irreducibility by enumerating the lattice points of
-the box below a candidate.  The differential tests compare the package
-against them.
+before it checked one map per junior (a map per anchor cone), and
+``barycentric`` before full-dimensional cones answered from their cached
+facet normals (one ``solve`` per call).  The Hilbert basis oracle decides
+irreducibility by enumerating the lattice points of the box below a
+candidate.  The search oracle is ``search_resolution`` before the
+depth-first search: it folds every permutation of the targets from the
+orthant.  The differential tests compare the package against them.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, permutations, product
+from math import factorial, gcd
 
-from torcrep.errors import CertificateFailure, InvalidFan, NotInCone, NotSmooth
+from torcrep.errors import (
+    CertificateFailure,
+    InvalidFan,
+    NotInCone,
+    NotSmooth,
+    ResolutionNotFound,
+)
 from torcrep.exceptional import (
     EmbeddingCertificate,
     _iso_matrix,
@@ -37,7 +47,7 @@ from torcrep.fans import (
     make_cone,
 )
 from torcrep.groups import GroupData
-from torcrep.hilbert import HilbertBasis
+from torcrep.hilbert import HilbertBasis, hilbert_basis
 from torcrep.intlinalg import (
     IntMatrix,
     hermite_normal_form,
@@ -46,6 +56,13 @@ from torcrep.intlinalg import (
     solve,
 )
 from torcrep.lattice import LatticePoint, ScaledLattice
+from torcrep.resolve import (
+    ResolutionResult,
+    _fold,
+    _policy_order,
+    certify_fan,
+    search_budget,
+)
 
 # ---------------------------------------------------------------------------
 # Linear-algebra oracles
@@ -178,6 +195,18 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
         for sub in combinations(cone.rays, k):
             out.append(Cone(sub))
     return tuple(out)
+
+
+def barycentric_by_solve(cone: Cone, p: LatticePoint):
+    """``barycentric`` by one ``solve`` of the cleared system, for any cone."""
+    rd, pd = cone.rays[0].denom, p.denom
+    g = gcd(rd, pd)
+    # clear denominators: (rays/rd) lam = p/pd  <=>  (pd*rays) lam = rd*p
+    mat = IntMatrix.from_columns(
+        [tuple(pd // g * c for c in r.coords) for r in cone.rays]
+    )
+    sol = solve(mat, [tuple(rd // g * c for c in p.coords)])
+    return None if sol is None else (sol[0][0], sol[1])
 
 
 def validate_fan_all_pairs(fan: Fan) -> None:
@@ -374,7 +403,7 @@ def gl2_equivalent(a: Fan, b: Fan) -> bool:
 
 
 def certify_normal_embedding_per_anchor(
-    fan: Fan, g_hat: LatticePoint, group: GroupData
+    fan: Fan, g_hat: LatticePoint
 ) -> EmbeddingCertificate:
     """``certify_normal_embedding`` with the map rebuilt on every anchor cone."""
     lat = fan.lattice
@@ -427,8 +456,50 @@ def certify_normal_embedding_per_anchor(
             first_bijection = tuple(bijection)
     return EmbeddingCertificate(
         junior=g_hat,
+        star=star,
         iso=first_iso,
         cone_bijection=first_bijection,
         anchor_cones_checked=len(anchors),
         verified=True,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Resolution search
+
+
+def search_resolution_permutations(group: GroupData, mode: str,
+                                   budget: int | None = None) -> ResolutionResult:
+    """Try permutations of the target set in a deterministic policy order.
+
+    ``mode`` is ``"juniors_only"`` (targets: the juniors) or
+    ``"hilbert_basis"`` (targets: the non-axis Hilbert basis elements); the
+    first permutation whose fan is smooth wins.  Only the accepted fan is
+    certified.  ``budget`` bounds the permutations tried; not-found is
+    exhausted when every permutation was tried.
+    """
+    if budget is None:
+        budget = search_budget()
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    if mode == "juniors_only":
+        targets = _policy_order(group.juniors)
+    elif mode == "hilbert_basis":
+        axes = set(group.units())
+        targets = _policy_order([p for p in hilbert_basis(group).elements
+                                 if p not in axes])
+    else:
+        raise ValueError(f"unknown search mode {mode!r}")
+
+    tried = 0
+    for perm in islice(permutations(targets), budget):
+        tried += 1
+        fan = _fold(group, perm)
+        # every target is folded in, so the rays (and with juniors, crepancy)
+        # hold by construction; only smoothness can fail
+        if fan.is_smooth:
+            return certify_fan(group, fan, perm)
+    raise ResolutionNotFound(
+        f"no {mode} resolution within {tried} permutations",
+        exhausted=tried == factorial(len(targets)),
     )

@@ -129,7 +129,7 @@ def test_criterion_6_embedding_certificates(z6, z5, z6_result, z6_result_alt,
     ]
     for group, fan in cases:
         for g in group.juniors:
-            cert = certify_normal_embedding(fan, g, group)
+            cert = certify_normal_embedding(fan, g)
             assert cert.verified
             assert cert.anchor_cones_checked == len(
                 xi_g(fan, g).maximal_cones
@@ -141,7 +141,7 @@ def test_criterion_6_embedding_certificates(z6, z5, z6_result, z6_result_alt,
 
 def test_criterion_7_order7_age_weighted_certificate(z7, z7_hilbert_result):
     cert = certify_normal_embedding(
-        z7_hilbert_result.fan, LatticePoint((1, 1, 2, 3), 7), z7
+        z7_hilbert_result.fan, LatticePoint((1, 1, 2, 3), 7)
     )
     assert cert.verified
     _report(7, "age-weighted divisor certificate verified on the Hilbert "

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 
 from torcrep.cli import GroupSpec, build_parser, group_from_spec, main, parse_group
 from torcrep.errors import DimensionMismatch, GroupSyntaxError, NotInSL
-from torcrep.fans import fan_to_json
+from torcrep.fans import fan_to_json, sigma_fan, star_subdivision
+from torcrep.groups import close_group
+from torcrep.lattice import LatticePoint
 from torcrep.resolve import result_to_json
 from torcrep.svg import junior_graph_svg
 
@@ -327,6 +330,20 @@ def test_verify_huge_ray_is_not_smooth(tmp_path, z6_result, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(data))
     assert main(["verify", str(path), "6:(1,2,3)"]) == 1
+    assert "not smooth" in capsys.readouterr().out
+
+
+def test_verify_huge_index_cone_is_fast(tmp_path, capsys):
+    # the orthant subdivided at (1, r-1, r) has cones of index r-1 and r;
+    # verify reports smoothness and crepancy without walking their groups
+    r = 10**9
+    triv = close_group([], n=3)
+    fan = star_subdivision(sigma_fan(triv.lattice), LatticePoint((1, r - 1, r), 1))
+    path = tmp_path / "huge_index.json"
+    path.write_text(json.dumps(fan_to_json(fan)))
+    start = time.perf_counter()
+    assert main(["verify", str(path), "1:(0,0,0)"]) == 1
+    assert time.perf_counter() - start < 1
     assert "not smooth" in capsys.readouterr().out
 
 

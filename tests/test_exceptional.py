@@ -149,7 +149,7 @@ def test_total_space_order6_counts(z6_result):
 def test_certificates_order6(z6, z6_result, z6_result_alt):
     for res in (z6_result, z6_result_alt):
         for g in z6.juniors:
-            cert = certify_normal_embedding(res.fan, g, z6)
+            cert = certify_normal_embedding(res.fan, g)
             assert cert.verified
             assert cert.iso.is_unimodular()
             expected_anchors = len(xi_g(res.fan, g).maximal_cones)
@@ -159,13 +159,13 @@ def test_certificates_order6(z6, z6_result, z6_result_alt):
 
 def test_certificates_order5(z5, z5_result):
     for g in z5.juniors:
-        cert = certify_normal_embedding(z5_result.fan, g, z5)
+        cert = certify_normal_embedding(z5_result.fan, g)
         assert cert.verified
 
 
 def test_certificate_order7_age_weighted(z7, z7_hilbert_result):
     cert = certify_normal_embedding(
-        z7_hilbert_result.fan, LatticePoint((1, 1, 2, 3), 7), z7
+        z7_hilbert_result.fan, LatticePoint((1, 1, 2, 3), 7)
     )
     assert cert.verified
     assert cert.anchor_cones_checked == len(
@@ -198,10 +198,10 @@ def smooth_fans(draw):
     return group, fan
 
 
-def _certificate_outcome(certify, fan, ray, group):
+def _certificate_outcome(certify, fan, ray):
     """``(None, certificate JSON)``, or the exception's type and message."""
     try:
-        return None, certificate_to_json(certify(fan, ray, group))
+        return None, certificate_to_json(certify(fan, ray))
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -209,18 +209,18 @@ def _certificate_outcome(certify, fan, ray, group):
 @settings(max_examples=60, deadline=None)
 @given(smooth_fans())
 def test_certificate_matches_per_anchor_oracle(case):
-    group, fan = case
+    _, fan = case
     assert fan.is_smooth
     for ray in fan.rays:
-        assert _certificate_outcome(certify_normal_embedding, fan, ray, group) == \
-            _certificate_outcome(certify_normal_embedding_per_anchor, fan, ray, group)
+        assert _certificate_outcome(certify_normal_embedding, fan, ray) == \
+            _certificate_outcome(certify_normal_embedding_per_anchor, fan, ray)
 
 
 def test_smooth_fans_include_failing_certificates():
     def fails(case):
-        group, fan = case
+        _, fan = case
         return any(
-            _certificate_outcome(certify_normal_embedding, fan, ray, group)[0]
+            _certificate_outcome(certify_normal_embedding, fan, ray)[0]
             is CertificateFailure
             for ray in fan.rays
         )
@@ -235,7 +235,7 @@ def test_certificates_nonstar_fan(z6, z6_nonstar_fan):
     summary = certify_fan(z6, z6_nonstar_fan, star_sequence=False)
     assert summary.smooth and summary.crepant and summary.euler == 6
     for g in z6.juniors:
-        cert = certify_normal_embedding(z6_nonstar_fan, g, z6)
+        cert = certify_normal_embedding(z6_nonstar_fan, g)
         assert cert.verified
     assert coverage_check(z6_nonstar_fan, z6) is True
 

@@ -2,10 +2,11 @@ import json
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, assume, find, given, settings
 
 from conftest import random_cyclic_group
 from oracles import (
+    barycentric_by_solve,
     faces,
     gl2_equivalent,
     gl2_normal_form,
@@ -17,6 +18,8 @@ from torcrep import fans as fans_module
 from torcrep.errors import InvalidFan, NotInSupport, NotPrimitive
 from torcrep.exceptional import age_weighted_divisor, star_fan, total_space_fan
 from torcrep.fans import (
+    Cone,
+    barycentric,
     cone_index,
     contains_point,
     fan_from_json,
@@ -63,6 +66,24 @@ def test_contains_point(z6):
     assert contains_point(sigma, g1, strict=True)
     edge = make_cone([unit_point(0, 3, 6), unit_point(1, 3, 6)])
     assert not contains_point(edge, LatticePoint((3, 0, 3), 6))
+
+
+@st.composite
+def cones_and_points(draw):
+    """A full-dimensional cone and a point, each with its own denominator."""
+    n = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-9, 9)] * n)
+    rays = draw(st.lists(vec, min_size=n, max_size=n, unique=True))
+    assume(IntMatrix.from_columns(rays).det() != 0)
+    rd, pd = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return Cone(tuple(LatticePoint(r, rd) for r in rays)), LatticePoint(draw(vec), pd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones_and_points())
+def test_barycentric_matches_solve_oracle(case):
+    cone, p = case
+    assert barycentric(cone, p) == barycentric_by_solve(cone, p)
 
 
 def test_cone_index(z6, z7, trivial3):

@@ -1,7 +1,13 @@
+import importlib
+from collections import Counter
 from itertools import permutations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import Phase, assume, example, find, given, settings
 
+from oracles import search_resolution_permutations
+from torcrep.cli import group_from_spec, main, parse_group
 from torcrep.errors import PreconditionNotCrepant, ResolutionNotFound
 from torcrep.fans import fans_equal, is_terminal, refines, sigma_fan, support_volume
 from torcrep.groups import close_group
@@ -15,6 +21,9 @@ from torcrep.resolve import (
     result_to_json,
     search_resolution,
 )
+
+# the package re-exports the function ``resolve`` under the module's name
+resolve_module = importlib.import_module("torcrep.resolve")
 
 
 def test_resolve_order6(z6, z6_result):
@@ -98,18 +107,130 @@ def test_search_hilbert_certifies_first_smooth_permutation():
 def test_search_budget(z6):
     with pytest.raises(ValueError):
         search_resolution(z6, "juniors_only", budget=0)
-    res = search_resolution(z6, "juniors_only", budget=1)
+    # the first path expands the orthant and three partial fans, and its
+    # leaf is smooth
+    res = search_resolution(z6, "juniors_only", budget=4)
     assert res.crepant
+    with pytest.raises(ResolutionNotFound) as info:
+        search_resolution(z6, "juniors_only", budget=3)
+    assert not info.value.exhausted
+    assert "stopped after expanding 3 fans" in str(info.value)
 
 
-def test_search_budget_env_override(z7, monkeypatch):
+def test_search_budget_env_override(z6, z7, monkeypatch):
     from torcrep.resolve import search_budget
 
     monkeypatch.setenv("TORCREP_BUDGET", "17")
     assert search_budget() == 17
     with pytest.raises(ResolutionNotFound) as info:
         search_resolution(z7, "juniors_only")
-    assert "1 permutations" in str(info.value)  # only one junior to permute
+    assert info.value.exhausted
+    assert "fans expanded: 1" in str(info.value)  # only one junior to fold
+    monkeypatch.setenv("TORCREP_BUDGET", "3")
+    with pytest.raises(ResolutionNotFound) as info:
+        search_resolution(z6, "juniors_only")
+    assert not info.value.exhausted
+
+
+@pytest.mark.parametrize("text, mode, budget, exhausted", [
+    ("7:(1,1,2,3)", "juniors", None, True),
+    ("11:(1,2,3,5)", "hilbert", None, True),
+    ("9:(1,1,3,4)", "hilbert", "1", False),
+])
+def test_not_found_kinds(text, mode, budget, exhausted, monkeypatch, capsys):
+    if budget is None:
+        monkeypatch.delenv("TORCREP_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("TORCREP_BUDGET", budget)
+    group = group_from_spec(parse_group(text))
+    with pytest.raises(ResolutionNotFound) as info:
+        search_resolution(group, {"juniors": "juniors_only",
+                                  "hilbert": "hilbert_basis"}[mode])
+    assert info.value.exhausted is exhausted
+    assert main(["resolve", text, "--search", mode]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("not found: exhausted:" if exhausted else "not found: budget hit:")
+
+
+@st.composite
+def search_cases(draw):
+    """A group in n = 3 or 4, a search mode and at most 5 targets.
+
+    n = 4 is drawn more often and cyclic, since most of its small groups
+    need several sequences or have none; in n = 3 the first one usually
+    succeeds.
+    """
+    n = draw(st.sampled_from([3, 4, 4]))
+    gens = []
+    for _ in range(draw(st.integers(1, 2 if n == 3 else 1))):
+        m = draw(st.integers(2, 9 if n == 3 else 12))
+        coords = draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
+        gens.append(LatticePoint((*coords, -sum(coords) % m), m))
+    group = close_group(gens, n)
+    mode = draw(st.sampled_from(["juniors_only", "hilbert_basis"]))
+    axes = set(group.units())
+    targets = group.juniors if mode == "juniors_only" else [
+        p for p in hilbert_basis(group).elements if p not in axes]
+    assume(len(targets) <= 5)  # the oracle folds all k! permutations
+    return group, mode
+
+
+def _search_with_counts(group, mode):
+    """Search outcome, memo hits and dead-cone prunes of non-leaf fans."""
+    counts = Counter()
+    subdivide, dead = resolve_module.star_subdivision, resolve_module._has_dead_cone
+
+    def counted_subdivision(fan, mu):
+        counts["children"] += 1
+        return subdivide(fan, mu)
+
+    def counted_dead(fan, pending):
+        counts["distinct"] += 1
+        out = dead(fan, pending)
+        counts["prunes"] += bool(out and pending)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolve_module, "star_subdivision", counted_subdivision)
+        mp.setattr(resolve_module, "_has_dead_cone", counted_dead)
+        outcome = _outcome(search_resolution, group, mode)
+    # every fan reached (the orthant and each child) is checked once unless seen
+    return outcome, counts["children"] + 1 - counts["distinct"], counts["prunes"]
+
+
+def _outcome(search, group, mode):
+    try:
+        return result_to_json(search(group, mode))
+    except ResolutionNotFound as exc:
+        return {"exhausted": exc.exhausted}
+
+
+def _cyclic(coords, m):
+    return close_group([LatticePoint(coords, m)], len(coords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(search_cases())
+@example((_cyclic((1, 2, 4, 5), 6), "hilbert_basis"))  # found after memo hits
+@example((_cyclic((1, 5, 5, 9), 10), "juniors_only"))  # exhausted after memo hits
+@example((_cyclic((1, 2, 3, 4), 5), "hilbert_basis"))  # exhausted by prunes alone
+def test_search_matches_permutation_oracle(case):
+    group, mode = case
+    assert _search_with_counts(group, mode)[0] == \
+        _outcome(search_resolution_permutations, group, mode)
+
+
+@pytest.mark.parametrize("kind", ["memo hit", "prune", "exhausted"])
+def test_search_cases_include_skips_and_exhaustion(kind):
+    def shows(case):
+        outcome, memo_hits, prunes = _search_with_counts(*case)
+        return {"memo hit": memo_hits > 0, "prune": prunes > 0,
+                "exhausted": outcome == {"exhausted": True}}[kind]
+
+    # about 4 % of the cases have a memo hit, so allow many draws
+    quick = settings(deadline=None, database=None, phases=[Phase.generate],
+                     max_examples=500)
+    find(search_cases(), shows, settings=quick)
 
 
 def test_volume_conserved(z6_result, z7_hilbert_result):
