@@ -13,7 +13,7 @@ from pathlib import Path
 from torcrep.cli import group_from_spec, parse_group
 from torcrep.cli import main as torcrep_main
 from torcrep.errors import ResolutionNotFound
-from torcrep.fans import Fan, fan_to_json, fans_equal, make_cone, make_fan
+from torcrep.fans import Fan, fan_to_json, fans_equal, make_cone, make_fan, validate_fan
 from torcrep.groups import close_group
 from torcrep.lattice import LatticePoint, ScaledLattice
 from torcrep.resolve import certify_fan, resolve, search_resolution
@@ -51,8 +51,9 @@ def nonstar_order6_fan(lattice: ScaledLattice) -> Fan:
         ("e3", "g1", "g3"), ("g3", "g1", "g4"), ("e1", "g3", "g4"),
         ("g4", "g1", "g2"), ("g2", "g1", "e2"), ("e2", "g1", "e3"),
     ]
-    cones = [make_cone([pts[a] for a in t]) for t in triangles]
-    return make_fan(lattice, cones, validate=True)
+    fan = make_fan(lattice, [make_cone([pts[a] for a in t]) for t in triangles])
+    validate_fan(fan)
+    return fan
 
 
 def nonstar_model(outdir: Path) -> None:

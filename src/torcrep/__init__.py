@@ -6,13 +6,12 @@ is normally embedded with tubular neighborhood equal to the total space
 of its weighted line bundle (the canonical bundle in the crepant case).
 """
 
-from .divisors import TDivisor, canonical_divisor, class_group, principal_divisor
+from .divisors import TDivisor, canonical_divisor, class_group
 from .errors import TorcrepError
 from .exceptional import (
     EmbeddingCertificate,
     StarFan,
     SurfaceType,
-    age_affinity_check,
     certify_normal_embedding,
     classify_surface,
     coverage_check,
@@ -30,7 +29,6 @@ from .fans import (
     is_terminal,
     make_cone,
     make_fan,
-    refines,
     sigma_fan,
     star_subdivision,
     validate_fan,
@@ -56,7 +54,6 @@ from .lattice import (
 from .resolve import (
     ResolutionResult,
     discrepancies,
-    euler_check,
     resolve,
     search_resolution,
 )
@@ -79,7 +76,6 @@ __all__ = [
     "SurfaceType",
     "TDivisor",
     "TorcrepError",
-    "age_affinity_check",
     "build_lattice",
     "canonical_divisor",
     "certify_normal_embedding",
@@ -92,7 +88,6 @@ __all__ = [
     "crepant_obstructions",
     "discrepancies",
     "element_names",
-    "euler_check",
     "fan_from_json",
     "fan_to_json",
     "hermite_normal_form",
@@ -100,9 +95,7 @@ __all__ = [
     "is_terminal",
     "make_cone",
     "make_fan",
-    "principal_divisor",
     "quotient_by_ray",
-    "refines",
     "resolve",
     "search_resolution",
     "sigma_fan",

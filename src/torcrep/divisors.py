@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InvariantError, NotInDualLattice
+from .errors import InvariantError
 from .fans import Fan
 from .intlinalg import (
     IntMatrix,
@@ -61,20 +61,6 @@ def dual_basis(lattice: ScaledLattice) -> IntMatrix:
 def pairing(m, u: LatticePoint) -> Fraction:
     """Exact pairing of a dual vector with a scaled lattice point."""
     return Fraction(sum(a * b for a, b in zip(m, u.coords)), u.denom)
-
-
-def principal_divisor(fan: Fan, m) -> TDivisor:
-    """Divisor of the character for ``m``; requires integral pairings."""
-    m = tuple(int(x) for x in m)
-    out = {}
-    for ray in fan.rays:
-        v = pairing(m, ray)
-        if v.denominator != 1:
-            raise NotInDualLattice(
-                f"{m} pairs non-integrally with ray {ray}"
-            )
-        out[ray] = int(v)
-    return TDivisor.from_dict(out)
 
 
 def canonical_divisor(fan: Fan) -> TDivisor:

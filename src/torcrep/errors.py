@@ -64,24 +64,12 @@ class NotInSupport(TorcrepError):
     """Point lies outside the support of the fan."""
 
 
-class NotInCone(TorcrepError):
-    """Point lies outside the cone."""
-
-
 class RayAbsent(TorcrepError):
     """The requested ray is not a ray of the fan."""
 
 
 class LiftAmbiguous(TorcrepError):
     """Two distinct fan rays project onto the same star-fan ray."""
-
-
-class NotInDualLattice(TorcrepError):
-    """Vector pairs non-integrally with a ray generator."""
-
-
-class PreconditionNotCrepant(TorcrepError):
-    """Operation requires a smooth crepant resolution result."""
 
 
 class ResolutionNotFound(TorcrepError):

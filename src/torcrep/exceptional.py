@@ -24,7 +24,7 @@ from .errors import (
     NotSurface,
     RayAbsent,
 )
-from .fans import Cone, Fan, barycentric, make_cone, make_fan
+from .fans import Cone, Fan, make_cone, make_fan
 from .groups import GroupData
 from .intlinalg import IntMatrix, solve
 from .lattice import LatticePoint, QuotientLattice, ScaledLattice, quotient_by_ray
@@ -298,17 +298,6 @@ def classify_surface(star: StarFan) -> SurfaceType:
         min(vec[::-1][i:] + vec[::-1][:i] for i in range(k)),
     )
     return SurfaceType("chain", None, canon)
-
-
-def age_affinity_check(cone: Cone, b: LatticePoint) -> bool:
-    """Ages are affine along exact expansions over a cone basis."""
-    bary = barycentric(cone, b)
-    if bary is None:
-        raise ValueError(f"{b} is not in the span of the cone")
-    nums, d = bary
-    # sum (nums_i / d) * age(ray_i) == age(b), cleared of all denominators
-    lhs = b.denom * sum(x * sum(r.coords) for x, r in zip(nums, cone.rays))
-    return lhs == d * cone.rays[0].denom * sum(b.coords)
 
 
 def certificate_to_json(cert: EmbeddingCertificate,

@@ -2,7 +2,10 @@
 
 Cones are given by their primitive ray generators; a fan stores only its
 maximal cones and derives faces on demand.  All membership and volume
-computations are exact.
+computations are exact.  Each full-dimensional cone caches its facet
+normals, which answer membership, the cone's index and its volume.  The
+fans torcrep reads refine the orthant, and ``validate_fan`` checks one rule
+for them: the support volume is the orthant's and the facets pair up.
 
 The JSON interchange schema for fans is::
 
@@ -71,16 +74,12 @@ def make_cone(points) -> Cone:
     return Cone(rays)
 
 
-def contains_point(cone: Cone, p: LatticePoint, strict: bool = False) -> bool:
-    """Exact membership test; ``strict`` tests the relative interior."""
+def contains_point(cone: Cone, p: LatticePoint) -> bool:
+    """Exact membership test."""
     if not cone.rays:
-        return p.is_zero() and not strict
+        return p.is_zero()
     bary = barycentric(cone, p)
-    if bary is None:
-        return False
-    if strict:
-        return all(x > 0 for x in bary[0])
-    return all(x >= 0 for x in bary[0])
+    return bary is not None and all(x >= 0 for x in bary[0])
 
 
 def barycentric(cone: Cone, p: LatticePoint) -> tuple[tuple[int, ...], int] | None:
@@ -111,11 +110,15 @@ def ray_matrix(cone: Cone, lattice: ScaledLattice) -> IntMatrix:
 
 
 def cone_index(cone: Cone, lattice: ScaledLattice) -> int:
-    """Index ``[N ∩ span(c) : Z<rays>]``; 1 exactly for smooth cones."""
-    mat = ray_matrix(cone, lattice)
+    """Index ``[N ∩ span(c) : Z<rays>]``; 1 exactly for smooth cones.
+
+    For a full-dimensional cone the rays are ``A = B X`` (``B`` the lattice
+    basis, ``X`` the basis coordinates), so the index ``|det X|`` is
+    ``|det A| / |det B|``, read off the cached facet normals.
+    """
     if cone.dim == lattice.dim:
-        return abs(mat.det())
-    s, _, _ = smith_normal_form(mat)
+        return cone.facet_normals[1] // lattice.det
+    s, _, _ = smith_normal_form(ray_matrix(cone, lattice))
     prod = 1
     for i in range(min(s.rows, s.cols)):
         if s[i][i]:
@@ -187,14 +190,11 @@ class Fan:
         return all(is_smooth_cone(c, self.lattice) for c in self.maximal_cones)
 
 
-def make_fan(lattice: ScaledLattice, cones, validate: bool = False) -> Fan:
+def make_fan(lattice: ScaledLattice, cones) -> Fan:
     ordered = tuple(
         sorted(set(cones), key=lambda c: tuple(r.coords for r in c.rays))
     )
-    fan = Fan(lattice, ordered)
-    if validate:
-        validate_fan(fan)
-    return fan
+    return Fan(lattice, ordered)
 
 
 def sigma_fan(lattice: ScaledLattice) -> Fan:
@@ -203,92 +203,74 @@ def sigma_fan(lattice: ScaledLattice) -> Fan:
 
 
 def validate_fan(fan: Fan) -> None:
-    """Structural checks: primitive rays, simpliciality, pairwise face property.
+    """Check that the cones form a fan whose support is the orthant.
 
-    Raises InvalidFan on the first violation.  A pair of cones passes the
-    pairwise check at once when a facet normal of one separates them
-    (``_separates``); every other pair has the extreme rays of its
-    intersection computed exactly, and they must lie in the cone on the
-    common rays.
+    In order: the rays are primitive lattice points, every cone is
+    full-dimensional, every ray lies in the closed orthant, the support
+    volume equals the group order ``[N : Z^n]`` (the orthant's), and the
+    facets pair up: a facet inside a coordinate hyperplane belongs to one
+    cone, every other facet to exactly two, on opposite sides of it.
+    Raises InvalidFan, naming the ray, cone or facet, on the first failure.
+
+    These conditions hold for a fan with the orthant as support, and they
+    imply one (the pseudo-manifold characterisation, De Loera-Rambau-Santos,
+    *Triangulations*, §4.5).  The cones lie in the orthant.  Let
+    ``m(y)`` count the cones whose interior holds ``y``.  Crossing a
+    hyperplane at a general point ``w`` inside the orthant, a cone with
+    ``w`` inside counts on both sides, and a cone with ``w`` on a facet
+    counts on one side and its partner across that facet on the other; so
+    ``m`` is constant off a set of codimension 2, which does not disconnect
+    the interior.  Summing volumes, ``m`` times the orthant's volume is the
+    support volume, so ``m = 1``: the cones cover the orthant with disjoint
+    interiors.  Let ``x`` lie in cones ``C`` and ``D``.  A general path
+    near ``x`` from inside ``C`` to inside ``D`` crosses only facets
+    through ``x``, each from a cone to its partner (``m = 1``), and two
+    cones sharing a facet through ``x`` have the same smallest face holding
+    ``x``.  So that face is common to ``C`` and ``D``, and ``C ∩ D`` is the
+    cone on their common rays.
     """
     lat = fan.lattice
+    n = lat.dim
     for p in fan.rays:
         if not lat.contains(p):
             raise InvalidFan(f"ray {p} is not a lattice point")
         if not lat.is_primitive(p):
             raise InvalidFan(f"ray {p} is not primitive")
     for c in fan.maximal_cones:
-        mat = IntMatrix.from_columns([r.coords for r in c.rays])
-        if rank(mat) != c.dim:
-            raise InvalidFan(f"cone {c} is not simplicial")
-    for a, b in combinations(fan.maximal_cones, 2):
-        common = a.ray_set() & b.ray_set()
-        if any(
-            _separates(h, far, common)
-            for near, far in ((a, b), (b, a)) if near.dim == lat.dim
-            for h in near.facet_normals[0]
-        ):
-            continue
-        tau = make_cone(common) if common else Cone(())
-        for x in _intersection_generators(a, b):
-            pt = LatticePoint(x, a.rays[0].denom)
-            if not contains_point(tau, pt):
-                raise InvalidFan(
-                    f"cones {a} and {b} do not intersect in a common face"
-                )
-
-
-def _separates(
-    h: tuple[int, ...], cone: Cone, common: frozenset[LatticePoint]
-) -> bool:
-    """``h <= 0`` on the rays of ``cone``, with equality only at ``common``.
-
-    With ``h`` a facet normal of a cone ``c`` and ``common`` the rays
-    ``cone`` shares with ``c``, this puts ``c ∩ cone`` inside ``{h = 0}``,
-    where ``cone`` meets it in the face on ``common``; so ``c ∩ cone`` is
-    exactly the cone on the common rays (Cox-Little-Schenck, Lemma 1.2.13).
-    """
-    for r in cone.rays:
-        v = sum(x * y for x, y in zip(h, r.coords))
-        if v > 0 or (v == 0 and r not in common):
-            return False
-    return True
-
-
-def _intersection_generators(a: Cone, b: Cone):
-    """Generators of ``a ∩ b``: extreme rays of the exact double system."""
-    ra = [r.coords for r in a.rays]
-    rb = [r.coords for r in b.rays]
-    k = len(ra) + len(rb)
-    cols = [tuple(v) for v in ra] + [tuple(-x for x in v) for v in rb]
-    n = len(cols[0])
-    out = []
-    seen = set()
-    for size in range(1, n + 2):
-        for sub in combinations(range(k), size):
-            mat = IntMatrix.from_columns([cols[j] for j in sub])
-            h, u = hermite_normal_form(mat)
-            zero_cols = [
-                j for j in range(h.cols)
-                if all(h[i][j] == 0 for i in range(h.rows))
-            ]
-            if len(zero_cols) != 1:
-                continue
-            gen = u.column(zero_cols[0])
-            if all(v <= 0 for v in gen):
-                gen = tuple(-v for v in gen)
-            if any(v < 0 for v in gen):
-                continue
-            full = [0] * k
-            for idx, j in enumerate(sub):
-                full[j] = gen[idx]
-            x = tuple(
-                sum(full[j] * ra[j][i] for j in range(len(ra))) for i in range(n)
+        if c.dim != n:
+            raise InvalidFan(
+                f"cone {c} has dimension {c.dim}; a fan with the orthant as "
+                f"support has full-dimensional cones (dimension {n})"
             )
-            if any(x) and x not in seen:
-                seen.add(x)
-                out.append(x)
-    return out
+    for p in fan.rays:
+        if any(x < 0 for x in p.coords):
+            raise InvalidFan(f"ray {p} lies outside the orthant")
+    volume = support_volume(fan)
+    if volume != lat.index_over_std:
+        raise InvalidFan(
+            f"the cones have support volume {volume}, not the orthant's "
+            f"{lat.index_over_std}"
+        )
+    # facet rays -> (cone, inner normal of the facet, ray opposite it)
+    owners: dict[tuple[LatticePoint, ...], list] = {}
+    for c in fan.maximal_cones:
+        for i, h in enumerate(c.facet_normals[0]):
+            owners.setdefault(c.rays[:i] + c.rays[i + 1:], []).append((c, h, c.rays[i]))
+    for rays, cones in owners.items():
+        facet = Cone(rays)
+        boundary = any(all(r.coords[k] == 0 for r in rays) for k in range(n))
+        want = 1 if boundary else 2
+        if len(cones) != want:
+            names = ", ".join(str(c) for c, _, _ in cones)
+            raise InvalidFan(
+                f"facet {facet} lies in {len(cones)} cone(s), not {want}: {names}"
+            )
+        if not boundary:
+            (a, h, _), (b, _, far) = cones
+            if sum(x * y for x, y in zip(h, far.coords)) > 0:
+                raise InvalidFan(
+                    f"cones {a} and {b} lie on the same side of their facet {facet}"
+                )
 
 
 def star_subdivision(fan: Fan, mu: LatticePoint) -> Fan:
@@ -328,43 +310,17 @@ def support_volume(fan: Fan) -> Fraction:
 
     For a simplicial cone with rays of positive age the slab is the
     simplex on ``u_i / age(u_i)``, so the measure is additive across any
-    subdivision of the support and invariant under refinement.  Raises
-    InvalidFan, naming the cone, for a cone of lower dimension or a ray of
-    non-positive age.
+    subdivision of the support and invariant under refinement; the
+    orthant's is ``[N : Z^n]``.  Requires full-dimensional cones whose rays
+    have positive age (``validate_fan`` checks both first).
     """
     total = Fraction(0)
-    n = fan.lattice.dim
     for c in fan.maximal_cones:
-        if c.dim != n:
-            raise InvalidFan(
-                f"cone {c} has dimension {c.dim}; support volume requires "
-                f"full-dimensional cones (dimension {n})"
-            )
-        det = abs(ray_matrix(c, fan.lattice).det())
-        denom = Fraction(1)
+        denom = 1
         for r in c.rays:
-            a = r.age
-            if a <= 0:
-                raise InvalidFan(
-                    f"ray {r} of cone {c} has age {a}; support volume "
-                    f"requires rays of positive age"
-                )
-            denom *= a
-        total += Fraction(det) / denom
+            denom *= r.age
+        total += cone_index(c, fan.lattice) / denom
     return total
-
-
-def refines(fine: Fan, coarse: Fan) -> bool:
-    """Support equality plus containment of every maximal cone."""
-    if fine.lattice != coarse.lattice:
-        return False
-    for c in fine.maximal_cones:
-        if not any(
-            all(contains_point(big, r) for r in c.rays)
-            for big in coarse.maximal_cones
-        ):
-            return False
-    return support_volume(fine) == support_volume(coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +349,8 @@ def _json_int(x) -> int:
     return x
 
 
-def fan_from_json(data: dict, validate: bool = True) -> Fan:
+def fan_from_json(data: dict) -> Fan:
+    """Parse the interchange schema; ``validate_fan`` checks the result."""
     try:
         n, r = _json_int(data["lattice"]["n"]), _json_int(data["lattice"]["r"])
         basis = IntMatrix([map(_json_int, row) for row in data["lattice"]["basis"]])
@@ -415,10 +372,7 @@ def fan_from_json(data: dict, validate: bool = True) -> Fan:
             cones.append(make_cone([rays[i] for i in idxs]))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InvalidFan(f"malformed fan data: {exc}") from exc
-    fan = make_fan(lat, cones)
-    if validate:
-        validate_fan(fan)
-    return fan
+    return make_fan(lat, cones)
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:

@@ -174,13 +174,12 @@ def build_lattice(gens, n: int, denom: int | None = None) -> ScaledLattice:
 class QuotientLattice:
     """Quotient ``N / Z*v`` identified with ``Z^(n-1)``.
 
-    ``projection`` and ``section`` act on basis coordinates of ``N``; the
-    kernel of ``projection`` is exactly the line through ``v``.
+    ``projection`` acts on basis coordinates of ``N``; its kernel is
+    exactly the line through ``v``.
     """
 
     dim: int
     projection: IntMatrix
-    section: IntMatrix
     ray: LatticePoint
     parent: ScaledLattice
 
@@ -192,27 +191,18 @@ class QuotientLattice:
         x = self.parent.basis_coords(p)
         return LatticePoint(self.projection.mul_vec(x), 1)
 
-    def lift(self, q: LatticePoint) -> LatticePoint:
-        if q.denom != 1:
-            raise DenomMismatch("quotient points have denominator 1")
-        return self.parent.from_basis_coords(self.section.mul_vec(q.coords))
-
 
 def quotient_by_ray(lattice: ScaledLattice, v: LatticePoint) -> QuotientLattice:
-    """Projection/section pair for ``N / Z*v`` with ``v`` primitive."""
+    """Projection onto ``N / Z*v`` with ``v`` primitive."""
     w = lattice.basis_coords(v)
     if not lattice.is_primitive(v):
         raise NotPrimitive(f"{v} is not primitive")
-    # w^T u = e_1^T: the last columns of u span the annihilator of w, and
-    # the matching rows of u^-1 are a section of the projection they define
+    # w^T u = e_1^T with u unimodular: the last columns of u are a basis of
+    # the annihilator of w, so the rows they give map N onto Z^(n-1)
     _, u = hermite_normal_form(IntMatrix([w]))
-    n = lattice.dim
     proj = IntMatrix(u.columns()[1:])
-    sect = IntMatrix.from_columns(u.inverse_unimodular().data[1:])
     # canonicalize by a row Hermite form of the projection
-    hc, vmat = hermite_normal_form(proj.transpose())
-    proj_c = hc.transpose()
-    sect_c = sect * vmat.inverse_unimodular().transpose()
-    if proj_c * sect_c != IntMatrix.identity(n - 1) or any(proj_c.mul_vec(w)):
-        raise InvariantError(f"quotient by {v} is not split by its section")
-    return QuotientLattice(n - 1, proj_c, sect_c, v, lattice)
+    proj_c = hermite_normal_form(proj.transpose())[0].transpose()
+    if any(proj_c.mul_vec(w)):
+        raise InvariantError(f"quotient by {v} does not have {v} in its kernel")
+    return QuotientLattice(lattice.dim - 1, proj_c, v, lattice)

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InputError, PreconditionNotCrepant, ResolutionNotFound
+from .errors import InputError, ResolutionNotFound
 from .fans import (
     Cone,
     Fan,
@@ -96,15 +96,6 @@ def resolve(group: GroupData, sequence) -> ResolutionResult:
     """Fold star subdivisions over ``sequence`` starting from the orthant."""
     seq = tuple(sequence)
     return certify_fan(group, _fold(group, seq), seq)
-
-
-def euler_check(result: ResolutionResult, group: GroupData) -> bool:
-    """Euler number versus group order, valid on smooth crepant results."""
-    if not (result.crepant and result.smooth):
-        raise PreconditionNotCrepant(
-            "Euler comparison needs a smooth crepant resolution"
-        )
-    return result.euler == group.order
 
 
 def _policy_order(points) -> list[LatticePoint]:

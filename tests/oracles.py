@@ -3,16 +3,20 @@
 The linear-algebra oracles are the solvers torcrep used before its single
 fraction-free kernel: Fraction Gauss-Jordan, a Bareiss determinant loop,
 an unnormalised fraction-free rank loop and cofactor expansion.  The fan
-oracles are ``validate_fan`` before its fast path (the all-pairs
-intersection check), ``is_terminal`` before the age rule (the
-bounding-box walk over ``Conv(0, rays)``) and ``certify_normal_embedding``
-before it checked one map per junior (a map per anchor cone), and
-``barycentric`` before full-dimensional cones answered from their cached
-facet normals (one ``solve`` per call).  The Hilbert basis oracle decides
-irreducibility by enumerating the lattice points of the box below a
-candidate.  The search oracle is ``search_resolution`` before the
-depth-first search: it folds every permutation of the targets from the
-orthant.  The differential tests compare the package against them.
+oracles are the general pairwise fan check (the extreme rays of every
+intersection of two cones, computed exactly) with ``refines`` (containment
+plus support volume), which ``validate_fan`` replaced by facet pairing over
+the orthant; ``is_terminal`` before the age rule (the bounding-box walk
+over ``Conv(0, rays)``); ``certify_normal_embedding`` before it checked
+one map per junior (a map per anchor cone); and ``barycentric`` before
+full-dimensional cones answered from their cached facet normals (one
+``solve`` per call).  The Hilbert basis oracle decides irreducibility by
+enumerating the lattice points of the box below a candidate.  The search
+oracle is ``search_resolution`` before the depth-first search: it folds
+every permutation of the targets from the orthant.  The differential
+tests compare the package against them.  The checks at the end
+(``age_affinity_check``, ``euler_check``, ``principal_divisor``) and
+their errors are identities the tests assert; the CLI does not use them.
 """
 
 import json
@@ -21,12 +25,13 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 from math import factorial, gcd
 
+from torcrep.divisors import TDivisor, pairing
 from torcrep.errors import (
     CertificateFailure,
     InvalidFan,
-    NotInCone,
     NotSmooth,
     ResolutionNotFound,
+    TorcrepError,
 )
 from torcrep.exceptional import (
     EmbeddingCertificate,
@@ -40,11 +45,12 @@ from torcrep.exceptional import (
 from torcrep.fans import (
     Cone,
     Fan,
-    _intersection_generators,
     _saturation_coords,
+    barycentric,
     contains_point,
     is_smooth_cone,
     make_cone,
+    support_volume,
 )
 from torcrep.groups import GroupData
 from torcrep.hilbert import HilbertBasis, hilbert_basis
@@ -209,8 +215,48 @@ def barycentric_by_solve(cone: Cone, p: LatticePoint):
     return None if sol is None else (sol[0][0], sol[1])
 
 
+def intersection_generators(a: Cone, b: Cone):
+    """Generators of ``a ∩ b``: extreme rays of the exact double system."""
+    ra = [r.coords for r in a.rays]
+    rb = [r.coords for r in b.rays]
+    k = len(ra) + len(rb)
+    cols = [tuple(v) for v in ra] + [tuple(-x for x in v) for v in rb]
+    n = len(cols[0])
+    out = []
+    seen = set()
+    for size in range(1, n + 2):
+        for sub in combinations(range(k), size):
+            mat = IntMatrix.from_columns([cols[j] for j in sub])
+            h, u = hermite_normal_form(mat)
+            zero_cols = [
+                j for j in range(h.cols)
+                if all(h[i][j] == 0 for i in range(h.rows))
+            ]
+            if len(zero_cols) != 1:
+                continue
+            gen = u.column(zero_cols[0])
+            if all(v <= 0 for v in gen):
+                gen = tuple(-v for v in gen)
+            if any(v < 0 for v in gen):
+                continue
+            full = [0] * k
+            for idx, j in enumerate(sub):
+                full[j] = gen[idx]
+            x = tuple(
+                sum(full[j] * ra[j][i] for j in range(len(ra))) for i in range(n)
+            )
+            if any(x) and x not in seen:
+                seen.add(x)
+                out.append(x)
+    return out
+
+
 def validate_fan_all_pairs(fan: Fan) -> None:
-    """``validate_fan`` with every pair of maximal cones checked exactly."""
+    """Primitive rays, simplicial cones, and every pair meeting in a common face.
+
+    This is the general fan check, for any support: the extreme rays of
+    each pairwise intersection must lie in the cone on the common rays.
+    """
     lat = fan.lattice
     for p in fan.rays:
         if not lat.contains(p):
@@ -224,12 +270,33 @@ def validate_fan_all_pairs(fan: Fan) -> None:
     for a, b in combinations(fan.maximal_cones, 2):
         common = a.ray_set() & b.ray_set()
         tau = make_cone(common) if common else Cone(())
-        for x in _intersection_generators(a, b):
+        for x in intersection_generators(a, b):
             pt = LatticePoint(x, a.rays[0].denom)
             if not contains_point(tau, pt):
                 raise InvalidFan(
                     f"cones {a} and {b} do not intersect in a common face"
                 )
+
+
+def refines(fine: Fan, coarse: Fan) -> bool:
+    """Same lattice, every cone inside a coarse cone, equal support volume.
+
+    A cone of lower dimension or with a ray of non-positive age has no
+    support volume; it refines nothing.
+    """
+    if fine.lattice != coarse.lattice:
+        return False
+    for c in fine.maximal_cones:
+        if not any(
+            all(contains_point(big, r) for r in c.rays)
+            for big in coarse.maximal_cones
+        ):
+            return False
+    n = fine.lattice.dim
+    if any(c.dim != n or any(r.age <= 0 for r in c.rays)
+           for c in fine.maximal_cones):
+        return False
+    return support_volume(fine) == support_volume(coarse)
 
 
 def psi_lattice_points(cone: Cone, lattice: ScaledLattice):
@@ -276,6 +343,10 @@ def is_canonical(cone: Cone, lattice: ScaledLattice) -> bool:
         if any(lam) and sum(lam) != d:
             return False
     return True
+
+
+class NotInCone(TorcrepError):
+    """Point lies outside the cone."""
 
 
 def box_lattice_points(group: GroupData, v: LatticePoint) -> list[LatticePoint]:
@@ -503,3 +574,49 @@ def search_resolution_permutations(group: GroupData, mode: str,
         f"no {mode} resolution within {tried} permutations",
         exhausted=tried == factorial(len(targets)),
     )
+
+
+# ---------------------------------------------------------------------------
+# Identities the tests assert
+
+
+class NotInDualLattice(TorcrepError):
+    """Vector pairs non-integrally with a ray generator."""
+
+
+class PreconditionNotCrepant(TorcrepError):
+    """Operation requires a smooth crepant resolution result."""
+
+
+def age_affinity_check(cone: Cone, b: LatticePoint) -> bool:
+    """Ages are affine along exact expansions over a cone basis."""
+    bary = barycentric(cone, b)
+    if bary is None:
+        raise ValueError(f"{b} is not in the span of the cone")
+    nums, d = bary
+    # sum (nums_i / d) * age(ray_i) == age(b), cleared of all denominators
+    lhs = b.denom * sum(x * sum(r.coords) for x, r in zip(nums, cone.rays))
+    return lhs == d * cone.rays[0].denom * sum(b.coords)
+
+
+def euler_check(result: ResolutionResult, group: GroupData) -> bool:
+    """Euler number versus group order, valid on smooth crepant results."""
+    if not (result.crepant and result.smooth):
+        raise PreconditionNotCrepant(
+            "Euler comparison needs a smooth crepant resolution"
+        )
+    return result.euler == group.order
+
+
+def principal_divisor(fan: Fan, m) -> TDivisor:
+    """Divisor of the character for ``m``; requires integral pairings."""
+    m = tuple(int(x) for x in m)
+    out = {}
+    for ray in fan.rays:
+        v = pairing(m, ray)
+        if v.denominator != 1:
+            raise NotInDualLattice(
+                f"{m} pairs non-integrally with ray {ray}"
+            )
+        out[ray] = int(v)
+    return TDivisor.from_dict(out)

@@ -7,10 +7,9 @@ the corresponding criterion.
 from itertools import product
 
 from conftest import random_cyclic_group
-from oracles import gl2_equivalent
+from oracles import age_affinity_check, gl2_equivalent
 from torcrep.divisors import TDivisor, class_group
 from torcrep.exceptional import (
-    age_affinity_check,
     certify_normal_embedding,
     classify_surface,
     coverage_check,

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from torcrep.cli import GroupSpec, build_parser, group_from_spec, main, parse_group
+from torcrep.cli import MAX_DIM, GroupSpec, build_parser, group_from_spec, main, parse_group
 from torcrep.errors import DimensionMismatch, GroupSyntaxError, NotInSL
 from torcrep.fans import fan_to_json, sigma_fan, star_subdivision
 from torcrep.groups import close_group
@@ -171,6 +171,21 @@ def test_verify_non_smooth_fan_fails(tmp_path, capsys):
     assert main(["verify", str(path), "7:(1,1,2,3)"]) == 1
     out = capsys.readouterr().out
     assert "not smooth" in out
+
+
+def test_analyze_rejects_dimension_above_bound(capsys):
+    text = f"1:({','.join(['0'] * (MAX_DIM + 1))})"
+    start = time.perf_counter()
+    assert main(["analyze", text]) == 2
+    assert time.perf_counter() - start < 1
+    assert f"dimension {MAX_DIM + 1} exceeds the bound {MAX_DIM}" in capsys.readouterr().err
+
+
+def test_group_file_rejects_dimension_above_bound(tmp_path, capsys):
+    path = tmp_path / "group.txt"
+    path.write_text("# a long trivial generator\n1:(" + ",".join(["0"] * 4000) + ")\n")
+    assert main(["analyze", str(path), "--file"]) == 2
+    assert f"line 2: dimension 4000 exceeds the bound {MAX_DIM}" in capsys.readouterr().err
 
 
 def test_group_file_input(tmp_path, capsys):
@@ -395,6 +410,44 @@ def test_cli_survives_edited_fan_json(z6_result, data):
         fan.write_text(json.dumps(doc))
         for argv in (["verify", str(fan), "6:(1,2,3)", "--out", f"{tmp}/v.json"],
                      ["export-graph", str(fan), "6:(1,2,3)", "--svg", f"{tmp}/g.svg"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in {0, 1, 2, 3}
+
+
+_GROUP_TEXTS = ["6:(1,2,3)", "5:(1,2,2)", "7:(1,1,2,3)", "2:(1,1,0,0);2:(0,0,1,1)",
+                "4:(1,3,0);2:(1,1,0)", "# c\n3:(1,2)\n\n", "1:(0,0,0)"]
+_GROUP_CHARS = "0123456789:(),;# -\n\txa"
+
+
+@st.composite
+def _edited_group_text(draw):
+    """A small group text, or random characters, with up to three edits."""
+    if draw(st.booleans()):
+        return draw(st.text(_GROUP_CHARS, max_size=12))
+    text = draw(st.sampled_from(_GROUP_TEXTS))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        c = draw(st.sampled_from(_GROUP_CHARS))
+        if kind == "insert":
+            text = text[:i] + c + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + c + text[i + 1:]
+    return text
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_edited_group_text())
+def test_cli_survives_edited_group_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "group.txt"
+        path.write_text(text)
+        # after "--" a text starting with "-" reaches parse_group, not argparse
+        for argv in (["analyze", "--", text], ["analyze", str(path), "--file"]):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)

@@ -1,15 +1,14 @@
 import pytest
 
 from conftest import random_cyclic_group
+from oracles import NotInDualLattice, principal_divisor
 from torcrep.divisors import (
     TDivisor,
     canonical_divisor,
     class_group,
     dual_basis,
     pairing,
-    principal_divisor,
 )
-from torcrep.errors import NotInDualLattice
 from torcrep.fans import sigma_fan
 from torcrep.intlinalg import IntMatrix, solve
 from torcrep.lattice import LatticePoint, unit_point

@@ -2,12 +2,16 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, find, given, settings
 
-from oracles import certify_normal_embedding_per_anchor, gl2_equivalent
+from oracles import (
+    age_affinity_check,
+    certify_normal_embedding_per_anchor,
+    gl2_equivalent,
+    validate_fan_all_pairs,
+)
 from torcrep.divisors import TDivisor, canonical_divisor
 from torcrep.errors import CertificateFailure, NotComplete, NotSurface, RayAbsent
 from torcrep.exceptional import (
     StarFan,
-    age_affinity_check,
     certificate_to_json,
     certify_normal_embedding,
     classify_surface,
@@ -23,7 +27,6 @@ from torcrep.fans import (
     make_fan,
     sigma_fan,
     star_subdivision,
-    validate_fan,
 )
 from torcrep.groups import close_group
 from torcrep.hilbert import hilbert_basis
@@ -130,7 +133,7 @@ def test_total_space_canonical_over_p2():
     k = TDivisor.from_dict({r: -1 for r in p2.rays})
     star = plain_star(p2, LatticePoint((0, 0, 1), 1))
     tot = total_space_fan(star, k)
-    validate_fan(tot.fan)
+    validate_fan_all_pairs(tot.fan)
     for c in tot.fan.maximal_cones:
         coords = sorted(r.coords for r in c.rays)
         assert (0, 0, 1) in coords

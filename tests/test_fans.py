@@ -12,11 +12,10 @@ from oracles import (
     gl2_normal_form,
     is_canonical,
     is_terminal_box_walk,
+    refines,
     validate_fan_all_pairs,
 )
-from torcrep import fans as fans_module
 from torcrep.errors import InvalidFan, NotInSupport, NotPrimitive
-from torcrep.exceptional import age_weighted_divisor, star_fan, total_space_fan
 from torcrep.fans import (
     Cone,
     barycentric,
@@ -29,7 +28,6 @@ from torcrep.fans import (
     is_terminal,
     make_cone,
     make_fan,
-    refines,
     sigma_fan,
     star_subdivision,
     support_volume,
@@ -38,7 +36,6 @@ from torcrep.fans import (
 from torcrep.groups import close_group
 from torcrep.intlinalg import IntMatrix, hermite_normal_form
 from torcrep.lattice import LatticePoint, ScaledLattice, unit_point
-from torcrep.resolve import resolve
 
 
 def std_lattice(n):
@@ -63,7 +60,7 @@ def test_contains_point(z6):
         assert contains_point(sigma, r)
     g1 = LatticePoint((1, 2, 3), 6)
     assert contains_point(sigma, g1)
-    assert contains_point(sigma, g1, strict=True)
+    assert all(x > 0 for x in barycentric(sigma, g1)[0])  # in the interior
     edge = make_cone([unit_point(0, 3, 6), unit_point(1, 3, 6)])
     assert not contains_point(edge, LatticePoint((3, 0, 3), 6))
 
@@ -226,14 +223,13 @@ def test_validate_fan_rejects_imprimitive_ray():
 
 @st.composite
 def perturbed_fans(draw):
-    """Valid fans in n = 2, 3, 4, some perturbed into invalid ones.
+    """Fans of the orthant in n = 2, 3, 4, some perturbed into invalid ones.
 
-    The valid fans are star-subdivision prefixes of a cyclic group's orthant
-    and, in n = 3, line-bundle total spaces over a star fan of a crepant
-    resolution.  A perturbation drops a cone, adds a cone on existing rays,
-    swaps one ray of a cone, or subdivides only one of the cones through
-    the last subdivision point (a point on a shared face then leaves a
-    neighbour meeting the new cones beyond a common face).
+    The valid fans are star-subdivision prefixes of a cyclic group's
+    orthant.  A perturbation drops a cone, adds a cone on existing rays,
+    swaps one ray of a cone, or subdivides only one of the cones through a
+    point on a shared face.  That leaves a neighbour meeting the new cones
+    beyond a common face, in a refinement of the orthant with its volume.
     """
     n = draw(st.sampled_from([2, 3, 4]))
     r = draw(st.integers(2, 5 if n == 4 else 8))
@@ -242,26 +238,22 @@ def perturbed_fans(draw):
     group = close_group([LatticePoint(tuple(coords), r)], n)
     points = [p for p in group.elements
               if not p.is_zero() and group.lattice.is_primitive(p)]
-    fan = before = sigma_fan(group.lattice)
-    mu = None
-    if n == 3 and group.juniors and draw(st.booleans()):
-        smooth = resolve(group, list(group.juniors)).fan
-        star = star_fan(smooth, draw(st.sampled_from(group.juniors)))
-        fan = total_space_fan(star, age_weighted_divisor(star)).fan
-        points = []  # the total space has its own lattice
-    else:
-        order = draw(st.permutations(points))
-        steps = min(len(order), 4 if n < 4 else 2)  # the oracle is slow in n = 4
-        for mu in order[:draw(st.integers(min(steps, 1), steps))]:
-            before, fan = fan, star_subdivision(fan, mu)
+    fan = sigma_fan(group.lattice)
+    order = draw(st.permutations(points))
+    steps = min(len(order), 4 if n < 4 else 2)  # the oracle is slow in n = 4
+    for mu in order[:draw(st.integers(min(steps, 1), steps))]:
+        fan = star_subdivision(fan, mu)
     cones = list(fan.maximal_cones)
-    kind = draw(st.sampled_from(["add", "swap", "partial", "drop", "none"]))
+    kind = draw(st.sampled_from(["add", "swap", "partial", "partial", "drop", "none"]))
     try:
-        if kind == "partial" and mu is not None:
-            through = [c for c in before.maximal_cones if contains_point(c, mu)]
-            one = draw(st.sampled_from(through))
-            cones = [c for c in before.maximal_cones if c != one]
-            cones += star_subdivision(make_fan(before.lattice, [one]), mu).maximal_cones
+        through = {p: [c for c in cones if contains_point(c, p)]
+                   for p in points if p not in fan.ray_set}
+        shared = [p for p, cs in through.items() if len(cs) > 1]
+        if kind == "partial" and shared:
+            mu = draw(st.sampled_from(shared))
+            one = draw(st.sampled_from(through[mu]))
+            cones.remove(one)
+            cones += star_subdivision(make_fan(fan.lattice, [one]), mu).maximal_cones
         elif kind == "add":
             k = draw(st.sampled_from([n, n, n - 1]))
             cones.append(make_cone(draw(st.lists(
@@ -288,60 +280,71 @@ def _rejection(check, fan):
     return None
 
 
-@settings(max_examples=60, deadline=None)
+def _fan_and_refinement(fan):
+    """The oracle: the pairwise fan check and refinement of the orthant."""
+    return _rejection(validate_fan_all_pairs, fan) is None and refines(
+        fan, sigma_fan(fan.lattice))
+
+
+@settings(max_examples=100, deadline=None)
 @given(perturbed_fans())
 def test_validate_fan_matches_all_pairs_oracle(fan):
-    assert _rejection(validate_fan, fan) == _rejection(validate_fan_all_pairs, fan)
+    assert (_rejection(validate_fan, fan) is None) == _fan_and_refinement(fan)
 
 
 def test_perturbed_fans_include_valid_and_invalid():
     # validate_fan stands in for the slower oracle it is tested against above
-    quick = settings(deadline=None, database=None, phases=[Phase.generate])
+    quick = settings(deadline=None, database=None, phases=[Phase.generate],
+                     derandomize=True)
     for valid in (True, False):
         find(perturbed_fans(),
              lambda f: (_rejection(validate_fan, f) is None) == valid,
              settings=quick)
+    # the case facet pairing exists for: a refinement of the orthant with
+    # its volume whose cones still meet beyond a common face
+    t_junction = find(perturbed_fans(),
+                      lambda f: refines(f, sigma_fan(f.lattice))
+                      and _rejection(validate_fan_all_pairs, f) is not None,
+                      settings=quick)
+    assert "not 2" in _rejection(validate_fan, t_junction)
 
 
-def test_unseparated_and_invalid_pairs_reach_exact_fallback(z6_result, monkeypatch):
-    calls = []
-    exact = fans_module._intersection_generators
+def test_validate_fan_rejects_orthant_t_junction():
+    # subdividing only one of the two cones through the facet cone(g, e1)
+    # at its point g + e1 leaves that facet in one cone: a T-junction
+    e1, e2, e3, g, m = (LatticePoint(c, 1) for c in [
+        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, 1, 1)])
+    fan = make_fan(std_lattice(3), [make_cone(t) for t in [
+        (g, e2, e3), (g, e1, e3), (m, e1, e2), (g, m, e2)]])
+    assert refines(fan, sigma_fan(fan.lattice))
+    with pytest.raises(InvalidFan, match="do not intersect in a common face"):
+        validate_fan_all_pairs(fan)
+    with pytest.raises(InvalidFan) as exc:
+        validate_fan(fan)
+    assert str(exc.value) == (
+        "facet Cone((1,0,0), (1,1,1)) lies in 1 cone(s), not 2: "
+        "Cone((0,0,1), (1,0,0), (1,1,1))")
 
-    def counting(a, b):
-        calls.append(frozenset({a.ray_set(), b.ray_set()}))
-        return exact(a, b)
 
-    monkeypatch.setattr(fans_module, "_intersection_generators", counting)
-    validate_fan(z6_result.fan)
-    assert calls == []  # every pair of the order-6 resolution is separated
-    # a bow tie: the diagonals p1-p3 and p2-p4 of a square cross at v, so
-    # each facet plane of a triangle holds a non-shared vertex of the one
-    # opposite, and no facet normal separates opposite triangles
-    v, p1, p2, p3, p4 = (LatticePoint(c, 1) for c in [
-        (1, 1, 1), (1, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1)])
-    bow_tie = make_fan(std_lattice(3), [
-        make_cone(t) for t in [(v, p2, p1), (v, p1, p4), (v, p4, p3), (v, p3, p2)]
-    ])
-    validate_fan(bow_tie)
-    assert len(calls) == 2 and set(calls) == {
-        frozenset({frozenset({v, p2, p1}), frozenset({v, p4, p3})}),
-        frozenset({frozenset({v, p1, p4}), frozenset({v, p3, p2})}),
-    }
-    # a T-junction: the ray e1+e2 of the lower cone lies on the facet
-    # cone(e1, e2) of the upper one, so they meet beyond cone(e1)
-    e1, e2, e3, m, down = (LatticePoint(c, 1) for c in [
-        (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 0, -1)])
-    t_junction = make_fan(std_lattice(3), [
-        make_cone([e1, e2, e3]), make_cone([e1, m, down])])
-    overlap = make_fan(std_lattice(2), [
-        make_cone([LatticePoint((1, 0), 1), LatticePoint((0, 1), 1)]),
-        make_cone([LatticePoint((2, 1), 1), LatticePoint((1, 2), 1)]),
-    ])
-    for invalid in (t_junction, overlap):
-        calls.clear()
-        with pytest.raises(InvalidFan, match="do not intersect in a common face"):
-            validate_fan(invalid)
-        assert len(calls) == 1
+@pytest.mark.parametrize("cones, message", [
+    ([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]], "ray (-1,0) lies outside the orthant"),
+    ([[(1, 0), (0, 1)], [(2, 1), (1, 2)]],
+     "the cones have support volume 4/3, not the orthant's 1"),
+    ([[(1, 0), (1, 2)], [(1, 2), (2, 1)]],
+     "cones Cone((1,0), (1,2)) and Cone((1,2), (2,1)) lie on the same side "
+     "of their facet Cone((1,2))"),
+    # volume 1/2 + 1/6 + 1/3, but two cones on the boundary facet cone(e2, e1+e2)
+    ([[(0, 0, 1), (0, 1, 0), (1, 1, 0)], [(0, 1, 0), (1, 1, 0), (1, 1, 1)],
+      [(1, 0, 0), (0, 0, 1), (1, 1, 1)]],
+     "facet Cone((0,1,0), (1,1,0)) lies in 2 cone(s), not 1: "
+     "Cone((0,0,1), (0,1,0), (1,1,0)), Cone((0,1,0), (1,1,0), (1,1,1))"),
+], ids=["outside", "volume", "same-side", "boundary-facet-twice"])
+def test_validate_fan_names_what_breaks(cones, message):
+    fan = make_fan(std_lattice(len(cones[0][0])), [
+        make_cone([LatticePoint(c, 1) for c in rays]) for rays in cones])
+    with pytest.raises(InvalidFan) as exc:
+        validate_fan(fan)
+    assert str(exc.value) == message
 
 
 def test_is_terminal_matches_box_walk(rng):

@@ -5,13 +5,13 @@ from hypothesis import Phase, find, given, settings
 
 from conftest import small_groups
 from oracles import (
+    NotInCone,
     box_lattice_points,
     hilbert_basis_box_walk,
     hilbert_candidate_rays_check,
     is_irreducible,
     junior_simplex,
 )
-from torcrep.errors import NotInCone
 from torcrep.fans import sigma_fan, star_subdivision
 from torcrep.groups import close_group
 from torcrep.hilbert import hilbert_basis

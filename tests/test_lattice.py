@@ -4,7 +4,7 @@ from hypothesis import given
 
 from conftest import random_cyclic_group
 from torcrep.errors import DenomMismatch, InvalidGenerator, NotInLattice, NotPrimitive
-from torcrep.intlinalg import IntMatrix
+from torcrep.intlinalg import IntMatrix, hermite_normal_form
 from torcrep.lattice import (
     LatticePoint,
     build_lattice,
@@ -126,11 +126,20 @@ def test_quotient_drop_coordinate():
 
 def test_quotient_kernel_and_section(z6):
     g1 = LatticePoint((1, 2, 3), 6)
-    quo = quotient_by_ray(z6.lattice, g1)
+    lat = z6.lattice
+    quo = quotient_by_ray(lat, g1)
     assert quo.project(g1).is_zero()
+    # the section from the same Hermite transform: w^T u = e_1^T, and the
+    # rows of u^-1 after the first split the projection the columns give
+    _, u = hermite_normal_form(IntMatrix([lat.basis_coords(g1)]))
+    sect = IntMatrix.from_columns(u.inverse_unimodular().data[1:])
+    hc, v = hermite_normal_form(IntMatrix(u.columns()[1:]).transpose())
+    assert quo.projection == hc.transpose()
+    sect = sect * v.inverse_unimodular().transpose()
+    assert quo.projection * sect == IntMatrix.identity(2)
     for coords in [(0, 6, 0), (0, 0, 6), (2, 4, 0)]:
         q = quo.project(LatticePoint(coords, 6))
-        lifted = quo.lift(q)
+        lifted = lat.from_basis_coords(sect.mul_vec(q.coords))
         assert quo.project(lifted) == q
 
 

@@ -40,6 +40,23 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_public_names_are_used_by_the_package_or_scripts():
+    # a name only tests use belongs in tests/oracles.py, not in the API
+    import torcrep
+
+    used = set()
+    files = [p for p in (SRC / "torcrep").glob("*.py") if p.name != "__init__.py"]
+    for path in files + sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    assert [name for name in torcrep.__all__ if name not in used] == []
+
+
 def test_worked_example_artifacts_are_byte_identical(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -6,17 +6,21 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 
-from oracles import search_resolution_permutations
+from oracles import (
+    PreconditionNotCrepant,
+    euler_check,
+    refines,
+    search_resolution_permutations,
+)
 from torcrep.cli import group_from_spec, main, parse_group
-from torcrep.errors import PreconditionNotCrepant, ResolutionNotFound
-from torcrep.fans import fans_equal, is_terminal, refines, sigma_fan, support_volume
+from torcrep.errors import ResolutionNotFound
+from torcrep.fans import fans_equal, is_terminal, sigma_fan, support_volume
 from torcrep.groups import close_group
 from torcrep.hilbert import hilbert_basis
 from torcrep.lattice import LatticePoint, unit_point
 from torcrep.resolve import (
     _policy_order,
     discrepancies,
-    euler_check,
     resolve,
     result_to_json,
     search_resolution,
