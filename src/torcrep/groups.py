@@ -40,7 +40,7 @@ class GroupData:
 
     @cached_property
     def juniors(self) -> tuple[LatticePoint, ...]:
-        return tuple(g for g in self.elements if g.age == 1)
+        return tuple(g for g in self.elements if sum(g.coords) == self.r)  # age 1
 
     def units(self) -> tuple[LatticePoint, ...]:
         return tuple(unit_point(i, self.n, self.r) for i in range(self.n))
@@ -142,7 +142,7 @@ def crepant_obstructions(group: GroupData, hlb) -> ObstructionReport:
             gens.append(h)
             lattice = build_lattice(gens, group.n, group.r)
     generated = lattice.index_over_std == group.order
-    seniors_in_basis = any(p.age > 1 for p in hlb.elements)
+    seniors_in_basis = any(sum(p.coords) > group.r for p in hlb.elements)
     return ObstructionReport(
         not_generated_by_juniors=not generated,
         hilbert_basis_contains_seniors=seniors_in_basis,
@@ -155,5 +155,5 @@ def element_names(group: GroupData) -> dict[LatticePoint, str]:
     Juniors always occupy the initial prefix since they sort first by age.
     """
     nonzero = [g for g in group.elements if not g.is_zero()]
-    nonzero.sort(key=lambda g: (g.age, g.coords))
+    nonzero.sort(key=lambda g: (sum(g.coords), g.coords))
     return {g: f"g{i + 1}" for i, g in enumerate(nonzero)}

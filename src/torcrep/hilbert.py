@@ -1,9 +1,20 @@
 """Minimal generators of the monoid of lattice points in the orthant cone.
 
-The Hilbert basis is computed from its definition as the set of
-irreducible elements of the monoid: they are exactly the minimal elements,
-in the componentwise order, of the nonzero group elements together with
-the unit vectors (see :func:`hilbert_basis`).
+The basis is the minimal candidates (:func:`hilbert_basis`); each
+candidate meets all minimal ones kept so far in one big-integer
+subtraction (Lamport, *Multiple byte processing with full-word
+instructions*, CACM 1975).  Points with coordinates in ``[0, r]`` are
+packed into ``n`` fields of ``w = r.bit_length() + 1`` bits, whose top
+bits ``2^(w-1) > r`` are guards; the kept ``h^0, h^1, ...`` fill slots of
+``n*w`` bits.  The candidate ``v`` with its guards set is below
+``2^(n*w)``, so times ``ones`` (1 at each slot start) it repeats
+``v_i + 2^(w-1)`` in field ``i`` of every slot without carries.  Less the
+kept elements, field ``i`` of slot ``k`` holds ``v_i + 2^(w-1) - h^k_i``,
+in ``(0, 2^w)`` as ``0 <= h^k_i, v_i <= r < 2^(w-1)``: no field borrows,
+and its guard is set exactly when ``v_i >= h^k_i``.  ANDing the guards of
+fields ``1 .. n-1`` onto field 0 (``n - 1`` shifts inside the slot) sets
+the guard of field 0 of slot ``k`` exactly when ``h^k <= v``; ``v`` is
+minimal when every slot has a failing field.
 """
 
 from __future__ import annotations
@@ -27,27 +38,33 @@ class HilbertBasis:
 def hilbert_basis(group: GroupData) -> HilbertBasis:
     """Minimal nonzero group elements and unit vectors ``r*e_i``, sorted lex.
 
-    Every irreducible point ``v`` of the monoid is a candidate: if some
-    coordinate of ``v`` is at least ``r`` then ``v - r*e_i`` lies in the
-    monoid, so ``v = r*e_i``; otherwise all coordinates lie in ``[0, r)``
-    and ``v`` is its own fractional part, a group element.
-
-    A candidate ``v`` is reducible exactly when a lattice point ``u`` with
-    ``0 <= u <= v`` and ``u != 0, v`` exists.  Every coordinate of such a
-    ``u`` is below ``r`` (the only coordinate of a candidate that reaches
-    ``r`` is that of ``v = r*e_i``, and ``u`` equal to ``r`` there would be
-    ``v``), so ``u`` is its own fractional part: a nonzero group element
-    ``g != v`` with ``g <= v``.  The basis is therefore the set of minimal
-    candidates.  A candidate above another lies above a minimal one, which
-    comes first in lex order, so scanning in lex order and comparing with
-    the minimal candidates kept so far decides each candidate exactly.
+    An irreducible ``v`` with a coordinate ``>= r`` is ``r*e_i``, since
+    ``v - r*e_i`` lies in the monoid; otherwise ``v`` is its own fractional
+    part, a group element.  A candidate ``v`` is reducible exactly when a
+    lattice point ``u != 0, v`` with ``0 <= u <= v`` exists; every
+    coordinate of ``u`` is below ``r`` (only ``r*e_i`` reaches ``r``, and
+    ``u`` would be it), so ``u`` is a group element: the basis is the minimal
+    candidates.  A candidate above another lies above a minimal one, earlier
+    in lex order, so one lex scan against the kept minimal ones suffices.
     """
+    n, w = group.n, group.r.bit_length() + 1
+    first = 1 << (w - 1)
+    guard = sum(first << (i * w) for i in range(n))
     candidates = [g for g in group.elements if not g.is_zero()]
     candidates.extend(group.units())
     minimal = []
+    kept = ones = guards = firsts = 0
     for v in sorted(candidates, key=lambda p: p.coords):
-        if not any(
-            all(a <= b for a, b in zip(h.coords, v.coords)) for h in minimal
-        ):
-            minimal.append(v)
+        packed = sum(c << (i * w) for i, c in enumerate(v.coords))
+        passed = ((packed | guard) * ones - kept) & guards
+        below = passed
+        for i in range(1, n):
+            below &= passed >> (i * w)
+        if below & firsts:
+            continue
+        shift = len(minimal) * n * w
+        kept |= packed << shift
+        ones |= 1 << shift
+        guards, firsts = guard * ones, first * ones
+        minimal.append(v)
     return HilbertBasis(tuple(minimal))

@@ -99,10 +99,10 @@ def resolve(group: GroupData, sequence) -> ResolutionResult:
 
 
 def _policy_order(points) -> list[LatticePoint]:
-    # interior points first, then by age, then lexicographically
+    # interior points first, then by age (coordinate sum), then lexicographically
     return sorted(
         points,
-        key=lambda p: (0 if all(c > 0 for c in p.coords) else 1, p.age, p.coords),
+        key=lambda p: (0 if all(c > 0 for c in p.coords) else 1, sum(p.coords), p.coords),
     )
 
 

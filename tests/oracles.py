@@ -10,8 +10,10 @@ the orthant; ``is_terminal`` before the age rule (the bounding-box walk
 over ``Conv(0, rays)``); ``certify_normal_embedding`` before it checked
 one map per junior (a map per anchor cone); and ``barycentric`` before
 full-dimensional cones answered from their cached facet normals (one
-``solve`` per call).  The Hilbert basis oracle decides irreducibility by
-enumerating the lattice points of the box below a candidate.  The search
+``solve`` per call).  The Hilbert basis oracles are the lex scan before
+its packed comparison (a Python test of each candidate against each kept
+minimal element) and a walk that decides irreducibility by enumerating the
+lattice points of the box below a candidate.  The search
 oracle is ``search_resolution`` before the depth-first search: it folds
 every permutation of the targets from the orthant.  The differential
 tests compare the package against them.  The checks at the end
@@ -405,6 +407,19 @@ def hilbert_basis_box_walk(group: GroupData) -> tuple[LatticePoint, ...]:
         v for v in sorted(candidates, key=lambda p: p.coords)
         if is_irreducible(group, v)[0]
     )
+
+
+def hilbert_basis_pairwise(group: GroupData) -> tuple[LatticePoint, ...]:
+    """``hilbert_basis`` by comparing each candidate with each kept element."""
+    candidates = [g for g in group.elements if not g.is_zero()]
+    candidates.extend(group.units())
+    minimal = []
+    for v in sorted(candidates, key=lambda p: p.coords):
+        if not any(
+            all(a <= b for a, b in zip(h.coords, v.coords)) for h in minimal
+        ):
+            minimal.append(v)
+    return tuple(minimal)
 
 
 def hilbert_candidate_rays_check(fan: Fan, hlb: HilbertBasis) -> bool:

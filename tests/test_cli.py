@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -78,6 +79,24 @@ def test_analyze_obstructed(capsys):
     assert main(["analyze", "7:(1,1,2,3)"]) == 0
     out = capsys.readouterr().out
     assert "Hilbert basis contains senior elements" in out
+
+
+def test_analyze_stdout_matches_benchmark_digests(capsys):
+    digests = json.loads(
+        (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json")
+        .read_text()
+    )
+    keys = [k for k in digests if k.startswith("analyze ")]
+    assert keys
+    for key in keys:
+        assert main(["analyze", key.removeprefix("analyze ")]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[key]["stdout"], key
+
+
+def test_analyze_large_order(capsys):
+    assert main(["analyze", "4096:(1,1,4094)"]) == 0
+    assert "Hilbert basis (2051)" in capsys.readouterr().out
 
 
 def test_bad_group_is_input_error(capsys):

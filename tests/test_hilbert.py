@@ -1,17 +1,20 @@
 from itertools import product
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 
 from conftest import small_groups
 from oracles import (
     NotInCone,
     box_lattice_points,
     hilbert_basis_box_walk,
+    hilbert_basis_pairwise,
     hilbert_candidate_rays_check,
     is_irreducible,
     junior_simplex,
 )
+from torcrep.cli import MAX_DIM
 from torcrep.fans import sigma_fan, star_subdivision
 from torcrep.groups import close_group
 from torcrep.hilbert import hilbert_basis
@@ -155,3 +158,38 @@ def test_small_groups_include_non_cyclic():
     # the exponent r of a cyclic group equals its order
     quick = settings(deadline=None, database=None, phases=[Phase.generate])
     find(small_groups(), lambda g: g.order > g.r, settings=quick)
+
+
+def _cyclic(coords, r):
+    return close_group([LatticePoint(coords, r)], len(coords))
+
+
+@st.composite
+def larger_groups(draw):
+    """Groups in n = 2..8 of order up to 1500 (600 in n = 2).
+
+    In n = 2 every nonzero element is minimal, so the pairwise oracle is
+    quadratic in the order there.
+    """
+    n = draw(st.integers(2, 8))
+    gens, room = [], 600 if n == 2 else 1500
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, room))
+        room //= m
+        coords = draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
+        gens.append(LatticePoint((*coords, -sum(coords) % m), m))
+    return close_group(gens, n)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(larger_groups())
+@example(close_group([], n=3))  # trivial: r = 1, every candidate a unit
+# r = 2^k and 2^k - 1: a unit's coordinate r reaches the top bit below the
+# guard, or fills every bit below it
+@example(_cyclic((1, 1, 2, 4), 8))
+@example(_cyclic((1, 2, 4), 7))
+@example(_cyclic((1, 1, 1022), 1024))
+@example(_cyclic((1, 2, 3, 1017), 1023))
+@example(close_group([], n=MAX_DIM))  # the most fields in one slot
+def test_hilbert_basis_matches_pairwise_oracle(group):
+    assert hilbert_basis(group).elements == hilbert_basis_pairwise(group)
