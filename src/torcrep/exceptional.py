@@ -89,8 +89,7 @@ def xi_g(fan: Fan, g_hat: LatticePoint) -> Fan:
     """
     if g_hat not in fan.ray_set:
         raise RayAbsent(f"{g_hat} is not a ray of the fan")
-    cones = [c for c in fan.maximal_cones if g_hat in c.ray_set()]
-    return make_fan(fan.lattice, cones)
+    return make_fan(fan.lattice, fan.cones_through[g_hat])
 
 
 def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
@@ -100,9 +99,7 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
     quo = quotient_by_ray(fan.lattice, g_hat)
     lifts: dict[LatticePoint, LatticePoint] = {}
     cones = []
-    for c in fan.maximal_cones:
-        if g_hat not in c.ray_set():
-            continue
+    for c in fan.cones_through[g_hat]:
         imgs = []
         for u in c.rays:
             if u == g_hat:
@@ -194,7 +191,7 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
     div = age_weighted_divisor(star)
     total = total_space_fan(star, div)
     anchors = xi_g(fan, g_hat).maximal_cones
-    anchor_set = set(anchors)
+    fresh = {c.ray_set: c for c in anchors}
     anchor = anchors[0]
     iso = _iso_matrix(fan, star, anchor)
     if not iso.is_unimodular():
@@ -210,16 +207,16 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
         raise CertificateFailure(f"anchor {anchor}: apex does not map to the ray")
     bijection = []
     for tc in total.fan.maximal_cones:
-        img = make_cone(lat.from_basis_coords(iso.mul_vec(ray.coords))
-                        for ray in tc.rays)
-        if img not in anchor_set:
+        pts = [lat.from_basis_coords(iso.mul_vec(ray.coords)) for ray in tc.rays]
+        img = fresh.pop(frozenset(pts), None)
+        if img is None:
+            img = make_cone(pts)
             raise CertificateFailure(
                 f"cone {tc} maps to {img}, not a fresh maximal cone",
                 pair=(tc, img),
             )
-        anchor_set.remove(img)
         bijection.append((tc, img))
-    if anchor_set:
+    if fresh:
         raise CertificateFailure("cone map is not onto the open subfan")
     return EmbeddingCertificate(
         junior=g_hat,
@@ -233,10 +230,10 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
 
 def coverage_check(fan: Fan, group: GroupData) -> bool | None:
     """Every maximal cone must contain a junior ray; None when no juniors."""
-    juniors = set(group.juniors)
-    if not juniors:
+    if not group.juniors:
         return None
-    return all(c.ray_set() & juniors for c in fan.maximal_cones)
+    covered = {c for g in group.juniors for c in fan.cones_through.get(g, ())}
+    return len(covered) == len(fan.maximal_cones)
 
 
 def _angle_class(v) -> int:

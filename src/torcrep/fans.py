@@ -7,6 +7,16 @@ normals, which answer membership, the cone's index and its volume.  The
 fans torcrep reads refine the orthant, and ``validate_fan`` checks one rule
 for them: the support volume is the orthant's and the facets pair up.
 
+A star subdivision gives each new cone its normals by a fraction-free
+pivot (Bareiss 1968).  Let ``A`` be the parent's rays, ``d = |det A|``,
+``H = d * A^-1`` with rows ``h_j``, and ``b = H * mu``; the child ``A'``
+puts ``mu`` for ray ``i``, with ``b_i > 0``.  As ``mu = A b / d``,
+``d' = |det A'| = b_i > 0``, which proves the child's rays independent.
+Its rows are ``h_i`` for ``mu`` and ``(b_i * h_j - b_j * h_i) / d`` for a
+kept ray ``j``: each meets its own ray in ``b_i`` and the others in 0, so
+they are ``d' * A'^-1``, the adjugate of ``A'`` up to sign, whose entries
+are cofactors; so each division by ``d`` is exact.
+
 The JSON interchange schema for fans is::
 
     {"lattice": {"n": ..., "r": ..., "basis": [[row], ...]},
@@ -46,6 +56,7 @@ class Cone:
     def dim(self) -> int:
         return len(self.rays)
 
+    @cached_property
     def ray_set(self) -> frozenset[LatticePoint]:
         return frozenset(self.rays)
 
@@ -54,7 +65,7 @@ class Cone:
         """``(rows, d)``: rows of ``d * A^-1``, ``d = |det A|``, ``A`` the rays.
 
         ``A`` must be square; row ``i`` is the inner normal of the facet
-        opposite ray ``i``.  Cones that a star subdivision keeps bring them.
+        opposite ray ``i``.  Star subdivisions keep or pivot them (below).
         """
         mat = IntMatrix.from_columns([r.coords for r in self.rays])
         cols, d = solve(mat, IntMatrix.identity(self.dim).columns())
@@ -153,8 +164,11 @@ def is_terminal(cone: Cone, lattice: ScaledLattice) -> bool:
     ``[0, 1)`` (a coordinate 1 forces a vertex) summing to at most 1, so it
     is a nonzero element of age <= 1; conversely such an element is the
     point ``sum(lambda_i * ray_i)`` of ``Conv(0, rays)``, which is not a
-    vertex.  A smooth cone has ``d = 1`` and the group ``{0}``.
+    vertex.  A smooth cone has ``d = 1`` and the group ``{0}``, so a
+    full-dimensional one, read off its cached normals, is terminal at once.
     """
+    if cone.dim == lattice.dim and is_smooth_cone(cone, lattice):
+        return True
     x = _saturation_coords(cone, lattice)
     cols, d = solve(x, IntMatrix.identity(cone.dim).columns())
     return all(sum(g) > d for g in closure(cols, d))
@@ -169,14 +183,20 @@ class Fan:
 
     @cached_property
     def rays(self) -> tuple[LatticePoint, ...]:
-        seen = set()
-        for c in self.maximal_cones:
-            seen.update(c.rays)
-        return tuple(sorted(seen, key=lambda p: p.coords))
+        return tuple(sorted(self.cones_through, key=lambda p: p.coords))
 
     @cached_property
     def ray_set(self) -> frozenset[LatticePoint]:
         return frozenset(self.rays)
+
+    @cached_property
+    def cones_through(self) -> dict[LatticePoint, tuple[Cone, ...]]:
+        """Each ray's maximal cones, in fan order."""
+        index: dict[LatticePoint, list[Cone]] = {}
+        for c in self.maximal_cones:
+            for r in c.rays:
+                index.setdefault(r, []).append(c)
+        return {r: tuple(cs) for r, cs in index.items()}
 
     def two_cones(self) -> tuple[Cone, ...]:
         seen = set()
@@ -273,11 +293,25 @@ def validate_fan(fan: Fan) -> None:
                 )
 
 
+def _pivot(cone: Cone, i: int, mu: LatticePoint, b) -> Cone:
+    """The cone with ``mu`` for ray ``i``, ``b = H * mu``, its normals seeded."""
+    rows, d = cone.facet_normals
+    hi, bi = rows[i], b[i]
+    rows = [hi if j == i else tuple((bi * x - bj * y) // d for x, y in zip(h, hi))
+            for j, (h, bj) in enumerate(zip(rows, b))]
+    rays = cone.rays[:i] + (mu,) + cone.rays[i + 1:]
+    order = sorted(range(len(rays)), key=lambda k: rays[k].coords)
+    child = Cone(tuple(rays[k] for k in order))
+    child.__dict__["facet_normals"] = tuple(rows[k] for k in order), bi
+    return child
+
+
 def star_subdivision(fan: Fan, mu: LatticePoint) -> Fan:
     """Star subdivision at a primitive point of the support.
 
     Cones avoiding ``mu`` survive; a cone containing it is replaced by the
-    joins of ``mu`` with its facets not containing ``mu``.
+    joins of ``mu`` with its facets not containing ``mu``.  A
+    full-dimensional one comes from its parent by a pivot, with no solve.
     """
     lat = fan.lattice
     if not lat.contains(mu):
@@ -292,11 +326,11 @@ def star_subdivision(fan: Fan, mu: LatticePoint) -> Fan:
             new_cones.append(cone)
             continue
         hit = True
-        for i, v in enumerate(bary[0]):
-            if v > 0:
-                rays = [r for j, r in enumerate(cone.rays) if j != i]
-                rays.append(mu)
-                new_cones.append(make_cone(rays))
+        # the numerators are H * mu when the rays share mu's denominator
+        pivot = cone.dim == lat.dim and cone.rays[0].denom == mu.denom
+        new_cones += [_pivot(cone, i, mu, bary[0]) if pivot else
+                      make_cone(cone.rays[:i] + (mu,) + cone.rays[i + 1:])
+                      for i, v in enumerate(bary[0]) if v > 0]
     if not hit:
         raise NotInSupport(f"{mu} is outside the support of the fan")
     result = make_fan(lat, new_cones)
@@ -369,7 +403,17 @@ def fan_from_json(data: dict) -> Fan:
                 raise ValueError("a maximal cone has no rays")
             if any(not 0 <= _json_int(i) < len(rays) for i in idxs):
                 raise ValueError(f"ray index out of range in {idxs}")
+            if len(set(idxs)) != len(idxs):
+                raise ValueError(f"cone {idxs} lists a ray index twice")
             cones.append(make_cone([rays[i] for i in idxs]))
+        for kind, items in (("ray", rays), ("cone", cones)):
+            if len(set(items)) < len(items):
+                seen = set()  # set.add returns None: true only for a repeat
+                twice = next(x for x in items if x in seen or seen.add(x))
+                raise ValueError(f"{kind} {twice} is listed twice")
+        unused = set(rays).difference(*(c.rays for c in cones))
+        if unused:
+            raise ValueError(f"ray {min(unused, key=lambda p: p.coords)} lies in no cone")
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InvalidFan(f"malformed fan data: {exc}") from exc
     return make_fan(lat, cones)

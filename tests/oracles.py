@@ -8,12 +8,14 @@ intersection of two cones, computed exactly) with ``refines`` (containment
 plus support volume), which ``validate_fan`` replaced by facet pairing over
 the orthant; ``is_terminal`` before the age rule (the bounding-box walk
 over ``Conv(0, rays)``); ``certify_normal_embedding`` before it checked
-one map per junior (a map per anchor cone); and ``barycentric`` before
+one map per junior (a map per anchor cone); ``barycentric`` before
 full-dimensional cones answered from their cached facet normals (one
-``solve`` per call).  The Hilbert basis oracles are the lex scan before
-its packed comparison (a Python test of each candidate against each kept
-minimal element) and a walk that decides irreducibility by enumerating the
-lattice points of the box below a candidate.  The search
+``solve`` per call); and ``star_subdivision`` before each new cone took
+its facet normals from its parent by a pivot (``make_cone`` per child,
+its normals solved when first read).  The Hilbert basis oracles are the
+lex scan before its packed comparison (a Python test of each candidate
+against each kept minimal element) and a walk that decides irreducibility
+by enumerating the lattice points of the box below a candidate.  The search
 oracle is ``search_resolution`` before the depth-first search: it folds
 every permutation of the targets from the orthant.  The differential
 tests compare the package against them.  The checks at the end
@@ -31,6 +33,10 @@ from torcrep.divisors import TDivisor, pairing
 from torcrep.errors import (
     CertificateFailure,
     InvalidFan,
+    InvariantError,
+    NotInLattice,
+    NotInSupport,
+    NotPrimitive,
     NotSmooth,
     ResolutionNotFound,
     TorcrepError,
@@ -52,6 +58,7 @@ from torcrep.fans import (
     contains_point,
     is_smooth_cone,
     make_cone,
+    make_fan,
     support_volume,
 )
 from torcrep.groups import GroupData
@@ -217,6 +224,34 @@ def barycentric_by_solve(cone: Cone, p: LatticePoint):
     return None if sol is None else (sol[0][0], sol[1])
 
 
+def star_subdivision_by_make_cone(fan: Fan, mu: LatticePoint) -> Fan:
+    """``star_subdivision`` with one ``make_cone`` per new cone."""
+    lat = fan.lattice
+    if not lat.contains(mu):
+        raise NotInLattice(f"{mu} is not a lattice point")
+    if not lat.is_primitive(mu):
+        raise NotPrimitive(f"{mu} is not primitive")
+    hit = False
+    new_cones = []
+    for cone in fan.maximal_cones:
+        bary = barycentric(cone, mu)
+        if bary is None or any(v < 0 for v in bary[0]):
+            new_cones.append(cone)
+            continue
+        hit = True
+        for i, v in enumerate(bary[0]):
+            if v > 0:
+                rays = [r for j, r in enumerate(cone.rays) if j != i]
+                rays.append(mu)
+                new_cones.append(make_cone(rays))
+    if not hit:
+        raise NotInSupport(f"{mu} is outside the support of the fan")
+    result = make_fan(lat, new_cones)
+    if set(result.rays) != set(fan.rays) | {mu}:
+        raise InvariantError(f"subdividing at {mu} changed rays other than {mu}")
+    return result
+
+
 def intersection_generators(a: Cone, b: Cone):
     """Generators of ``a ∩ b``: extreme rays of the exact double system."""
     ra = [r.coords for r in a.rays]
@@ -270,7 +305,7 @@ def validate_fan_all_pairs(fan: Fan) -> None:
         if rank(mat) != c.dim:
             raise InvalidFan(f"cone {c} is not simplicial")
     for a, b in combinations(fan.maximal_cones, 2):
-        common = a.ray_set() & b.ray_set()
+        common = a.ray_set & b.ray_set
         tau = make_cone(common) if common else Cone(())
         for x in intersection_generators(a, b):
             pt = LatticePoint(x, a.rays[0].denom)

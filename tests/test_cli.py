@@ -81,17 +81,36 @@ def test_analyze_obstructed(capsys):
     assert "Hilbert basis contains senior elements" in out
 
 
-def test_analyze_stdout_matches_benchmark_digests(capsys):
+def test_artifacts_match_benchmark_digests(tmp_path, capsys):
+    """Replay every command of the benchmark's digest table and hash its artifact.
+
+    A key is ``<command> <group> [resolve options]``; ``verify`` and
+    ``export_graph`` run on the fan that ``resolve`` with those options writes.
+    """
     digests = json.loads(
         (Path(__file__).resolve().parent.parent / "perfbench" / "digests.json")
         .read_text()
     )
-    keys = [k for k in digests if k.startswith("analyze ")]
-    assert keys
-    for key in keys:
-        assert main(["analyze", key.removeprefix("analyze ")]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == digests[key]["stdout"], key
+    assert {k.split(" ")[0] for k in digests} == {"analyze", "resolve", "verify",
+                                                  "export_graph"}
+    fan, report, svg = tmp_path / "fan.json", tmp_path / "report.json", tmp_path / "fan.svg"
+    for key, want in digests.items():
+        kind, group, *options = key.split(" ")
+        if kind == "analyze":
+            assert main(["analyze", group]) == 0, key
+            artifacts = {"stdout": capsys.readouterr().out.encode()}
+        else:
+            assert main(["resolve", group, *options, "--out", str(fan)]) == 0, key
+            artifacts = {"fan": fan.read_bytes()}
+        if kind == "verify":
+            assert main(["verify", str(fan), group, "--out", str(report)]) == 0, key
+            artifacts = {"report": report.read_bytes()}
+        elif kind == "export_graph":
+            assert main(["export-graph", str(fan), group, "--svg", str(svg)]) == 0, key
+            artifacts = {"svg": svg.read_bytes()}
+        capsys.readouterr()
+        got = {role: hashlib.sha256(blob).hexdigest() for role, blob in artifacts.items()}
+        assert got == want, key
 
 
 def test_analyze_large_order(capsys):
@@ -312,6 +331,7 @@ def _edge_fan_file(tmp_path):
     z6 = torcrep.close_group([torcrep.LatticePoint((1, 2, 3), 6)])
     data = fan_to_json(torcrep.sigma_fan(z6.lattice))
     data["maximal_cones"] = [[0, 1]]  # a 2-dimensional cone inside the orthant
+    data["rays"] = data["rays"][:2]  # a ray no cone uses is rejected first
     path = tmp_path / "edge.json"
     path.write_text(json.dumps(data))
     return path

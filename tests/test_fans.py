@@ -2,7 +2,7 @@ import json
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import Phase, assume, find, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 
 from conftest import random_cyclic_group
 from oracles import (
@@ -13,6 +13,7 @@ from oracles import (
     is_canonical,
     is_terminal_box_walk,
     refines,
+    star_subdivision_by_make_cone,
     validate_fan_all_pairs,
 )
 from torcrep.errors import InvalidFan, NotInSupport, NotPrimitive
@@ -36,6 +37,13 @@ from torcrep.fans import (
 from torcrep.groups import close_group
 from torcrep.intlinalg import IntMatrix, hermite_normal_form
 from torcrep.lattice import LatticePoint, ScaledLattice, unit_point
+
+
+def _cyclic_lattice(r, weights):
+    """Lattice ``Z^3 + Z * (1/r) weights``, in or out of SL(3)."""
+    cols = [(r, 0, 0), (0, r, 0), (0, 0, r), weights]
+    h, _ = hermite_normal_form(IntMatrix.from_columns(cols))
+    return ScaledLattice(3, r, IntMatrix.from_columns(h.columns()[:3]))
 
 
 def std_lattice(n):
@@ -136,7 +144,7 @@ def test_star_subdivision_order6(z6):
         frozenset({g1, e1, e3}),
         frozenset({g1, e1, e2}),
     }
-    assert {c.ray_set() for c in fan1.maximal_cones} == expected
+    assert {c.ray_set for c in fan1.maximal_cones} == expected
     assert set(fan1.rays) == set(fan.rays) | {g1}
     assert refines(fan1, fan)
     validate_fan(fan1)
@@ -161,6 +169,57 @@ def test_star_subdivision_errors(z6):
     with pytest.raises(NotInSupport):
         outside = LatticePoint((-6, 6, 6), 6)
         star_subdivision(fan, outside)
+
+
+@st.composite
+def subdivision_sequences(draw):
+    """A group lattice in n = 2-5 and points of it to subdivide at in turn.
+
+    The group has one or two generators; the points are its primitive
+    elements and the axes, so a step may subdivide at an existing ray.
+    """
+    n = draw(st.integers(2, 5))
+    r = draw(st.integers(2, {2: 40, 3: 12, 4: 7, 5: 5}[n]))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        coords = draw(st.lists(st.integers(0, r - 1), min_size=n - 1, max_size=n - 1))
+        gens.append(LatticePoint((*coords, -sum(coords) % r), r))
+    group = close_group(gens, n)
+    lat = group.lattice
+    points = [p for p in group.elements + group.units()
+              if not p.is_zero() and lat.is_primitive(p)]
+    return lat, draw(st.lists(st.sampled_from(points), max_size=8))
+
+
+def _primitive_points(generator):
+    group = close_group([generator])
+    lat = group.lattice
+    return lat, [p for p in group.elements if not p.is_zero() and lat.is_primitive(p)]
+
+
+_R = 1024
+_CHAIN = _cyclic_lattice(_R, (1, _R - 1, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(subdivision_sequences())
+@example((_CHAIN, [_CHAIN.unit(0)]))  # at an existing ray
+@example(_primitive_points(LatticePoint((1, 1, 2, 3), 7)))
+# a chain of non-smooth cones, index up to 1019, normals up to 2**20
+@example((_CHAIN, [_CHAIN.point(((k * c) % _R for c in (1, _R - 1, 3)))
+                   for k in (1, 5, 9, 341, 3)]))
+@example(_primitive_points(LatticePoint((1, 1, 1, 1, 1), 5)))
+def test_star_subdivision_matches_make_cone_oracle(case):
+    lat, seq = case
+    fan = oracle = sigma_fan(lat)
+    for mu in seq:
+        fan = star_subdivision(fan, mu)
+        oracle = star_subdivision_by_make_cone(oracle, mu)
+        assert fans_equal(fan, oracle)
+        # every cone brings its normals: no solve waits for a first reader
+        assert all("facet_normals" in vars(c) for c in fan.maximal_cones)
+        for c in fan.maximal_cones:
+            assert c.facet_normals == Cone(c.rays).facet_normals
 
 
 def test_random_subdivision_conservation(rng):
@@ -199,10 +258,23 @@ def test_fan_json_round_trip(z6_result):
     assert json.dumps(fan_to_json(again)) == json.dumps(fan_to_json(z6_result.fan))
 
 
-def test_fan_json_rejects_garbage():
+def test_fan_json_rejects_garbage(z6_result):
     with pytest.raises(InvalidFan):
         fan_from_json({"lattice": {"n": 2, "r": 1, "basis": [[1, 0], [0, 1]]},
                        "rays": [[1, 0]], "maximal_cones": [[0, 5]]})
+    # rays [0,0,6], [0,6,0], [1,2,3], ...; the first cone is [0, 1, 2]
+    for edit, message in [
+        (lambda d: d["maximal_cones"].append([2, 1, 0]),
+         "cone Cone((1/6)(0,0,6), (1/6)(0,6,0), (1/6)(1,2,3)) is listed twice"),
+        (lambda d: d["maximal_cones"][0].insert(0, 1), "cone [1, 0, 1, 2] lists a ray index twice"),
+        (lambda d: d["rays"].append([0, 6, 0]), "ray (1/6)(0,6,0) is listed twice"),
+        (lambda d: d["rays"].append([1, 1, 4]), "ray (1/6)(1,1,4) lies in no cone"),
+    ]:
+        data = fan_to_json(z6_result.fan)
+        edit(data)
+        with pytest.raises(InvalidFan) as exc:
+            fan_from_json(data)
+        assert str(exc.value) == "malformed fan data: " + message
 
 
 def test_validate_fan_rejects_overlap():
@@ -365,13 +437,6 @@ def test_is_terminal_matches_box_walk(rng):
             else:
                 seen["terminal" if terminal else "not terminal"] += 1
     assert all(seen.values()), seen
-
-
-def _cyclic_lattice(r, weights):
-    """Lattice ``Z^3 + Z * (1/r) weights``, in or out of SL(3)."""
-    cols = [(r, 0, 0), (0, r, 0), (0, 0, r), weights]
-    h, _ = hermite_normal_form(IntMatrix.from_columns(cols))
-    return ScaledLattice(3, r, IntMatrix.from_columns(h.columns()[:3]))
 
 
 def test_is_terminal_on_large_cyclic_quotients():
