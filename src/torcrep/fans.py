@@ -1,11 +1,12 @@
 """Simplicial rational cones and fans over a scaled lattice.
 
 Cones are given by their primitive ray generators; a fan stores only its
-maximal cones and derives faces on demand.  All membership and volume
-computations are exact.  Each full-dimensional cone caches its facet
-normals, which answer membership, the cone's index and its volume.  The
-fans torcrep reads refine the orthant, and ``validate_fan`` checks one rule
-for them: the support volume is the orthant's and the facets pair up.
+maximal cones.  The fans torcrep builds and reads refine the orthant, so
+every cone it asks a question of is full-dimensional and simplicial: one
+H-description, its cached facet normals, answers membership, barycentric
+coordinates, the cone's index, its volume and its terminality, all
+exactly.  ``validate_fan`` checks one rule for such fans: the support
+volume is the orthant's and the facets pair up.
 
 A star subdivision gives each new cone its normals by a fraction-free
 pivot (Bareiss 1968).  Let ``A`` be the parent's rays, ``d = |det A|``,
@@ -32,9 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd
 
 from .errors import (
+    DenomMismatch,
     InvalidFan,
     InvariantError,
     NotInLattice,
@@ -42,7 +43,7 @@ from .errors import (
     NotPrimitive,
 )
 from .groups import closure
-from .intlinalg import IntMatrix, hermite_normal_form, rank, smith_normal_form, solve
+from .intlinalg import IntMatrix, rank, solve
 from .lattice import LatticePoint, ScaledLattice
 
 
@@ -64,9 +65,12 @@ class Cone:
     def facet_normals(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """``(rows, d)``: rows of ``d * A^-1``, ``d = |det A|``, ``A`` the rays.
 
-        ``A`` must be square; row ``i`` is the inner normal of the facet
-        opposite ray ``i``.  Star subdivisions keep or pivot them (below).
+        Row ``i`` is the inner normal of the facet opposite ray ``i``.  Star
+        subdivisions keep or pivot them (below).  Raises ValueError for a
+        cone that is not full-dimensional.
         """
+        if not self.rays or self.dim != self.rays[0].dim:
+            raise ValueError(f"cone {self} is not full-dimensional")
         mat = IntMatrix.from_columns([r.coords for r in self.rays])
         cols, d = solve(mat, IntMatrix.identity(self.dim).columns())
         return tuple(zip(*cols)), d
@@ -87,91 +91,67 @@ def make_cone(points) -> Cone:
 
 def contains_point(cone: Cone, p: LatticePoint) -> bool:
     """Exact membership test."""
-    if not cone.rays:
-        return p.is_zero()
-    bary = barycentric(cone, p)
-    return bary is not None and all(x >= 0 for x in bary[0])
+    return all(x >= 0 for x in barycentric(cone, p)[0])
 
 
-def barycentric(cone: Cone, p: LatticePoint) -> tuple[tuple[int, ...], int] | None:
+def barycentric(cone: Cone, p: LatticePoint) -> tuple[tuple[int, ...], int]:
     """Coefficients of ``p`` over the cone's rays as ``(numerators, d)``.
 
     ``p = sum(numerators[i] / d * rays[i])`` with ``d > 0``, so signs of
-    the coefficients are signs of the numerators; None if ``p`` is not in
-    the span of the rays.  Solving ``(s*A) x = t*p`` (``A`` the rays,
-    ``s = pd/g``, ``t = rd/g``) gives ``d = s^n * |det A|`` and numerators
-    ``s^(n-1) * t`` times the facet normals dotted with ``p``.
+    the coefficients are signs of the numerators: the numerators are the
+    facet normals ``H`` dotted with ``p``.  ``p`` must share the rays'
+    denominator (DenomMismatch otherwise).
     """
-    rd, pd = cone.rays[0].denom, p.denom
-    g = gcd(rd, pd)
-    s, t = pd // g, rd // g
-    if cone.dim == p.dim == cone.rays[0].dim:
-        rows, d = cone.facet_normals
-        scale = s ** (cone.dim - 1) * t
-        nums = tuple(scale * sum(x * y for x, y in zip(h, p.coords)) for h in rows)
-        return nums, s ** cone.dim * d
-    mat = IntMatrix.from_columns([tuple(s * c for c in r.coords) for r in cone.rays])
-    sol = solve(mat, [tuple(t * c for c in p.coords)])
-    return None if sol is None else (sol[0][0], sol[1])
-
-
-def ray_matrix(cone: Cone, lattice: ScaledLattice) -> IntMatrix:
-    """Ray generators in lattice-basis coordinates, as columns."""
-    return IntMatrix.from_columns([lattice.basis_coords(r) for r in cone.rays])
+    if p.denom != cone.rays[0].denom:
+        raise DenomMismatch(
+            f"point denom {p.denom} differs from the denom {cone.rays[0].denom} of {cone}"
+        )
+    rows, d = cone.facet_normals
+    return tuple(sum(x * y for x, y in zip(h, p.coords)) for h in rows), d
 
 
 def cone_index(cone: Cone, lattice: ScaledLattice) -> int:
-    """Index ``[N ∩ span(c) : Z<rays>]``; 1 exactly for smooth cones.
+    """Index ``[N : Z<rays>]``; 1 exactly for smooth cones.
 
-    For a full-dimensional cone the rays are ``A = B X`` (``B`` the lattice
-    basis, ``X`` the basis coordinates), so the index ``|det X|`` is
-    ``|det A| / |det B|``, read off the cached facet normals.
+    The rays are ``A = B X`` (``B`` the lattice basis, ``X`` the basis
+    coordinates), so the index ``|det X|`` is ``|det A| / |det B|``, read
+    off the cached facet normals.
     """
-    if cone.dim == lattice.dim:
-        return cone.facet_normals[1] // lattice.det
-    s, _, _ = smith_normal_form(ray_matrix(cone, lattice))
-    prod = 1
-    for i in range(min(s.rows, s.cols)):
-        if s[i][i]:
-            prod *= s[i][i]
-    return prod
+    return cone.facet_normals[1] // lattice.det
 
 
 def is_smooth_cone(cone: Cone, lattice: ScaledLattice) -> bool:
     return cone_index(cone, lattice) == 1
 
 
-def _saturation_coords(cone: Cone, lattice: ScaledLattice) -> IntMatrix:
-    """Ray coordinates in a basis of ``N ∩ span(c)`` (a d-by-d matrix)."""
-    mat = ray_matrix(cone, lattice)
-    d = cone.dim
-    if d == lattice.dim:
-        return mat
-    _, p, _ = smith_normal_form(mat)
-    top = (p * mat).data[:d]
-    return IntMatrix(top)
-
-
 def is_terminal(cone: Cone, lattice: ScaledLattice) -> bool:
     """Reid-Tai: every nonzero element of the cone's local group has age > 1.
 
-    With ``x`` the rays in a basis of ``N ∩ span(c)`` and ``(cols, d)`` from
-    ``solve(x, I)``, the local group ``N ∩ span(c) / Z<rays>`` is the
-    ``closure`` of the columns ``cols`` under addition mod ``d``: an
-    element is ``d`` times the fractional parts of a point's barycentric
-    coordinates, and its age is its coordinate sum over ``d``.  A lattice point of
-    ``Conv(0, rays)`` other than a vertex has barycentric coordinates in
-    ``[0, 1)`` (a coordinate 1 forces a vertex) summing to at most 1, so it
-    is a nonzero element of age <= 1; conversely such an element is the
-    point ``sum(lambda_i * ray_i)`` of ``Conv(0, rays)``, which is not a
-    vertex.  A smooth cone has ``d = 1`` and the group ``{0}``, so a
-    full-dimensional one, read off its cached normals, is terminal at once.
+    Let ``X = B^-1 A`` be the rays in basis coordinates and ``d_X = |det X|``
+    the cone's index.  The local group ``N / Z<rays>`` is the ``closure``
+    of the columns of ``d_X * X^-1`` under addition mod ``d_X``: an element
+    is ``d_X`` times the fractional parts of a point's barycentric
+    coordinates, and its age is its coordinate sum over ``d_X``.  With
+    ``H = d * A^-1`` the cached normals (``d = |det A| = d_X * |det B|``),
+    ``d_X * X^-1 = (d / |det B|) * A^-1 * B = H * B / |det B|``.  The
+    division is exact: ``d_X * X^-1`` is the adjugate of the integer matrix
+    ``X`` up to sign.  Column ``j`` is ``H * b_j / |det B|``, ``d_X`` times
+    the barycentric coordinates of basis vector ``b_j``.
+
+    A lattice point of ``Conv(0, rays)`` other than a vertex has barycentric
+    coordinates in ``[0, 1)`` (a coordinate 1 forces a vertex) summing to at
+    most 1, so it is a nonzero element of age <= 1; conversely such an
+    element is the point ``sum(lambda_i * ray_i)`` of ``Conv(0, rays)``,
+    which is not a vertex.  A smooth cone has ``d_X = 1`` and the group
+    ``{0}``, so it is terminal at once.
     """
-    if cone.dim == lattice.dim and is_smooth_cone(cone, lattice):
+    index = cone_index(cone, lattice)
+    if index == 1:
         return True
-    x = _saturation_coords(cone, lattice)
-    cols, d = solve(x, IntMatrix.identity(cone.dim).columns())
-    return all(sum(g) > d for g in closure(cols, d))
+    rows, det = cone.facet_normals[0], lattice.det
+    gens = [tuple(sum(x * y for x, y in zip(h, b)) // det for h in rows)
+            for b in lattice.basis.columns()]
+    return all(sum(g) > index for g in closure(gens, index))
 
 
 @dataclass(frozen=True)
@@ -310,8 +290,8 @@ def star_subdivision(fan: Fan, mu: LatticePoint) -> Fan:
     """Star subdivision at a primitive point of the support.
 
     Cones avoiding ``mu`` survive; a cone containing it is replaced by the
-    joins of ``mu`` with its facets not containing ``mu``.  A
-    full-dimensional one comes from its parent by a pivot, with no solve.
+    joins of ``mu`` with its facets not containing ``mu``, each from its
+    parent by a pivot, with no solve.
     """
     lat = fan.lattice
     if not lat.contains(mu):
@@ -321,16 +301,12 @@ def star_subdivision(fan: Fan, mu: LatticePoint) -> Fan:
     hit = False
     new_cones = []
     for cone in fan.maximal_cones:
-        bary = barycentric(cone, mu)
-        if bary is None or any(v < 0 for v in bary[0]):
+        b, _ = barycentric(cone, mu)  # H * mu
+        if any(v < 0 for v in b):
             new_cones.append(cone)
             continue
         hit = True
-        # the numerators are H * mu when the rays share mu's denominator
-        pivot = cone.dim == lat.dim and cone.rays[0].denom == mu.denom
-        new_cones += [_pivot(cone, i, mu, bary[0]) if pivot else
-                      make_cone(cone.rays[:i] + (mu,) + cone.rays[i + 1:])
-                      for i, v in enumerate(bary[0]) if v > 0]
+        new_cones += [_pivot(cone, i, mu, b) for i, v in enumerate(b) if v > 0]
     if not hit:
         raise NotInSupport(f"{mu} is outside the support of the fan")
     result = make_fan(lat, new_cones)
@@ -388,10 +364,13 @@ def fan_from_json(data: dict) -> Fan:
     try:
         n, r = _json_int(data["lattice"]["n"]), _json_int(data["lattice"]["r"])
         basis = IntMatrix([map(_json_int, row) for row in data["lattice"]["basis"]])
-        if (basis.rows, basis.cols) != (n, n) or basis.det() == 0:
-            raise ValueError("lattice basis must be a nonsingular n-by-n matrix")
-        # membership solves against a lower-triangular Hermite basis
-        if hermite_normal_form(basis)[0] != basis:
+        if (basis.rows, basis.cols) != (n, n):
+            raise ValueError("lattice basis must be an n-by-n matrix")
+        # membership solves against a lower-triangular Hermite basis; its
+        # shape is checked, as recomputing the form is slow on dense input,
+        # and a positive diagonal makes it nonsingular
+        if any(row[i] <= 0 or any(row[i + 1:]) or not all(0 <= x < row[i] for x in row[:i])
+               for i, row in enumerate(basis.data)):
             raise ValueError("lattice basis must be in column Hermite form")
         lat = ScaledLattice(n, r, basis)
         rays = [LatticePoint(tuple(map(_json_int, c)), r) for c in data["rays"]]

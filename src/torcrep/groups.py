@@ -15,7 +15,7 @@ from math import gcd, lcm
 from .errors import DimensionMismatch, ExplosionGuard, InvariantError, NotInSL
 from .lattice import LatticePoint, ScaledLattice, build_lattice, unit_point
 
-DEFAULT_MAX_ELEMENTS = 10**6
+MAX_ELEMENTS = 10**6  # closure limit, read at each call
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ def closure(gens, r: int):
         frontier = nxt
 
 
-def close_group(generators, n: int | None = None, *,
-                max_elements: int = DEFAULT_MAX_ELEMENTS) -> GroupData:
+def close_group(generators, n: int | None = None) -> GroupData:
     """Smallest set containing the generators and 0, closed under + mod r."""
     generators = list(generators)
     if not generators:
@@ -103,10 +102,10 @@ def close_group(generators, n: int | None = None, *,
     gens, r = _normalize_generators(generators, n)
     # the group order is the lattice index, known before any enumeration
     order = build_lattice(gens, n, r).index_over_std
-    if order > max_elements:
+    if order > MAX_ELEMENTS:
         raise ExplosionGuard(
             f"group of order {order} exceeds the closure limit of "
-            f"{max_elements} elements"
+            f"{MAX_ELEMENTS} elements"
         )
     seen = {(0,) * n, *closure([g.coords for g in gens], r)}
     elements = tuple(LatticePoint(c, r) for c in sorted(seen))

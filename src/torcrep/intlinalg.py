@@ -61,10 +61,6 @@ class IntMatrix:
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, columns) -> "IntMatrix":
         columns = [tuple(c) for c in columns]
         return cls([[c[i] for c in columns] for i in range(len(columns[0]))])

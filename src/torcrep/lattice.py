@@ -88,17 +88,11 @@ class ScaledLattice:
         """Index ``[N : Z^n]``; equals the group order."""
         return self.denom**self.dim // self.det
 
-    def zero(self) -> LatticePoint:
-        return LatticePoint((0,) * self.dim, self.denom)
-
     def unit(self, i: int) -> LatticePoint:
         return unit_point(i, self.dim, self.denom)
 
     def units(self) -> tuple[LatticePoint, ...]:
         return tuple(self.unit(i) for i in range(self.dim))
-
-    def point(self, coords) -> LatticePoint:
-        return LatticePoint(tuple(coords), self.denom)
 
     def _coords_or_none(self, p: LatticePoint) -> tuple[int, ...] | None:
         # forward substitution against the lower-triangular Hermite basis
@@ -136,18 +130,12 @@ class ScaledLattice:
         return gcd(*x) == 1
 
 
-def build_lattice(gens, n: int, denom: int | None = None) -> ScaledLattice:
+def build_lattice(gens, n: int, denom: int) -> ScaledLattice:
     """Hermite basis of ``Z^n + sum Z*g`` for scaled generators ``gens``.
 
     Generators must have coordinates in ``[0, denom)`` and coordinate sum
     divisible by ``denom`` (the determinant-one condition).
     """
-    gens = list(gens)
-    if denom is None:
-        if not gens:
-            denom = 1
-        else:
-            denom = gens[0].denom
     cols = [tuple(denom if j == i else 0 for j in range(n)) for i in range(n)]
     for g in gens:
         if g.dim != n:
@@ -180,7 +168,6 @@ class QuotientLattice:
 
     dim: int
     projection: IntMatrix
-    ray: LatticePoint
     parent: ScaledLattice
 
     @cached_property
@@ -205,4 +192,4 @@ def quotient_by_ray(lattice: ScaledLattice, v: LatticePoint) -> QuotientLattice:
     proj_c = hermite_normal_form(proj.transpose())[0].transpose()
     if any(proj_c.mul_vec(w)):
         raise InvariantError(f"quotient by {v} does not have {v} in its kernel")
-    return QuotientLattice(lattice.dim - 1, proj_c, v, lattice)
+    return QuotientLattice(lattice.dim - 1, proj_c, lattice)

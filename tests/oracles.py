@@ -8,11 +8,14 @@ intersection of two cones, computed exactly) with ``refines`` (containment
 plus support volume), which ``validate_fan`` replaced by facet pairing over
 the orthant; ``is_terminal`` before the age rule (the bounding-box walk
 over ``Conv(0, rays)``); ``certify_normal_embedding`` before it checked
-one map per junior (a map per anchor cone); ``barycentric`` before
-full-dimensional cones answered from their cached facet normals (one
-``solve`` per call); and ``star_subdivision`` before each new cone took
-its facet normals from its parent by a pivot (``make_cone`` per child,
-its normals solved when first read).  The Hilbert basis oracles are the
+one map per junior (a map per anchor cone); ``barycentric`` and
+``contains_point`` before every cone was full-dimensional and answered
+from its cached facet normals (one ``solve`` per call, for faces and for
+points of another denominator too); and ``star_subdivision`` before each
+new cone took its facet normals from its parent by a pivot (``make_cone``
+per child, its normals solved when first read).  ``fan_from_json`` once
+recomputed a basis's Hermite form to check it; that is the oracle of its
+shape test.  The Hilbert basis oracles are the
 lex scan before its packed comparison (a Python test of each candidate
 against each kept minimal element) and a walk that decides irreducibility
 by enumerating the lattice points of the box below a candidate.  The search
@@ -53,9 +56,7 @@ from torcrep.exceptional import (
 from torcrep.fans import (
     Cone,
     Fan,
-    _saturation_coords,
     barycentric,
-    contains_point,
     is_smooth_cone,
     make_cone,
     make_fan,
@@ -199,6 +200,11 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     return out
 
 
+def is_hermite_basis_by_recomputation(m: IntMatrix) -> bool:
+    """A nonsingular square matrix equal to its own column Hermite form."""
+    return m.rows == m.cols and m.det() != 0 and hermite_normal_form(m)[0] == m
+
+
 # ---------------------------------------------------------------------------
 # Cones, fans and groups
 
@@ -222,6 +228,14 @@ def barycentric_by_solve(cone: Cone, p: LatticePoint):
     )
     sol = solve(mat, [tuple(rd // g * c for c in p.coords)])
     return None if sol is None else (sol[0][0], sol[1])
+
+
+def contains_point_by_solve(cone: Cone, p: LatticePoint) -> bool:
+    """``contains_point`` for any cone, faces and the empty cone included."""
+    if not cone.rays:
+        return p.is_zero()
+    bary = barycentric_by_solve(cone, p)
+    return bary is not None and all(x >= 0 for x in bary[0])
 
 
 def star_subdivision_by_make_cone(fan: Fan, mu: LatticePoint) -> Fan:
@@ -309,7 +323,7 @@ def validate_fan_all_pairs(fan: Fan) -> None:
         tau = make_cone(common) if common else Cone(())
         for x in intersection_generators(a, b):
             pt = LatticePoint(x, a.rays[0].denom)
-            if not contains_point(tau, pt):
+            if not contains_point_by_solve(tau, pt):
                 raise InvalidFan(
                     f"cones {a} and {b} do not intersect in a common face"
                 )
@@ -325,7 +339,7 @@ def refines(fine: Fan, coarse: Fan) -> bool:
         return False
     for c in fine.maximal_cones:
         if not any(
-            all(contains_point(big, r) for r in c.rays)
+            all(contains_point_by_solve(big, r) for r in c.rays)
             for big in coarse.maximal_cones
         ):
             return False
@@ -334,6 +348,15 @@ def refines(fine: Fan, coarse: Fan) -> bool:
            for c in fine.maximal_cones):
         return False
     return support_volume(fine) == support_volume(coarse)
+
+
+def _saturation_coords(cone: Cone, lattice: ScaledLattice) -> IntMatrix:
+    """Ray coordinates in a basis of ``N ∩ span(c)`` (a d-by-d matrix)."""
+    mat = IntMatrix.from_columns([lattice.basis_coords(r) for r in cone.rays])
+    if cone.dim == lattice.dim:
+        return mat
+    _, p, _ = smith_normal_form(mat)
+    return IntMatrix((p * mat).data[:cone.dim])
 
 
 def psi_lattice_points(cone: Cone, lattice: ScaledLattice):
@@ -640,10 +663,7 @@ class PreconditionNotCrepant(TorcrepError):
 
 def age_affinity_check(cone: Cone, b: LatticePoint) -> bool:
     """Ages are affine along exact expansions over a cone basis."""
-    bary = barycentric(cone, b)
-    if bary is None:
-        raise ValueError(f"{b} is not in the span of the cone")
-    nums, d = bary
+    nums, d = barycentric(cone, b)
     # sum (nums_i / d) * age(ray_i) == age(b), cleared of all denominators
     lhs = b.denom * sum(x * sum(r.coords) for x, r in zip(nums, cone.rays))
     return lhs == d * cone.rays[0].denom * sum(b.coords)

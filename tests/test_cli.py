@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tempfile
 import time
 from pathlib import Path
@@ -185,6 +186,20 @@ def test_resolve_sequence_through_seniors(tmp_path, capsys):
     assert data["euler"] == 14 and data["smooth"]
 
 
+@pytest.mark.parametrize("group", ["7:(1,1,2,3)", "11:(1,2,3,5)"])
+def test_resolve_solves_only_the_orthant(group, monkeypatch, capsys):
+    # every later cone takes its facet normals from its parent, and the
+    # cone index and local group of a singular cone are read off them
+    import torcrep.fans
+
+    calls = []
+    solve = torcrep.fans.solve
+    monkeypatch.setattr(torcrep.fans, "solve", lambda *a: calls.append(a) or solve(*a))
+    assert main(["resolve", group, "--sequence", "g1"]) == 0
+    assert "smooth: False" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_resolve_unknown_name(capsys):
     assert main(["resolve", "6:(1,2,3)", "--sequence", "g9"]) == 2
 
@@ -291,6 +306,11 @@ def _set_ray(fan, old, new):
     fan["rays"][fan["rays"].index(old)] = new
 
 
+def _dense_basis(n):
+    rng = random.Random(n)
+    return [[rng.randint(1, 10**6) for _ in range(n)] for _ in range(n)]
+
+
 @pytest.mark.parametrize("mutate", [
     lambda f: _set_ray(f, [6, 0, 0], [6.9, 0, 0]),  # int() would read [6, 0, 0]
     lambda f: _set_ray(f, [6, 0, 0], [6.0, 0, 0]),
@@ -307,10 +327,12 @@ def _set_ray(fan, old, new):
     lambda f: _set_ray(f, [6, 0, 0], [6, 0, 0, 0]),
     # the order-6 lattice again, but not in the lower-triangular Hermite form
     lambda f: f["lattice"].update(basis=[[1, -6, 0], [2, 0, 0], [3, 0, 6]]),
+    # recomputing the Hermite form of a dense 40-by-40 basis would not end
+    lambda f: f["lattice"].update(n=40, basis=_dense_basis(40)),
 ], ids=["float-ray", "integral-float-ray", "bool-ray", "float-n", "bool-r",
         "float-basis", "bool-index", "float-index", "singular-basis",
         "empty-cone", "empty-object-cone", "short-ray", "long-ray",
-        "non-hermite-basis"])
+        "non-hermite-basis", "dense-basis"])
 def test_verify_rejects_malformed_fan_numbers(tmp_path, capsys, mutate):
     fan_path = tmp_path / "z6.json"
     assert main(["resolve", "6:(1,2,3)", "--sequence", "g1,g2,g3,g4",

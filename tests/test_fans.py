@@ -11,12 +11,13 @@ from oracles import (
     gl2_equivalent,
     gl2_normal_form,
     is_canonical,
+    is_hermite_basis_by_recomputation,
     is_terminal_box_walk,
     refines,
     star_subdivision_by_make_cone,
     validate_fan_all_pairs,
 )
-from torcrep.errors import InvalidFan, NotInSupport, NotPrimitive
+from torcrep.errors import DenomMismatch, InvalidFan, NotInSupport, NotPrimitive
 from torcrep.fans import (
     Cone,
     barycentric,
@@ -69,19 +70,18 @@ def test_contains_point(z6):
     g1 = LatticePoint((1, 2, 3), 6)
     assert contains_point(sigma, g1)
     assert all(x > 0 for x in barycentric(sigma, g1)[0])  # in the interior
-    edge = make_cone([unit_point(0, 3, 6), unit_point(1, 3, 6)])
-    assert not contains_point(edge, LatticePoint((3, 0, 3), 6))
+    assert not contains_point(sigma, LatticePoint((-1, 1, 6), 6))
 
 
 @st.composite
 def cones_and_points(draw):
-    """A full-dimensional cone and a point, each with its own denominator."""
+    """A full-dimensional cone and a point over one shared denominator."""
     n = draw(st.integers(1, 4))
     vec = st.tuples(*[st.integers(-9, 9)] * n)
     rays = draw(st.lists(vec, min_size=n, max_size=n, unique=True))
     assume(IntMatrix.from_columns(rays).det() != 0)
-    rd, pd = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    return Cone(tuple(LatticePoint(r, rd) for r in rays)), LatticePoint(draw(vec), pd)
+    r = draw(st.integers(1, 12))
+    return Cone(tuple(LatticePoint(v, r) for v in rays)), LatticePoint(draw(vec), r)
 
 
 @settings(max_examples=200, deadline=None)
@@ -101,13 +101,17 @@ def test_cone_index(z6, z7, trivial3):
     assert cone_index(c, z7.lattice) > 1
 
 
-def test_cone_index_lower_dimensional(z6):
-    # the singular facets of the orthant contain junior points
+def test_cone_questions_need_full_dimension_and_one_denominator(z6):
     lat = z6.lattice
-    tau1 = make_cone([unit_point(0, 3, 6), unit_point(1, 3, 6)])
-    assert cone_index(tau1, lat) > 1
-    tau3 = make_cone([unit_point(1, 3, 6), unit_point(2, 3, 6)])
-    assert cone_index(tau3, lat) == 1
+    face = make_cone([unit_point(0, 3, 6), unit_point(1, 3, 6)])
+    for ask in (lambda: cone_index(face, lat), lambda: is_terminal(face, lat),
+                lambda: contains_point(face, unit_point(0, 3, 6))):
+        with pytest.raises(ValueError, match=r"cone Cone\(\(1/6\)\(0,6,0\), "
+                           r"\(1/6\)\(6,0,0\)\) is not full-dimensional"):
+            ask()
+    sigma = make_cone(lat.units())
+    with pytest.raises(DenomMismatch):
+        barycentric(sigma, LatticePoint((1, 2, 2), 5))
 
 
 def test_terminal_canonical(z6, z7):
@@ -206,7 +210,7 @@ _CHAIN = _cyclic_lattice(_R, (1, _R - 1, 3))
 @example((_CHAIN, [_CHAIN.unit(0)]))  # at an existing ray
 @example(_primitive_points(LatticePoint((1, 1, 2, 3), 7)))
 # a chain of non-smooth cones, index up to 1019, normals up to 2**20
-@example((_CHAIN, [_CHAIN.point(((k * c) % _R for c in (1, _R - 1, 3)))
+@example((_CHAIN, [LatticePoint(tuple((k * c) % _R for c in (1, _R - 1, 3)), _R)
                    for k in (1, 5, 9, 341, 3)]))
 @example(_primitive_points(LatticePoint((1, 1, 1, 1, 1), 5)))
 def test_star_subdivision_matches_make_cone_oracle(case):
@@ -275,6 +279,40 @@ def test_fan_json_rejects_garbage(z6_result):
         with pytest.raises(InvalidFan) as exc:
             fan_from_json(data)
         assert str(exc.value) == "malformed fan data: " + message
+
+
+@st.composite
+def square_matrices(draw):
+    """Small square matrices: dense, lower triangular, or in Hermite form."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-2, 5), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["dense", "lower", "hermite"]))
+    if kind != "dense":
+        rows = [row[:i + 1] + [0] * (n - 1 - i) for i, row in enumerate(rows)]
+    if kind == "hermite":
+        for i, row in enumerate(rows):
+            row[i] = abs(row[i]) + 1
+            row[:i] = [x % row[i] for x in row[:i]]
+    return IntMatrix(rows)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(square_matrices())
+@example(IntMatrix([[2, 0], [1, 3]]))  # accepted
+@example(IntMatrix([[2, 0], [3, 3]]))  # entry left of the diagonal not reduced
+@example(IntMatrix([[2, 0], [1, 0]]))  # singular, triangular
+@example(IntMatrix([[1, 2], [0, 1]]))  # nonsingular, upper triangular
+def test_fan_json_basis_check_matches_recomputation(m):
+    data = {"lattice": {"n": m.rows, "r": 1, "basis": [list(row) for row in m.data]},
+            "rays": [], "maximal_cones": []}
+    try:
+        fan_from_json(data)
+        accepted = True
+    except InvalidFan as exc:
+        assert str(exc) == "malformed fan data: lattice basis must be in column Hermite form"
+        accepted = False
+    assert accepted == is_hermite_basis_by_recomputation(m)
 
 
 def test_validate_fan_rejects_overlap():
@@ -419,7 +457,12 @@ def test_validate_fan_names_what_breaks(cones, message):
     assert str(exc.value) == message
 
 
-def test_is_terminal_matches_box_walk(rng):
+def test_is_terminal_matches_box_walk(rng, z6):
+    # pinned: 1/5(1,4,2), terminal but not smooth, and 1/6(1,2,3), neither
+    for lat, terminal in [(_cyclic_lattice(5, (1, 4, 2)), True), (z6.lattice, False)]:
+        sigma = make_cone(lat.units())
+        assert not is_smooth_cone(sigma, lat)
+        assert is_terminal(sigma, lat) is is_terminal_box_walk(sigma, lat) is terminal
     seen = {"smooth": 0, "terminal": 0, "not terminal": 0}
     for _ in range(25):
         group = random_cyclic_group(rng, rng.choice([2, 3, 4]), rmax=9)
@@ -429,7 +472,7 @@ def test_is_terminal_matches_box_walk(rng):
         for mu in rng.sample(points, min(len(points), 2)):
             if lat.is_primitive(mu):
                 fan = star_subdivision(fan, mu)
-        for cone in {f for c in fan.maximal_cones for f in faces(c) if f.rays}:
+        for cone in fan.maximal_cones:
             terminal = is_terminal(cone, lat)
             assert terminal == is_terminal_box_walk(cone, lat)
             if is_smooth_cone(cone, lat):

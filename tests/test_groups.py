@@ -5,6 +5,7 @@ from hypothesis import Phase, find, given, settings
 
 from conftest import random_cyclic_group, small_groups
 from oracles import junior_simplex
+from torcrep import groups
 from torcrep.errors import ExplosionGuard, NotInSL
 from torcrep.groups import (
     close_group,
@@ -48,13 +49,11 @@ def test_close_normalizes_denominator():
     assert doubled.order == 6
 
 
-def test_explosion_guard():
+def test_explosion_guard(monkeypatch):
     # the order is the lattice index, so the guard fires before enumerating
+    monkeypatch.setattr(groups, "MAX_ELEMENTS", 50)
     with pytest.raises(ExplosionGuard, match="group of order 10000 exceeds"):
-        close_group(
-            [LatticePoint((1, 99, 0), 100), LatticePoint((0, 1, 99), 100)],
-            max_elements=50,
-        )
+        close_group([LatticePoint((1, 99, 0), 100), LatticePoint((0, 1, 99), 100)])
 
 
 def test_ages(z6, z2):

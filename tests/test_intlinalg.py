@@ -88,7 +88,7 @@ def test_hnf_round_trip(data):
 
 
 def test_snf_zero():
-    s, p, q = smith_normal_form(IntMatrix.zero(2, 3))
+    s, p, q = smith_normal_form(IntMatrix([[0] * 3] * 2))
     assert s.data == ((0, 0, 0), (0, 0, 0))
     assert abs(p.det()) == 1 and abs(q.det()) == 1
 

@@ -20,7 +20,7 @@ def test_build_trivial():
 
 
 def test_build_order6():
-    lat = build_lattice([LatticePoint((1, 2, 3), 6)], 3)
+    lat = build_lattice([LatticePoint((1, 2, 3), 6)], 3, 6)
     assert lat.index_over_std == 6
     assert lat.det == 36
 
@@ -36,7 +36,7 @@ def test_build_order5_alternative_basis(z5):
 
 def test_build_rejects_bad_generator():
     with pytest.raises(InvalidGenerator):
-        build_lattice([LatticePoint((1, 2, 2), 6)], 3)
+        build_lattice([LatticePoint((1, 2, 2), 6)], 3, 6)
 
 
 def test_contains(z6):
