@@ -16,9 +16,6 @@ from .exceptional import (
     classify_surface,
     coverage_check,
     star_fan,
-    age_weighted_divisor,
-    total_space_fan,
-    xi_g,
 )
 from .fans import (
     Cone,
@@ -102,9 +99,6 @@ __all__ = [
     "smith_normal_form",
     "star_fan",
     "star_subdivision",
-    "age_weighted_divisor",
-    "total_space_fan",
     "unit_point",
     "validate_fan",
-    "xi_g",
 ]

@@ -41,16 +41,12 @@ from .exceptional import (
     classify_surface,
     coverage_check,
 )
-from .fans import Fan, fan_from_json, validate_fan
+from .fans import MAX_DIM, Fan, fan_from_json, validate_fan
 from .groups import GroupData, close_group, compact_juniors, crepant_obstructions, element_names
 from .hilbert import hilbert_basis
 from .lattice import LatticePoint
 from .resolve import is_crepant, resolve, result_to_json, search_resolution
 from .svg import junior_graph_svg
-
-# The Hermite forms behind every command are cubic in the dimension, so a
-# long generator would run for minutes before any other check could fail.
-MAX_DIM = 64
 
 _GEN_RE = re.compile(r"^\s*(\d+)\s*:\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*$")
 

@@ -1,9 +1,9 @@
-"""Torus-invariant divisors, principal divisors and the divisor class group.
+"""Torus-invariant divisors and the divisor class group.
 
 The class group is the cokernel of the pairing map from the dual lattice
 into the free group on the rays, computed in Smith normal form.  Class
-coordinates are basis-dependent; relation checks go through integer
-image membership, which is not.
+coordinates are basis-dependent: they are read off the Smith form's left
+transform.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ from functools import cached_property
 
 from .errors import InvariantError
 from .fans import Fan
-from .intlinalg import (
-    IntMatrix,
-    hermite_normal_form,
-    smith_normal_form,
-    solve,
-    solve_integer,
-)
+from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form, solve
 from .lattice import LatticePoint, ScaledLattice
 
 
@@ -34,13 +28,6 @@ class TDivisor:
     def from_dict(cls, d) -> "TDivisor":
         items = tuple(sorted(d.items(), key=lambda kv: kv[0].coords))
         return cls(items)
-
-    @cached_property
-    def as_dict(self) -> dict[LatticePoint, int]:
-        return dict(self.coeffs)
-
-    def coefficient(self, ray: LatticePoint) -> int:
-        return self.as_dict.get(ray, 0)
 
 
 def dual_basis(lattice: ScaledLattice) -> IntMatrix:
@@ -79,7 +66,6 @@ class ClassGroup:
     rays: tuple[LatticePoint, ...]
     rank: int
     torsion: tuple[int, ...]
-    _pairing: IntMatrix
     _p: IntMatrix
     _diag: tuple[int, ...]
 
@@ -110,11 +96,6 @@ class ClassGroup:
             y[index[ray]] = c
         return self._reduce(self._p.mul_vec(y))
 
-    def is_principal(self, div: TDivisor) -> bool:
-        """Exact membership of the divisor in the image of the dual lattice."""
-        b = [div.coefficient(ray) for ray in self.rays]
-        return solve_integer(self._pairing, b) is not None
-
     @property
     def order(self) -> int | None:
         """Group order, or None when the rank is positive."""
@@ -142,7 +123,7 @@ def class_group(fan: Fan) -> ClassGroup:
     nonzero = [d for d in diag if d]
     rank = len(rays) - len(nonzero)
     torsion = tuple(d for d in nonzero if d > 1)
-    return ClassGroup(rays, rank, torsion, a, p, diag)
+    return ClassGroup(rays, rank, torsion, p, diag)
 
 
 def class_group_to_json(cg: ClassGroup, canonical: TDivisor | None = None) -> dict:

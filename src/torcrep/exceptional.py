@@ -1,12 +1,16 @@
-"""Exceptional divisors: star fans, line-bundle total spaces, certificates.
+"""Exceptional divisors: star fans, embedding certificates, surfaces.
 
-For a junior ray the star fan lives in the quotient lattice and describes
-the exceptional divisor.  Weighting each star ray by minus the age of its
-lift gives a divisor whose line-bundle total-space fan is isomorphic, via
-an explicit unimodular map, to the open subfan of maximal cones through
-the junior ray.  Verifying that one map on every cone certifies that the
-divisor is normally embedded with tubular neighborhood equal to the whole
-total space; in the crepant case the divisor is the canonical one.
+For a junior ray ``g`` the star fan lives in the quotient lattice
+``N / Z*g`` and describes the exceptional divisor ``E``.  Weighting each
+star ray ``ubar`` by the age of its lift ``u`` gives the ray
+``(ubar, age u)`` of the total space of the age-weighted line bundle on
+``E`` (its canonical bundle in the crepant case), whose cones are the apex
+``(0, 1)`` joined to the weighted rays of each star cone.  One lattice map,
+read off one maximal cone through ``g``, sends each weighted ray to its
+lift and the apex to ``g``.  It serves every cone, as the map read off any
+other cone agrees with it on that cone's basis; checking it on every ray
+and cone certifies that the open set of the cones through ``g`` is that
+whole total space, so ``E`` is normally embedded.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .divisors import TDivisor
 from .errors import (
     CertificateFailure,
     InvariantError,
@@ -27,7 +30,7 @@ from .errors import (
 from .fans import Cone, Fan, make_cone, make_fan
 from .groups import GroupData
 from .intlinalg import IntMatrix, solve
-from .lattice import LatticePoint, QuotientLattice, ScaledLattice, quotient_by_ray
+from .lattice import LatticePoint, QuotientLattice, quotient_by_ray
 
 
 @dataclass(frozen=True)
@@ -44,15 +47,6 @@ class StarFan:
     origin_ray: LatticePoint
     lifts: tuple[tuple[LatticePoint, LatticePoint], ...]
     complete: bool
-
-
-@dataclass(frozen=True)
-class LineBundleFan:
-    """Total-space fan of a line bundle over a star fan."""
-
-    base: StarFan
-    divisor: TDivisor
-    fan: Fan
 
 
 @dataclass(frozen=True)
@@ -79,17 +73,6 @@ class EmbeddingCertificate:
     cone_bijection: tuple[tuple[Cone, Cone], ...]
     anchor_cones_checked: int
     verified: bool
-
-
-def xi_g(fan: Fan, g_hat: LatticePoint) -> Fan:
-    """Subfan of all faces of the maximal cones containing the given ray.
-
-    Corresponds to an open toric subvariety; only the maximal cones are
-    stored, faces are implicit.
-    """
-    if g_hat not in fan.ray_set:
-        raise RayAbsent(f"{g_hat} is not a ray of the fan")
-    return make_fan(fan.lattice, fan.cones_through[g_hat])
 
 
 def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
@@ -129,84 +112,52 @@ def _lift_age(u: LatticePoint) -> int:
     return total // u.denom
 
 
-def age_weighted_divisor(star: StarFan) -> TDivisor:
-    """Star-fan divisor with coefficient minus the age of each ray's lift."""
-    return TDivisor.from_dict({ubar: -_lift_age(u) for ubar, u in star.lifts})
-
-
-def total_space_fan(star: StarFan, div: TDivisor) -> LineBundleFan:
-    """Fan of the line bundle: cones ``Cone((0,1), (u, -a_u))`` and faces."""
-    n1 = star.fan.lattice.dim
-    total_lat = ScaledLattice(n1 + 1, 1, IntMatrix.identity(n1 + 1))
-    apex = LatticePoint((0,) * n1 + (1,), 1)
-    cones = []
-    for c in star.fan.maximal_cones:
-        rays = [apex]
-        for u in c.rays:
-            rays.append(LatticePoint(u.coords + (-div.coefficient(u),), 1))
-        cones.append(make_cone(rays))
-    fan = make_fan(total_lat, cones)
-    if len(fan.rays) != len(star.fan.rays) + 1:
-        raise InvariantError("total-space rays do not match the star rays plus apex")
-    return LineBundleFan(star, div, fan)
-
-
-def _iso_matrix(fan: Fan, star: StarFan, anchor: Cone) -> IntMatrix:
-    """Lattice map sending ``(0,1)`` to the junior and ``(ubar, age u)`` to u.
-
-    Domain coordinates are quotient-times-Z; the image is expressed in
-    basis coordinates of the ambient lattice.
-    """
-    lat = fan.lattice
-    g_hat = star.origin_ray
-    quo = star.quotient
-    dom_cols = []
-    img_cols = []
-    for u in anchor.rays:
-        if u == g_hat:
-            continue
-        dom_cols.append(quo.project(u).coords + (_lift_age(u),))
-        img_cols.append(lat.basis_coords(u))
-    dom_cols.append((0,) * quo.dim + (1,))
-    img_cols.append(lat.basis_coords(g_hat))
-    d = IntMatrix.from_columns(dom_cols)
-    t = IntMatrix.from_columns(img_cols)
-    return t * d.inverse_unimodular()
-
-
 def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertificate:
-    """Verify the tubular-neighborhood isomorphism for one junior ray.
+    """Verify the tubular-neighborhood isomorphism for one junior ray, in one pass.
 
-    The lattice map read off the first maximal cone through the ray must be
-    unimodular, send each weighted star ray to its lift and the apex to the
-    ray, and carry the total-space cones bijectively onto the maximal cones
-    through the ray.  One map serves every such cone: the map read off any
-    other one agrees with it on that cone's basis, which the lift and apex
-    checks cover.  Raises CertificateFailure at the first violation.
+    Each star ray ``ubar`` is weighted once, as ``(ubar, age u)`` with ``u``
+    its lift, and the apex ``(0, 1)`` stands for the ray ``g`` itself.  The
+    anchor map is read off the first maximal cone through ``g``: it sends
+    that cone's weighted rays and apex to its rays.  It must be unimodular,
+    send every weighted star ray to its lift and the apex to ``g``, and
+    carry the total-space cones (the apex joined to the weighted rays of a
+    star cone) bijectively onto the maximal cones through ``g``.  One map
+    serves every cone: the map read off any other one agrees with it on
+    that cone's basis, which the lift and apex checks cover.  Raises
+    CertificateFailure at the first violation.
     """
     lat = fan.lattice
     if not fan.is_smooth:
         raise NotSmooth("embedding certificates require a smooth fan")
     star = star_fan(fan, g_hat)
-    div = age_weighted_divisor(star)
-    total = total_space_fan(star, div)
-    anchors = xi_g(fan, g_hat).maximal_cones
-    fresh = {c.ray_set: c for c in anchors}
+    apex = LatticePoint((0,) * star.quotient.dim + (1,), 1)
+    weighted = {ubar: LatticePoint(ubar.coords + (_lift_age(u),), 1)
+                for ubar, u in star.lifts}
+    preimage = {u: weighted[ubar] for ubar, u in star.lifts}
+    preimage[g_hat] = apex
+    anchors = fan.cones_through[g_hat]
     anchor = anchors[0]
-    iso = _iso_matrix(fan, star, anchor)
+    d = IntMatrix.from_columns([preimage[u].coords for u in anchor.rays])
+    t = IntMatrix.from_columns([lat.basis_coords(u) for u in anchor.rays])
+    iso = t * d.inverse_unimodular()
     if not iso.is_unimodular():
         raise CertificateFailure(f"anchor {anchor}: induced map is not unimodular")
     for ubar, u in star.lifts:
-        if iso.mul_vec(ubar.coords + (_lift_age(u),)) != lat.basis_coords(u):
+        if iso.mul_vec(weighted[ubar].coords) != lat.basis_coords(u):
             raise CertificateFailure(
                 f"anchor {anchor}: ray {ubar} maps off its lift {u}",
                 pair=(ubar, u),
             )
-    apex = (0,) * star.quotient.dim + (1,)
-    if iso.mul_vec(apex) != lat.basis_coords(g_hat):
+    if iso.mul_vec(apex.coords) != lat.basis_coords(g_hat):
         raise CertificateFailure(f"anchor {anchor}: apex does not map to the ray")
+    fresh = {c.ray_set: c for c in anchors}
     bijection = []
-    for tc in total.fan.maximal_cones:
+    # the star cones are in make_fan order and so are these: weighted rays
+    # sort as their star rays do, and inserting the apex, which every cone
+    # holds, into sorted ray lists of one length keeps their order
+    for c in star.fan.maximal_cones:
+        rays = [apex] + [weighted[ubar] for ubar in c.rays]
+        tc = Cone(tuple(sorted(rays, key=lambda p: p.coords)))
         pts = [lat.from_basis_coords(iso.mul_vec(ray.coords)) for ray in tc.rays]
         img = fresh.pop(frozenset(pts), None)
         if img is None:

@@ -46,6 +46,11 @@ from .groups import closure
 from .intlinalg import IntMatrix, rank, solve
 from .lattice import LatticePoint, ScaledLattice
 
+# The Hermite forms and eliminations behind every command are cubic in the
+# dimension, so a group or fan of higher dimension would run for minutes
+# before any other check could fail; it is refused at once.
+MAX_DIM = 64
+
 
 @dataclass(frozen=True)
 class Cone:
@@ -360,9 +365,14 @@ def _json_int(x) -> int:
 
 
 def fan_from_json(data: dict) -> Fan:
-    """Parse the interchange schema; ``validate_fan`` checks the result."""
+    """Parse the interchange schema; ``validate_fan`` checks the result.
+
+    A dimension above ``MAX_DIM`` is refused before the basis is read.
+    """
     try:
         n, r = _json_int(data["lattice"]["n"]), _json_int(data["lattice"]["r"])
+        if n > MAX_DIM:
+            raise ValueError(f"dimension {n} exceeds the bound {MAX_DIM}")
         basis = IntMatrix([map(_json_int, row) for row in data["lattice"]["basis"]])
         if (basis.rows, basis.cols) != (n, n):
             raise ValueError("lattice basis must be an n-by-n matrix")

@@ -319,30 +319,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix(s), IntMatrix(p), IntMatrix(q)
 
 
-def solve_integer(m: IntMatrix, b) -> tuple[int, ...] | None:
-    """One integer solution of ``m*x = b``, or None when there is none."""
-    b = tuple(int(x) for x in b)
-    if len(b) != m.rows:
-        raise ValueError("dimension mismatch")
-    h, u = hermite_normal_form(m)
-    res = list(b)
-    y = [0] * h.cols
-    for j in range(h.cols):
-        i = next((i for i in range(h.rows) if h[i][j] != 0), None)
-        if i is None:
-            continue
-        if res[i] % h[i][j] != 0:
-            return None
-        f = res[i] // h[i][j]
-        if f:
-            for k in range(h.rows):
-                res[k] -= f * h[k][j]
-        y[j] = f
-    if any(res):
-        return None
-    return u.mul_vec(y)
-
-
 def rank(m: IntMatrix) -> int:
     """Rank over Q."""
     return len(_echelon([list(row) for row in m.data], m.cols)[0])

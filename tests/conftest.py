@@ -13,6 +13,12 @@ from torcrep.resolve import resolve
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from run_worked_examples import nonstar_order6_fan  # noqa: E402
 
+# the Hilbert-basis resolution of 7:(1,1,2,3); its star at the first point
+# weights the rays by ages 1 and 2
+Z7_HILBERT_SEQUENCE = tuple(
+    LatticePoint(c, 7) for c in [(1, 1, 2, 3), (3, 3, 6, 2), (4, 4, 1, 5), (5, 5, 3, 1)]
+)
+
 
 @pytest.fixture(scope="session")
 def z6():
@@ -57,11 +63,7 @@ def z5_result(z5):
 
 @pytest.fixture(scope="session")
 def z7_hilbert_result(z7):
-    seq = [
-        LatticePoint(c, 7)
-        for c in [(1, 1, 2, 3), (3, 3, 6, 2), (4, 4, 1, 5), (5, 5, 3, 1)]
-    ]
-    return resolve(z7, seq)
+    return resolve(z7, Z7_HILBERT_SEQUENCE)
 
 
 @pytest.fixture(scope="session")

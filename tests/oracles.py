@@ -8,7 +8,9 @@ intersection of two cones, computed exactly) with ``refines`` (containment
 plus support volume), which ``validate_fan`` replaced by facet pairing over
 the orthant; ``is_terminal`` before the age rule (the bounding-box walk
 over ``Conv(0, rays)``); ``certify_normal_embedding`` before it checked
-one map per junior (a map per anchor cone); ``barycentric`` and
+one map per junior (a map per anchor cone) and before its single pass
+(the open subfan ``xi_g``, the ``age_weighted_divisor`` and the general
+line-bundle ``total_space_fan``); ``barycentric`` and
 ``contains_point`` before every cone was full-dimensional and answered
 from its cached facet normals (one ``solve`` per call, for faces and for
 points of another denominator too); and ``star_subdivision`` before each
@@ -22,8 +24,10 @@ by enumerating the lattice points of the box below a candidate.  The search
 oracle is ``search_resolution`` before the depth-first search: it folds
 every permutation of the targets from the orthant.  The differential
 tests compare the package against them.  The checks at the end
-(``age_affinity_check``, ``euler_check``, ``principal_divisor``) and
-their errors are identities the tests assert; the CLI does not use them.
+(``age_affinity_check``, ``euler_check``, ``principal_divisor``, and
+``is_principal``, a Hermite solve by ``solve_integer`` that checks the
+Smith-form class vectors) and their errors are identities the tests
+assert; the CLI does not use them.
 """
 
 import json
@@ -32,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 from math import factorial, gcd
 
-from torcrep.divisors import TDivisor, pairing
+from torcrep.divisors import TDivisor, dual_basis, pairing
 from torcrep.errors import (
     CertificateFailure,
     InvalidFan,
@@ -41,17 +45,15 @@ from torcrep.errors import (
     NotInSupport,
     NotPrimitive,
     NotSmooth,
+    RayAbsent,
     ResolutionNotFound,
     TorcrepError,
 )
 from torcrep.exceptional import (
     EmbeddingCertificate,
-    _iso_matrix,
+    StarFan,
     _lift_age,
-    age_weighted_divisor,
     star_fan,
-    total_space_fan,
-    xi_g,
 )
 from torcrep.fans import (
     Cone,
@@ -136,6 +138,30 @@ def det_loop(m: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def solve_integer(m: IntMatrix, b) -> tuple[int, ...] | None:
+    """One integer solution of ``m*x = b``, or None when there is none."""
+    b = tuple(int(x) for x in b)
+    if len(b) != m.rows:
+        raise ValueError("dimension mismatch")
+    h, u = hermite_normal_form(m)
+    res = list(b)
+    y = [0] * h.cols
+    for j in range(h.cols):
+        i = next((i for i in range(h.rows) if h[i][j] != 0), None)
+        if i is None:
+            continue
+        if res[i] % h[i][j] != 0:
+            return None
+        f = res[i] // h[i][j]
+        if f:
+            for k in range(h.rows):
+                res[k] -= f * h[k][j]
+        y[j] = f
+    if any(res):
+        return None
+    return u.mul_vec(y)
 
 
 def rank_loop(m: IntMatrix) -> int:
@@ -546,10 +572,82 @@ def gl2_equivalent(a: Fan, b: Fan) -> bool:
     return gl2_normal_form(a) == gl2_normal_form(b)
 
 
+def xi_g(fan: Fan, g_hat: LatticePoint) -> Fan:
+    """Subfan of all faces of the maximal cones containing the given ray.
+
+    Corresponds to an open toric subvariety; only the maximal cones are
+    stored, faces are implicit.
+    """
+    if g_hat not in fan.ray_set:
+        raise RayAbsent(f"{g_hat} is not a ray of the fan")
+    return make_fan(fan.lattice, fan.cones_through[g_hat])
+
+
+@dataclass(frozen=True)
+class LineBundleFan:
+    """Total-space fan of a line bundle over a star fan."""
+
+    base: StarFan
+    divisor: TDivisor
+    fan: Fan
+
+
+def age_weighted_divisor(star: StarFan) -> TDivisor:
+    """Star-fan divisor with coefficient minus the age of each ray's lift."""
+    return TDivisor.from_dict({ubar: -_lift_age(u) for ubar, u in star.lifts})
+
+
+def total_space_fan(star: StarFan, div: TDivisor) -> LineBundleFan:
+    """Fan of the line bundle: cones ``Cone((0,1), (u, -a_u))`` and faces."""
+    n1 = star.fan.lattice.dim
+    total_lat = ScaledLattice(n1 + 1, 1, IntMatrix.identity(n1 + 1))
+    apex = LatticePoint((0,) * n1 + (1,), 1)
+    coefficient = dict(div.coeffs)
+    cones = []
+    for c in star.fan.maximal_cones:
+        rays = [apex]
+        for u in c.rays:
+            rays.append(LatticePoint(u.coords + (-coefficient.get(u, 0),), 1))
+        cones.append(make_cone(rays))
+    fan = make_fan(total_lat, cones)
+    if len(fan.rays) != len(star.fan.rays) + 1:
+        raise InvariantError("total-space rays do not match the star rays plus apex")
+    return LineBundleFan(star, div, fan)
+
+
+def _iso_matrix(fan: Fan, star: StarFan, anchor: Cone) -> IntMatrix:
+    """Lattice map sending ``(0,1)`` to the junior and ``(ubar, age u)`` to u.
+
+    Domain coordinates are quotient-times-Z; the image is expressed in
+    basis coordinates of the ambient lattice.
+    """
+    lat = fan.lattice
+    g_hat = star.origin_ray
+    quo = star.quotient
+    dom_cols = []
+    img_cols = []
+    for u in anchor.rays:
+        if u == g_hat:
+            continue
+        dom_cols.append(quo.project(u).coords + (_lift_age(u),))
+        img_cols.append(lat.basis_coords(u))
+    dom_cols.append((0,) * quo.dim + (1,))
+    img_cols.append(lat.basis_coords(g_hat))
+    d = IntMatrix.from_columns(dom_cols)
+    t = IntMatrix.from_columns(img_cols)
+    return t * d.inverse_unimodular()
+
+
 def certify_normal_embedding_per_anchor(
     fan: Fan, g_hat: LatticePoint
 ) -> EmbeddingCertificate:
-    """``certify_normal_embedding`` with the map rebuilt on every anchor cone."""
+    """``certify_normal_embedding`` with the map rebuilt on every anchor cone.
+
+    The pipeline is the one before the single pass: the open subfan
+    ``xi_g``, the ``TDivisor`` of the ages, the total-space fan built by
+    ``make_cone``/``make_fan``, and a second projection of each anchor's
+    rays for its map.
+    """
     lat = fan.lattice
     if not fan.is_smooth:
         raise NotSmooth("embedding certificates require a smooth fan")
@@ -690,3 +788,17 @@ def principal_divisor(fan: Fan, m) -> TDivisor:
             )
         out[ray] = int(v)
     return TDivisor.from_dict(out)
+
+
+def is_principal(fan: Fan, div: TDivisor) -> bool:
+    """Exact membership of the divisor in the image of the dual lattice.
+
+    Solves the pairing matrix by its Hermite form, so it checks
+    ``ClassGroup.class_vector``, which reads the Smith form.
+    """
+    mb = dual_basis(fan.lattice)
+    a = IntMatrix(
+        [[int(pairing(mb.column(j), ray)) for j in range(mb.cols)] for ray in fan.rays]
+    )
+    coefficient = dict(div.coeffs)
+    return solve_integer(a, [coefficient.get(ray, 0) for ray in fan.rays]) is not None

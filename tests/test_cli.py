@@ -347,6 +347,19 @@ def test_verify_rejects_malformed_fan_numbers(tmp_path, capsys, mutate):
     assert "all certificates verified" not in captured.out
 
 
+def test_verify_rejects_a_fan_beyond_the_dimension_bound(tmp_path, capsys):
+    # an identity-basis fan in n = MAX_DIM + 1 is refused before its cone is built
+    n = MAX_DIM + 1
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    data = {"lattice": {"n": n, "r": 1, "basis": units},
+            "rays": units, "maximal_cones": [list(range(n))]}
+    fan_path = tmp_path / "big.json"
+    fan_path.write_text(json.dumps(data))
+    assert main(["verify", str(fan_path), "6:(1,2,3)"]) == 2
+    err = capsys.readouterr().err
+    assert f"malformed fan data: dimension {n} exceeds the bound {MAX_DIM}" in err
+
+
 def _edge_fan_file(tmp_path):
     import torcrep
 

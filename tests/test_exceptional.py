@@ -1,12 +1,16 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 
+from conftest import Z7_HILBERT_SEQUENCE, nonstar_order6_fan
 from oracles import (
     age_affinity_check,
+    age_weighted_divisor,
     certify_normal_embedding_per_anchor,
     gl2_equivalent,
+    total_space_fan,
     validate_fan_all_pairs,
+    xi_g,
 )
 from torcrep.divisors import TDivisor, canonical_divisor
 from torcrep.errors import CertificateFailure, NotComplete, NotSurface, RayAbsent
@@ -17,9 +21,6 @@ from torcrep.exceptional import (
     classify_surface,
     coverage_check,
     star_fan,
-    age_weighted_divisor,
-    total_space_fan,
-    xi_g,
 )
 from torcrep.fans import (
     fans_equal,
@@ -155,7 +156,7 @@ def test_certificates_order6(z6, z6_result, z6_result_alt):
             cert = certify_normal_embedding(res.fan, g)
             assert cert.verified
             assert cert.iso.is_unimodular()
-            expected_anchors = len(xi_g(res.fan, g).maximal_cones)
+            expected_anchors = len(res.fan.cones_through[g])
             assert cert.anchor_cones_checked == expected_anchors
             assert len(cert.cone_bijection) == expected_anchors
 
@@ -172,7 +173,7 @@ def test_certificate_order7_age_weighted(z7, z7_hilbert_result):
     )
     assert cert.verified
     assert cert.anchor_cones_checked == len(
-        xi_g(z7_hilbert_result.fan, LatticePoint((1, 1, 2, 3), 7)).maximal_cones
+        z7_hilbert_result.fan.cones_through[LatticePoint((1, 1, 2, 3), 7)]
     )
 
 
@@ -209,8 +210,14 @@ def _certificate_outcome(certify, fan, ray):
         return type(exc), str(exc)
 
 
-@settings(max_examples=60, deadline=None)
+_Z6 = close_group([LatticePoint((1, 2, 3), 6)])
+_Z7 = close_group([LatticePoint((1, 1, 2, 3), 7)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(smooth_fans())
+@example((_Z7, resolve(_Z7, Z7_HILBERT_SEQUENCE).fan))  # n = 4, weights 1 and 2
+@example((_Z6, nonstar_order6_fan(_Z6.lattice)))  # no star-subdivision order
 def test_certificate_matches_per_anchor_oracle(case):
     _, fan = case
     assert fan.is_smooth
@@ -228,7 +235,8 @@ def test_smooth_fans_include_failing_certificates():
             for ray in fan.rays
         )
 
-    quick = settings(deadline=None, database=None, phases=[Phase.generate])
+    quick = settings(deadline=None, database=None, phases=[Phase.generate],
+                     derandomize=True)
     find(smooth_fans(), fails, settings=quick)
 
 
@@ -261,12 +269,12 @@ def test_coverage(z6, z6_result, z5, z5_result, trivial3):
 
 def test_union_counts(z6, z6_result):
     # every maximal cone appears in at least one open piece
-    pieces = [xi_g(z6_result.fan, g) for g in z6.juniors]
+    pieces = [z6_result.fan.cones_through[g] for g in z6.juniors]
     covered = set()
     for piece in pieces:
-        covered.update(piece.maximal_cones)
+        covered.update(piece)
     assert covered == set(z6_result.fan.maximal_cones)
-    assert sum(len(p.maximal_cones) for p in pieces) >= z6_result.euler
+    assert sum(len(p) for p in pieces) >= z6_result.euler
 
 
 def test_classify_p2_direct():

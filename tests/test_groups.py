@@ -123,7 +123,8 @@ def test_junior_generation_matches_closure(group):
 
 
 def test_small_groups_include_both_junior_generation_outcomes():
-    quick = settings(deadline=None, database=None, phases=[Phase.generate])
+    quick = settings(deadline=None, database=None, phases=[Phase.generate],
+                     derandomize=True)
     for generated in (True, False):
         find(small_groups(), lambda g: _generated_by_juniors(g) == generated,
              settings=quick)

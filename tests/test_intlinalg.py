@@ -11,6 +11,7 @@ from oracles import (
     invariant_factors,
     kernel_basis,
     rank_loop,
+    solve_integer,
     solve_rational,
 )
 from torcrep.intlinalg import (
@@ -19,7 +20,6 @@ from torcrep.intlinalg import (
     rank,
     smith_normal_form,
     solve,
-    solve_integer,
     xgcd,
 )
 

@@ -41,7 +41,9 @@ def test_no_assert_statements_in_package():
 
 
 def test_public_names_are_used_by_the_package_or_scripts():
-    # a name only tests use belongs in tests/oracles.py, not in the API
+    # a name only tests use belongs in tests/oracles.py, not in the API:
+    # every name in __all__, every public module-level function or class of
+    # the package and every public method must be read in src/ or scripts/
     import torcrep
 
     used = set()
@@ -54,7 +56,17 @@ def test_public_names_are_used_by_the_package_or_scripts():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    assert [name for name in torcrep.__all__ if name not in used] == []
+    public = list(torcrep.__all__)
+    defs = (ast.FunctionDef, ast.ClassDef)
+    for path in sorted((SRC / "torcrep").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, defs) or node.name.startswith("_"):
+                continue
+            public.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                public += [f"{node.name}.{m.name}" for m in node.body
+                           if isinstance(m, defs) and not m.name.startswith("_")]
+    assert [name for name in public if name.split(".")[-1] not in used] == []
 
 
 def test_worked_example_artifacts_are_byte_identical(tmp_path):
