@@ -6,7 +6,7 @@ is normally embedded with tubular neighborhood equal to the total space
 of its weighted line bundle (the canonical bundle in the crepant case).
 """
 
-from .divisors import TDivisor, canonical_divisor, class_group
+from .divisors import class_group
 from .errors import TorcrepError
 from .exceptional import (
     EmbeddingCertificate,
@@ -38,7 +38,7 @@ from .groups import (
     crepant_obstructions,
     element_names,
 )
-from .hilbert import HilbertBasis, hilbert_basis
+from .hilbert import hilbert_basis
 from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form
 from .lattice import (
     LatticePoint,
@@ -62,7 +62,6 @@ __all__ = [
     "EmbeddingCertificate",
     "Fan",
     "GroupData",
-    "HilbertBasis",
     "IntMatrix",
     "LatticePoint",
     "ObstructionReport",
@@ -71,10 +70,8 @@ __all__ = [
     "ScaledLattice",
     "StarFan",
     "SurfaceType",
-    "TDivisor",
     "TorcrepError",
     "build_lattice",
-    "canonical_divisor",
     "certify_normal_embedding",
     "class_group",
     "classify_surface",

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .divisors import canonical_divisor, class_group, class_group_to_json
+from .divisors import class_group, class_group_to_json
 from .errors import (
     CertificateFailure,
     DimensionMismatch,
@@ -48,7 +48,7 @@ from .lattice import LatticePoint
 from .resolve import is_crepant, resolve, result_to_json, search_resolution
 from .svg import junior_graph_svg
 
-_GEN_RE = re.compile(r"^\s*(\d+)\s*:\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*$")
+_GEN_RE = re.compile(r"^\s*(\d+)\s*:\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*$", re.ASCII)
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,13 @@ def parse_group(text: str) -> GroupSpec:
                 f"expected 'r:(a1,...,an)', got {line.strip()!r}",
                 line=lineno, col=col,
             )
-        r = int(m.group(1))
-        coords = tuple(int(x) for x in m.group(2).split(","))
+        try:
+            r = int(m.group(1))
+            coords = tuple(int(x) for x in m.group(2).split(","))
+        except ValueError as exc:  # the interpreter's int-string digit limit
+            raise GroupSyntaxError(
+                f"number too long: more than {sys.get_int_max_str_digits()} digits",
+                line=lineno, col=1) from exc
         if len(coords) > MAX_DIM:
             raise DimensionUnsupported(
                 f"line {lineno}: dimension {len(coords)} exceeds the bound {MAX_DIM}"
@@ -121,7 +126,10 @@ def _load_group(args) -> GroupData:
 
 def _load_fan(path: str, group: GroupData) -> Fan:
     """Fan, bare or from a resolve output, validated as a fan of the group's orthant."""
-    data = json.loads(_read_text(path))
+    try:
+        data = json.loads(_read_text(path))
+    except ValueError as exc:  # bad JSON, or an integer beyond the digit limit
+        raise InputError(f"cannot parse {path}: {exc}") from exc
     if isinstance(data, dict) and "fan" in data:
         data = data["fan"]
     fan = fan_from_json(data)
@@ -160,7 +168,7 @@ def cmd_analyze(args) -> int:
           f" [{', '.join(names[g] for g in juniors)}]")
     print(f"compact juniors: [{', '.join(names[g] for g in compact)}]")
     labels = names | {u: f"e{i + 1}" for i, u in enumerate(group.units())}
-    hlb_names = [labels.get(p, "e") for p in hlb.elements]
+    hlb_names = [labels.get(p, "e") for p in hlb]
     print(f"Hilbert basis ({len(hlb)}): {', '.join(sorted(hlb_names))}")
     if report.not_generated_by_juniors:
         print("no crepant resolution: not generated by juniors")
@@ -218,7 +226,7 @@ def cmd_verify(args) -> int:
         "certificates": [],
     }
     cg = class_group(fan)
-    bundle["class_group"] = class_group_to_json(cg, canonical_divisor(fan))
+    bundle["class_group"] = class_group_to_json(cg)
     names = element_names(group)
     all_ok = smooth
     if not smooth:
@@ -322,7 +330,7 @@ def main(argv=None) -> int:
     except CertificateFailure as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except TorcrepError as exc:

@@ -1,33 +1,21 @@
-"""Torus-invariant divisors and the divisor class group.
+"""The divisor class group of a toric fan.
 
-The class group is the cokernel of the pairing map from the dual lattice
-into the free group on the rays, computed in Smith normal form.  Class
-coordinates are basis-dependent: they are read off the Smith form's left
-transform.
+``Cl(X)`` is the cokernel of the pairing map from the dual lattice ``M``
+into the free group on the rays (Cox-Little-Schenck, Thm 4.1.3).  One Smith
+normal form ``s = p * a * q`` of the pairing matrix ``a`` gives it all: the
+group from the diagonal of ``s``, the class of the ray ``i`` from column
+``i`` of ``p``, and the class of ``K_X = -sum D_i`` from ``p * (-1, ..., -1)``.
+Class coordinates are basis-dependent: they are read off ``p``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
 
 from .errors import InvariantError
 from .fans import Fan
 from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form, solve
 from .lattice import LatticePoint, ScaledLattice
-
-
-@dataclass(frozen=True)
-class TDivisor:
-    """Integer combination of the prime divisors attached to rays."""
-
-    coeffs: tuple[tuple[LatticePoint, int], ...]
-
-    @classmethod
-    def from_dict(cls, d) -> "TDivisor":
-        items = tuple(sorted(d.items(), key=lambda kv: kv[0].coords))
-        return cls(items)
 
 
 def dual_basis(lattice: ScaledLattice) -> IntMatrix:
@@ -45,93 +33,55 @@ def dual_basis(lattice: ScaledLattice) -> IntMatrix:
     return h
 
 
-def pairing(m, u: LatticePoint) -> Fraction:
-    """Exact pairing of a dual vector with a scaled lattice point."""
-    return Fraction(sum(a * b for a, b in zip(m, u.coords)), u.denom)
-
-
-def canonical_divisor(fan: Fan) -> TDivisor:
-    """Coefficient -1 on every ray."""
-    return TDivisor.from_dict({ray: -1 for ray in fan.rays})
-
-
 @dataclass(frozen=True)
 class ClassGroup:
-    """Cokernel of the dual pairing matrix in Smith normal form coordinates.
+    """``Cl(X)`` with the class of each ray and of the canonical divisor.
 
-    A class vector lists torsion coordinates (mod the matching invariant
-    factor) followed by free coordinates.
+    A class lists torsion coordinates (mod the matching invariant factor)
+    followed by free coordinates; ``ray_classes`` follows ``rays``.
     """
 
     rays: tuple[LatticePoint, ...]
     rank: int
     torsion: tuple[int, ...]
-    _p: IntMatrix
-    _diag: tuple[int, ...]
-
-    @cached_property
-    def class_of(self) -> dict[LatticePoint, tuple[int, ...]]:
-        return {
-            ray: self._reduce(self._p.column(i))
-            for i, ray in enumerate(self.rays)
-        }
-
-    def _reduce(self, y) -> tuple[int, ...]:
-        tors = []
-        free = []
-        for i, v in enumerate(y):
-            if i < len(self._diag):
-                d = self._diag[i]
-                if d == 1:
-                    continue
-                tors.append(v % d)
-            else:
-                free.append(v)
-        return tuple(tors) + tuple(free)
-
-    def class_vector(self, div: TDivisor) -> tuple[int, ...]:
-        y = [0] * len(self.rays)
-        index = {ray: i for i, ray in enumerate(self.rays)}
-        for ray, c in div.coeffs:
-            y[index[ray]] = c
-        return self._reduce(self._p.mul_vec(y))
-
-    @property
-    def order(self) -> int | None:
-        """Group order, or None when the rank is positive."""
-        if self.rank:
-            return None
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
+    ray_classes: tuple[tuple[int, ...], ...]
+    canonical_class: tuple[int, ...]
 
 
 def class_group(fan: Fan) -> ClassGroup:
     """Class group of the fan via the Smith form of the pairing matrix."""
-    lat = fan.lattice
-    mb = dual_basis(lat)
+    mb = dual_basis(fan.lattice).transpose()
     rays = fan.rays
-    a = IntMatrix(
-        [
-            [int(pairing(mb.column(j), ray)) for j in range(mb.cols)]
-            for ray in rays
-        ]
+    rows = []
+    for ray in rays:
+        row = []
+        for v in mb.mul_vec(ray.coords):
+            m, rem = divmod(v, ray.denom)
+            if rem:
+                raise InvariantError(f"ray {ray} pairs non-integrally with the dual lattice")
+            row.append(m)
+        rows.append(row)
+    s, p, _ = smith_normal_form(IntMatrix(rows))
+    diag = [s[i][i] for i in range(min(s.rows, s.cols))]
+    diag += [0] * (len(rays) - len(diag))  # coordinates past the diagonal are free
+
+    def reduce(y) -> tuple[int, ...]:
+        return (tuple(v % d for v, d in zip(y, diag) if d > 1)
+                + tuple(v for v, d in zip(y, diag) if d == 0))
+
+    return ClassGroup(
+        rays=rays,
+        rank=diag.count(0),
+        torsion=tuple(d for d in diag if d > 1),
+        ray_classes=tuple(reduce(col) for col in p.columns()),
+        canonical_class=reduce([-sum(row) for row in p.data]),
     )
-    s, p, _ = smith_normal_form(a)
-    diag = tuple(s[i][i] for i in range(min(s.rows, s.cols)))
-    nonzero = [d for d in diag if d]
-    rank = len(rays) - len(nonzero)
-    torsion = tuple(d for d in nonzero if d > 1)
-    return ClassGroup(rays, rank, torsion, p, diag)
 
 
-def class_group_to_json(cg: ClassGroup, canonical: TDivisor | None = None) -> dict:
-    data = {
+def class_group_to_json(cg: ClassGroup) -> dict:
+    return {
         "rank": cg.rank,
         "torsion": list(cg.torsion),
-        "ray_classes": [list(cg.class_of[ray]) for ray in cg.rays],
+        "ray_classes": [list(c) for c in cg.ray_classes],
+        "canonical_class": list(cg.canonical_class),
     }
-    if canonical is not None:
-        data["canonical_class"] = list(cg.class_vector(canonical))
-    return data

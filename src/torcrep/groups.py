@@ -141,7 +141,7 @@ def crepant_obstructions(group: GroupData, hlb) -> ObstructionReport:
             gens.append(h)
             lattice = build_lattice(gens, group.n, group.r)
     generated = lattice.index_over_std == group.order
-    seniors_in_basis = any(sum(p.coords) > group.r for p in hlb.elements)
+    seniors_in_basis = any(sum(p.coords) > group.r for p in hlb)
     return ObstructionReport(
         not_generated_by_juniors=not generated,
         hilbert_basis_contains_seniors=seniors_in_basis,

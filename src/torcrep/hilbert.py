@@ -19,23 +19,11 @@ minimal when every slot has a failing field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groups import GroupData
 from .lattice import LatticePoint
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
-    """The unique minimal generating set of the orthant monoid."""
-
-    elements: tuple[LatticePoint, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def hilbert_basis(group: GroupData) -> HilbertBasis:
+def hilbert_basis(group: GroupData) -> tuple[LatticePoint, ...]:
     """Minimal nonzero group elements and unit vectors ``r*e_i``, sorted lex.
 
     An irreducible ``v`` with a coordinate ``>= r`` is ``r*e_i``, since
@@ -67,4 +55,4 @@ def hilbert_basis(group: GroupData) -> HilbertBasis:
         ones |= 1 << shift
         guards, firsts = guard * ones, first * ones
         minimal.append(v)
-    return HilbertBasis(tuple(minimal))
+    return tuple(minimal)

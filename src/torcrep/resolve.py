@@ -12,6 +12,7 @@ returns the first smooth fan, proves that no sequence gives one
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,8 +40,8 @@ def search_budget() -> int:
     if not raw:
         return DEFAULT_BUDGET
     try:
-        budget = int(raw)
-    except ValueError:
+        budget = int(raw) if re.fullmatch("[0-9]+", raw) else 0
+    except ValueError:  # the interpreter's int-string digit limit
         budget = 0
     if budget < 1:
         raise InputError(f"{BUDGET_ENV} must be a positive integer, got {raw!r}")
@@ -56,7 +57,6 @@ class ResolutionResult:
     crepant: bool = False
     terminal_flags: dict[Cone, bool] = field(default_factory=dict, compare=False)
     euler: int = 0
-    star_sequence: bool = True
 
 
 def discrepancies(fan: Fan, group: GroupData) -> dict[LatticePoint, Fraction]:
@@ -70,8 +70,7 @@ def is_crepant(fan: Fan, group: GroupData) -> bool:
     return not any(discrepancies(fan, group).values())
 
 
-def certify_fan(group: GroupData, fan: Fan, sequence=(),
-                star_sequence: bool = True) -> ResolutionResult:
+def certify_fan(group: GroupData, fan: Fan, sequence=()) -> ResolutionResult:
     """Populate all certificate fields for a fan refining the orthant."""
     return ResolutionResult(
         fan=fan,
@@ -81,7 +80,6 @@ def certify_fan(group: GroupData, fan: Fan, sequence=(),
         crepant=is_crepant(fan, group),
         terminal_flags={c: is_terminal(c, group.lattice) for c in fan.maximal_cones},
         euler=len(fan.maximal_cones),
-        star_sequence=star_sequence,
     )
 
 
@@ -113,8 +111,7 @@ def _has_dead_cone(fan: Fan, pending) -> bool:
                for c in fan.maximal_cones)
 
 
-def search_resolution(group: GroupData, mode: str,
-                      budget: int | None = None) -> ResolutionResult:
+def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
     """Depth-first search over star-subdivision sequences of the targets.
 
     ``mode`` is ``"juniors_only"`` (targets: the juniors) or
@@ -130,19 +127,15 @@ def search_resolution(group: GroupData, mode: str,
     the first permutation of the targets (``itertools.permutations``
     order) with a smooth fan, and it is certified as it stands.
 
-    ``budget`` (default ``TORCREP_BUDGET``) bounds the fans expanded;
-    ResolutionNotFound has ``exhausted`` False when the budget stopped it.
+    ``TORCREP_BUDGET`` bounds the fans expanded; ResolutionNotFound has
+    ``exhausted`` False when the budget stopped it.
     """
-    if budget is None:
-        budget = search_budget()
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = search_budget()
     if mode == "juniors_only":
         targets = _policy_order(group.juniors)
     elif mode == "hilbert_basis":
         axes = set(group.units())
-        targets = _policy_order([p for p in hilbert_basis(group).elements
-                                 if p not in axes])
+        targets = _policy_order([p for p in hilbert_basis(group) if p not in axes])
     else:
         raise ValueError(f"unknown search mode {mode!r}")
 
@@ -181,10 +174,6 @@ def result_to_json(result: ResolutionResult) -> dict:
     fan_data = fan_to_json(result.fan)
     ray_order = [tuple(r) for r in fan_data["rays"]]
     disc = {tuple(k.coords): v for k, v in result.discrepancies.items()}
-    cones_in_order = sorted(
-        result.fan.maximal_cones,
-        key=lambda c: tuple(r.coords for r in c.rays),
-    )
     return {
         "fan": fan_data,
         "sequence": [list(p.coords) for p in result.sequence],
@@ -192,6 +181,6 @@ def result_to_json(result: ResolutionResult) -> dict:
         "crepant": result.crepant,
         "euler": result.euler,
         "ray_discrepancies": [str(disc[r]) for r in ray_order],
-        "cone_terminal": [result.terminal_flags[c] for c in cones_in_order],
-        "star_sequence": result.star_sequence,
+        "cone_terminal": [result.terminal_flags[c] for c in result.fan.maximal_cones],
+        "star_sequence": True,
     }

@@ -7,6 +7,7 @@ import pytest
 
 from torcrep.groups import close_group
 from torcrep.lattice import LatticePoint
+from torcrep.fans import star_subdivision
 from torcrep.resolve import resolve
 
 # the worked-example script owns the hand-entered non-star model
@@ -95,3 +96,28 @@ def small_groups(draw):
         coords = draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
         gens.append(LatticePoint((*coords, -sum(coords) % m), m))
     return close_group(gens, n)
+
+
+@st.composite
+def smooth_fans(draw):
+    """A group in n = 2, 3 and a smooth fan refining its orthant.
+
+    All juniors are folded in a random order, which in n <= 3 gives a
+    smooth crepant fan, then up to two blow-ups along the sum of the rays
+    of a face keep the fan smooth and add rays of age >= 2, whose
+    certificates fail.
+    """
+    n = draw(st.integers(2, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        m = draw(st.integers(2, 7))
+        coords = draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
+        gens.append(LatticePoint((*coords, -sum(coords) % m), m))
+    group = close_group(gens, n)
+    fan = resolve(group, draw(st.permutations(group.juniors))).fan
+    for _ in range(draw(st.integers(0, 2))):
+        cone = draw(st.sampled_from(fan.maximal_cones))
+        face = draw(st.lists(st.sampled_from(cone.rays), min_size=2, unique=True))
+        mu = LatticePoint(tuple(map(sum, zip(*(r.coords for r in face)))), group.r)
+        fan = star_subdivision(fan, mu)
+    return group, fan

@@ -22,12 +22,15 @@ lex scan before its packed comparison (a Python test of each candidate
 against each kept minimal element) and a walk that decides irreducibility
 by enumerating the lattice points of the box below a candidate.  The search
 oracle is ``search_resolution`` before the depth-first search: it folds
-every permutation of the targets from the orthant.  The differential
-tests compare the package against them.  The checks at the end
-(``age_affinity_check``, ``euler_check``, ``principal_divisor``, and
-``is_principal``, a Hermite solve by ``solve_integer`` that checks the
-Smith-form class vectors) and their errors are identities the tests
-assert; the CLI does not use them.
+every permutation of the targets from the orthant.  The class-group
+oracle is ``class_group_to_json`` before ``ClassGroup`` became a record
+(a ``TDivisor`` canonical divisor, ``Fraction`` pairings and a Smith-form
+class vector); ``class_vector`` reads a divisor's class off the ray
+classes.  The differential tests compare the package against them.  The
+checks at the end (``age_affinity_check``, ``euler_check``,
+``principal_divisor``, and ``is_principal``, a Hermite solve by
+``solve_integer`` that checks the Smith-form class vectors) and their
+errors are identities the tests assert; the CLI does not use them.
 """
 
 import json
@@ -36,7 +39,7 @@ from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 from math import factorial, gcd
 
-from torcrep.divisors import TDivisor, dual_basis, pairing
+from torcrep.divisors import ClassGroup, dual_basis
 from torcrep.errors import (
     CertificateFailure,
     InvalidFan,
@@ -65,7 +68,7 @@ from torcrep.fans import (
     support_volume,
 )
 from torcrep.groups import GroupData
-from torcrep.hilbert import HilbertBasis, hilbert_basis
+from torcrep.hilbert import hilbert_basis
 from torcrep.intlinalg import (
     IntMatrix,
     hermite_normal_form,
@@ -506,9 +509,9 @@ def hilbert_basis_pairwise(group: GroupData) -> tuple[LatticePoint, ...]:
     return tuple(minimal)
 
 
-def hilbert_candidate_rays_check(fan: Fan, hlb: HilbertBasis) -> bool:
+def hilbert_candidate_rays_check(fan: Fan, hlb) -> bool:
     """True when the fan's rays are exactly the basis and all cones are smooth."""
-    if set(fan.rays) != set(hlb.elements):
+    if set(fan.rays) != set(hlb):
         return False
     return all(is_smooth_cone(c, fan.lattice) for c in fan.maximal_cones)
 
@@ -570,6 +573,85 @@ def gl2_normal_form(fan: Fan) -> str:
 
 def gl2_equivalent(a: Fan, b: Fan) -> bool:
     return gl2_normal_form(a) == gl2_normal_form(b)
+
+
+# ---------------------------------------------------------------------------
+# Divisors and the class group
+
+
+@dataclass(frozen=True)
+class TDivisor:
+    """Integer combination of the prime divisors attached to rays."""
+
+    coeffs: tuple[tuple[LatticePoint, int], ...]
+
+    @classmethod
+    def from_dict(cls, d) -> "TDivisor":
+        items = tuple(sorted(d.items(), key=lambda kv: kv[0].coords))
+        return cls(items)
+
+
+def pairing(m, u: LatticePoint) -> Fraction:
+    """Exact pairing of a dual vector with a scaled lattice point."""
+    return Fraction(sum(a * b for a, b in zip(m, u.coords)), u.denom)
+
+
+def canonical_divisor(fan: Fan) -> TDivisor:
+    """Coefficient -1 on every ray."""
+    return TDivisor.from_dict({ray: -1 for ray in fan.rays})
+
+
+def class_vector(cg: ClassGroup, div: TDivisor) -> tuple[int, ...]:
+    """Class of a divisor as its combination of the ray classes."""
+    index = {ray: i for i, ray in enumerate(cg.rays)}
+    total = [0] * (len(cg.torsion) + cg.rank)
+    for ray, c in div.coeffs:
+        for k, v in enumerate(cg.ray_classes[index[ray]]):
+            total[k] += c * v
+    t = len(cg.torsion)
+    return tuple(v % d for v, d in zip(total, cg.torsion)) + tuple(total[t:])
+
+
+def class_group_json_reference(fan: Fan) -> dict:
+    """``class_group_to_json`` as computed before ``ClassGroup`` was a record.
+
+    The pairing matrix truncates ``Fraction`` entries by ``int``; each ray
+    class reduces a column of the Smith left transform ``p``, and the
+    canonical class reduces ``p`` times the coefficient vector of
+    ``canonical_divisor``.
+    """
+    mb = dual_basis(fan.lattice)
+    rays = fan.rays
+    a = IntMatrix(
+        [[int(pairing(mb.column(j), ray)) for j in range(mb.cols)] for ray in rays]
+    )
+    s, p, _ = smith_normal_form(a)
+    diag = tuple(s[i][i] for i in range(min(s.rows, s.cols)))
+    nonzero = [d for d in diag if d]
+
+    def reduce(y):
+        tors = []
+        free = []
+        for i, v in enumerate(y):
+            if i < len(diag):
+                d = diag[i]
+                if d == 1:
+                    continue
+                tors.append(v % d)
+            else:
+                free.append(v)
+        return tuple(tors) + tuple(free)
+
+    index = {ray: i for i, ray in enumerate(rays)}
+    y = [0] * len(rays)
+    for ray, c in canonical_divisor(fan).coeffs:
+        y[index[ray]] = c
+    return {
+        "rank": len(rays) - len(nonzero),
+        "torsion": [d for d in nonzero if d > 1],
+        "ray_classes": [list(reduce(p.column(i))) for i in range(len(rays))],
+        "canonical_class": list(reduce(p.mul_vec(y))),
+    }
 
 
 def xi_g(fan: Fan, g_hat: LatticePoint) -> Fan:
@@ -702,7 +784,6 @@ def certify_normal_embedding_per_anchor(
         iso=first_iso,
         cone_bijection=first_bijection,
         anchor_cones_checked=len(anchors),
-        verified=True,
     )
 
 
@@ -710,26 +791,21 @@ def certify_normal_embedding_per_anchor(
 # Resolution search
 
 
-def search_resolution_permutations(group: GroupData, mode: str,
-                                   budget: int | None = None) -> ResolutionResult:
+def search_resolution_permutations(group: GroupData, mode: str) -> ResolutionResult:
     """Try permutations of the target set in a deterministic policy order.
 
     ``mode`` is ``"juniors_only"`` (targets: the juniors) or
     ``"hilbert_basis"`` (targets: the non-axis Hilbert basis elements); the
     first permutation whose fan is smooth wins.  Only the accepted fan is
-    certified.  ``budget`` bounds the permutations tried; not-found is
-    exhausted when every permutation was tried.
+    certified.  ``TORCREP_BUDGET`` bounds the permutations tried; not-found
+    is exhausted when every permutation was tried.
     """
-    if budget is None:
-        budget = search_budget()
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    budget = search_budget()
     if mode == "juniors_only":
         targets = _policy_order(group.juniors)
     elif mode == "hilbert_basis":
         axes = set(group.units())
-        targets = _policy_order([p for p in hilbert_basis(group).elements
-                                 if p not in axes])
+        targets = _policy_order([p for p in hilbert_basis(group) if p not in axes])
     else:
         raise ValueError(f"unknown search mode {mode!r}")
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -121,6 +122,36 @@ def test_analyze_large_order(capsys):
 
 def test_bad_group_is_input_error(capsys):
     assert main(["analyze", "6:(1,2,2)"]) == 2
+
+
+def test_group_number_beyond_the_digit_limit_is_input_error(capsys):
+    # int() refuses longer strings (4300 digits by default)
+    limit = sys.get_int_max_str_digits()
+    assert main(["analyze", f"1:(0,0);{'6' * (limit + 1)}:(1,2,3)"]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: line 2, col 1: number too long: more than {limit} digits" in err
+    assert "Traceback" not in err
+
+
+def test_group_text_with_non_ascii_digits_is_input_error(capsys):
+    # "6:(1,2,3)" in Arabic-Indic digits, which int() would read
+    assert main(["analyze", "٦:(١,٢,٣)"]) == 2
+    assert "input error: line 1, col 1: expected 'r:(a1,...,an)'" in capsys.readouterr().err
+
+
+def test_verify_fan_number_beyond_the_digit_limit_is_input_error(tmp_path, capsys):
+    fan_path = tmp_path / "z6.json"
+    assert main(["resolve", "6:(1,2,3)", "--sequence", "g1,g2,g3,g4",
+                 "--out", str(fan_path)]) == 0
+    data = json.loads(fan_path.read_text())
+    data["fan"]["rays"][0][0] = "huge"  # json.dumps cannot write such an int either
+    huge = "6" * (sys.get_int_max_str_digits() + 1)
+    fan_path.write_text(json.dumps(data).replace('"huge"', huge))
+    capsys.readouterr()
+    assert main(["verify", str(fan_path), "6:(1,2,3)"]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: cannot parse {fan_path}" in err
+    assert "Traceback" not in err
 
 
 def test_resolve_and_verify_round_trip(tmp_path, capsys):
@@ -295,7 +326,9 @@ def test_parser_help_smoke():
     assert parser.prog == "torcrep"
 
 
-@pytest.mark.parametrize("raw", ["abc", "0"])
+@pytest.mark.parametrize("raw", ["abc", "0", " 5", "1_0", "\u0665", "+3", "9" * 5000],
+                         ids=["abc", "0", "space", "underscore", "arabic-indic",
+                              "plus", "5000-digits"])
 def test_bad_budget_env_is_input_error(raw, monkeypatch, capsys):
     monkeypatch.setenv("TORCREP_BUDGET", raw)
     assert main(["resolve", "7:(1,1,2,3)", "--search", "juniors"]) == 2

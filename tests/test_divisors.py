@@ -1,15 +1,23 @@
-import pytest
+from math import prod
 
-from conftest import random_cyclic_group
-from oracles import NotInDualLattice, is_principal, principal_divisor
-from torcrep.divisors import (
+import hypothesis.strategies as st
+import pytest
+from hypothesis import Phase, find, given, settings
+
+from conftest import random_cyclic_group, small_groups, smooth_fans
+from oracles import (
+    NotInDualLattice,
     TDivisor,
     canonical_divisor,
-    class_group,
-    dual_basis,
+    class_group_json_reference,
+    class_vector,
+    is_principal,
     pairing,
+    principal_divisor,
 )
-from torcrep.fans import sigma_fan
+from torcrep.divisors import class_group, class_group_to_json, dual_basis
+from torcrep.errors import InvariantError
+from torcrep.fans import make_cone, make_fan, sigma_fan
 from torcrep.intlinalg import IntMatrix, solve
 from torcrep.lattice import LatticePoint, unit_point
 
@@ -90,7 +98,7 @@ def test_class_group_order5(z5_result):
     rel3 = TDivisor.from_dict({rho3: 1, rho5: -1})
     for rel in (rel1, rel2, rel3):
         assert is_principal(z5_result.fan, rel)
-        assert all(v == 0 for v in cg.class_vector(rel))
+        assert all(v == 0 for v in class_vector(cg, rel))
     not_rel = TDivisor.from_dict({rho1: 1})
     assert not is_principal(z5_result.fan, not_rel)
 
@@ -98,14 +106,15 @@ def test_class_group_order5(z5_result):
 def test_class_group_sigma_torsion(z6):
     cg = class_group(sigma_fan(z6.lattice))
     assert cg.rank == 0
-    assert cg.order == 6
+    assert cg.torsion == (6,)
 
 
 def test_class_group_smooth_std(trivial3):
     cg = class_group(sigma_fan(trivial3.lattice))
     assert cg.rank == 0
     assert cg.torsion == ()
-    assert cg.order == 1
+    assert cg.ray_classes == ((), (), ())
+    assert cg.canonical_class == ()
 
 
 def test_crepant_fan_has_trivial_canonical_class(z6_result, z5_result):
@@ -113,7 +122,8 @@ def test_crepant_fan_has_trivial_canonical_class(z6_result, z5_result):
         cg = class_group(res.fan)
         k = canonical_divisor(res.fan)
         assert is_principal(res.fan, k)
-        assert all(v == 0 for v in cg.class_vector(k))
+        assert cg.canonical_class == class_vector(cg, k)
+        assert all(v == 0 for v in cg.canonical_class)
         assert cg.rank == len(res.fan.rays) - res.fan.lattice.dim
         assert cg.torsion == ()
 
@@ -125,7 +135,7 @@ def test_exactness_principal_maps_to_zero(z6_result, z7_hilbert_result):
         for j in range(mb.cols):
             d = principal_divisor(res.fan, mb.column(j))
             assert is_principal(res.fan, d)
-            assert all(v == 0 for v in cg.class_vector(d))
+            assert all(v == 0 for v in class_vector(cg, d))
 
 
 def test_dual_basis_pairings(z6):
@@ -142,4 +152,36 @@ def test_class_group_order_random(rng):
         group = random_cyclic_group(rng, rng.choice([2, 3]), rmax=10)
         cg = class_group(sigma_fan(group.lattice))
         assert cg.rank == 0
-        assert cg.order == group.order
+        assert prod(cg.torsion) == group.order
+
+
+_CLASS_GROUP_FANS = st.one_of(
+    smooth_fans().map(lambda case: case[1]),  # blow-ups make K_X non-trivial
+    small_groups().map(lambda group: sigma_fan(group.lattice)),  # torsion
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_CLASS_GROUP_FANS)
+def test_class_group_matches_reference(fan):
+    cg = class_group(fan)
+    assert class_group_to_json(cg) == class_group_json_reference(fan)
+    # the canonical class read off the rows of p is the sum of the ray classes
+    assert cg.canonical_class == class_vector(cg, canonical_divisor(fan))
+
+
+def test_class_group_fans_include_torsion_and_nontrivial_canonical_classes():
+    quick = settings(deadline=None, database=None, phases=[Phase.generate],
+                     derandomize=True)
+    find(_CLASS_GROUP_FANS, lambda fan: class_group(fan).torsion, settings=quick)
+    find(_CLASS_GROUP_FANS, lambda fan: any(class_group(fan).canonical_class),
+         settings=quick)
+
+
+def test_class_group_rejects_a_ray_off_the_lattice(z6):
+    # (1/6)(1,0,0) is not in the lattice of 6:(1,2,3): the dual vector
+    # (1,1,1) pairs with it to 1/6, which a truncating pairing would read as 0
+    ray = LatticePoint((1, 0, 0), 6)
+    fan = make_fan(z6.lattice, [make_cone([ray, unit_point(1, 3, 6), unit_point(2, 3, 6)])])
+    with pytest.raises(InvariantError, match="pairs non-integrally"):
+        class_group(fan)

@@ -23,7 +23,7 @@ from torcrep.lattice import LatticePoint
 
 def test_trivial_group_basis(trivial3):
     hlb = hilbert_basis(trivial3)
-    assert set(hlb.elements) == set(trivial3.units())
+    assert set(hlb) == set(trivial3.units())
 
 
 def test_order7_basis(z7):
@@ -33,13 +33,13 @@ def test_order7_basis(z7):
         (7, 0, 0, 0), (0, 7, 0, 0), (0, 0, 7, 0), (0, 0, 0, 7),
         (1, 1, 2, 3), (3, 3, 6, 2), (4, 4, 1, 5), (5, 5, 3, 1),
     }
-    assert {p.coords for p in hlb.elements} == expected
-    assert sorted(p.age for p in hlb.elements) == [1, 1, 1, 1, 1, 2, 2, 2]
+    assert {p.coords for p in hlb} == expected
+    assert sorted(p.age for p in hlb) == [1, 1, 1, 1, 1, 2, 2, 2]
 
 
 def test_order6_basis_equals_junior_simplex(z6):
     hlb = hilbert_basis(z6)
-    assert set(hlb.elements) == set(junior_simplex(z6).points)
+    assert set(hlb) == set(junior_simplex(z6).points)
     assert len(hlb) == 7
 
 
@@ -116,7 +116,7 @@ def test_oracle_equivalence_small_cyclic():
                 ):
                     continue
                 irreducible.add(v)
-            got = {p.coords for p in hilbert_basis(group).elements}
+            got = {p.coords for p in hilbert_basis(group)}
             assert got == irreducible, (r, a, b)
 
 
@@ -124,7 +124,7 @@ def test_minimality_on_samples(z6, z7):
     # removing any basis element makes some small monoid point undecomposable
     for group in (z6, z7):
         hlb = hilbert_basis(group)
-        elements = [p.coords for p in hlb.elements]
+        elements = [p.coords for p in hlb]
         r = group.r
 
         def decomposes(target, pool):
@@ -151,7 +151,7 @@ def test_minimality_on_samples(z6, z7):
 @settings(max_examples=100, deadline=None)
 @given(small_groups())
 def test_hilbert_basis_matches_box_walk_oracle(group):
-    assert hilbert_basis(group).elements == hilbert_basis_box_walk(group)
+    assert hilbert_basis(group) == hilbert_basis_box_walk(group)
 
 
 def test_small_groups_include_non_cyclic():
@@ -192,4 +192,4 @@ def larger_groups(draw):
 @example(_cyclic((1, 2, 3, 1017), 1023))
 @example(close_group([], n=MAX_DIM))  # the most fields in one slot
 def test_hilbert_basis_matches_pairwise_oracle(group):
-    assert hilbert_basis(group).elements == hilbert_basis_pairwise(group)
+    assert hilbert_basis(group) == hilbert_basis_pairwise(group)

@@ -89,7 +89,7 @@ def test_search_hilbert_order7(z7):
     res = search_resolution(z7, "hilbert_basis")
     assert res.smooth
     assert res.euler == 14
-    assert set(res.fan.rays) == set(hilbert_basis(z7).elements)
+    assert set(res.fan.rays) == set(hilbert_basis(z7))
     assert [p.coords for p in res.sequence] == [
         (1, 1, 2, 3), (3, 3, 6, 2), (4, 4, 1, 5), (5, 5, 3, 1),
     ]
@@ -99,7 +99,7 @@ def test_search_hilbert_certifies_first_smooth_permutation():
     # reference: certify every permutation in policy order, keep the first smooth one
     group = close_group([LatticePoint((1, 1, 3, 4), 9)])
     axes = set(group.units())
-    targets = _policy_order([p for p in hilbert_basis(group).elements if p not in axes])
+    targets = _policy_order([p for p in hilbert_basis(group) if p not in axes])
     first = next(res for res in (resolve(group, perm) for perm in permutations(targets))
                  if res.smooth)
     assert first.sequence != tuple(targets)  # the first permutation is singular
@@ -108,15 +108,15 @@ def test_search_hilbert_certifies_first_smooth_permutation():
     assert result_to_json(found) == result_to_json(first)
 
 
-def test_search_budget(z6):
-    with pytest.raises(ValueError):
-        search_resolution(z6, "juniors_only", budget=0)
+def test_search_budget(z6, monkeypatch):
     # the first path expands the orthant and three partial fans, and its
     # leaf is smooth
-    res = search_resolution(z6, "juniors_only", budget=4)
+    monkeypatch.setenv("TORCREP_BUDGET", "4")
+    res = search_resolution(z6, "juniors_only")
     assert res.crepant
+    monkeypatch.setenv("TORCREP_BUDGET", "3")
     with pytest.raises(ResolutionNotFound) as info:
-        search_resolution(z6, "juniors_only", budget=3)
+        search_resolution(z6, "juniors_only")
     assert not info.value.exhausted
     assert "stopped after expanding 3 fans" in str(info.value)
 
@@ -174,7 +174,7 @@ def search_cases(draw):
     mode = draw(st.sampled_from(["juniors_only", "hilbert_basis"]))
     axes = set(group.units())
     targets = group.juniors if mode == "juniors_only" else [
-        p for p in hilbert_basis(group).elements if p not in axes]
+        p for p in hilbert_basis(group) if p not in axes]
     assume(len(targets) <= 5)  # the oracle folds all k! permutations
     return group, mode
 
