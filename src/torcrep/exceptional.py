@@ -44,7 +44,6 @@ class StarFan:
 
     quotient: QuotientLattice
     fan: Fan
-    origin_ray: LatticePoint
     lifts: tuple[tuple[LatticePoint, LatticePoint], ...]
     complete: bool
 
@@ -101,7 +100,7 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
             raise NotSmooth(f"star ray {ubar} is not primitive; fan is singular along the ray")
     complete = all(c > 0 for c in g_hat.coords)
     ordered = tuple(sorted(lifts.items(), key=lambda kv: kv[0].coords))
-    return StarFan(quo, star, g_hat, ordered, complete)
+    return StarFan(quo, star, ordered, complete)
 
 
 def _lift_age(u: LatticePoint) -> int:

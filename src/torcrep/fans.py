@@ -16,7 +16,13 @@ puts ``mu`` for ray ``i``, with ``b_i > 0``.  As ``mu = A b / d``,
 Its rows are ``h_i`` for ``mu`` and ``(b_i * h_j - b_j * h_i) / d`` for a
 kept ray ``j``: each meets its own ray in ``b_i`` and the others in 0, so
 they are ``d' * A'^-1``, the adjugate of ``A'`` up to sign, whose entries
-are cofactors; so each division by ``d`` is exact.
+are cofactors; so each division by ``d`` is exact.  Dotted with a point
+``q`` of numerators ``bq = H * q`` they give its numerators in the child,
+``bq_i`` and ``(b_i * bq_j - b_j * bq_i) / d``: integers, in O(n).
+``_FanBuilder`` keeps them for each tracked point in each live cone that
+contains it (a conflict list), so a subdivision at ``mu`` replaces exactly
+the cones of ``mu``'s list and moves only their points, each into the
+children where its numerators are ``>= 0``; rows wait until first read.
 
 The JSON interchange schema for fans is::
 
@@ -29,6 +35,7 @@ which is bit-exact across runs.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -70,15 +77,23 @@ class Cone:
     def facet_normals(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """``(rows, d)``: rows of ``d * A^-1``, ``d = |det A|``, ``A`` the rays.
 
-        Row ``i`` is the inner normal of the facet opposite ray ``i``.  Star
-        subdivisions keep or pivot them (below).  Raises ValueError for a
-        cone that is not full-dimensional.
+        Row ``i`` is the inner normal of the facet opposite ray ``i``.  A
+        cone made by a star subdivision pivots its parent's rows (above);
+        any other cone solves for them.  Raises ValueError for a cone that
+        is not full-dimensional.
         """
+        if "_parent" in vars(self):
+            return _pivoted_rows(self)
         if not self.rays or self.dim != self.rays[0].dim:
             raise ValueError(f"cone {self} is not full-dimensional")
         mat = IntMatrix.from_columns([r.coords for r in self.rays])
         cols, d = solve(mat, IntMatrix.identity(self.dim).columns())
         return tuple(zip(*cols)), d
+
+    @cached_property
+    def det(self) -> int:
+        """``|det A|`` of the rays; a star subdivision seeds it."""
+        return self.facet_normals[1]
 
     def __str__(self) -> str:
         return "Cone(" + ", ".join(str(r) for r in self.rays) + ")"
@@ -94,9 +109,27 @@ def make_cone(points) -> Cone:
     return Cone(rays)
 
 
-def contains_point(cone: Cone, p: LatticePoint) -> bool:
-    """Exact membership test."""
-    return all(x >= 0 for x in barycentric(cone, p)[0])
+def _pivot(bq, i: int, b, d: int, order) -> tuple[int, ...]:
+    """Numerators ``H' * q`` in the child from ``bq = H * q`` (see above)."""
+    qi, bi = bq[i], b[i]
+    out = [qi if j == i else (bi * y - bj * qi) // d for j, (bj, y) in enumerate(zip(b, bq))]
+    return tuple(out[k] for k in order)
+
+
+def _pivoted_rows(cone: Cone) -> tuple[tuple[tuple[int, ...], ...], int]:
+    # walk up to the nearest cone with known rows, then pivot down; a long
+    # fold makes chains deeper than the interpreter's recursion limit
+    chain = []
+    while "facet_normals" not in vars(cone) and "_parent" in vars(cone):
+        chain.append(cone)
+        cone = vars(cone)["_parent"][0]
+    rows, d = cone.facet_normals
+    for child in reversed(chain):
+        _, i, b, order = vars(child).pop("_parent")
+        # column k of H is H * e_k, so it pivots as a point does
+        rows, d = tuple(zip(*(_pivot(col, i, b, d, order) for col in zip(*rows)))), b[i]
+        child.__dict__["facet_normals"] = rows, d
+    return rows, d
 
 
 def barycentric(cone: Cone, p: LatticePoint) -> tuple[tuple[int, ...], int]:
@@ -119,10 +152,10 @@ def cone_index(cone: Cone, lattice: ScaledLattice) -> int:
     """Index ``[N : Z<rays>]``; 1 exactly for smooth cones.
 
     The rays are ``A = B X`` (``B`` the lattice basis, ``X`` the basis
-    coordinates), so the index ``|det X|`` is ``|det A| / |det B|``, read
-    off the cached facet normals.
+    coordinates), so the index ``|det X|`` is ``|det A| / |det B|``, with
+    ``|det A|`` the cone's cached ``det``.
     """
-    return cone.facet_normals[1] // lattice.det
+    return cone.det // lattice.det
 
 
 def is_smooth_cone(cone: Cone, lattice: ScaledLattice) -> bool:
@@ -278,46 +311,90 @@ def validate_fan(fan: Fan) -> None:
                 )
 
 
-def _pivot(cone: Cone, i: int, mu: LatticePoint, b) -> Cone:
-    """The cone with ``mu`` for ray ``i``, ``b = H * mu``, its normals seeded."""
-    rows, d = cone.facet_normals
-    hi, bi = rows[i], b[i]
-    rows = [hi if j == i else tuple((bi * x - bj * y) // d for x, y in zip(h, hi))
-            for j, (h, bj) in enumerate(zip(rows, b))]
-    rays = cone.rays[:i] + (mu,) + cone.rays[i + 1:]
-    order = sorted(range(len(rays)), key=lambda k: rays[k].coords)
-    child = Cone(tuple(rays[k] for k in order))
-    child.__dict__["facet_normals"] = tuple(rows[k] for k in order), bi
-    return child
+class _FanBuilder:
+    """Live maximal cones under star subdivisions, with conflict lists.
+
+    ``inside[cone]`` maps the tracked points in a cone to their numerators
+    there, ``where[point]`` lists the cones that hold it, ``ray_counts``
+    counts the cones through each ray.  ``inside``'s inner maps never
+    change, so ``copy`` copies only the outer maps.  Each point is checked
+    once; a ray is not tracked, as subdividing at it changes nothing.
+    """
+
+    def __init__(self, fan: Fan, points=()):
+        self.lattice = lat = fan.lattice
+        self.inside: dict[Cone, dict[LatticePoint, tuple[int, ...]]] = {
+            c: {} for c in fan.maximal_cones}
+        self.where: dict[LatticePoint, list[Cone]] = {}
+        self.ray_counts = {r: len(cs) for r, cs in fan.cones_through.items()}
+        for p in points:
+            if p in self.where:
+                continue
+            if not lat.contains(p):
+                raise NotInLattice(f"{p} is not a lattice point")
+            if not lat.is_primitive(p):
+                raise NotPrimitive(f"{p} is not primitive")
+            if p in self.ray_counts:
+                continue
+            for cone, held in self.inside.items():
+                b, _ = barycentric(cone, p)
+                if min(b) >= 0:
+                    held[p] = b
+                    self.where.setdefault(p, []).append(cone)
+            if p not in self.where:
+                raise NotInSupport(f"{p} is outside the support of the fan")
+
+    def copy(self) -> _FanBuilder:
+        twin = copy(self)
+        twin.inside, twin.where = dict(self.inside), dict(self.where)
+        twin.ray_counts = dict(self.ray_counts)
+        return twin
+
+    def subdivide(self, mu: LatticePoint) -> None:
+        """Star-subdivide at a tracked point or a ray, in place."""
+        hits = self.where.pop(mu, ())  # none for a ray
+        inside, counts = self.inside, self.ray_counts
+        gained: dict[LatticePoint, list[Cone]] = {}
+        for cone in hits:
+            held = inside.pop(cone)
+            b, d, rays = held[mu], cone.det, cone.rays
+            for r in rays:
+                counts[r] -= 1
+            for i, bi in enumerate(b):
+                if bi <= 0:
+                    continue
+                new = rays[:i] + (mu,) + rays[i + 1:]
+                order = sorted(range(len(new)), key=lambda k: new[k].coords)
+                child = Cone(tuple(new[k] for k in order))
+                child.__dict__.update(det=bi, _parent=(cone, i, b, order))
+                # a numerator is >= 0 exactly when it is before the division by d
+                inside[child] = own = {
+                    q: _pivot(bq, i, b, d, order) for q, bq in held.items()
+                    if q != mu and all(bi * y >= bj * bq[i] for bj, y in zip(b, bq))}
+                for q in own:
+                    gained.setdefault(q, []).append(child)
+                for r in child.rays:
+                    counts[r] = counts.get(r, 0) + 1
+        gone = set(hits)
+        for q, cones in gained.items():
+            self.where[q] = [c for c in self.where[q] if c not in gone] + cones
+        if not counts.get(mu) or any(not counts[r] for cone in hits for r in cone.rays):
+            raise InvariantError(f"subdividing at {mu} changed rays other than {mu}")
+
+    def fan(self) -> Fan:
+        return make_fan(self.lattice, self.inside)
 
 
 def star_subdivision(fan: Fan, mu: LatticePoint) -> Fan:
     """Star subdivision at a primitive point of the support.
 
     Cones avoiding ``mu`` survive; a cone containing it is replaced by the
-    joins of ``mu`` with its facets not containing ``mu``, each from its
-    parent by a pivot, with no solve.
+    joins of ``mu`` with its facets not containing ``mu``.  One scan finds
+    the cones, one ``_FanBuilder`` step replaces them.
     """
-    lat = fan.lattice
-    if not lat.contains(mu):
-        raise NotInLattice(f"{mu} is not a lattice point")
-    if not lat.is_primitive(mu):
-        raise NotPrimitive(f"{mu} is not primitive")
-    hit = False
-    new_cones = []
-    for cone in fan.maximal_cones:
-        b, _ = barycentric(cone, mu)  # H * mu
-        if any(v < 0 for v in b):
-            new_cones.append(cone)
-            continue
-        hit = True
-        new_cones += [_pivot(cone, i, mu, b) for i, v in enumerate(b) if v > 0]
-    if not hit:
-        raise NotInSupport(f"{mu} is outside the support of the fan")
-    result = make_fan(lat, new_cones)
-    if set(result.rays) != set(fan.rays) | {mu}:
-        raise InvariantError(f"subdividing at {mu} changed rays other than {mu}")
-    return result
+    state = _FanBuilder(fan, (mu,))
+    state.subdivide(mu)
+    return state.fan()
 
 
 def support_volume(fan: Fan) -> Fraction:

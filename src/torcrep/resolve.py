@@ -7,6 +7,11 @@ number (= number of maximal cones).  The search walks the star-subdivision
 sequences over a target set depth first, each distinct fan once, and
 returns the first smooth fan, proves that no sequence gives one
 (exhausted), or stops when it has expanded ``TORCREP_BUDGET`` fans.
+
+Both drive the builder of ``fans``: each point still to fold (each
+pending target) has a conflict list, the live cones that contain it, so
+a subdivision costs only the cones it replaces.  A search frame keeps a
+builder, and a singular live cone whose list is empty is dead.
 """
 
 from __future__ import annotations
@@ -20,12 +25,11 @@ from .errors import InputError, ResolutionNotFound
 from .fans import (
     Cone,
     Fan,
-    contains_point,
+    _FanBuilder,
     fan_to_json,
     is_smooth_cone,
     is_terminal,
     sigma_fan,
-    star_subdivision,
 )
 from .groups import GroupData
 from .hilbert import hilbert_basis
@@ -84,10 +88,10 @@ def certify_fan(group: GroupData, fan: Fan, sequence=()) -> ResolutionResult:
 
 
 def _fold(group: GroupData, seq) -> Fan:
-    fan = sigma_fan(group.lattice)
+    state = _FanBuilder(sigma_fan(group.lattice), seq)
     for mu in seq:
-        fan = star_subdivision(fan, mu)
-    return fan
+        state.subdivide(mu)
+    return state.fan()
 
 
 def resolve(group: GroupData, sequence) -> ResolutionResult:
@@ -104,11 +108,10 @@ def _policy_order(points) -> list[LatticePoint]:
     )
 
 
-def _has_dead_cone(fan: Fan, pending) -> bool:
-    """A singular maximal cone that contains none of the pending targets."""
-    return any(not is_smooth_cone(c, fan.lattice)
-               and not any(contains_point(c, t) for t in pending)
-               for c in fan.maximal_cones)
+def _has_dead_cone(state: _FanBuilder) -> bool:
+    """A singular live cone that contains none of the pending targets."""
+    return any(not held and not is_smooth_cone(c, state.lattice)
+               for c, held in state.inside.items())
 
 
 def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
@@ -141,26 +144,28 @@ def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
 
     seen = set()
     expanded = 0
-    frames = []  # (fan, its sequence, iterator over its pending targets)
-    fan, seq = sigma_fan(group.lattice), ()
+    frames = []  # (builder, its sequence, iterator over its pending targets)
+    state, seq = _FanBuilder(sigma_fan(group.lattice), targets), ()
     while True:
-        if fan.maximal_cones not in seen:
-            seen.add(fan.maximal_cones)
-            pending = [t for t in targets if t not in fan.ray_set]
-            if not _has_dead_cone(fan, pending):
+        live = frozenset(state.inside)
+        if live not in seen:
+            seen.add(live)
+            pending = [t for t in targets if t in state.where]
+            if not _has_dead_cone(state):
                 if not pending:
-                    return certify_fan(group, fan, seq)
+                    return certify_fan(group, state.fan(), seq)
                 if expanded == budget:
                     raise ResolutionNotFound(
                         f"budget hit: the {mode} search stopped after expanding {budget} "
                         f"fans ({BUDGET_ENV}); a resolution may still exist", exhausted=False)
                 expanded += 1
-                frames.append((fan, seq, iter(pending)))
+                frames.append((state, seq, iter(pending)))
         while frames:
             parent, prefix, children = frames[-1]
             mu = next(children, None)
             if mu is not None:
-                fan, seq = star_subdivision(parent, mu), prefix + (mu,)
+                state, seq = parent.copy(), prefix + (mu,)
+                state.subdivide(mu)
                 break
             frames.pop()
         else:

@@ -121,3 +121,18 @@ def smooth_fans(draw):
         mu = LatticePoint(tuple(map(sum, zip(*(r.coords for r in face)))), group.r)
         fan = star_subdivision(fan, mu)
     return group, fan
+
+
+@st.composite
+def crepant3_resolutions(draw):
+    """A group in n = 3 with every junior folded in a random order.
+
+    In n = 3 every order gives a smooth crepant fan.
+    """
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        m = draw(st.integers(2, 12))
+        coords = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2))
+        gens.append(LatticePoint((*coords, -sum(coords) % m), m))
+    group = close_group(gens, 3)
+    return group, resolve(group, draw(st.permutations(group.juniors))).fan

@@ -13,16 +13,23 @@ one map per junior (a map per anchor cone) and before its single pass
 line-bundle ``total_space_fan``); ``barycentric`` and
 ``contains_point`` before every cone was full-dimensional and answered
 from its cached facet normals (one ``solve`` per call, for faces and for
-points of another denominator too); and ``star_subdivision`` before each
-new cone took its facet normals from its parent by a pivot (``make_cone``
-per child, its normals solved when first read).  ``fan_from_json`` once
+points of another denominator too), with ``contains_point`` itself once
+no package code asked it; and ``star_subdivision`` before each new cone
+took its facet normals from its parent by a pivot (``make_cone`` per
+child, its normals solved when first read) and before the incremental
+builder (``star_subdivision_by_pivot``: a scan of every cone, a pivot per
+child, a re-sorted fan and a ray check over the whole fan each step, with
+``fold_by_pivot`` the fold over it).  ``fan_from_json`` once
 recomputed a basis's Hermite form to check it; that is the oracle of its
 shape test.  The Hilbert basis oracles are the
 lex scan before its packed comparison (a Python test of each candidate
 against each kept minimal element) and a walk that decides irreducibility
 by enumerating the lattice points of the box below a candidate.  The search
-oracle is ``search_resolution`` before the depth-first search: it folds
-every permutation of the targets from the orthant.  The class-group
+oracles are ``search_resolution`` before the depth-first search (it folds
+every permutation of the targets from the orthant) and the depth-first
+search before it kept a builder per frame (``search_resolution_by_fans``:
+a whole fan per frame, and a dead-cone scan of every singular cone for
+every pending target).  The class-group
 oracle is ``class_group_to_json`` before ``ClassGroup`` became a record
 (a ``TDivisor`` canonical divisor, ``Fraction`` pairings and a Smith-form
 class vector); ``class_vector`` reads a divisor's class off the ray
@@ -65,6 +72,7 @@ from torcrep.fans import (
     is_smooth_cone,
     make_cone,
     make_fan,
+    sigma_fan,
     support_volume,
 )
 from torcrep.groups import GroupData
@@ -78,8 +86,8 @@ from torcrep.intlinalg import (
 )
 from torcrep.lattice import LatticePoint, ScaledLattice
 from torcrep.resolve import (
+    BUDGET_ENV,
     ResolutionResult,
-    _fold,
     _policy_order,
     certify_fan,
     search_budget,
@@ -265,6 +273,56 @@ def contains_point_by_solve(cone: Cone, p: LatticePoint) -> bool:
         return p.is_zero()
     bary = barycentric_by_solve(cone, p)
     return bary is not None and all(x >= 0 for x in bary[0])
+
+
+def contains_point(cone: Cone, p: LatticePoint) -> bool:
+    """Exact membership test, from the cone's facet normals."""
+    return all(x >= 0 for x in barycentric(cone, p)[0])
+
+
+def _pivot(cone: Cone, i: int, mu: LatticePoint, b) -> Cone:
+    """The cone with ``mu`` for ray ``i``, ``b = H * mu``, its normals seeded."""
+    rows, d = cone.facet_normals
+    hi, bi = rows[i], b[i]
+    rows = [hi if j == i else tuple((bi * x - bj * y) // d for x, y in zip(h, hi))
+            for j, (h, bj) in enumerate(zip(rows, b))]
+    rays = cone.rays[:i] + (mu,) + cone.rays[i + 1:]
+    order = sorted(range(len(rays)), key=lambda k: rays[k].coords)
+    child = Cone(tuple(rays[k] for k in order))
+    child.__dict__["facet_normals"] = tuple(rows[k] for k in order), bi
+    return child
+
+
+def star_subdivision_by_pivot(fan: Fan, mu: LatticePoint) -> Fan:
+    """``star_subdivision`` as a scan of every cone and a pivot per child."""
+    lat = fan.lattice
+    if not lat.contains(mu):
+        raise NotInLattice(f"{mu} is not a lattice point")
+    if not lat.is_primitive(mu):
+        raise NotPrimitive(f"{mu} is not primitive")
+    hit = False
+    new_cones = []
+    for cone in fan.maximal_cones:
+        b, _ = barycentric(cone, mu)  # H * mu
+        if any(v < 0 for v in b):
+            new_cones.append(cone)
+            continue
+        hit = True
+        new_cones += [_pivot(cone, i, mu, b) for i, v in enumerate(b) if v > 0]
+    if not hit:
+        raise NotInSupport(f"{mu} is outside the support of the fan")
+    result = make_fan(lat, new_cones)
+    if set(result.rays) != set(fan.rays) | {mu}:
+        raise InvariantError(f"subdividing at {mu} changed rays other than {mu}")
+    return result
+
+
+def fold_by_pivot(group: GroupData, seq) -> Fan:
+    """``resolve``'s fold as one whole-fan ``star_subdivision_by_pivot`` per point."""
+    fan = sigma_fan(group.lattice)
+    for mu in seq:
+        fan = star_subdivision_by_pivot(fan, mu)
+    return fan
 
 
 def star_subdivision_by_make_cone(fan: Fan, mu: LatticePoint) -> Fan:
@@ -697,14 +755,13 @@ def total_space_fan(star: StarFan, div: TDivisor) -> LineBundleFan:
     return LineBundleFan(star, div, fan)
 
 
-def _iso_matrix(fan: Fan, star: StarFan, anchor: Cone) -> IntMatrix:
+def _iso_matrix(fan: Fan, star: StarFan, g_hat: LatticePoint, anchor: Cone) -> IntMatrix:
     """Lattice map sending ``(0,1)`` to the junior and ``(ubar, age u)`` to u.
 
     Domain coordinates are quotient-times-Z; the image is expressed in
     basis coordinates of the ambient lattice.
     """
     lat = fan.lattice
-    g_hat = star.origin_ray
     quo = star.quotient
     dom_cols = []
     img_cols = []
@@ -743,7 +800,7 @@ def certify_normal_embedding_per_anchor(
     first_iso = None
     first_bijection = None
     for anchor in anchors:
-        iso = _iso_matrix(fan, star, anchor)
+        iso = _iso_matrix(fan, star, g_hat, anchor)
         if not iso.is_unimodular():
             raise CertificateFailure(
                 f"anchor {anchor}: induced map is not unimodular"
@@ -812,7 +869,7 @@ def search_resolution_permutations(group: GroupData, mode: str) -> ResolutionRes
     tried = 0
     for perm in islice(permutations(targets), budget):
         tried += 1
-        fan = _fold(group, perm)
+        fan = fold_by_pivot(group, perm)
         # every target is folded in, so the rays (and with juniors, crepancy)
         # hold by construction; only smoothness can fail
         if fan.is_smooth:
@@ -821,6 +878,60 @@ def search_resolution_permutations(group: GroupData, mode: str) -> ResolutionRes
         f"no {mode} resolution within {tried} permutations",
         exhausted=tried == factorial(len(targets)),
     )
+
+
+def _has_dead_cone_by_scan(fan: Fan, pending) -> bool:
+    """A singular maximal cone that contains none of the pending targets."""
+    return any(not is_smooth_cone(c, fan.lattice)
+               and not any(contains_point(c, t) for t in pending)
+               for c in fan.maximal_cones)
+
+
+def search_resolution_by_fans(group: GroupData, mode: str) -> ResolutionResult:
+    """``search_resolution`` with a whole fan per DFS frame.
+
+    Each child is a ``star_subdivision_by_pivot`` of its parent's fan, a
+    fan is seen when its sorted cone tuple is, and the dead-cone test
+    scans every singular cone for every pending target.
+    """
+    budget = search_budget()
+    if mode == "juniors_only":
+        targets = _policy_order(group.juniors)
+    elif mode == "hilbert_basis":
+        axes = set(group.units())
+        targets = _policy_order([p for p in hilbert_basis(group) if p not in axes])
+    else:
+        raise ValueError(f"unknown search mode {mode!r}")
+
+    seen = set()
+    expanded = 0
+    frames = []  # (fan, its sequence, iterator over its pending targets)
+    fan, seq = sigma_fan(group.lattice), ()
+    while True:
+        if fan.maximal_cones not in seen:
+            seen.add(fan.maximal_cones)
+            pending = [t for t in targets if t not in fan.ray_set]
+            if not _has_dead_cone_by_scan(fan, pending):
+                if not pending:
+                    return certify_fan(group, fan, seq)
+                if expanded == budget:
+                    raise ResolutionNotFound(
+                        f"budget hit: the {mode} search stopped after expanding {budget} "
+                        f"fans ({BUDGET_ENV}); a resolution may still exist", exhausted=False)
+                expanded += 1
+                frames.append((fan, seq, iter(pending)))
+        while frames:
+            parent, prefix, children = frames[-1]
+            mu = next(children, None)
+            if mu is not None:
+                fan, seq = star_subdivision_by_pivot(parent, mu), prefix + (mu,)
+                break
+            frames.pop()
+        else:
+            raise ResolutionNotFound(
+                f"exhausted: no star-subdivision sequence over the {mode} targets "
+                f"({len(targets)} points) gives a smooth fan; fans expanded: {expanded}; "
+                f"fans that are not star subdivisions are not covered", exhausted=True)
 
 
 # ---------------------------------------------------------------------------

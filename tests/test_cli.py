@@ -231,6 +231,17 @@ def test_resolve_solves_only_the_orthant(group, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_resolve_all_juniors_at_961_cones(tmp_path, capsys):
+    # the n = 3 fold at scale: 525 star subdivisions, one per junior
+    group = "31:(1,30,0);31:(0,1,30)"
+    juniors = len(group_from_spec(parse_group(group)).juniors)
+    names = ",".join(f"g{i}" for i in range(1, juniors + 1))
+    out = tmp_path / "fan.json"
+    assert main(["resolve", group, "--sequence", names, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["smooth"] and data["crepant"] and data["euler"] == 961
+
+
 def test_resolve_unknown_name(capsys):
     assert main(["resolve", "6:(1,2,3)", "--sequence", "g9"]) == 2
 

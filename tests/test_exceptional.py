@@ -2,7 +2,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, example, find, given, settings
 
-from conftest import Z7_HILBERT_SEQUENCE, nonstar_order6_fan, smooth_fans
+from conftest import Z7_HILBERT_SEQUENCE, crepant3_resolutions, nonstar_order6_fan, smooth_fans
 from oracles import (
     TDivisor,
     age_affinity_check,
@@ -29,7 +29,7 @@ from torcrep.fans import (
     make_fan,
     sigma_fan,
 )
-from torcrep.groups import close_group
+from torcrep.groups import close_group, compact_juniors
 from torcrep.hilbert import hilbert_basis
 from torcrep.intlinalg import IntMatrix
 from torcrep.lattice import LatticePoint, ScaledLattice, quotient_by_ray, unit_point
@@ -40,11 +40,11 @@ def std_lattice(n):
     return ScaledLattice(n, 1, IntMatrix.identity(n))
 
 
-def plain_star(fan, origin, lifts=(), complete=True):
+def plain_star(fan, lifts=(), complete=True):
     """Star fan wrapper for synthetic bases in line-bundle tests."""
     quo = quotient_by_ray(std_lattice(fan.lattice.dim + 1),
                           unit_point(fan.lattice.dim, fan.lattice.dim + 1, 1))
-    return StarFan(quo, fan, origin, lifts, complete)
+    return StarFan(quo, fan, lifts, complete)
 
 
 def test_xi_g_counts(z6, z6_result, z5_result, trivial3):
@@ -112,7 +112,7 @@ def test_total_space_trivial_bundle_over_p1():
         std_lattice(1),
         [make_cone([LatticePoint((1,), 1)]), make_cone([LatticePoint((-1,), 1)])],
     )
-    star = plain_star(p1, LatticePoint((0, 1), 1))
+    star = plain_star(p1)
     tot = total_space_fan(star, TDivisor(()))
     cones = {frozenset(r.coords for r in c.rays) for c in tot.fan.maximal_cones}
     assert cones == {
@@ -132,7 +132,7 @@ def test_total_space_canonical_over_p2():
         ],
     )
     k = TDivisor.from_dict({r: -1 for r in p2.rays})
-    star = plain_star(p2, LatticePoint((0, 0, 1), 1))
+    star = plain_star(p2)
     tot = total_space_fan(star, k)
     validate_fan_all_pairs(tot.fan)
     for c in tot.fan.maximal_cones:
@@ -259,7 +259,7 @@ def test_classify_p2_direct():
             make_cone([LatticePoint((-1, -1), 1), LatticePoint((1, 0), 1)]),
         ],
     )
-    star = plain_star(fan, LatticePoint((0, 0, 1), 1))
+    star = plain_star(fan)
     t = classify_surface(star)
     assert t.kind == "P2"
     assert t.self_intersections == (1, 1, 1)
@@ -313,3 +313,14 @@ def test_age_affinity(z6, z6_result, z7, z7_hilbert_result):
     # a ray of the cone expands trivially
     cone = z6_result.fan.maximal_cones[0]
     assert age_affinity_check(cone, cone.rays[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(crepant3_resolutions())
+def test_compact_surfaces_satisfy_noether(case):
+    # a smooth complete toric surface with k rays has K^2 = 12 - k, and
+    # K^2 = sum(D^2) + 2k, so the self-intersections sum to 12 - 3k
+    group, fan = case
+    for g in compact_juniors(group):
+        ints = classify_surface(star_fan(fan, g)).self_intersections
+        assert sum(ints) == 12 - 3 * len(ints)

@@ -4,9 +4,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 
+import torcrep.fans
 from conftest import random_cyclic_group
 from oracles import (
     barycentric_by_solve,
+    contains_point,
     faces,
     gl2_equivalent,
     gl2_normal_form,
@@ -22,7 +24,6 @@ from torcrep.fans import (
     Cone,
     barycentric,
     cone_index,
-    contains_point,
     fan_from_json,
     fan_to_json,
     fans_equal,
@@ -201,6 +202,10 @@ def _primitive_points(generator):
     return lat, [p for p in group.elements if not p.is_zero() and lat.is_primitive(p)]
 
 
+def _no_solve(*args):
+    raise AssertionError("a facet-normal solve")
+
+
 _R = 1024
 _CHAIN = _cyclic_lattice(_R, (1, _R - 1, 3))
 
@@ -220,10 +225,14 @@ def test_star_subdivision_matches_make_cone_oracle(case):
         fan = star_subdivision(fan, mu)
         oracle = star_subdivision_by_make_cone(oracle, mu)
         assert fans_equal(fan, oracle)
-        # every cone brings its normals: no solve waits for a first reader
-        assert all("facet_normals" in vars(c) for c in fan.maximal_cones)
-        for c in fan.maximal_cones:
-            assert c.facet_normals == Cone(c.rays).facet_normals
+        # every new cone brings its |det A| and pivots its normals from its
+        # parent's when first read: no solve waits for a first reader
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(torcrep.fans, "solve", _no_solve)
+            dets = [c.det for c in fan.maximal_cones]
+            normals = [c.facet_normals for c in fan.maximal_cones]
+        for c, d, got in zip(fan.maximal_cones, dets, normals):
+            assert got == Cone(c.rays).facet_normals == (got[0], d)
 
 
 def test_random_subdivision_conservation(rng):

@@ -69,6 +69,24 @@ def test_public_names_are_used_by_the_package_or_scripts():
     assert [name for name in public if name.split(".")[-1] not in used] == []
 
 
+def test_dataclass_fields_are_read_by_the_package_or_scripts():
+    # a field that only tests read is state the API carries for no caller
+    read = set()
+    files = [p for p in (SRC / "torcrep").glob("*.py") if p.name != "__init__.py"]
+    for path in files + sorted((ROOT / "scripts").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    fields = []
+    for path in sorted((SRC / "torcrep").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields += [f"{node.name}.{f.target.id}" for f in node.body
+                           if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    assert [name for name in fields if name.split(".")[-1] not in read] == []
+
+
 def test_worked_example_artifacts_are_byte_identical(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -1,24 +1,36 @@
 import importlib
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 
+from conftest import crepant3_resolutions, small_groups
 from oracles import (
     PreconditionNotCrepant,
     euler_check,
+    fold_by_pivot,
     refines,
+    search_resolution_by_fans,
     search_resolution_permutations,
 )
 from torcrep.cli import group_from_spec, main, parse_group
-from torcrep.errors import ResolutionNotFound
+from torcrep.errors import (
+    DenomMismatch,
+    NotInLattice,
+    NotInSupport,
+    NotPrimitive,
+    ResolutionNotFound,
+    TorcrepError,
+)
 from torcrep.fans import fans_equal, is_terminal, sigma_fan, support_volume
 from torcrep.groups import close_group
 from torcrep.hilbert import hilbert_basis
 from torcrep.lattice import LatticePoint, unit_point
 from torcrep.resolve import (
+    _fold,
     _policy_order,
     discrepancies,
     resolve,
@@ -71,6 +83,71 @@ def test_euler_check(z6, z6_result, z5, z5_result, trivial3, z7, z7_hilbert_resu
     assert euler_check(triv, trivial3)
     with pytest.raises(PreconditionNotCrepant):
         euler_check(z7_hilbert_result, z7)  # not crepant
+
+
+def _fold_outcome(fold, group, seq):
+    try:
+        return fold(group, seq).maximal_cones
+    except TorcrepError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def fold_sequences(draw):
+    """A group of ``small_groups()`` and its juniors, a few age-2 elements
+    and a repeat, in random order; an age-2 element may be imprimitive."""
+    group = draw(small_groups())
+    seniors = [p for p in group.elements if sum(p.coords) == 2 * group.r]
+    seq = list(group.juniors)
+    if seniors:
+        seq += draw(st.lists(st.sampled_from(seniors), max_size=3))
+    if seq:
+        seq.append(draw(st.sampled_from(seq)))
+    return group, draw(st.permutations(seq))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(fold_sequences())
+def test_fold_matches_whole_fan_oracle(case):
+    group, seq = case
+    assert _fold_outcome(_fold, group, seq) == _fold_outcome(fold_by_pivot, group, seq)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (LatticePoint((1, 2, 3), 7), DenomMismatch),   # another denominator
+    (LatticePoint((1, 1, 4), 6), NotInLattice),
+    (LatticePoint((2, 4, 6), 6), NotPrimitive),
+    (LatticePoint((6, 0, 0), 6), None),            # a unit vector: a ray
+    (LatticePoint((1, 2, 3), 6), None),            # repeats the first junior
+    (LatticePoint((-6, 6, 6), 6), NotInSupport),
+])
+def test_fold_edge_cases_match_whole_fan_oracle(z6, bad, error):
+    # the bad point comes after two subdivisions
+    seq = [*z6.juniors[:2], bad, *z6.juniors[2:]]
+    assert LatticePoint((1, 2, 3), 6) in z6.juniors[:2]
+    got = _fold_outcome(_fold, z6, seq)
+    assert got == _fold_outcome(fold_by_pivot, z6, seq)
+    assert got[0] is error if error else len(got) == 6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(crepant3_resolutions())
+def test_crepant_fan_h_vector_is_the_age_histogram(case):
+    # McKay correspondence (Batyrev-Dais, Ito-Reid): h = h* for a unimodular
+    # triangulation, so the reversed h-vector of the faces inside the open
+    # orthant counts the group elements by age
+    group, fan = case
+    n = group.n
+    faces = {frozenset(f) for c in fan.maximal_cones
+             for k in range(1, n + 1) for f in combinations(c.rays, k)}
+    f = [0] * (n + 1)  # f[i]: faces with i rays whose relative interior is open
+    for face in faces:
+        if all(any(r.coords[j] for r in face) for j in range(n)):
+            f[len(face)] += 1
+    h = [sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1))
+         for k in range(n + 1)]
+    ages = Counter(sum(g.coords) // group.r for g in group.elements)
+    assert h[::-1] == [ages[a] for a in range(n + 1)]
 
 
 def test_search_juniors_order6(z6):
@@ -182,20 +259,21 @@ def search_cases(draw):
 def _search_with_counts(group, mode):
     """Search outcome, memo hits and dead-cone prunes of non-leaf fans."""
     counts = Counter()
-    subdivide, dead = resolve_module.star_subdivision, resolve_module._has_dead_cone
+    builder = resolve_module._FanBuilder
+    subdivide, dead = builder.subdivide, resolve_module._has_dead_cone
 
-    def counted_subdivision(fan, mu):
+    def counted_subdivision(state, mu):
         counts["children"] += 1
-        return subdivide(fan, mu)
+        return subdivide(state, mu)
 
-    def counted_dead(fan, pending):
+    def counted_dead(state):
         counts["distinct"] += 1
-        out = dead(fan, pending)
-        counts["prunes"] += bool(out and pending)
+        out = dead(state)
+        counts["prunes"] += bool(out and state.where)  # tracked = pending
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(resolve_module, "star_subdivision", counted_subdivision)
+        mp.setattr(builder, "subdivide", counted_subdivision)
         mp.setattr(resolve_module, "_has_dead_cone", counted_dead)
         outcome = _outcome(search_resolution, group, mode)
     # every fan reached (the orthant and each child) is checked once unless seen
@@ -207,6 +285,14 @@ def _outcome(search, group, mode):
         return result_to_json(search(group, mode))
     except ResolutionNotFound as exc:
         return {"exhausted": exc.exhausted}
+
+
+def _not_found(search, group, mode):
+    try:
+        search(group, mode)
+    except ResolutionNotFound as exc:
+        return exc.exhausted, str(exc)
+    raise AssertionError("the search found a resolution")
 
 
 def _cyclic(coords, m):
@@ -222,6 +308,24 @@ def test_search_matches_permutation_oracle(case):
     group, mode = case
     assert _search_with_counts(group, mode)[0] == \
         _outcome(search_resolution_permutations, group, mode)
+
+
+@pytest.mark.parametrize("text, mode, budget, exhausted", [
+    ("9:(1,1,3,4)", "hilbert_basis", "1", False),
+    ("10:(1,2,3,4)", "hilbert_basis", "5", False),
+    ("7:(1,1,2,3)", "juniors_only", "1", True),  # its one leaf is in budget
+    ("11:(1,2,3,5)", "hilbert_basis", None, True),
+])
+def test_search_not_found_matches_whole_fan_dfs(text, mode, budget, exhausted, monkeypatch):
+    # budget stops and exhausted searches end as the DFS over whole fans did
+    if budget is None:
+        monkeypatch.delenv("TORCREP_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("TORCREP_BUDGET", budget)
+    group = group_from_spec(parse_group(text))
+    got = _not_found(search_resolution, group, mode)
+    assert got == _not_found(search_resolution_by_fans, group, mode)
+    assert got[0] is exhausted
 
 
 @pytest.mark.parametrize("kind", ["memo hit", "prune", "exhausted"])
