@@ -139,14 +139,14 @@ def _load_fan(path: str, group: GroupData) -> Fan:
     return fan
 
 
-def _sequence_points(group: GroupData, spec: str) -> list[LatticePoint]:
-    names = {v: k for k, v in element_names(group).items()}
+def _sequence_points(names: dict[LatticePoint, str], spec: str) -> list[LatticePoint]:
+    by_name = {v: k for k, v in names.items()}
     out = []
     for token in spec.split(","):
         token = token.strip()
-        if token not in names:
+        if token not in by_name:
             raise InputError(f"unknown element name {token!r}; see 'analyze'")
-        out.append(names[token])
+        out.append(by_name[token])
     return out
 
 
@@ -181,13 +181,13 @@ def cmd_analyze(args) -> int:
 
 def cmd_resolve(args) -> int:
     group = _load_group(args)
+    names = element_names(group)
     if args.sequence:
-        seq = _sequence_points(group, args.sequence)
+        seq = _sequence_points(names, args.sequence)
         result = resolve(group, seq)
     else:
         mode = {"juniors": "juniors_only", "hilbert": "hilbert_basis"}[args.search]
         result = search_resolution(group, mode)
-    names = element_names(group)
     seq_names = ",".join(names[p] for p in result.sequence)
     print(f"sequence: {seq_names or '(empty)'}")
     print(f"maximal cones (Euler number): {result.euler}")

@@ -3,7 +3,7 @@
 A group element ``diag(eps^a1, ..., eps^an)`` of order dividing ``r`` is
 stored as the scaled fractional expression ``(a1, ..., an)`` with
 denominator ``r``.  The whole group is the closure of its generators
-under componentwise addition mod r.
+under componentwise addition mod r, built coset by coset.
 """
 
 from __future__ import annotations
@@ -70,23 +70,28 @@ def _normalize_generators(generators, n):
 def closure(gens, r: int):
     """Nonzero elements of the subgroup of ``(Z/r)^k`` generated by ``gens``.
 
-    Breadth-first from 0; each element is yielded once, when first reached,
-    so a caller may stop at the first one it rejects.
+    Coset by coset: with ``H`` the subgroup of the generators so far, the
+    next generator ``g`` adds the cosets ``H + k*g`` for ``k = 1, 2, ...``
+    up to the first ``k*g`` in ``H``.  These cosets are disjoint, so each
+    element is built once and yielded as it is built, and a caller may
+    stop at the first one it rejects.
     """
     gens = [tuple(c % r for c in g) for g in gens]
-    zero = (0,) * len(gens[0])
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for base in frontier:
-            for g in gens:
-                cand = tuple((a + b) % r for a, b in zip(base, g))
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-                    yield cand
-        frontier = nxt
+    subgroup = [(0,) * len(gens[0])]
+    seen = set(subgroup)
+    for g in gens:
+        shift, cosets = g, []
+        while shift not in seen:
+            if len(subgroup) == 1:  # H = {0}: the coset is k*g itself
+                cosets.append(shift)
+                yield shift
+            else:
+                coset = [tuple([(a + b) % r for a, b in zip(h, shift)]) for h in subgroup]
+                cosets += coset
+                yield from coset
+            shift = tuple([(a + b) % r for a, b in zip(shift, g)])
+        subgroup += cosets
+        seen.update(cosets)
 
 
 def close_group(generators, n: int | None = None) -> GroupData:
@@ -107,8 +112,8 @@ def close_group(generators, n: int | None = None) -> GroupData:
             f"group of order {order} exceeds the closure limit of "
             f"{MAX_ELEMENTS} elements"
         )
-    seen = {(0,) * n, *closure([g.coords for g in gens], r)}
-    elements = tuple(LatticePoint(c, r) for c in sorted(seen))
+    coords = sorted([(0,) * n, *closure([g.coords for g in gens], r)])
+    elements = tuple(LatticePoint(c, r) for c in coords)
     return GroupData(n, r, elements, tuple(gens))
 
 
@@ -137,6 +142,8 @@ def crepant_obstructions(group: GroupData, hlb) -> ObstructionReport:
     gens = []
     lattice = build_lattice(gens, group.n, group.r)
     for h in group.juniors:
+        if lattice.index_over_std == group.order:
+            break  # the juniors so far generate G
         if not lattice.contains(h):
             gens.append(h)
             lattice = build_lattice(gens, group.n, group.r)

@@ -21,10 +21,13 @@ builder (``star_subdivision_by_pivot``: a scan of every cone, a pivot per
 child, a re-sorted fan and a ray check over the whole fan each step, with
 ``fold_by_pivot`` the fold over it).  ``fan_from_json`` once
 recomputed a basis's Hermite form to check it; that is the oracle of its
-shape test.  The Hilbert basis oracles are the
+shape test.  ``closure_bfs`` is the group closure before it went coset
+by coset (breadth-first, each element built once per generator).  The
+Hilbert basis oracles are the
 lex scan before its packed comparison (a Python test of each candidate
-against each kept minimal element) and a walk that decides irreducibility
-by enumerating the lattice points of the box below a candidate.  The search
+against each kept minimal element, which is also the oracle of the n = 3
+dominance sweep) and a walk that decides irreducibility by enumerating
+the lattice points of the box below a candidate.  The search
 oracles are ``search_resolution`` before the depth-first search (it folds
 every permutation of the targets from the orthant) and the depth-first
 search before it kept a builder per frame (``search_resolution_by_fans``:
@@ -490,6 +493,28 @@ def is_canonical(cone: Cone, lattice: ScaledLattice) -> bool:
         if any(lam) and sum(lam) != d:
             return False
     return True
+
+
+def closure_bfs(gens, r: int):
+    """``closure`` before it built the group coset by coset.
+
+    Breadth-first from 0, adding every generator to every element of the
+    frontier; each element is yielded once, when first reached.
+    """
+    gens = [tuple(c % r for c in g) for g in gens]
+    zero = (0,) * len(gens[0])
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for base in frontier:
+            for g in gens:
+                cand = tuple((a + b) % r for a, b in zip(base, g))
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+                    yield cand
+        frontier = nxt
 
 
 class NotInCone(TorcrepError):

@@ -120,6 +120,19 @@ def test_analyze_large_order(capsys):
     assert "Hilbert basis (2051)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("group, digest", [
+    ("4096:(1,1,4094)",
+     "d520663aad8b95c61ef86f1c568e348148df71d7090eef3241e24722d2bc0f33"),
+    ("30030:(1,2,30027)",
+     "d6fdf01cb8c56600a8258ba0b9374cb10aa3464d3aa5db4c89008aebcf0d2817"),
+])
+def test_analyze_large_order_stdout_digest(capsys, group, digest):
+    """``analyze`` stdout at large order, hashed from the breadth-first
+    closure and the packed lex scan in every dimension."""
+    assert main(["analyze", group]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_bad_group_is_input_error(capsys):
     assert main(["analyze", "6:(1,2,2)"]) == 2
 

@@ -1,14 +1,16 @@
 from itertools import product
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import Phase, find, given, settings
+from hypothesis import Phase, example, find, given, settings
 
 from conftest import random_cyclic_group, small_groups
-from oracles import junior_simplex
+from oracles import closure_bfs, junior_simplex
 from torcrep import groups
 from torcrep.errors import ExplosionGuard, NotInSL
 from torcrep.groups import (
     close_group,
+    closure,
     compact_juniors,
     crepant_obstructions,
     element_names,
@@ -150,3 +152,31 @@ def test_element_names(z6):
     assert by_name["g1"] == (1, 2, 3)
     assert by_name["g4"] == (4, 2, 0)
     assert by_name["g5"] == (5, 4, 3)
+
+
+@st.composite
+def generator_lists(draw):
+    """Up to three generators in ``(Z/r)^k``, coordinates not yet reduced.
+
+    Their sums need not vanish mod ``r``: ``is_terminal`` closes the local
+    groups of cones from such lists.
+    """
+    k, r = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    coord = st.integers(-r, 2 * r)
+    return draw(st.lists(st.tuples(*[coord] * k), min_size=1, max_size=3)), r
+
+
+@settings(max_examples=200, derandomize=True)
+@given(generator_lists())
+@example(([(0, 0, 0), (1, 2, 3)], 6))  # a zero generator first
+@example(([(1, 2, 3), (6, -6, 12)], 6))  # a generator that is zero mod r
+@example(([(1, 5, 0), (0, 1, 5), (1, 5, 0)], 6))  # a repeated generator
+@example(([(3, 0), (0, 2), (2, 2)], 6))  # the last generator adds nothing
+@example(([(1, 3, 7, 200)], 211))  # one cyclic generator
+@example(([(0, 0)], 1))  # the trivial group
+def test_closure_matches_breadth_first_oracle(case):
+    gens, r = case
+    got = list(closure(gens, r))
+    assert len(got) == len(set(got))
+    assert (0,) * len(gens[0]) not in got
+    assert set(got) == set(closure_bfs(gens, r))

@@ -181,15 +181,49 @@ def larger_groups(draw):
     return close_group(gens, n)
 
 
+def _group(*gens):
+    return close_group([LatticePoint(c, r) for r, c in gens])
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(larger_groups())
 @example(close_group([], n=3))  # trivial: r = 1, every candidate a unit
 # r = 2^k and 2^k - 1: a unit's coordinate r reaches the top bit below the
-# guard, or fills every bit below it
+# guard, or fills every bit below it; in n = 3 the sweep's tree has r + 1
+# nodes, a power of two plus one or a power of two
 @example(_cyclic((1, 1, 2, 4), 8))
 @example(_cyclic((1, 2, 4), 7))
 @example(_cyclic((1, 1, 1022), 1024))
 @example(_cyclic((1, 2, 3, 1017), 1023))
+@example(_cyclic((1, 3, 12), 16))
+@example(_cyclic((1, 5, 25), 31))
+@example(_group((15, (1, 14, 0)), (15, (0, 1, 14))))  # n = 3, two generators
+@example(_group((8, (1, 7, 0)), (8, (0, 1, 7))))
+@example(_group((7, (1, 6, 0)), (7, (0, 1, 6))))
 @example(close_group([], n=MAX_DIM))  # the most fields in one slot
 def test_hilbert_basis_matches_pairwise_oracle(group):
     assert hilbert_basis(group) == hilbert_basis_pairwise(group)
+
+
+@st.composite
+def groups3(draw):
+    """Groups in n = 3 with one or two generators of order up to 60."""
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        m = draw(st.integers(1, 60))
+        coords = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2))
+        gens.append(LatticePoint((*coords, -sum(coords) % m), m))
+    return close_group(gens, 3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(groups3())
+def test_n3_basis_is_juniors_and_units(group):
+    """Bruns-Gubeladze: every lattice polygon is normal.
+
+    So each point of age 2 in the orthant is a sum of two of age 1, no
+    senior is minimal, and in n = 3 the sweep keeps exactly the juniors
+    and the units.
+    """
+    want = sorted((*group.juniors, *group.units()), key=lambda p: p.coords)
+    assert hilbert_basis(group) == tuple(want)
