@@ -39,7 +39,7 @@ from .groups import (
     element_names,
 )
 from .hilbert import hilbert_basis
-from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form
+from .intlinalg import IntMatrix, hermite_normal_form
 from .lattice import (
     LatticePoint,
     QuotientLattice,
@@ -93,7 +93,6 @@ __all__ = [
     "resolve",
     "search_resolution",
     "sigma_fan",
-    "smith_normal_form",
     "star_fan",
     "star_subdivision",
     "unit_point",

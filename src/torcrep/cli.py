@@ -139,6 +139,10 @@ def _load_fan(path: str, group: GroupData) -> Fan:
     return fan
 
 
+def _write_json(path: str, data) -> None:
+    Path(path).write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
+
+
 def _sequence_points(names: dict[LatticePoint, str], spec: str) -> list[LatticePoint]:
     by_name = {v: k for k, v in names.items()}
     out = []
@@ -200,9 +204,7 @@ def cmd_resolve(args) -> int:
     else:
         print("all discrepancies 0")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(result_to_json(result), sort_keys=True, indent=1) + "\n"
-        )
+        _write_json(args.out, result_to_json(result))
         print(f"wrote {args.out}")
     return 0
 
@@ -260,9 +262,7 @@ def cmd_verify(args) -> int:
         print(f"junior {names[g]} {g}: FAILED: {msg}")
     bundle["all_verified"] = all_ok and not failures
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(bundle, sort_keys=True, indent=1) + "\n"
-        )
+        _write_json(args.out, bundle)
     if not bundle["all_verified"]:
         print("verification FAILED")
         return 1

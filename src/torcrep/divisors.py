@@ -2,10 +2,11 @@
 
 ``Cl(X)`` is the cokernel of the pairing map from the dual lattice ``M``
 into the free group on the rays (Cox-Little-Schenck, Thm 4.1.3).  One Smith
-normal form ``s = p * a * q`` of the pairing matrix ``a`` gives it all: the
+elimination ``s = p * a * q`` of the pairing matrix ``a`` gives it all: the
 group from the diagonal of ``s``, the class of the ray ``i`` from column
 ``i`` of ``p``, and the class of ``K_X = -sum D_i`` from ``p * (-1, ..., -1)``.
-Class coordinates are basis-dependent: they are read off ``p``.
+Only ``p`` is kept, as sparse rows, and each class coordinate is read off
+one of them; class coordinates are basis-dependent.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 from .fans import Fan
-from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form, solve
-from .lattice import LatticePoint, ScaledLattice
+from .intlinalg import IntMatrix, hermite_normal_form, solve, xgcd
+from .lattice import ScaledLattice
 
 
 def dual_basis(lattice: ScaledLattice) -> IntMatrix:
@@ -33,15 +34,86 @@ def dual_basis(lattice: ScaledLattice) -> IntMatrix:
     return h
 
 
+def _sparse_combine(x: int, u: dict[int, int], y: int, v: dict[int, int]) -> dict[int, int]:
+    """The sparse row ``x*u + y*v``, without zero entries."""
+    return {k: w for k in u.keys() | v.keys() if (w := x * u.get(k, 0) + y * v.get(k, 0))}
+
+
+def _smith_rows(s: list[list[int]]) -> tuple[list[int], list[dict[int, int]]]:
+    """Smith diagonal of ``s`` and the rows of its left transform ``p``.
+
+    Eliminates ``s`` in place: the pivot is the least ``|entry|``, first in
+    row-major order; xgcd row and column combinations clear its column and
+    row; a row whose entries the pivot does not divide is added to the
+    pivot row; a negative pivot row is flipped.  The right transform is not
+    kept.  Row ``k`` of ``p`` is a ``{column: value}`` dict.
+    """
+    nrows, ncols = len(s), len(s[0])
+    p = [{i: 1} for i in range(nrows)]
+
+    def combine_rows(i, j, a, b, c, d):
+        # rows (i, j) <- (a*ri + b*rj, c*ri + d*rj); requires ad - bc = ±1
+        ri, rj, pi, pj = s[i], s[j], p[i], p[j]
+        s[i] = [a * x + b * y for x, y in zip(ri, rj)]
+        s[j] = [c * x + d * y for x, y in zip(ri, rj)]
+        if (a, b) != (1, 0):
+            p[i] = _sparse_combine(a, pi, b, pj)
+        if (c, d) != (0, 1):
+            p[j] = _sparse_combine(c, pi, d, pj)
+
+    def combine_cols(i, j, a, b, c, d):
+        for row in s:
+            row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
+
+    def clear(t, k, combine, a, b):
+        # combine the pivot line t with line k so that entry b becomes 0
+        if b % a == 0:
+            combine(t, k, 1, 0, -(b // a), 1)
+        else:
+            g, x, y = xgcd(a, b)
+            combine(t, k, x, y, -(b // g), a // g)
+
+    diag = []
+    for t in range(min(nrows, ncols)):
+        pivot = min(((abs(s[i][j]), i, j) for i in range(t, nrows)
+                     for j in range(t, ncols) if s[i][j]), default=None)
+        if pivot is None:
+            break
+        _, pi, pj = pivot
+        if pi != t:
+            combine_rows(t, pi, 0, 1, 1, 0)
+        if pj != t:
+            combine_cols(t, pj, 0, 1, 1, 0)
+        while True:
+            for i in range(t + 1, nrows):
+                if s[i][t]:
+                    clear(t, i, combine_rows, s[t][t], s[i][t])
+            for j in range(t + 1, ncols):
+                if s[t][j]:
+                    clear(t, j, combine_cols, s[t][t], s[t][j])
+            if any(s[i][t] for i in range(t + 1, nrows)):
+                continue
+            a = s[t][t]
+            bad = next((i for i in range(t + 1, nrows)
+                        if any(s[i][j] % a for j in range(t + 1, ncols))), None)
+            if bad is None:
+                break
+            combine_rows(t, bad, 1, 1, 0, 1)
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            p[t] = {k: -w for k, w in p[t].items()}
+        diag.append(s[t][t])
+    return diag, p
+
+
 @dataclass(frozen=True)
 class ClassGroup:
     """``Cl(X)`` with the class of each ray and of the canonical divisor.
 
     A class lists torsion coordinates (mod the matching invariant factor)
-    followed by free coordinates; ``ray_classes`` follows ``rays``.
+    followed by free coordinates; ``ray_classes`` follows ``Fan.rays``.
     """
 
-    rays: tuple[LatticePoint, ...]
     rank: int
     torsion: tuple[int, ...]
     ray_classes: tuple[tuple[int, ...], ...]
@@ -51,9 +123,8 @@ class ClassGroup:
 def class_group(fan: Fan) -> ClassGroup:
     """Class group of the fan via the Smith form of the pairing matrix."""
     mb = dual_basis(fan.lattice).transpose()
-    rays = fan.rays
     rows = []
-    for ray in rays:
+    for ray in fan.rays:
         row = []
         for v in mb.mul_vec(ray.coords):
             m, rem = divmod(v, ray.denom)
@@ -61,20 +132,23 @@ def class_group(fan: Fan) -> ClassGroup:
                 raise InvariantError(f"ray {ray} pairs non-integrally with the dual lattice")
             row.append(m)
         rows.append(row)
-    s, p, _ = smith_normal_form(IntMatrix(rows))
-    diag = [s[i][i] for i in range(min(s.rows, s.cols))]
-    diag += [0] * (len(rays) - len(diag))  # coordinates past the diagonal are free
-
-    def reduce(y) -> tuple[int, ...]:
-        return (tuple(v % d for v, d in zip(y, diag) if d > 1)
-                + tuple(v for v, d in zip(y, diag) if d == 0))
-
+    diag, p = _smith_rows(rows)
+    diag += [0] * (len(rows) - len(diag))  # coordinates past the diagonal are free
+    torsion = [k for k, d in enumerate(diag) if d > 1]
+    coords = torsion + [k for k, d in enumerate(diag) if d == 0]
+    ray_classes = [[0] * len(coords) for _ in rows]
+    canonical_class = []
+    for c, k in enumerate(coords):
+        d = diag[k]
+        for i, v in p[k].items():
+            ray_classes[i][c] = v % d if d else v
+        total = -sum(p[k].values())
+        canonical_class.append(total % d if d else total)
     return ClassGroup(
-        rays=rays,
-        rank=diag.count(0),
-        torsion=tuple(d for d in diag if d > 1),
-        ray_classes=tuple(reduce(col) for col in p.columns()),
-        canonical_class=reduce([-sum(row) for row in p.data]),
+        rank=len(coords) - len(torsion),
+        torsion=tuple(diag[k] for k in torsion),
+        ray_classes=tuple(map(tuple, ray_classes)),
+        canonical_class=tuple(canonical_class),
     )
 
 

@@ -1,4 +1,4 @@
-"""Exact integer matrices with Hermite and Smith normal forms.
+"""Exact integer matrices with the Hermite normal form.
 
 Everything here runs on Python's arbitrary-precision integers; no
 fractions and no floating point are ever involved, so results are
@@ -17,8 +17,6 @@ Conventions:
   pivot entries are positive, entries to the left of a pivot in its row
   are reduced into ``[0, pivot)``, and zero columns are pushed to the
   right.  For a nonsingular square input ``h`` is lower triangular.
-* ``smith_normal_form(m)`` returns ``(s, p, q)`` with ``s = p * m * q``,
-  ``p``/``q`` unimodular and ``s`` diagonal with ``s[i] | s[i+1]``.
 """
 
 from __future__ import annotations
@@ -240,83 +238,6 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 addmul(j, pc, -f)
         pc += 1
     return IntMatrix.from_columns(h), IntMatrix.from_columns(u)
-
-
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form ``(s, p, q)`` with ``s = p * m * q``."""
-    nrows, ncols = m.rows, m.cols
-    s = [list(row) for row in m.data]
-    p = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    q = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def combine_rows(i, j, a, b, c, d):
-        # rows (i, j) <- (a*ri + b*rj, c*ri + d*rj); requires ad - bc = ±1
-        for mat in (s, p):
-            ri, rj = mat[i], mat[j]
-            mat[i] = [a * x + b * y for x, y in zip(ri, rj)]
-            mat[j] = [c * x + d * y for x, y in zip(ri, rj)]
-
-    def combine_cols(i, j, a, b, c, d):
-        for mat in (s, q):
-            for row in mat:
-                row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
-
-    t = 0
-    bound = min(nrows, ncols)
-    while t < bound:
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                v = s[i][j]
-                if v and (pivot is None or abs(v) < abs(s[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            combine_rows(t, pi, 0, 1, 1, 0)
-        if pj != t:
-            combine_cols(t, pj, 0, 1, 1, 0)
-        while True:
-            for i in range(t + 1, nrows):
-                a, b = s[t][t], s[i][t]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    combine_rows(t, i, 1, 0, -(b // a), 1)
-                else:
-                    g, x, y = xgcd(a, b)
-                    combine_rows(t, i, x, y, -(b // g), a // g)
-            for j in range(t + 1, ncols):
-                a, b = s[t][t], s[t][j]
-                if b == 0:
-                    continue
-                if b % a == 0:
-                    combine_cols(t, j, 1, 0, -(b // a), 1)
-                else:
-                    g, x, y = xgcd(a, b)
-                    combine_cols(t, j, x, y, -(b // g), a // g)
-            col_clear = all(s[i][t] == 0 for i in range(t + 1, nrows))
-            row_clear = all(s[t][j] == 0 for j in range(t + 1, ncols))
-            if not (col_clear and row_clear):
-                continue
-            a = s[t][t]
-            bad = next(
-                (
-                    i
-                    for i in range(t + 1, nrows)
-                    if any(s[i][j] % a for j in range(t + 1, ncols))
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            combine_rows(t, bad, 1, 1, 0, 1)
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            p[t] = [-x for x in p[t]]
-        t += 1
-    return IntMatrix(s), IntMatrix(p), IntMatrix(q)
 
 
 def rank(m: IntMatrix) -> int:

@@ -2,7 +2,10 @@
 
 The linear-algebra oracles are the solvers torcrep used before its single
 fraction-free kernel: Fraction Gauss-Jordan, a Bareiss determinant loop,
-an unnormalised fraction-free rank loop and cofactor expansion.  The fan
+an unnormalised fraction-free rank loop and cofactor expansion; and
+``smith_normal_form``, the dense three-matrix Smith form ``s = p * m * q``
+that ``class_group`` used before its private elimination kept only the
+rows of ``p``, sparse, and no ``q``.  The fan
 oracles are the general pairwise fan check (the extreme rays of every
 intersection of two cones, computed exactly) with ``refines`` (containment
 plus support volume), which ``validate_fan`` replaced by facet pairing over
@@ -84,8 +87,8 @@ from torcrep.intlinalg import (
     IntMatrix,
     hermite_normal_form,
     rank,
-    smith_normal_form,
     solve,
+    xgcd,
 )
 from torcrep.lattice import LatticePoint, ScaledLattice
 from torcrep.resolve import (
@@ -221,6 +224,83 @@ def cofactor(m: IntMatrix, i: int, j: int) -> int:
 def adjugate(m: IntMatrix) -> list[list[int]]:
     """Rows of the adjugate, so that ``m * adj = det(m) * I``."""
     return [[cofactor(m, j, i) for j in range(m.rows)] for i in range(m.rows)]
+
+
+def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form ``(s, p, q)`` with ``s = p * m * q``."""
+    nrows, ncols = m.rows, m.cols
+    s = [list(row) for row in m.data]
+    p = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    q = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def combine_rows(i, j, a, b, c, d):
+        # rows (i, j) <- (a*ri + b*rj, c*ri + d*rj); requires ad - bc = ±1
+        for mat in (s, p):
+            ri, rj = mat[i], mat[j]
+            mat[i] = [a * x + b * y for x, y in zip(ri, rj)]
+            mat[j] = [c * x + d * y for x, y in zip(ri, rj)]
+
+    def combine_cols(i, j, a, b, c, d):
+        for mat in (s, q):
+            for row in mat:
+                row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
+
+    t = 0
+    bound = min(nrows, ncols)
+    while t < bound:
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                v = s[i][j]
+                if v and (pivot is None or abs(v) < abs(s[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            combine_rows(t, pi, 0, 1, 1, 0)
+        if pj != t:
+            combine_cols(t, pj, 0, 1, 1, 0)
+        while True:
+            for i in range(t + 1, nrows):
+                a, b = s[t][t], s[i][t]
+                if b == 0:
+                    continue
+                if b % a == 0:
+                    combine_rows(t, i, 1, 0, -(b // a), 1)
+                else:
+                    g, x, y = xgcd(a, b)
+                    combine_rows(t, i, x, y, -(b // g), a // g)
+            for j in range(t + 1, ncols):
+                a, b = s[t][t], s[t][j]
+                if b == 0:
+                    continue
+                if b % a == 0:
+                    combine_cols(t, j, 1, 0, -(b // a), 1)
+                else:
+                    g, x, y = xgcd(a, b)
+                    combine_cols(t, j, x, y, -(b // g), a // g)
+            col_clear = all(s[i][t] == 0 for i in range(t + 1, nrows))
+            row_clear = all(s[t][j] == 0 for j in range(t + 1, ncols))
+            if not (col_clear and row_clear):
+                continue
+            a = s[t][t]
+            bad = next(
+                (
+                    i
+                    for i in range(t + 1, nrows)
+                    if any(s[i][j] % a for j in range(t + 1, ncols))
+                ),
+                None,
+            )
+            if bad is None:
+                break
+            combine_rows(t, bad, 1, 1, 0, 1)
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            p[t] = [-x for x in p[t]]
+        t += 1
+    return IntMatrix(s), IntMatrix(p), IntMatrix(q)
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
@@ -684,9 +764,9 @@ def canonical_divisor(fan: Fan) -> TDivisor:
     return TDivisor.from_dict({ray: -1 for ray in fan.rays})
 
 
-def class_vector(cg: ClassGroup, div: TDivisor) -> tuple[int, ...]:
-    """Class of a divisor as its combination of the ray classes."""
-    index = {ray: i for i, ray in enumerate(cg.rays)}
+def class_vector(fan: Fan, cg: ClassGroup, div: TDivisor) -> tuple[int, ...]:
+    """Class of a divisor as its combination of the ray classes of the fan."""
+    index = {ray: i for i, ray in enumerate(fan.rays)}
     total = [0] * (len(cg.torsion) + cg.rank)
     for ray, c in div.coeffs:
         for k, v in enumerate(cg.ray_classes[index[ray]]):
@@ -1006,7 +1086,7 @@ def is_principal(fan: Fan, div: TDivisor) -> bool:
     """Exact membership of the divisor in the image of the dual lattice.
 
     Solves the pairing matrix by its Hermite form, so it checks
-    ``ClassGroup.class_vector``, which reads the Smith form.
+    ``class_vector``, which reads the Smith form.
     """
     mb = dual_basis(fan.lattice)
     a = IntMatrix(

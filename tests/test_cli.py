@@ -12,10 +12,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from oracles import class_group_json_reference
 from torcrep.cli import MAX_DIM, GroupSpec, build_parser, group_from_spec, main, parse_group
+from torcrep.divisors import class_group, class_group_to_json
 from torcrep.errors import DimensionMismatch, GroupSyntaxError, NotInSL
-from torcrep.fans import fan_to_json, sigma_fan, star_subdivision
-from torcrep.groups import close_group
+from torcrep.fans import fan_from_json, fan_to_json, sigma_fan, star_subdivision
+from torcrep.groups import close_group, element_names
 from torcrep.lattice import LatticePoint
 from torcrep.resolve import result_to_json
 from torcrep.svg import junior_graph_svg
@@ -244,14 +246,44 @@ def test_resolve_solves_only_the_orthant(group, monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_resolve_all_juniors_at_961_cones(tmp_path, capsys):
+SCALE_GROUP = "31:(1,30,0);31:(0,1,30)"
+
+
+@pytest.fixture(scope="module")
+def scale_verify(tmp_path_factory):
+    """``resolve --sequence <all juniors>`` and ``verify --out`` on the
+    961-cone fan of ``SCALE_GROUP``, folded once for the module."""
+    out = tmp_path_factory.mktemp("scale")
+    group = group_from_spec(parse_group(SCALE_GROUP))
+    names = element_names(group)
+    seq = ",".join(names[g] for g in group.juniors)
+    fan, report, stdout = out / "fan.json", out / "report.json", io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["resolve", SCALE_GROUP, "--sequence", seq, "--out", str(fan)]) == 0
+    with contextlib.redirect_stdout(stdout):
+        assert main(["verify", str(fan), SCALE_GROUP, "--out", str(report)]) == 0
+    return fan, report.read_bytes(), stdout.getvalue()
+
+
+def test_verify_bundle_and_stdout_digests_at_961_cones(scale_verify):
+    # recorded before the class group dropped the dense Smith form
+    _, bundle, stdout = scale_verify
+    assert len(json.loads(bundle)["certificates"]) == 525
+    assert hashlib.sha256(bundle).hexdigest() == (
+        "61bb1572bd3df5f7a47af991723a50941dc6e42daef1887aa1822ffa41a71022")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "5e64c3363ce5df98912b18740450cf211889b9e0525cc874441f6f0d65470786")
+
+
+def test_class_group_matches_reference_at_961_cones(scale_verify):
+    fan = fan_from_json(json.loads(scale_verify[0].read_text())["fan"])
+    assert len(fan.maximal_cones) == 961
+    assert class_group_to_json(class_group(fan)) == class_group_json_reference(fan)
+
+
+def test_resolve_all_juniors_at_961_cones(scale_verify):
     # the n = 3 fold at scale: 525 star subdivisions, one per junior
-    group = "31:(1,30,0);31:(0,1,30)"
-    juniors = len(group_from_spec(parse_group(group)).juniors)
-    names = ",".join(f"g{i}" for i in range(1, juniors + 1))
-    out = tmp_path / "fan.json"
-    assert main(["resolve", group, "--sequence", names, "--out", str(out)]) == 0
-    data = json.loads(out.read_text())
+    data = json.loads(scale_verify[0].read_text())
     assert data["smooth"] and data["crepant"] and data["euler"] == 961
 
 
@@ -328,7 +360,7 @@ def test_export_graph_dimension_guard(tmp_path, capsys):
 def test_export_graph_trivial_group(tmp_path):
     fan_path = tmp_path / "triv.json"
     from torcrep.fans import sigma_fan
-    from torcrep.groups import close_group
+    from torcrep.groups import close_group, element_names
 
     triv = close_group([], n=3)
     fan_path.write_text(json.dumps(fan_to_json(sigma_fan(triv.lattice))))

@@ -20,6 +20,7 @@ from torcrep.errors import InvariantError
 from torcrep.fans import make_cone, make_fan, sigma_fan
 from torcrep.intlinalg import IntMatrix, solve
 from torcrep.lattice import LatticePoint, unit_point
+from torcrep.resolve import resolve
 
 
 def reference_basis_transform():
@@ -98,7 +99,7 @@ def test_class_group_order5(z5_result):
     rel3 = TDivisor.from_dict({rho3: 1, rho5: -1})
     for rel in (rel1, rel2, rel3):
         assert is_principal(z5_result.fan, rel)
-        assert all(v == 0 for v in class_vector(cg, rel))
+        assert all(v == 0 for v in class_vector(z5_result.fan, cg, rel))
     not_rel = TDivisor.from_dict({rho1: 1})
     assert not is_principal(z5_result.fan, not_rel)
 
@@ -122,20 +123,10 @@ def test_crepant_fan_has_trivial_canonical_class(z6_result, z5_result):
         cg = class_group(res.fan)
         k = canonical_divisor(res.fan)
         assert is_principal(res.fan, k)
-        assert cg.canonical_class == class_vector(cg, k)
+        assert cg.canonical_class == class_vector(res.fan, cg, k)
         assert all(v == 0 for v in cg.canonical_class)
         assert cg.rank == len(res.fan.rays) - res.fan.lattice.dim
         assert cg.torsion == ()
-
-
-def test_exactness_principal_maps_to_zero(z6_result, z7_hilbert_result):
-    for res in (z6_result, z7_hilbert_result):
-        cg = class_group(res.fan)
-        mb = dual_basis(res.fan.lattice)
-        for j in range(mb.cols):
-            d = principal_divisor(res.fan, mb.column(j))
-            assert is_principal(res.fan, d)
-            assert all(v == 0 for v in class_vector(cg, d))
 
 
 def test_dual_basis_pairings(z6):
@@ -155,9 +146,22 @@ def test_class_group_order_random(rng):
         assert prod(cg.torsion) == group.order
 
 
+@st.composite
+def partial_folds(draw):
+    """A prefix of a junior sequence folded from the orthant, in n = 2..5.
+
+    The new rays add free rank while the cones left unsubdivided keep
+    quotient singularities, so torsion and free coordinates mix.
+    """
+    group = draw(small_groups())
+    seq = draw(st.permutations(group.juniors))
+    return resolve(group, seq[:draw(st.integers(0, len(seq)))]).fan
+
+
 _CLASS_GROUP_FANS = st.one_of(
     smooth_fans().map(lambda case: case[1]),  # blow-ups make K_X non-trivial
     small_groups().map(lambda group: sigma_fan(group.lattice)),  # torsion
+    partial_folds(),
 )
 
 
@@ -167,7 +171,18 @@ def test_class_group_matches_reference(fan):
     cg = class_group(fan)
     assert class_group_to_json(cg) == class_group_json_reference(fan)
     # the canonical class read off the rows of p is the sum of the ray classes
-    assert cg.canonical_class == class_vector(cg, canonical_divisor(fan))
+    assert cg.canonical_class == class_vector(fan, cg, canonical_divisor(fan))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_CLASS_GROUP_FANS)
+def test_exactness_principal_maps_to_zero(fan):
+    cg = class_group(fan)
+    mb = dual_basis(fan.lattice)
+    for j in range(mb.cols):
+        d = principal_divisor(fan, mb.column(j))
+        assert is_principal(fan, d)
+        assert all(v == 0 for v in class_vector(fan, cg, d))
 
 
 def test_class_group_fans_include_torsion_and_nontrivial_canonical_classes():
@@ -175,6 +190,9 @@ def test_class_group_fans_include_torsion_and_nontrivial_canonical_classes():
                      derandomize=True)
     find(_CLASS_GROUP_FANS, lambda fan: class_group(fan).torsion, settings=quick)
     find(_CLASS_GROUP_FANS, lambda fan: any(class_group(fan).canonical_class),
+         settings=quick)
+    # a partial fold with torsion and free coordinates at once
+    find(partial_folds(), lambda fan: class_group(fan).torsion and class_group(fan).rank,
          settings=quick)
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from oracles import (
     adjugate,
@@ -11,17 +11,12 @@ from oracles import (
     invariant_factors,
     kernel_basis,
     rank_loop,
+    smith_normal_form,
     solve_integer,
     solve_rational,
 )
-from torcrep.intlinalg import (
-    IntMatrix,
-    hermite_normal_form,
-    rank,
-    smith_normal_form,
-    solve,
-    xgcd,
-)
+from torcrep.divisors import _smith_rows
+from torcrep.intlinalg import IntMatrix, hermite_normal_form, rank, solve, xgcd
 
 
 def small_matrices(max_dim=4, max_entry=9):
@@ -124,6 +119,20 @@ def test_snf_round_trip(data):
         for j in range(s.cols):
             if i != j:
                 assert s[i][j] == 0
+
+
+@given(small_matrices())
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[4, -6, 10]])
+@example([[2, 4, 6, 8], [3, 5, 7, 9]])
+def test_smith_rows_match_dense_smith_form(data):
+    # the class group's sparse elimination keeps p's rows and the diagonal
+    # of the dense form, and stops at the first zero pivot
+    s, p, _ = smith_normal_form(IntMatrix(data))
+    diag, rows = _smith_rows([list(row) for row in data])
+    bound = min(s.rows, s.cols)
+    assert diag + [0] * (bound - len(diag)) == [s[i][i] for i in range(bound)]
+    assert rows == [{j: v for j, v in enumerate(row) if v} for row in p.data]
 
 
 def test_solve_integer():
