@@ -34,11 +34,6 @@ def dual_basis(lattice: ScaledLattice) -> IntMatrix:
     return h
 
 
-def _sparse_combine(x: int, u: dict[int, int], y: int, v: dict[int, int]) -> dict[int, int]:
-    """The sparse row ``x*u + y*v``, without zero entries."""
-    return {k: w for k in u.keys() | v.keys() if (w := x * u.get(k, 0) + y * v.get(k, 0))}
-
-
 def _smith_rows(s: list[list[int]]) -> tuple[list[int], list[dict[int, int]]]:
     """Smith diagonal of ``s`` and the rows of its left transform ``p``.
 
@@ -56,10 +51,11 @@ def _smith_rows(s: list[list[int]]) -> tuple[list[int], list[dict[int, int]]]:
         ri, rj, pi, pj = s[i], s[j], p[i], p[j]
         s[i] = [a * x + b * y for x, y in zip(ri, rj)]
         s[j] = [c * x + d * y for x, y in zip(ri, rj)]
+        keys = pi.keys() | pj.keys()
         if (a, b) != (1, 0):
-            p[i] = _sparse_combine(a, pi, b, pj)
+            p[i] = {k: w for k in keys if (w := a * pi.get(k, 0) + b * pj.get(k, 0))}
         if (c, d) != (0, 1):
-            p[j] = _sparse_combine(c, pi, d, pj)
+            p[j] = {k: w for k in keys if (w := c * pi.get(k, 0) + d * pj.get(k, 0))}
 
     def combine_cols(i, j, a, b, c, d):
         for row in s:
@@ -81,7 +77,8 @@ def _smith_rows(s: list[list[int]]) -> tuple[list[int], list[dict[int, int]]]:
             break
         _, pi, pj = pivot
         if pi != t:
-            combine_rows(t, pi, 0, 1, 1, 0)
+            s[t], s[pi] = s[pi], s[t]
+            p[t], p[pi] = p[pi], p[t]
         if pj != t:
             combine_cols(t, pj, 0, 1, 1, 0)
         while True:

@@ -360,7 +360,7 @@ def test_export_graph_dimension_guard(tmp_path, capsys):
 def test_export_graph_trivial_group(tmp_path):
     fan_path = tmp_path / "triv.json"
     from torcrep.fans import sigma_fan
-    from torcrep.groups import close_group, element_names
+    from torcrep.groups import close_group
 
     triv = close_group([], n=3)
     fan_path.write_text(json.dumps(fan_to_json(sigma_fan(triv.lattice))))

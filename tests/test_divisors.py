@@ -174,15 +174,25 @@ def test_class_group_matches_reference(fan):
     assert cg.canonical_class == class_vector(fan, cg, canonical_divisor(fan))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(_CLASS_GROUP_FANS)
-def test_exactness_principal_maps_to_zero(fan):
+def _assert_principal_classes_vanish(fan):
     cg = class_group(fan)
     mb = dual_basis(fan.lattice)
     for j in range(mb.cols):
         d = principal_divisor(fan, mb.column(j))
         assert is_principal(fan, d)
         assert all(v == 0 for v in class_vector(fan, cg, d))
+
+
+def test_exactness_principal_maps_to_zero(z6_result, z7_hilbert_result):
+    # z7's Hilbert-basis resolution has an age-2 ray, which no junior fold reaches
+    for res in (z6_result, z7_hilbert_result):
+        _assert_principal_classes_vanish(res.fan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_CLASS_GROUP_FANS)
+def test_exactness_over_class_group_fans(fan):
+    _assert_principal_classes_vanish(fan)
 
 
 def test_class_group_fans_include_torsion_and_nontrivial_canonical_classes():
