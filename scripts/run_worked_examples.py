@@ -12,7 +12,7 @@ from functools import reduce
 from itertools import permutations
 from pathlib import Path
 
-from torcrep.cli import group_from_spec, parse_group
+from torcrep.cli import group_from_spec, parse_group, write_json
 from torcrep.cli import main as torcrep_main
 from torcrep.errors import ResolutionNotFound
 from torcrep.fans import (
@@ -79,7 +79,7 @@ def nonstar_model(outdir: Path) -> None:
         if fans_equal(reduce(star_subdivision, perm, sigma_fan(z6.lattice)), fan):
             raise SystemExit("the non-star model must not be a star sequence")
     path = outdir / "z6_nonstar.json"
-    path.write_text(json.dumps(fan_to_json(fan), sort_keys=True, indent=1) + "\n")
+    write_json(str(path), fan_to_json(fan))
     print(f"== hand-entered non-star model -> {path}")
     run_ok(["verify", str(path), "6:(1,2,3)",
             "--out", str(outdir / "z6_nonstar_report.json")])

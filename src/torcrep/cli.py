@@ -31,6 +31,7 @@ from .errors import (
     DimensionUnsupported,
     GroupSyntaxError,
     InputError,
+    InvariantError,
     NotInSL,
     ResolutionNotFound,
     TorcrepError,
@@ -139,8 +140,26 @@ def _load_fan(path: str, group: GroupData) -> Fan:
     return fan
 
 
-def _write_json(path: str, data) -> None:
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
+def _json_text(v, pad: str) -> str:
+    # the layout of json.dumps(v, sort_keys=True, indent=1), with each flat
+    # integer list (most of a bundle) joined at once
+    inner = pad + " "
+    sep = ",\n" + inner
+    if isinstance(v, dict) and v:
+        body = sep.join(f"{json.dumps(k)}: {_json_text(v[k], inner)}" for k in sorted(v))
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(v, (list, tuple)) and v:
+        if set(map(type, v)) == {int}:
+            body = sep.join(map(str, v))
+        else:
+            body = sep.join(_json_text(x, inner) for x in v)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return json.dumps(v)
+
+
+def write_json(path: str, data) -> None:
+    """Write ``json.dumps(data, sort_keys=True, indent=1)`` and a newline; keys are strings."""
+    Path(path).write_text(_json_text(data, "") + "\n")
 
 
 def _sequence_points(names: dict[LatticePoint, str], spec: str) -> list[LatticePoint]:
@@ -166,8 +185,11 @@ def cmd_analyze(args) -> int:
     for g in group.elements:
         if g.is_zero():
             print("  id    0")
-        else:
-            print(f"  {names[g]:<5} {g}  age {g.age}")
+            continue
+        age, rest = divmod(sum(g.coords), group.r)
+        if rest:
+            raise InvariantError(f"element {g} of G in SL(n) has non-integral age")
+        print(f"  {names[g]:<5} {g}  age {age}")
     print(f"junior simplex: {len(juniors)} junior point(s)"
           f" [{', '.join(names[g] for g in juniors)}]")
     print(f"compact juniors: [{', '.join(names[g] for g in compact)}]")
@@ -204,7 +226,7 @@ def cmd_resolve(args) -> int:
     else:
         print("all discrepancies 0")
     if args.out:
-        _write_json(args.out, result_to_json(result))
+        write_json(args.out, result_to_json(result))
         print(f"wrote {args.out}")
     return 0
 
@@ -262,7 +284,7 @@ def cmd_verify(args) -> int:
         print(f"junior {names[g]} {g}: FAILED: {msg}")
     bundle["all_verified"] = all_ok and not failures
     if args.out:
-        _write_json(args.out, bundle)
+        write_json(args.out, bundle)
     if not bundle["all_verified"]:
         print("verification FAILED")
         return 1

@@ -10,7 +10,8 @@ read off one maximal cone through ``g``, sends each weighted ray to its
 lift and the apex to ``g``.  It serves every cone, as the map read off any
 other cone agrees with it on that cone's basis; checking it on every ray
 and cone certifies that the open set of the cones through ``g`` is that
-whole total space, so ``E`` is normally embedded.
+whole total space, so ``E`` is normally embedded.  Each ray is projected
+once, and a total-space cone's image is ``g`` with its star rays' lifts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .fans import Cone, Fan, make_cone, make_fan
 from .groups import GroupData
-from .intlinalg import IntMatrix, solve
+from .intlinalg import IntMatrix
 from .lattice import LatticePoint, QuotientLattice, quotient_by_ray
 
 
@@ -74,24 +75,26 @@ class EmbeddingCertificate:
 
 
 def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
-    """Project the cones through a ray into the quotient lattice."""
+    """Project the cones through a ray into the quotient lattice, each ray once."""
     if g_hat not in fan.ray_set:
         raise RayAbsent(f"{g_hat} is not a ray of the fan")
     quo = quotient_by_ray(fan.lattice, g_hat)
     lifts: dict[LatticePoint, LatticePoint] = {}
+    images: dict[LatticePoint, LatticePoint] = {}  # ray -> star ray
     cones = []
     for c in fan.cones_through[g_hat]:
         imgs = []
         for u in c.rays:
             if u == g_hat:
                 continue
-            ubar = quo.project(u)
-            prev = lifts.get(ubar)
-            if prev is not None and prev != u:
-                raise LiftAmbiguous(
-                    f"rays {prev} and {u} project to the same star ray {ubar}"
-                )
-            lifts[ubar] = u
+            ubar = images.get(u)
+            if ubar is None:
+                ubar = images[u] = quo.project(u)
+                prev = lifts.setdefault(ubar, u)
+                if prev != u:
+                    raise LiftAmbiguous(
+                        f"rays {prev} and {u} project to the same star ray {ubar}"
+                    )
             imgs.append(ubar)
         cones.append(make_cone(imgs))
     star = make_fan(quo.as_lattice, cones)
@@ -153,10 +156,12 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
     # the star cones are in make_fan order and so are these: weighted rays
     # sort as their star rays do, and inserting the apex, which every cone
     # holds, into sorted ray lists of one length keeps their order
+    lift = dict(star.lifts)
     for c in star.fan.maximal_cones:
         rays = [apex] + [weighted[ubar] for ubar in c.rays]
         tc = Cone(tuple(sorted(rays, key=lambda p: p.coords)))
-        pts = [lat.from_basis_coords(iso.mul_vec(ray.coords)) for ray in tc.rays]
+        # iso sends the apex to g and each weighted ray to its lift (checked above)
+        pts = [g_hat] + [lift[ubar] for ubar in c.rays]
         img = fresh.pop(frozenset(pts), None)
         if img is None:
             img = make_cone(pts)
@@ -225,11 +230,13 @@ def classify_surface(star: StarFan) -> SurfaceType:
     selfints = []
     for i in range(k):
         p, u, q = rays[(i - 1) % k], rays[i], rays[(i + 1) % k]
-        # adjacent bases force p + q = -a * u with a an integer
-        sol = solve(IntMatrix.from_columns([u]), [(p[0] + q[0], p[1] + q[1])])
-        if sol is None or sol[0][0][0] % sol[1]:
+        # adjacent bases force p + q = -a * u with a an integer: the sum is
+        # parallel to u, and a is read off its dot product with u
+        s0, s1 = p[0] + q[0], p[1] + q[1]
+        dot, norm = s0 * u[0] + s1 * u[1], u[0] * u[0] + u[1] * u[1]
+        if u[0] * s1 - u[1] * s0 or dot % norm:
             raise InvariantError(f"neighbours of {u} do not sum to a multiple of it")
-        selfints.append(-(sol[0][0][0] // sol[1]))
+        selfints.append(-(dot // norm))
     vec = tuple(selfints)
     if k == 3:
         return SurfaceType("P2", None, vec)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import prod
 
 from .errors import (
     DenomMismatch,
@@ -295,19 +296,18 @@ def validate_fan(fan: Fan) -> None:
         for i, h in enumerate(c.facet_normals[0]):
             owners.setdefault(c.rays[:i] + c.rays[i + 1:], []).append((c, h, c.rays[i]))
     for rays, cones in owners.items():
-        facet = Cone(rays)
         boundary = any(all(r.coords[k] == 0 for r in rays) for k in range(n))
         want = 1 if boundary else 2
         if len(cones) != want:
             names = ", ".join(str(c) for c, _, _ in cones)
             raise InvalidFan(
-                f"facet {facet} lies in {len(cones)} cone(s), not {want}: {names}"
+                f"facet {Cone(rays)} lies in {len(cones)} cone(s), not {want}: {names}"
             )
         if not boundary:
             (a, h, _), (b, _, far) = cones
             if sum(x * y for x, y in zip(h, far.coords)) > 0:
                 raise InvalidFan(
-                    f"cones {a} and {b} lie on the same side of their facet {facet}"
+                    f"cones {a} and {b} lie on the same side of their facet {Cone(rays)}"
                 )
 
 
@@ -406,13 +406,13 @@ def support_volume(fan: Fan) -> Fraction:
     orthant's is ``[N : Z^n]``.  Requires full-dimensional cones whose rays
     have positive age (``validate_fan`` checks both first).
     """
-    total = Fraction(0)
+    # cone_index / prod(age u) = cone_index * denom^n / prod(sum u)
+    lat, indices = fan.lattice, {}
     for c in fan.maximal_cones:
-        denom = 1
-        for r in c.rays:
-            denom *= r.age
-        total += cone_index(c, fan.lattice) / denom
-    return total
+        sums = prod(sum(r.coords) for r in c.rays)
+        indices[sums] = indices.get(sums, 0) + cone_index(c, lat)
+    scale = lat.denom**lat.dim
+    return sum((Fraction(i * scale, sums) for sums, i in indices.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

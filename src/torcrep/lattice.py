@@ -118,9 +118,6 @@ class ScaledLattice:
             raise NotInLattice(f"{p} is not in the lattice")
         return x
 
-    def from_basis_coords(self, x) -> LatticePoint:
-        return LatticePoint(self.basis.mul_vec(x), self.denom)
-
     def is_primitive(self, p: LatticePoint) -> bool:
         if p.is_zero():
             raise NotInLattice("the zero vector has no primitivity")

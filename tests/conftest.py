@@ -124,6 +124,18 @@ def smooth_fans(draw):
 
 
 @st.composite
+def partial_folds(draw):
+    """A prefix of a junior sequence folded from the orthant, in n = 2..5.
+
+    The new rays add free rank while the cones left unsubdivided keep
+    quotient singularities, so torsion and free coordinates mix.
+    """
+    group = draw(small_groups())
+    seq = draw(st.permutations(group.juniors))
+    return resolve(group, seq[:draw(st.integers(0, len(seq)))]).fan
+
+
+@st.composite
 def crepant3_resolutions(draw):
     """A group in n = 3 with every junior folded in a random order.
 

@@ -1,5 +1,7 @@
 """Reference implementations and helpers that only the tests use.
 
+``from_basis_coords`` inverts ``ScaledLattice.basis_coords``; it left the
+lattice once certificates read each cone's image off the checked lifts.
 The linear-algebra oracles are the solvers torcrep used before its single
 fraction-free kernel: Fraction Gauss-Jordan, a Bareiss determinant loop,
 an unnormalised fraction-free rank loop and cofactor expansion; and
@@ -9,7 +11,8 @@ rows of ``p``, sparse, and no ``q``.  The fan
 oracles are the general pairwise fan check (the extreme rays of every
 intersection of two cones, computed exactly) with ``refines`` (containment
 plus support volume), which ``validate_fan`` replaced by facet pairing over
-the orthant; ``is_terminal`` before the age rule (the bounding-box walk
+the orthant; ``support_volume_fraction``, the support volume summed as one
+``Fraction`` per cone; ``is_terminal`` before the age rule (the bounding-box walk
 over ``Conv(0, rays)``); ``certify_normal_embedding`` before it checked
 one map per junior (a map per anchor cone) and before its single pass
 (the open subfan ``xi_g``, the ``age_weighted_divisor`` and the general
@@ -75,6 +78,7 @@ from torcrep.fans import (
     Cone,
     Fan,
     barycentric,
+    cone_index,
     is_smooth_cone,
     make_cone,
     make_fan,
@@ -98,6 +102,15 @@ from torcrep.resolve import (
     certify_fan,
     search_budget,
 )
+
+# ---------------------------------------------------------------------------
+# Lattice oracles
+
+
+def from_basis_coords(lat: ScaledLattice, x) -> LatticePoint:
+    """The lattice point with basis coordinates ``x``, inverse of ``basis_coords``."""
+    return LatticePoint(lat.basis.mul_vec(x), lat.denom)
+
 
 # ---------------------------------------------------------------------------
 # Linear-algebra oracles
@@ -520,6 +533,21 @@ def refines(fine: Fan, coarse: Fan) -> bool:
     return support_volume(fine) == support_volume(coarse)
 
 
+def support_volume_fraction(fan: Fan) -> Fraction:
+    """``support_volume`` before it grouped cones by their product of ray sums.
+
+    One ``Fraction`` per cone: ``cone_index`` over the product of the rays'
+    ages.
+    """
+    total = Fraction(0)
+    for c in fan.maximal_cones:
+        denom = 1
+        for r in c.rays:
+            denom *= r.age
+        total += cone_index(c, fan.lattice) / denom
+    return total
+
+
 def _saturation_coords(cone: Cone, lattice: ScaledLattice) -> IntMatrix:
     """Ray coordinates in a basis of ``N ∩ span(c)`` (a d-by-d matrix)."""
     mat = IntMatrix.from_columns([lattice.basis_coords(r) for r in cone.rays])
@@ -926,7 +954,7 @@ def certify_normal_embedding_per_anchor(
             img_rays = []
             for ray in tc.rays:
                 x = iso.mul_vec(ray.coords)
-                img_rays.append(lat.from_basis_coords(x))
+                img_rays.append(from_basis_coords(lat, x))
             img = make_cone(img_rays)
             if img not in anchor_set or img in seen:
                 raise CertificateFailure(

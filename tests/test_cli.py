@@ -10,10 +10,18 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from oracles import class_group_json_reference
-from torcrep.cli import MAX_DIM, GroupSpec, build_parser, group_from_spec, main, parse_group
+from torcrep.cli import (
+    MAX_DIM,
+    GroupSpec,
+    build_parser,
+    group_from_spec,
+    main,
+    parse_group,
+    write_json,
+)
 from torcrep.divisors import class_group, class_group_to_json
 from torcrep.errors import DimensionMismatch, GroupSyntaxError, NotInSL
 from torcrep.fans import fan_from_json, fan_to_json, sigma_fan, star_subdivision
@@ -285,6 +293,33 @@ def test_resolve_all_juniors_at_961_cones(scale_verify):
     # the n = 3 fold at scale: 525 star subdivisions, one per junior
     data = json.loads(scale_verify[0].read_text())
     assert data["smooth"] and data["crepant"] and data["euler"] == 961
+
+
+# keys with quotes, backslashes, control and non-ASCII characters
+_JSON_KEYS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028😀'),
+                               st.characters()), max_size=6)
+_JSON_INTS = st.one_of(st.integers(-300, 300), st.integers(2**64, 2**100),
+                       st.integers(-2**100, -2**64))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), _JSON_INTS, st.text(max_size=6),
+    st.lists(_JSON_INTS),                                    # flat integer lists
+    st.lists(st.one_of(st.integers(-3, 3), st.booleans())),  # ints mixed with bools
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_JSON_KEYS, kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_JSON_VALUES)
+@example({'a"\\\x01é😀': [[], {}, [1, True, None], -2**65, {"": [2**64, 0, -1]}]})
+def test_write_json_is_the_stdlib_indent_1_layout(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        write_json(str(path), value)
+        assert path.read_text() == json.dumps(value, sort_keys=True, indent=1) + "\n"
 
 
 def test_resolve_unknown_name(capsys):

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, find, given, settings
 
-from conftest import random_cyclic_group, small_groups, smooth_fans
+from conftest import partial_folds, random_cyclic_group, small_groups, smooth_fans
 from oracles import (
     NotInDualLattice,
     TDivisor,
@@ -20,7 +20,6 @@ from torcrep.errors import InvariantError
 from torcrep.fans import make_cone, make_fan, sigma_fan
 from torcrep.intlinalg import IntMatrix, solve
 from torcrep.lattice import LatticePoint, unit_point
-from torcrep.resolve import resolve
 
 
 def reference_basis_transform():
@@ -144,18 +143,6 @@ def test_class_group_order_random(rng):
         cg = class_group(sigma_fan(group.lattice))
         assert cg.rank == 0
         assert prod(cg.torsion) == group.order
-
-
-@st.composite
-def partial_folds(draw):
-    """A prefix of a junior sequence folded from the orthant, in n = 2..5.
-
-    The new rays add free rank while the cones left unsubdivided keep
-    quotient singularities, so torsion and free coordinates mix.
-    """
-    group = draw(small_groups())
-    seq = draw(st.permutations(group.juniors))
-    return resolve(group, seq[:draw(st.integers(0, len(seq)))]).fan
 
 
 _CLASS_GROUP_FANS = st.one_of(

@@ -1,11 +1,12 @@
 import json
+from math import prod
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 
 import torcrep.fans
-from conftest import random_cyclic_group
+from conftest import partial_folds, random_cyclic_group, smooth_fans
 from oracles import (
     barycentric_by_solve,
     contains_point,
@@ -17,6 +18,7 @@ from oracles import (
     is_terminal_box_walk,
     refines,
     star_subdivision_by_make_cone,
+    support_volume_fraction,
     validate_fan_all_pairs,
 )
 from torcrep.errors import DenomMismatch, InvalidFan, NotInSupport, NotPrimitive
@@ -264,6 +266,21 @@ def test_refines(z6, z6_result):
     assert support_volume(z6_result.fan) == support_volume(fan) == 6
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(smooth_fans().map(lambda case: case[1]), partial_folds()))
+def test_support_volume_matches_fraction_sum(fan):
+    assert support_volume(fan) == support_volume_fraction(fan)
+
+
+def test_support_volume_groups_unequal_age_products(z7_hilbert_result):
+    fan = z7_hilbert_result.fan
+    lat = fan.lattice
+    # the age-2 ray puts a product of ray sums other than r^n in the sum
+    products = {prod(sum(r.coords) for r in c.rays) for c in fan.maximal_cones}
+    assert products - {lat.denom**lat.dim}
+    assert support_volume(fan) == support_volume_fraction(fan) == 7
+
+
 def test_fan_json_round_trip(z6_result):
     data = fan_to_json(z6_result.fan)
     again = fan_from_json(data)
@@ -449,6 +466,10 @@ def test_validate_fan_rejects_orthant_t_junction():
     ([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]], "ray (-1,0) lies outside the orthant"),
     ([[(1, 0), (0, 1)], [(2, 1), (1, 2)]],
      "the cones have support volume 4/3, not the orthant's 1"),
+    # two cones share the product 3 of their rays' coordinate sums
+    ([[(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0), (1, 1, 1)],
+      [(1, 0, 0), (0, 0, 1), (1, 1, 1)]],
+     "the cones have support volume 5/3, not the orthant's 1"),
     ([[(1, 0), (1, 2)], [(1, 2), (2, 1)]],
      "cones Cone((1,0), (1,2)) and Cone((1,2), (2,1)) lie on the same side "
      "of their facet Cone((1,2))"),
@@ -457,7 +478,7 @@ def test_validate_fan_rejects_orthant_t_junction():
       [(1, 0, 0), (0, 0, 1), (1, 1, 1)]],
      "facet Cone((0,1,0), (1,1,0)) lies in 2 cone(s), not 1: "
      "Cone((0,0,1), (0,1,0), (1,1,0)), Cone((0,1,0), (1,1,0), (1,1,1))"),
-], ids=["outside", "volume", "same-side", "boundary-facet-twice"])
+], ids=["outside", "volume", "volume-grouped", "same-side", "boundary-facet-twice"])
 def test_validate_fan_names_what_breaks(cones, message):
     fan = make_fan(std_lattice(len(cones[0][0])), [
         make_cone([LatticePoint(c, 1) for c in rays]) for rays in cones])
