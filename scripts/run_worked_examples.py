@@ -8,26 +8,16 @@ Outputs land in the directory given by --out (default ./worked_examples).
 
 import argparse
 import json
-from functools import reduce
 from itertools import permutations
 from pathlib import Path
 
 from torcrep.cli import group_from_spec, parse_group, write_json
 from torcrep.cli import main as torcrep_main
 from torcrep.errors import ResolutionNotFound
-from torcrep.fans import (
-    Fan,
-    fan_to_json,
-    fans_equal,
-    make_cone,
-    make_fan,
-    sigma_fan,
-    star_subdivision,
-    validate_fan,
-)
+from torcrep.fans import Fan, fan_to_json, make_cone, make_fan, validate_fan
 from torcrep.groups import close_group
 from torcrep.lattice import LatticePoint, ScaledLattice
-from torcrep.resolve import certify_fan, search_resolution
+from torcrep.resolve import certify_fan, resolve, search_resolution
 
 CASES = [
     ("z6", "6:(1,2,3)", "g1,g2,g3,g4"),
@@ -76,7 +66,7 @@ def nonstar_model(outdir: Path) -> None:
         raise SystemExit("the non-star model must be smooth and crepant")
     # not reachable by any star-subdivision order of the four juniors
     for perm in permutations(z6.juniors):
-        if fans_equal(reduce(star_subdivision, perm, sigma_fan(z6.lattice)), fan):
+        if fan_to_json(resolve(z6, perm).fan) == fan_to_json(fan):
             raise SystemExit("the non-star model must not be a star sequence")
     path = outdir / "z6_nonstar.json"
     write_json(str(path), fan_to_json(fan))

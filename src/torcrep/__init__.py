@@ -27,7 +27,6 @@ from .fans import (
     make_cone,
     make_fan,
     sigma_fan,
-    star_subdivision,
     validate_fan,
 )
 from .groups import (
@@ -94,7 +93,6 @@ __all__ = [
     "search_resolution",
     "sigma_fan",
     "star_fan",
-    "star_subdivision",
     "unit_point",
     "validate_fan",
 ]

@@ -8,21 +8,18 @@ coordinates, the cone's index, its volume and its terminality, all
 exactly.  ``validate_fan`` checks one rule for such fans: the support
 volume is the orthant's and the facets pair up.
 
-A star subdivision gives each new cone its normals by a fraction-free
-pivot (Bareiss 1968).  Let ``A`` be the parent's rays, ``d = |det A|``,
-``H = d * A^-1`` with rows ``h_j``, and ``b = H * mu``; the child ``A'``
-puts ``mu`` for ray ``i``, with ``b_i > 0``.  As ``mu = A b / d``,
-``d' = |det A'| = b_i > 0``, which proves the child's rays independent.
-Its rows are ``h_i`` for ``mu`` and ``(b_i * h_j - b_j * h_i) / d`` for a
-kept ray ``j``: each meets its own ray in ``b_i`` and the others in 0, so
-they are ``d' * A'^-1``, the adjugate of ``A'`` up to sign, whose entries
-are cofactors; so each division by ``d`` is exact.  Dotted with a point
-``q`` of numerators ``bq = H * q`` they give its numerators in the child,
-``bq_i`` and ``(b_i * bq_j - b_j * bq_i) / d``: integers, in O(n).
-``_FanBuilder`` keeps them for each tracked point in each live cone that
-contains it (a conflict list), so a subdivision at ``mu`` replaces exactly
-the cones of ``mu``'s list and moves only their points, each into the
-children where its numerators are ``>= 0``; rows wait until first read.
+A star subdivision moves each tracked point by a fraction-free pivot
+(Bareiss 1968).  Let ``A`` be the parent's rays, ``d = |det A|``,
+``H = d * A^-1`` and ``b = H * mu``; the child ``A'`` puts ``mu`` for ray
+``i``, with ``b_i > 0``.  As ``mu = A b / d``, ``d' = |det A'| = b_i``,
+which proves the child's rays independent.  A point ``q`` with numerators
+``bq = H * q`` has ``bq_i`` and ``(b_i * bq_j - b_j * bq_i) / d`` in the
+child, its ``d' * A'^-1 * q``; that matrix is the adjugate of ``A'`` up to
+sign, so each division is exact.  ``_FanBuilder`` keeps these numerators
+for each tracked point in each live cone that contains it (a conflict
+list), so a subdivision at ``mu`` replaces exactly the cones of ``mu``'s
+list and moves only their points, each into the children where its
+numerators are ``>= 0``.
 
 The JSON interchange schema for fans is::
 
@@ -78,13 +75,9 @@ class Cone:
     def facet_normals(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """``(rows, d)``: rows of ``d * A^-1``, ``d = |det A|``, ``A`` the rays.
 
-        Row ``i`` is the inner normal of the facet opposite ray ``i``.  A
-        cone made by a star subdivision pivots its parent's rows (above);
-        any other cone solves for them.  Raises ValueError for a cone that
-        is not full-dimensional.
+        Row ``i`` is the inner normal of the facet opposite ray ``i``.
+        Raises ValueError for a cone that is not full-dimensional.
         """
-        if "_parent" in vars(self):
-            return _pivoted_rows(self)
         if not self.rays or self.dim != self.rays[0].dim:
             raise ValueError(f"cone {self} is not full-dimensional")
         mat = IntMatrix.from_columns([r.coords for r in self.rays])
@@ -115,22 +108,6 @@ def _pivot(bq, i: int, b, d: int, order) -> tuple[int, ...]:
     qi, bi = bq[i], b[i]
     out = [qi if j == i else (bi * y - bj * qi) // d for j, (bj, y) in enumerate(zip(b, bq))]
     return tuple(out[k] for k in order)
-
-
-def _pivoted_rows(cone: Cone) -> tuple[tuple[tuple[int, ...], ...], int]:
-    # walk up to the nearest cone with known rows, then pivot down; a long
-    # fold makes chains deeper than the interpreter's recursion limit
-    chain = []
-    while "facet_normals" not in vars(cone) and "_parent" in vars(cone):
-        chain.append(cone)
-        cone = vars(cone)["_parent"][0]
-    rows, d = cone.facet_normals
-    for child in reversed(chain):
-        _, i, b, order = vars(child).pop("_parent")
-        # column k of H is H * e_k, so it pivots as a point does
-        rows, d = tuple(zip(*(_pivot(col, i, b, d, order) for col in zip(*rows)))), b[i]
-        child.__dict__["facet_normals"] = rows, d
-    return rows, d
 
 
 def barycentric(cone: Cone, p: LatticePoint) -> tuple[tuple[int, ...], int]:
@@ -366,7 +343,7 @@ class _FanBuilder:
                 new = rays[:i] + (mu,) + rays[i + 1:]
                 order = sorted(range(len(new)), key=lambda k: new[k].coords)
                 child = Cone(tuple(new[k] for k in order))
-                child.__dict__.update(det=bi, _parent=(cone, i, b, order))
+                child.__dict__["det"] = bi
                 # a numerator is >= 0 exactly when it is before the division by d
                 inside[child] = own = {
                     q: _pivot(bq, i, b, d, order) for q, bq in held.items()
@@ -383,18 +360,6 @@ class _FanBuilder:
 
     def fan(self) -> Fan:
         return make_fan(self.lattice, self.inside)
-
-
-def star_subdivision(fan: Fan, mu: LatticePoint) -> Fan:
-    """Star subdivision at a primitive point of the support.
-
-    Cones avoiding ``mu`` survive; a cone containing it is replaced by the
-    joins of ``mu`` with its facets not containing ``mu``.  One scan finds
-    the cones, one ``_FanBuilder`` step replaces them.
-    """
-    state = _FanBuilder(fan, (mu,))
-    state.subdivide(mu)
-    return state.fan()
 
 
 def support_volume(fan: Fan) -> Fraction:
@@ -483,9 +448,3 @@ def fan_from_json(data: dict) -> Fan:
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InvalidFan(f"malformed fan data: {exc}") from exc
     return make_fan(lat, cones)
-
-
-def fans_equal(a: Fan, b: Fan) -> bool:
-    """Exact fan equality via the canonical serialization."""
-    return fan_to_json(a) == fan_to_json(b)
-

@@ -5,9 +5,9 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 
+from oracles import star_subdivision
 from torcrep.groups import close_group
 from torcrep.lattice import LatticePoint
-from torcrep.fans import star_subdivision
 from torcrep.resolve import resolve
 
 # the worked-example script owns the hand-entered non-star model

@@ -25,7 +25,11 @@ took its facet normals from its parent by a pivot (``make_cone`` per
 child, its normals solved when first read) and before the incremental
 builder (``star_subdivision_by_pivot``: a scan of every cone, a pivot per
 child, a re-sorted fan and a ray check over the whole fan each step, with
-``fold_by_pivot`` the fold over it).  ``fan_from_json`` once
+``fold_by_pivot`` the fold over it).  ``star_subdivision`` itself,
+one step of the package's builder, and ``fans_equal`` now live here, as
+only the tests call them; ``freudenthal_fan`` builds crepant fans in
+n = 4 without ``resolve``, and ``mckay_vectors`` gives both sides of the
+McKay correspondence on a fan.  ``fan_from_json`` once
 recomputed a basis's Hermite form to check it; that is the oracle of its
 shape test.  ``closure_bfs`` is the group closure before it went coset
 by coset (breadth-first, each element built once per generator).  The
@@ -50,10 +54,11 @@ errors are identities the tests assert; the CLI does not use them.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from torcrep.divisors import ClassGroup, dual_basis
 from torcrep.errors import (
@@ -77,8 +82,10 @@ from torcrep.exceptional import (
 from torcrep.fans import (
     Cone,
     Fan,
+    _FanBuilder,
     barycentric,
     cone_index,
+    fan_to_json,
     is_smooth_cone,
     make_cone,
     make_fan,
@@ -374,6 +381,22 @@ def contains_point_by_solve(cone: Cone, p: LatticePoint) -> bool:
 def contains_point(cone: Cone, p: LatticePoint) -> bool:
     """Exact membership test, from the cone's facet normals."""
     return all(x >= 0 for x in barycentric(cone, p)[0])
+
+
+def star_subdivision(fan: Fan, mu: LatticePoint) -> Fan:
+    """Star subdivision at a primitive point of the support: one builder step.
+
+    Cones avoiding ``mu`` survive; a cone containing it is replaced by the
+    joins of ``mu`` with its facets not containing ``mu``.
+    """
+    state = _FanBuilder(fan, (mu,))
+    state.subdivide(mu)
+    return state.fan()
+
+
+def fans_equal(a: Fan, b: Fan) -> bool:
+    """Exact fan equality via the canonical serialization."""
+    return fan_to_json(a) == fan_to_json(b)
 
 
 def _pivot(cone: Cone, i: int, mu: LatticePoint, b) -> Cone:
@@ -721,6 +744,34 @@ class JuniorSimplex:
 
 def junior_simplex(group: GroupData) -> JuniorSimplex:
     return JuniorSimplex(group.units(), group.juniors)
+
+
+def freudenthal_spec(r: int) -> str:
+    """The group text of ``(Z/r)^3 ⊂ SL(4)``, diagonal, of order ``r^3``."""
+    return f"{r}:(1,{r - 1},0,0);{r}:(0,1,{r - 1},0);{r}:(0,0,1,{r - 1})"
+
+
+def freudenthal_fan(group: GroupData) -> Fan:
+    """A crepant resolution of ``freudenthal_spec(r)``, not built by ``resolve``.
+
+    The group's junior simplex is ``{x >= 0, sum(x) = r}``.  The map
+    ``y1 = x1+x2+x3``, ``y2 = x2+x3``, ``y3 = x3`` sends it onto
+    ``{r >= y1 >= y2 >= y3 >= 0}``.  The Freudenthal (Kuhn) triangulation
+    cuts each unit cube with corner ``v`` into the 6 simplices
+    ``t_s1 >= t_s2 >= t_s3`` (``t = y - v``), and those inside the region
+    give its ``r^3`` unimodular cones.
+    """
+    r, cones = group.r, []
+    for corner in product(range(r), repeat=3):
+        for order in permutations(range(3)):
+            y, path = list(corner), [corner]
+            for k in order:
+                y[k] += 1
+                path.append(tuple(y))
+            if all(r >= y1 >= y2 >= y3 >= 0 for y1, y2, y3 in path):
+                cones.append(make_cone(LatticePoint((y1 - y2, y2 - y3, y3, r - y1), r)
+                                       for y1, y2, y3 in path))
+    return make_fan(group.lattice, cones)
 
 
 def gl2_normal_form(fan: Fan) -> str:
@@ -1122,3 +1173,23 @@ def is_principal(fan: Fan, div: TDivisor) -> bool:
     )
     coefficient = dict(div.coeffs)
     return solve_integer(a, [coefficient.get(ray, 0) for ray in fan.rays]) is not None
+
+
+def mckay_vectors(group: GroupData, fan: Fan) -> tuple[list[int], list[int]]:
+    """The reversed h-vector of the fan's faces inside the open orthant, and
+    the count of group elements by age.
+
+    McKay correspondence (Batyrev-Dais, Ito-Reid): ``h = h*`` for a
+    unimodular triangulation, so the two are equal for a crepant resolution.
+    """
+    n = group.n
+    faces = {frozenset(f) for c in fan.maximal_cones
+             for k in range(1, n + 1) for f in combinations(c.rays, k)}
+    f = [0] * (n + 1)  # f[i]: faces with i rays whose relative interior is open
+    for face in faces:
+        if all(any(r.coords[j] for r in face) for j in range(n)):
+            f[len(face)] += 1
+    h = [sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1))
+         for k in range(n + 1)]
+    ages = Counter(sum(g.coords) // group.r for g in group.elements)
+    return h[::-1], [ages[a] for a in range(n + 1)]

@@ -8,7 +8,14 @@ from itertools import product
 from math import prod
 
 from conftest import random_cyclic_group
-from oracles import TDivisor, age_affinity_check, gl2_equivalent, is_principal
+from oracles import (
+    TDivisor,
+    age_affinity_check,
+    fans_equal,
+    gl2_equivalent,
+    is_principal,
+    star_subdivision,
+)
 from torcrep.divisors import class_group
 from torcrep.exceptional import (
     certify_normal_embedding,
@@ -18,12 +25,10 @@ from torcrep.exceptional import (
 )
 from torcrep.fans import (
     cone_index,
-    fans_equal,
     is_terminal,
     make_cone,
     make_fan,
     sigma_fan,
-    star_subdivision,
     support_volume,
 )
 from torcrep.groups import close_group, crepant_obstructions

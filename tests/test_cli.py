@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -12,7 +14,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from oracles import class_group_json_reference
+import torcrep
+from oracles import (
+    class_group_json_reference,
+    freudenthal_fan,
+    freudenthal_spec,
+    is_terminal_box_walk,
+    star_subdivision,
+)
 from torcrep.cli import (
     MAX_DIM,
     GroupSpec,
@@ -24,7 +33,7 @@ from torcrep.cli import (
 )
 from torcrep.divisors import class_group, class_group_to_json
 from torcrep.errors import DimensionMismatch, GroupSyntaxError, NotInSL
-from torcrep.fans import fan_from_json, fan_to_json, sigma_fan, star_subdivision
+from torcrep.fans import Cone, fan_from_json, fan_to_json, sigma_fan
 from torcrep.groups import close_group, element_names
 from torcrep.lattice import LatticePoint
 from torcrep.resolve import result_to_json
@@ -240,18 +249,54 @@ def test_resolve_sequence_through_seniors(tmp_path, capsys):
     assert data["euler"] == 14 and data["smooth"]
 
 
-@pytest.mark.parametrize("group", ["7:(1,1,2,3)", "11:(1,2,3,5)"])
-def test_resolve_solves_only_the_orthant(group, monkeypatch, capsys):
-    # every later cone takes its facet normals from its parent, and the
-    # cone index and local group of a singular cone are read off them
-    import torcrep.fans
-
-    calls = []
-    solve = torcrep.fans.solve
-    monkeypatch.setattr(torcrep.fans, "solve", lambda *a: calls.append(a) or solve(*a))
-    assert main(["resolve", group, "--sequence", "g1"]) == 0
+@pytest.mark.parametrize("group, seq", [
+    ("7:(1,1,2,3)", "g1"),
+    ("11:(1,2,3,5)", "g1"),
+    ("11:(1,2,3,5)", "g4"),  # two terminal and two non-terminal cones
+])
+def test_resolve_partial_fold_terminal_flags(group, seq, tmp_path, capsys):
+    # the fold leaves singular cones, whose normals are solved when
+    # is_terminal first reads them; the flags match the box walk
+    out = tmp_path / "partial.json"
+    assert main(["resolve", group, "--sequence", seq, "--out", str(out)]) == 0
     assert "smooth: False" in capsys.readouterr().out
-    assert len(calls) == 1
+    data = json.loads(out.read_text())
+    fan = fan_from_json(data["fan"])
+    assert data["cone_terminal"] == [
+        is_terminal_box_walk(Cone(c.rays), fan.lattice) for c in fan.maximal_cones]
+
+
+def _freudenthal_fan_file(r, tmp_path):
+    spec = freudenthal_spec(r)
+    path = tmp_path / f"freudenthal{r}.json"
+    write_json(str(path), fan_to_json(freudenthal_fan(group_from_spec(parse_group(spec)))))
+    return spec, path
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_verify_accepts_freudenthal_fan(r, tmp_path, capsys):
+    # n = 4 crepant fans that no builder made: each cone's normals are solved
+    spec, path = _freudenthal_fan_file(r, tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["verify", str(path), spec, "--out", str(out)]) == 0
+    bundle = json.loads(out.read_text())
+    assert bundle["all_verified"] and bundle["coverage"]
+
+
+def test_verify_cli_accepts_freudenthal_fan_at_512_cones(tmp_path):
+    spec, path = _freudenthal_fan_file(8, tmp_path)
+    assert len(json.loads(path.read_text())["maximal_cones"]) == 512
+    out = tmp_path / "report.json"
+    src = str(Path(torcrep.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "torcrep.cli", "verify", str(path), spec, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("all certificates verified\n")
+    bundle = json.loads(out.read_text())
+    assert bundle["all_verified"] and bundle["coverage"]
 
 
 SCALE_GROUP = "31:(1,30,0);31:(0,1,30)"
@@ -335,10 +380,8 @@ def test_verify_wrong_group(tmp_path, capsys):
 
 def test_verify_non_smooth_fan_fails(tmp_path, capsys):
     # the singular 4-cone minimal model of the order-7 group
-    import torcrep
-
     z7 = torcrep.close_group([torcrep.LatticePoint((1, 1, 2, 3), 7)])
-    fan = torcrep.star_subdivision(
+    fan = star_subdivision(
         torcrep.sigma_fan(z7.lattice), torcrep.LatticePoint((1, 1, 2, 3), 7)
     )
     path = tmp_path / "partial.json"
@@ -485,8 +528,6 @@ def test_verify_rejects_a_fan_beyond_the_dimension_bound(tmp_path, capsys):
 
 
 def _edge_fan_file(tmp_path):
-    import torcrep
-
     z6 = torcrep.close_group([torcrep.LatticePoint((1, 2, 3), 6)])
     data = fan_to_json(torcrep.sigma_fan(z6.lattice))
     data["maximal_cones"] = [[0, 1]]  # a 2-dimensional cone inside the orthant

@@ -9,6 +9,7 @@ from oracles import (
     age_weighted_divisor,
     canonical_divisor,
     certify_normal_embedding_per_anchor,
+    fans_equal,
     gl2_equivalent,
     total_space_fan,
     validate_fan_all_pairs,
@@ -23,12 +24,7 @@ from torcrep.exceptional import (
     coverage_check,
     star_fan,
 )
-from torcrep.fans import (
-    fans_equal,
-    make_cone,
-    make_fan,
-    sigma_fan,
-)
+from torcrep.fans import make_cone, make_fan, sigma_fan
 from torcrep.groups import close_group, compact_juniors
 from torcrep.hilbert import hilbert_basis
 from torcrep.intlinalg import IntMatrix

