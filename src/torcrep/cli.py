@@ -129,7 +129,7 @@ def _load_fan(path: str, group: GroupData) -> Fan:
     """Fan, bare or from a resolve output, validated as a fan of the group's orthant."""
     try:
         data = json.loads(_read_text(path))
-    except ValueError as exc:  # bad JSON, or an integer beyond the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise InputError(f"cannot parse {path}: {exc}") from exc
     if isinstance(data, dict) and "fan" in data:
         data = data["fan"]

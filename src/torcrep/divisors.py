@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InvariantError
 from .fans import Fan
-from .intlinalg import IntMatrix, hermite_normal_form, solve, xgcd
+from .intlinalg import IntMatrix, clearing, hermite_normal_form, solve
 from .lattice import ScaledLattice
 
 
@@ -30,18 +30,17 @@ def dual_basis(lattice: ScaledLattice) -> IntMatrix:
     num, d = solve(lattice.basis, IntMatrix.identity(lattice.dim).columns())
     if any(r * v % d for col in num for v in col):
         raise InvariantError("lattice does not contain Z^n")
-    h, _ = hermite_normal_form(IntMatrix([[r * v // d for v in col] for col in num]))
-    return h
+    return hermite_normal_form(IntMatrix([[r * v // d for v in col] for col in num]))
 
 
 def _smith_rows(s: list[list[int]]) -> tuple[list[int], list[dict[int, int]]]:
     """Smith diagonal of ``s`` and the rows of its left transform ``p``.
 
     Eliminates ``s`` in place: the pivot is the least ``|entry|``, first in
-    row-major order; xgcd row and column combinations clear its column and
-    row; a row whose entries the pivot does not divide is added to the
-    pivot row; a negative pivot row is flipped.  The right transform is not
-    kept.  Row ``k`` of ``p`` is a ``{column: value}`` dict.
+    row-major order; ``clearing`` row and column combinations clear its
+    column and row; a row whose entries the pivot does not divide is added
+    to the pivot row; a negative pivot row is flipped.  The right transform
+    is not kept.  Row ``k`` of ``p`` is a ``{column: value}`` dict.
     """
     nrows, ncols = len(s), len(s[0])
     p = [{i: 1} for i in range(nrows)]
@@ -61,14 +60,6 @@ def _smith_rows(s: list[list[int]]) -> tuple[list[int], list[dict[int, int]]]:
         for row in s:
             row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
 
-    def clear(t, k, combine, a, b):
-        # combine the pivot line t with line k so that entry b becomes 0
-        if b % a == 0:
-            combine(t, k, 1, 0, -(b // a), 1)
-        else:
-            g, x, y = xgcd(a, b)
-            combine(t, k, x, y, -(b // g), a // g)
-
     diag = []
     for t in range(min(nrows, ncols)):
         pivot = min(((abs(s[i][j]), i, j) for i in range(t, nrows)
@@ -84,10 +75,10 @@ def _smith_rows(s: list[list[int]]) -> tuple[list[int], list[dict[int, int]]]:
         while True:
             for i in range(t + 1, nrows):
                 if s[i][t]:
-                    clear(t, i, combine_rows, s[t][t], s[i][t])
+                    combine_rows(t, i, *clearing(s[t][t], s[i][t]))
             for j in range(t + 1, ncols):
                 if s[t][j]:
-                    clear(t, j, combine_cols, s[t][t], s[t][j])
+                    combine_cols(t, j, *clearing(s[t][t], s[t][j]))
             if any(s[i][t] for i in range(t + 1, nrows)):
                 continue
             a = s[t][t]

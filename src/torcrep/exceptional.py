@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fans import Cone, Fan, make_cone, make_fan
 from .groups import GroupData
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, solve
 from .lattice import LatticePoint, QuotientLattice, quotient_by_ray
 
 
@@ -138,10 +138,15 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
     preimage[g_hat] = apex
     anchors = fan.cones_through[g_hat]
     anchor = anchors[0]
-    d = IntMatrix.from_columns([preimage[u].coords for u in anchor.rays])
+    # iso * d = t for d, t with the anchor rays' preimages and coordinates
+    # as columns: the rows of iso solve d^T against the rows of t
     t = IntMatrix.from_columns([lat.basis_coords(u) for u in anchor.rays])
-    iso = t * d.inverse_unimodular()
-    if not iso.is_unimodular():
+    try:
+        rows, det = solve(IntMatrix([preimage[u].coords for u in anchor.rays]), t.data)
+    except ValueError:  # singular
+        det = 0
+    iso = IntMatrix(rows) if det == 1 else None
+    if iso is None or not iso.is_unimodular():
         raise CertificateFailure(f"anchor {anchor}: induced map is not unimodular")
     for ubar, u in star.lifts:
         if iso.mul_vec(weighted[ubar].coords) != lat.basis_coords(u):

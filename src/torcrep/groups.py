@@ -26,17 +26,11 @@ class GroupData:
     r: int
     elements: tuple[LatticePoint, ...]
     generators: tuple[LatticePoint, ...]
+    lattice: ScaledLattice
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def lattice(self) -> ScaledLattice:
-        lat = build_lattice(self.generators, self.n, self.r)
-        if lat.index_over_std != self.order:
-            raise InvariantError("lattice index must equal #G")
-        return lat
 
     @cached_property
     def juniors(self) -> tuple[LatticePoint, ...]:
@@ -101,20 +95,23 @@ def close_group(generators, n: int | None = None) -> GroupData:
         if n is None:
             raise DimensionMismatch("dimension required for the trivial group")
         zero = LatticePoint((0,) * n, 1)
-        return GroupData(n, 1, (zero,), ())
+        return GroupData(n, 1, (zero,), (), build_lattice([], n, 1))
     if n is None:
         n = generators[0].dim
     gens, r = _normalize_generators(generators, n)
     # the group order is the lattice index, known before any enumeration
-    order = build_lattice(gens, n, r).index_over_std
+    lattice = build_lattice(gens, n, r)
+    order = lattice.index_over_std
     if order > MAX_ELEMENTS:
         raise ExplosionGuard(
             f"group of order {order} exceeds the closure limit of "
             f"{MAX_ELEMENTS} elements"
         )
     coords = sorted([(0,) * n, *closure([g.coords for g in gens], r)])
+    if len(coords) != order:
+        raise InvariantError("lattice index must equal #G")
     elements = tuple(LatticePoint(c, r) for c in coords)
-    return GroupData(n, r, elements, tuple(gens))
+    return GroupData(n, r, elements, tuple(gens), lattice)
 
 
 def compact_juniors(group: GroupData) -> tuple[LatticePoint, ...]:

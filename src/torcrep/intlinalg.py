@@ -7,16 +7,19 @@ bit-exact and deterministic.
 Conventions:
 
 * One fraction-free (Bareiss) forward elimination, ``_echelon``, backs
-  ``IntMatrix.det``, ``rank``, ``solve`` and ``inverse_unimodular``.
-  ``solve(m, cols)`` returns ``(numerators, d)`` with ``d > 0`` and
-  ``m * numerators[k] = d * cols[k]``; rational solutions are
-  ``numerators / d`` and callers that need them integral test
-  ``num % d == 0``.
-* ``hermite_normal_form(m)`` returns ``(h, u)`` with ``h = m * u`` and
-  ``u`` unimodular.  The form is column-style: pivots walk down the rows,
-  pivot entries are positive, entries to the left of a pivot in its row
-  are reduced into ``[0, pivot)``, and zero columns are pushed to the
-  right.  For a nonsingular square input ``h`` is lower triangular.
+  ``IntMatrix.det``, ``rank`` and ``solve``.  ``solve(m, cols)`` returns
+  ``(numerators, d)`` with ``d > 0`` and ``m * numerators[k] = d * cols[k]``;
+  rational solutions are ``numerators / d`` and callers that need them
+  integral test ``num % d == 0``.
+* ``hermite_normal_form(m)`` returns the form ``h = m * u`` alone; the
+  unimodular ``u`` is the lower block of the form of ``m`` stacked over the
+  identity (Cohen, *A Course in Computational Algebraic Number Theory*,
+  §2.4).  The form is column-style: pivots walk down the rows, pivot
+  entries are positive, entries to the left of a pivot in its row are
+  reduced into ``[0, pivot)``, and zero columns are pushed to the right.
+  For a nonsingular square input ``h`` is lower triangular.
+* ``clearing(a, b)`` is the one xgcd step of this form and of the class
+  group's Smith elimination.
 """
 
 from __future__ import annotations
@@ -35,6 +38,19 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         g, x, y = -g, -x, -y
     return g, x, y
+
+
+def clearing(a: int, b: int) -> tuple[int, int, int, int]:
+    """``(x, y, c, d)`` with ``x*d - y*c = 1`` and ``c*a + d*b = 0``, for ``a != 0``.
+
+    The lines ``(x*s + y*t, c*s + d*t)`` replace a pivot line ``s`` and a
+    line ``t`` whose entries are ``a`` and ``b``: the new pivot entry is
+    ``gcd(a, b)`` up to sign, and the other entry is 0.
+    """
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    g, x, y = xgcd(a, b)
+    return x, y, -(b // g), a // g
 
 
 class IntMatrix:
@@ -110,17 +126,6 @@ class IntMatrix:
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
 
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse; the matrix must be unimodular."""
-        if self.rows == self.cols:
-            try:
-                cols, d = solve(self, IntMatrix.identity(self.rows).columns())
-            except ValueError:  # singular
-                d = 0
-            if d == 1:
-                return IntMatrix.from_columns(cols)
-        raise ValueError("matrix is not unimodular")
-
 
 def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) row echelon form of the rows ``a``, in place.
@@ -191,20 +196,10 @@ def solve(m: IntMatrix, rhs_columns) -> tuple[list[tuple[int, ...]], int] | None
     return out, d
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Column-style Hermite normal form ``(h, u)`` with ``h = m * u``."""
+def hermite_normal_form(m: IntMatrix) -> IntMatrix:
+    """Column-style Hermite normal form of ``m``."""
     nrows, ncols = m.rows, m.cols
-    h = [list(c) for c in m.columns()]          # column-major working copies
-    u = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-
-    def negate(j):
-        h[j] = [-x for x in h[j]]
-        u[j] = [-x for x in u[j]]
-
-    def addmul(dst, src, f):
-        h[dst] = [a + f * b for a, b in zip(h[dst], h[src])]
-        u[dst] = [a + f * b for a, b in zip(u[dst], u[src])]
-
+    h = [list(c) for c in m.columns()]          # column-major working copy
     pc = 0
     for i in range(nrows):
         if pc >= ncols:
@@ -214,30 +209,24 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             continue
         if j0 != pc:
             h[pc], h[j0] = h[j0], h[pc]
-            u[pc], u[j0] = u[j0], u[pc]
         for j in range(pc + 1, ncols):
             if h[j][i] == 0:
                 continue
-            a, b = h[pc][i], h[j][i]
-            if b % a == 0:
-                addmul(j, pc, -(b // a))
-            else:
-                g, x, y = xgcd(a, b)
-                hp, hj = h[pc], h[j]
-                up, uj = u[pc], u[j]
+            hp, hj = h[pc], h[j]
+            x, y, c, d = clearing(hp[i], hj[i])
+            if (x, y) != (1, 0):
                 h[pc] = [x * s + y * t for s, t in zip(hp, hj)]
-                h[j] = [-(b // g) * s + (a // g) * t for s, t in zip(hp, hj)]
-                u[pc] = [x * s + y * t for s, t in zip(up, uj)]
-                u[j] = [-(b // g) * s + (a // g) * t for s, t in zip(up, uj)]
+            h[j] = [c * s + d * t for s, t in zip(hp, hj)]
         if h[pc][i] < 0:
-            negate(pc)
-        piv = h[pc][i]
+            h[pc] = [-x for x in h[pc]]
+        top = h[pc]
+        piv = top[i]
         for j in range(pc):
             f = h[j][i] // piv
             if f:
-                addmul(j, pc, -f)
+                h[j] = [a - f * b for a, b in zip(h[j], top)]
         pc += 1
-    return IntMatrix.from_columns(h), IntMatrix.from_columns(u)
+    return IntMatrix.from_columns(h)
 
 
 def rank(m: IntMatrix) -> int:

@@ -146,7 +146,7 @@ def build_lattice(gens, n: int, denom: int) -> ScaledLattice:
                 f"generator {g} violates the determinant-one condition"
             )
         cols.append(g.coords)
-    h, _ = hermite_normal_form(IntMatrix.from_columns(cols))
+    h = hermite_normal_form(IntMatrix.from_columns(cols))
     if any(any(c) for c in h.columns()[n:]):
         raise InvariantError("Hermite form left extra columns")
     basis = IntMatrix.from_columns(h.columns()[:n])
@@ -181,12 +181,11 @@ def quotient_by_ray(lattice: ScaledLattice, v: LatticePoint) -> QuotientLattice:
     w = lattice.basis_coords(v)
     if not lattice.is_primitive(v):
         raise NotPrimitive(f"{v} is not primitive")
-    # w^T u = e_1^T with u unimodular: the last columns of u are a basis of
-    # the annihilator of w, so the rows they give map N onto Z^(n-1)
-    _, u = hermite_normal_form(IntMatrix([w]))
-    proj = IntMatrix(u.columns()[1:])
-    # canonicalize by a row Hermite form of the projection
-    proj_c = hermite_normal_form(proj.transpose())[0].transpose()
-    if any(proj_c.mul_vec(w)):
+    # the Hermite form of w over the identity is [w u; u] with u unimodular;
+    # w u = e_1 as w is primitive, so the lower blocks of the other columns
+    # are the Hermite basis of the annihilator of w, which maps N onto Z^(n-1)
+    h = hermite_normal_form(IntMatrix([w, *IntMatrix.identity(lattice.dim).data]))
+    if any(h[0][1:]):
         raise InvariantError(f"quotient by {v} does not have {v} in its kernel")
-    return QuotientLattice(lattice.dim - 1, proj_c, lattice)
+    proj = IntMatrix([col[1:] for col in h.columns()[1:]])
+    return QuotientLattice(lattice.dim - 1, proj, lattice)

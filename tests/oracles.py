@@ -7,7 +7,12 @@ fraction-free kernel: Fraction Gauss-Jordan, a Bareiss determinant loop,
 an unnormalised fraction-free rank loop and cofactor expansion; and
 ``smith_normal_form``, the dense three-matrix Smith form ``s = p * m * q``
 that ``class_group`` used before its private elimination kept only the
-rows of ``p``, sparse, and no ``q``.  The fan
+rows of ``p``, sparse, and no ``q``; ``hermite_with_transform``, the
+Hermite form when it kept its transform ``u``, with
+``quotient_projection_two_forms``, the quotient's projection from two such
+forms before one form of ``w`` over the identity gave it; and
+``inverse_unimodular``, the inverse that the embedding certificate took
+before one ``solve``.  The fan
 oracles are the general pairwise fan check (the extreme rays of every
 intersection of two cones, computed exactly) with ``refines`` (containment
 plus support volume), which ``validate_fan`` replaced by facet pairing over
@@ -94,13 +99,7 @@ from torcrep.fans import (
 )
 from torcrep.groups import GroupData
 from torcrep.hilbert import hilbert_basis
-from torcrep.intlinalg import (
-    IntMatrix,
-    hermite_normal_form,
-    rank,
-    solve,
-    xgcd,
-)
+from torcrep.intlinalg import IntMatrix, rank, solve, xgcd
 from torcrep.lattice import LatticePoint, ScaledLattice
 from torcrep.resolve import (
     BUDGET_ENV,
@@ -119,8 +118,81 @@ def from_basis_coords(lat: ScaledLattice, x) -> LatticePoint:
     return LatticePoint(lat.basis.mul_vec(x), lat.denom)
 
 
+def quotient_projection_two_forms(lat: ScaledLattice, v: LatticePoint) -> IntMatrix:
+    """``quotient_by_ray(lat, v).projection`` from two Hermite forms.
+
+    The transform ``u`` of the form of ``w = coords(v)`` has ``w u = e_1``,
+    so its other columns span the annihilator of ``w``; a second form puts
+    them in canonical order.
+    """
+    _, u = hermite_with_transform(IntMatrix([lat.basis_coords(v)]))
+    proj = IntMatrix(u.columns()[1:])
+    return hermite_with_transform(proj.transpose())[0].transpose()
+
+
 # ---------------------------------------------------------------------------
 # Linear-algebra oracles
+
+
+def hermite_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Column-style Hermite normal form ``(h, u)`` with ``h = m * u``."""
+    nrows, ncols = m.rows, m.cols
+    h = [list(c) for c in m.columns()]          # column-major working copies
+    u = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+
+    def negate(j):
+        h[j] = [-x for x in h[j]]
+        u[j] = [-x for x in u[j]]
+
+    def addmul(dst, src, f):
+        h[dst] = [a + f * b for a, b in zip(h[dst], h[src])]
+        u[dst] = [a + f * b for a, b in zip(u[dst], u[src])]
+
+    pc = 0
+    for i in range(nrows):
+        if pc >= ncols:
+            break
+        j0 = next((j for j in range(pc, ncols) if h[j][i] != 0), None)
+        if j0 is None:
+            continue
+        if j0 != pc:
+            h[pc], h[j0] = h[j0], h[pc]
+            u[pc], u[j0] = u[j0], u[pc]
+        for j in range(pc + 1, ncols):
+            if h[j][i] == 0:
+                continue
+            a, b = h[pc][i], h[j][i]
+            if b % a == 0:
+                addmul(j, pc, -(b // a))
+            else:
+                g, x, y = xgcd(a, b)
+                hp, hj = h[pc], h[j]
+                up, uj = u[pc], u[j]
+                h[pc] = [x * s + y * t for s, t in zip(hp, hj)]
+                h[j] = [-(b // g) * s + (a // g) * t for s, t in zip(hp, hj)]
+                u[pc] = [x * s + y * t for s, t in zip(up, uj)]
+                u[j] = [-(b // g) * s + (a // g) * t for s, t in zip(up, uj)]
+        if h[pc][i] < 0:
+            negate(pc)
+        piv = h[pc][i]
+        for j in range(pc):
+            f = h[j][i] // piv
+            if f:
+                addmul(j, pc, -f)
+        pc += 1
+    return IntMatrix.from_columns(h), IntMatrix.from_columns(u)
+
+
+def inverse_unimodular(m: IntMatrix) -> IntMatrix:
+    """Exact inverse; the matrix must be unimodular."""
+    if m.rows == m.cols:
+        try:
+            cols, d = solve(m, IntMatrix.identity(m.rows).columns())
+        except ValueError:  # singular
+            d = 0
+        if d == 1:
+            return IntMatrix.from_columns(cols)
+    raise ValueError("matrix is not unimodular")
 
 
 def solve_rational(m: IntMatrix, b) -> tuple[Fraction, ...] | None:
@@ -182,7 +254,7 @@ def solve_integer(m: IntMatrix, b) -> tuple[int, ...] | None:
     b = tuple(int(x) for x in b)
     if len(b) != m.rows:
         raise ValueError("dimension mismatch")
-    h, u = hermite_normal_form(m)
+    h, u = hermite_with_transform(m)
     res = list(b)
     y = [0] * h.cols
     for j in range(h.cols):
@@ -332,7 +404,7 @@ def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel ``{x : m*x = 0}``."""
-    h, u = hermite_normal_form(m)
+    h, u = hermite_with_transform(m)
     out = []
     for j in range(h.cols):
         if all(h[i][j] == 0 for i in range(h.rows)):
@@ -342,7 +414,7 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
 
 def is_hermite_basis_by_recomputation(m: IntMatrix) -> bool:
     """A nonsingular square matrix equal to its own column Hermite form."""
-    return m.rows == m.cols and m.det() != 0 and hermite_normal_form(m)[0] == m
+    return m.rows == m.cols and m.det() != 0 and hermite_with_transform(m)[0] == m
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +556,7 @@ def intersection_generators(a: Cone, b: Cone):
     for size in range(1, n + 2):
         for sub in combinations(range(k), size):
             mat = IntMatrix.from_columns([cols[j] for j in sub])
-            h, u = hermite_normal_form(mat)
+            h, u = hermite_with_transform(mat)
             zero_cols = [
                 j for j in range(h.cols)
                 if all(h[i][j] == 0 for i in range(h.rows))
@@ -796,7 +868,7 @@ def gl2_normal_form(fan: Fan) -> str:
     forms = []
     denom = fan.lattice.denom
     for u, v in anchors:
-        t = IntMatrix([[u[0], v[0]], [u[1], v[1]]]).inverse_unimodular()
+        t = inverse_unimodular(IntMatrix([[u[0], v[0]], [u[1], v[1]]]))
         mapped = {
             r: LatticePoint(t.mul_vec(r.coords), denom) for r in fan.rays
         }
@@ -958,7 +1030,7 @@ def _iso_matrix(fan: Fan, star: StarFan, g_hat: LatticePoint, anchor: Cone) -> I
     img_cols.append(lat.basis_coords(g_hat))
     d = IntMatrix.from_columns(dom_cols)
     t = IntMatrix.from_columns(img_cols)
-    return t * d.inverse_unimodular()
+    return t * inverse_unimodular(d)
 
 
 def certify_normal_embedding_per_anchor(

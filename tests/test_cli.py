@@ -186,6 +186,21 @@ def test_verify_fan_number_beyond_the_digit_limit_is_input_error(tmp_path, capsy
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("depth", [1000, 100000])
+@pytest.mark.parametrize("command", ["verify", "export-graph"])
+def test_deeply_nested_fan_json_is_input_error(tmp_path, capsys, command, depth):
+    # json.loads gives up past the recursion limit with a RecursionError
+    fan_path = tmp_path / "deep.json"
+    fan_path.write_text("[" * depth + "]" * depth)
+    argv = [command, str(fan_path), "6:(1,2,3)"]
+    if command == "export-graph":
+        argv += ["--svg", str(tmp_path / "g.svg")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"input error: cannot parse {fan_path}" in err
+    assert "Traceback" not in err
+
+
 def test_resolve_and_verify_round_trip(tmp_path, capsys):
     fan_path = tmp_path / "z6.json"
     code = main([

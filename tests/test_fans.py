@@ -48,7 +48,7 @@ from torcrep.lattice import LatticePoint, ScaledLattice, unit_point
 def _cyclic_lattice(r, weights):
     """Lattice ``Z^3 + Z * (1/r) weights``, in or out of SL(3)."""
     cols = [(r, 0, 0), (0, r, 0), (0, 0, r), weights]
-    h, _ = hermite_normal_form(IntMatrix.from_columns(cols))
+    h = hermite_normal_form(IntMatrix.from_columns(cols))
     return ScaledLattice(3, r, IntMatrix.from_columns(h.columns()[:3]))
 
 

@@ -58,6 +58,17 @@ def test_explosion_guard(monkeypatch):
         close_group([LatticePoint((1, 99, 0), 100), LatticePoint((0, 1, 99), 100)])
 
 
+def test_close_group_builds_the_lattice_once(monkeypatch):
+    # the lattice that gives the order is the one the group keeps
+    calls = []
+    build = groups.build_lattice
+    monkeypatch.setattr(groups, "build_lattice",
+                        lambda *args: calls.append(args) or build(*args))
+    group = close_group([LatticePoint((1, 2, 3), 6)])
+    assert group.lattice.index_over_std == group.order == 6
+    assert len(calls) == 1
+
+
 def test_ages(z6, z2):
     assert LatticePoint((0, 0, 0), 1).age == 0
     assert LatticePoint((1, 2, 3), 6).age == 1

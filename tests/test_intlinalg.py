@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 
 from oracles import (
     adjugate,
     det_loop,
+    hermite_with_transform,
     inverse_by_fractions,
+    inverse_unimodular,
     invariant_factors,
     kernel_basis,
     rank_loop,
@@ -16,7 +18,7 @@ from oracles import (
     solve_rational,
 )
 from torcrep.divisors import _smith_rows
-from torcrep.intlinalg import IntMatrix, hermite_normal_form, rank, solve, xgcd
+from torcrep.intlinalg import IntMatrix, clearing, hermite_normal_form, rank, solve, xgcd
 
 
 def small_matrices(max_dim=4, max_entry=9):
@@ -40,21 +42,21 @@ def test_xgcd(a, b):
 
 def test_hnf_identity():
     m = IntMatrix.identity(3)
-    h, u = hermite_normal_form(m)
+    h, u = hermite_with_transform(m)
     assert h == m
     assert u == m
 
 
 def test_hnf_already_diagonal():
     m = IntMatrix.from_columns([(2, 0), (0, 3)])
-    h, _ = hermite_normal_form(m)
+    h = hermite_normal_form(m)
     assert h.data == ((2, 0), (0, 3))
 
 
 def test_hnf_order6_lattice_determinant():
     cols = [(6, 0, 0), (0, 6, 0), (0, 0, 6), (1, 2, 3)]
     m = IntMatrix.from_columns(cols)
-    h, u = hermite_normal_form(m)
+    h, u = hermite_with_transform(m)
     assert h == m * u
     assert abs(u.det()) == 1
     basis = IntMatrix.from_columns(h.columns()[:3])
@@ -77,9 +79,37 @@ def test_hnf_order6_lattice_determinant():
 @given(small_matrices())
 def test_hnf_round_trip(data):
     m = IntMatrix(data)
-    h, u = hermite_normal_form(m)
+    h, u = hermite_with_transform(m)
     assert h == m * u
     assert abs(u.det()) == 1
+
+
+@st.composite
+def matrices_with_zero_columns(draw):
+    """1-5 by 1-6 matrices with entries in [-20, 20], some columns zeroed."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    zero = draw(st.lists(st.booleans(), min_size=ncols, max_size=ncols))
+    entries = st.integers(-20, 20)
+    return IntMatrix([[0 if z else draw(entries) for z in zero] for _ in range(nrows)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(matrices_with_zero_columns())
+@example(IntMatrix([[0, 0, 0]]))
+@example(IntMatrix([[0, 4, 0, -6], [0, 1, 0, 1]]))
+def test_hnf_matches_transform_oracle(m):
+    # dropping the transform leaves the form itself unchanged
+    assert hermite_normal_form(m) == hermite_with_transform(m)[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(-100, 100).filter(bool), st.integers(-100, 100))
+@example(4, 6)
+@example(-3, 9)
+def test_clearing_is_unimodular_and_clears(a, b):
+    x, y, c, d = clearing(a, b)
+    assert x * d - y * c == 1
+    assert c * a + d * b == 0
 
 
 def test_snf_zero():
@@ -158,7 +188,7 @@ def test_kernel_basis():
 
 def test_inverse_unimodular():
     m = IntMatrix([[2, 1], [1, 1]])
-    inv = m.inverse_unimodular()
+    inv = inverse_unimodular(m)
     assert m * inv == IntMatrix.identity(2)
 
 
@@ -263,7 +293,7 @@ def test_inverse_unimodular_matches_oracle(spec):
         elif i != j:
             rows[i] = [a + f * b for a, b in zip(rows[i], rows[j])]
     m = IntMatrix(rows)
-    inv = m.inverse_unimodular()
+    inv = inverse_unimodular(m)
     assert inv == inverse_by_fractions(m)
     assert m * inv == IntMatrix.identity(n)
 
@@ -274,6 +304,6 @@ def test_inverse_unimodular_rejects_like_oracle(m):
         expected = inverse_by_fractions(m)
     except ValueError:
         with pytest.raises(ValueError):
-            m.inverse_unimodular()
+            inverse_unimodular(m)
         return
-    assert m.inverse_unimodular() == expected
+    assert inverse_unimodular(m) == expected

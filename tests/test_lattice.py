@@ -3,9 +3,15 @@ import pytest
 from hypothesis import given
 
 from conftest import random_cyclic_group
-from oracles import from_basis_coords
+from oracles import (
+    from_basis_coords,
+    hermite_with_transform,
+    inverse_unimodular,
+    quotient_projection_two_forms,
+)
 from torcrep.errors import DenomMismatch, InvalidGenerator, NotInLattice, NotPrimitive
-from torcrep.intlinalg import IntMatrix, hermite_normal_form
+from torcrep.groups import close_group
+from torcrep.intlinalg import IntMatrix
 from torcrep.lattice import (
     LatticePoint,
     build_lattice,
@@ -132,16 +138,40 @@ def test_quotient_kernel_and_section(z6):
     assert quo.project(g1).is_zero()
     # the section from the same Hermite transform: w^T u = e_1^T, and the
     # rows of u^-1 after the first split the projection the columns give
-    _, u = hermite_normal_form(IntMatrix([lat.basis_coords(g1)]))
-    sect = IntMatrix.from_columns(u.inverse_unimodular().data[1:])
-    hc, v = hermite_normal_form(IntMatrix(u.columns()[1:]).transpose())
+    _, u = hermite_with_transform(IntMatrix([lat.basis_coords(g1)]))
+    sect = IntMatrix.from_columns(inverse_unimodular(u).data[1:])
+    hc, v = hermite_with_transform(IntMatrix(u.columns()[1:]).transpose())
     assert quo.projection == hc.transpose()
-    sect = sect * v.inverse_unimodular().transpose()
+    sect = sect * inverse_unimodular(v).transpose()
     assert quo.projection * sect == IntMatrix.identity(2)
     for coords in [(0, 6, 0), (0, 0, 6), (2, 4, 0)]:
         q = quo.project(LatticePoint(coords, 6))
         lifted = from_basis_coords(lat, sect.mul_vec(q.coords))
         assert quo.project(lifted) == q
+
+
+@pytest.mark.parametrize("gens", [
+    [(6, (1, 2, 3))],
+    [(5, (1, 2, 2))],
+    [(2, (1, 1, 0)), (2, (0, 1, 1))],
+    [(12, (1, 11, 0)), (12, (0, 1, 11))],
+    [(7, (1, 1, 2, 3))],
+    [(2, (1, 1, 1, 1))],
+    [(4, (1, 3, 0, 0)), (4, (0, 1, 3, 0)), (4, (0, 0, 1, 3))],
+    [(2, (1, 1, 0, 0)), (2, (0, 0, 1, 1)), (3, (1, 2, 0, 0))],
+    [(5, (1, 1, 1, 1, 1))],
+    [(3, (1, 2, 0, 0, 0)), (3, (0, 1, 1, 1, 0))],
+])
+def test_quotient_projection_matches_two_form_oracle(gens):
+    # one Hermite form of w over the identity gives the projection that a
+    # transform and a second form gave, for every primitive element and unit
+    group = close_group([LatticePoint(c, r) for r, c in gens])
+    lat = group.lattice
+    points = [g for g in group.elements
+              if not g.is_zero() and lat.is_primitive(g)] + list(group.units())
+    assert len(points) > group.n
+    for v in points:
+        assert quotient_by_ray(lat, v).projection == quotient_projection_two_forms(lat, v)
 
 
 def test_quotient_reference_images(z6):

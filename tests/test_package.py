@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
@@ -87,13 +89,15 @@ def test_dataclass_fields_are_read_by_the_package_or_scripts():
     assert [name for name in fields if name.split(".")[-1] not in read] == []
 
 
-def test_worked_example_artifacts_are_byte_identical(tmp_path):
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_worked_example_artifacts_are_byte_identical(tmp_path, flags):
+    # python -O drops asserts and __debug__ blocks, and must change no byte
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_worked_examples.py"),
+        [sys.executable, *flags, str(ROOT / "scripts" / "run_worked_examples.py"),
          "--out", str(tmp_path)],
         check=True, capture_output=True, env=env, timeout=300,
     )
