@@ -11,7 +11,7 @@ import json
 from itertools import permutations
 from pathlib import Path
 
-from torcrep.cli import group_from_spec, parse_group, write_json
+from torcrep.cli import parse_group, write_json
 from torcrep.cli import main as torcrep_main
 from torcrep.errors import ResolutionNotFound
 from torcrep.fans import Fan, fan_to_json, make_cone, make_fan, validate_fan
@@ -103,7 +103,7 @@ def main() -> None:
     for group in OBSTRUCTED:
         torcrep_main(["analyze", group])
         try:
-            search_resolution(group_from_spec(parse_group(group)), "juniors_only")
+            search_resolution(parse_group(group), "juniors_only")
             raise AssertionError("obstructed group must not resolve crepantly")
         except ResolutionNotFound as exc:
             # a budget stop proves nothing; only an exhausted search is an obstruction

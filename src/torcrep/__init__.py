@@ -41,7 +41,6 @@ from .hilbert import hilbert_basis
 from .intlinalg import IntMatrix, hermite_normal_form
 from .lattice import (
     LatticePoint,
-    QuotientLattice,
     ScaledLattice,
     build_lattice,
     quotient_by_ray,
@@ -64,7 +63,6 @@ __all__ = [
     "IntMatrix",
     "LatticePoint",
     "ObstructionReport",
-    "QuotientLattice",
     "ResolutionResult",
     "ScaledLattice",
     "StarFan",

@@ -21,7 +21,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .divisors import class_group, class_group_to_json
@@ -52,16 +51,8 @@ from .svg import junior_graph_svg
 _GEN_RE = re.compile(r"^\s*(\d+)\s*:\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*$", re.ASCII)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Parsed generator list: pairs of (order, coordinate tuple)."""
-
-    n: int
-    generators: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-def parse_group(text: str) -> GroupSpec:
-    """Parse the group grammar; raises GroupSyntaxError with position."""
+def parse_group(text: str) -> GroupData:
+    """The group generated by the text; raises GroupSyntaxError with position."""
     gens = []
     n = None
     for lineno, raw in enumerate(text.replace(";", "\n").splitlines(), start=1):
@@ -102,15 +93,10 @@ def parse_group(text: str) -> GroupSpec:
             raise DimensionMismatch(
                 f"line {lineno}: dimension {len(coords)} differs from {n}"
             )
-        gens.append((r, coords))
+        gens.append(LatticePoint(coords, r))
     if n is None:
         raise GroupSyntaxError("no generators found")
-    return GroupSpec(n, tuple(gens))
-
-
-def group_from_spec(spec: GroupSpec) -> GroupData:
-    points = [LatticePoint(coords, r) for r, coords in spec.generators]
-    return close_group(points, spec.n)
+    return close_group(gens, n)
 
 
 def _read_text(path: str) -> str:
@@ -122,7 +108,7 @@ def _read_text(path: str) -> str:
 
 def _load_group(args) -> GroupData:
     text = _read_text(args.group) if args.file else args.group
-    return group_from_spec(parse_group(text))
+    return parse_group(text)
 
 
 def _load_fan(path: str, group: GroupData) -> Fan:

@@ -1,7 +1,8 @@
 """Exceptional divisors: star fans, embedding certificates, surfaces.
 
 For a junior ray ``g`` the star fan lives in the quotient lattice
-``N / Z*g`` and describes the exceptional divisor ``E``.  Weighting each
+``N / Z*g = Z^(n-1)`` and describes the exceptional divisor ``E``: one
+projection matrix sends each ray's basis coordinates there.  Weighting each
 star ray ``ubar`` by the age of its lift ``u`` gives the ray
 ``(ubar, age u)`` of the total space of the age-weighted line bundle on
 ``E`` (its canonical bundle in the crepant case), whose cones are the apex
@@ -11,13 +12,16 @@ lift and the apex to ``g``.  It serves every cone, as the map read off any
 other cone agrees with it on that cone's basis; checking it on every ray
 and cone certifies that the open set of the cones through ``g`` is that
 whole total space, so ``E`` is normally embedded.  Each ray is projected
-once, and a total-space cone's image is ``g`` with its star rays' lifts.
+once, the map is checked on the lifts' scaled coordinates, so no lift is
+solved twice, and a total-space cone's image is ``g`` with its star rays'
+lifts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from math import gcd
 
 from .errors import (
     CertificateFailure,
@@ -31,19 +35,18 @@ from .errors import (
 from .fans import Cone, Fan, make_cone, make_fan
 from .groups import GroupData
 from .intlinalg import IntMatrix, solve
-from .lattice import LatticePoint, QuotientLattice, quotient_by_ray
+from .lattice import LatticePoint, ScaledLattice, quotient_by_ray
 
 
 @dataclass(frozen=True)
 class StarFan:
-    """Fan of the exceptional divisor in the quotient lattice.
+    """Fan of the exceptional divisor in the quotient lattice ``Z^(n-1)``.
 
     ``lifts`` maps each quotient ray generator back to the unique fan ray
     it came from; ``complete`` records whether the junior point is
     interior to the orthant.
     """
 
-    quotient: QuotientLattice
     fan: Fan
     lifts: tuple[tuple[LatticePoint, LatticePoint], ...]
     complete: bool
@@ -78,7 +81,8 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
     """Project the cones through a ray into the quotient lattice, each ray once."""
     if g_hat not in fan.ray_set:
         raise RayAbsent(f"{g_hat} is not a ray of the fan")
-    quo = quotient_by_ray(fan.lattice, g_hat)
+    lat = fan.lattice
+    proj = quotient_by_ray(lat, g_hat)
     lifts: dict[LatticePoint, LatticePoint] = {}
     images: dict[LatticePoint, LatticePoint] = {}  # ray -> star ray
     cones = []
@@ -89,7 +93,7 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
                 continue
             ubar = images.get(u)
             if ubar is None:
-                ubar = images[u] = quo.project(u)
+                ubar = images[u] = LatticePoint(proj.mul_vec(lat.basis_coords(u)), 1)
                 prev = lifts.setdefault(ubar, u)
                 if prev != u:
                     raise LiftAmbiguous(
@@ -97,13 +101,13 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
                     )
             imgs.append(ubar)
         cones.append(make_cone(imgs))
-    star = make_fan(quo.as_lattice, cones)
+    star = make_fan(ScaledLattice(lat.dim - 1, 1, IntMatrix.identity(lat.dim - 1)), cones)
     for ubar in star.rays:
-        if not quo.as_lattice.is_primitive(ubar):
+        if gcd(*ubar.coords) != 1:
             raise NotSmooth(f"star ray {ubar} is not primitive; fan is singular along the ray")
     complete = all(c > 0 for c in g_hat.coords)
     ordered = tuple(sorted(lifts.items(), key=lambda kv: kv[0].coords))
-    return StarFan(quo, star, ordered, complete)
+    return StarFan(star, ordered, complete)
 
 
 def _lift_age(u: LatticePoint) -> int:
@@ -131,7 +135,7 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
     if not fan.is_smooth:
         raise NotSmooth("embedding certificates require a smooth fan")
     star = star_fan(fan, g_hat)
-    apex = LatticePoint((0,) * star.quotient.dim + (1,), 1)
+    apex = LatticePoint((0,) * star.fan.lattice.dim + (1,), 1)
     weighted = {ubar: LatticePoint(ubar.coords + (_lift_age(u),), 1)
                 for ubar, u in star.lifts}
     preimage = {u: weighted[ubar] for ubar, u in star.lifts}
@@ -148,13 +152,16 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
     iso = IntMatrix(rows) if det == 1 else None
     if iso is None or not iso.is_unimodular():
         raise CertificateFailure(f"anchor {anchor}: induced map is not unimodular")
+    # the basis is nonsingular, so basis * iso sends a weighted ray to a lift's
+    # scaled coordinates exactly when iso sends it to its basis coordinates
+    amb = lat.basis * iso
     for ubar, u in star.lifts:
-        if iso.mul_vec(weighted[ubar].coords) != lat.basis_coords(u):
+        if amb.mul_vec(weighted[ubar].coords) != u.coords:
             raise CertificateFailure(
                 f"anchor {anchor}: ray {ubar} maps off its lift {u}",
                 pair=(ubar, u),
             )
-    if iso.mul_vec(apex.coords) != lat.basis_coords(g_hat):
+    if amb.mul_vec(apex.coords) != g_hat.coords:
         raise CertificateFailure(f"anchor {anchor}: apex does not map to the ray")
     fresh = {c.ray_set: c for c in anchors}
     bijection = []

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 
 from .errors import (
     DenomMismatch,
@@ -248,9 +248,10 @@ def validate_fan(fan: Fan) -> None:
     lat = fan.lattice
     n = lat.dim
     for p in fan.rays:
-        if not lat.contains(p):
+        x = lat.coords_or_none(p)
+        if x is None:
             raise InvalidFan(f"ray {p} is not a lattice point")
-        if not lat.is_primitive(p):
+        if gcd(*x) != 1:
             raise InvalidFan(f"ray {p} is not primitive")
     for c in fan.maximal_cones:
         if c.dim != n:
@@ -307,9 +308,10 @@ class _FanBuilder:
         for p in points:
             if p in self.where:
                 continue
-            if not lat.contains(p):
+            x = lat.coords_or_none(p)
+            if x is None:
                 raise NotInLattice(f"{p} is not a lattice point")
-            if not lat.is_primitive(p):
+            if gcd(*x) != 1:
                 raise NotPrimitive(f"{p} is not primitive")
             if p in self.ray_counts:
                 continue

@@ -7,8 +7,11 @@ package is an exact integer: a :class:`LatticePoint` with ``coords=(1,2,3)``
 and ``denom=6`` is the rational vector ``(1/6)(1,2,3)``.
 
 A :class:`ScaledLattice` keeps a column-Hermite basis of ``r*N`` inside
-``Z^n``; membership, primitivity and quotients all reduce to integer
-matrix algebra against that basis.
+``Z^n``.  One forward substitution against that basis gives a point's
+basis coordinates, or ``None`` off the lattice; membership reads it, a
+point is primitive when the gcd of its coordinates is 1, and the quotient
+``N / Z*v`` by a primitive ``v`` is the integer matrix that projects them
+onto ``Z^(n-1)``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ class LatticePoint:
         if not all(type(x) is int for x in coords):
             raise TypeError(f"coordinates must be integers, got {coords!r}")
         object.__setattr__(self, "coords", coords)
+        if type(self.denom) is not int:
+            raise TypeError(f"denominator must be an integer, got {self.denom!r}")
         if self.denom < 1:
             raise ValueError("denominator must be positive")
 
@@ -88,13 +93,11 @@ class ScaledLattice:
         """Index ``[N : Z^n]``; equals the group order."""
         return self.denom**self.dim // self.det
 
-    def unit(self, i: int) -> LatticePoint:
-        return unit_point(i, self.dim, self.denom)
-
     def units(self) -> tuple[LatticePoint, ...]:
-        return tuple(self.unit(i) for i in range(self.dim))
+        return tuple(unit_point(i, self.dim, self.denom) for i in range(self.dim))
 
-    def _coords_or_none(self, p: LatticePoint) -> tuple[int, ...] | None:
+    def coords_or_none(self, p: LatticePoint) -> tuple[int, ...] | None:
+        """Basis coordinates of ``p``, or None when ``p`` is off the lattice."""
         # forward substitution against the lower-triangular Hermite basis
         if p.denom != self.denom:
             raise DenomMismatch(
@@ -110,21 +113,13 @@ class ScaledLattice:
         return tuple(x)
 
     def contains(self, p: LatticePoint) -> bool:
-        return self._coords_or_none(p) is not None
+        return self.coords_or_none(p) is not None
 
     def basis_coords(self, p: LatticePoint) -> tuple[int, ...]:
-        x = self._coords_or_none(p)
+        x = self.coords_or_none(p)
         if x is None:
             raise NotInLattice(f"{p} is not in the lattice")
         return x
-
-    def is_primitive(self, p: LatticePoint) -> bool:
-        if p.is_zero():
-            raise NotInLattice("the zero vector has no primitivity")
-        x = self._coords_or_none(p)
-        if x is None:
-            raise NotInLattice(f"{p} is not in the lattice")
-        return gcd(*x) == 1
 
 
 def build_lattice(gens, n: int, denom: int) -> ScaledLattice:
@@ -133,6 +128,8 @@ def build_lattice(gens, n: int, denom: int) -> ScaledLattice:
     Generators must have coordinates in ``[0, denom)`` and coordinate sum
     divisible by ``denom`` (the determinant-one condition).
     """
+    if type(denom) is not int or denom < 1:
+        raise InvalidGenerator(f"denominator must be a positive integer, got {denom!r}")
     cols = [tuple(denom if j == i else 0 for j in range(n)) for i in range(n)]
     for g in gens:
         if g.dim != n:
@@ -155,31 +152,13 @@ def build_lattice(gens, n: int, denom: int) -> ScaledLattice:
     return ScaledLattice(n, denom, basis)
 
 
-@dataclass(frozen=True)
-class QuotientLattice:
-    """Quotient ``N / Z*v`` identified with ``Z^(n-1)``.
+def quotient_by_ray(lattice: ScaledLattice, v: LatticePoint) -> IntMatrix:
+    """Projection of basis coordinates onto ``N / Z*v = Z^(n-1)``, ``v`` primitive.
 
-    ``projection`` acts on basis coordinates of ``N``; its kernel is
-    exactly the line through ``v``.
+    Its kernel is exactly the line through ``v``.
     """
-
-    dim: int
-    projection: IntMatrix
-    parent: ScaledLattice
-
-    @cached_property
-    def as_lattice(self) -> ScaledLattice:
-        return ScaledLattice(self.dim, 1, IntMatrix.identity(self.dim))
-
-    def project(self, p: LatticePoint) -> LatticePoint:
-        x = self.parent.basis_coords(p)
-        return LatticePoint(self.projection.mul_vec(x), 1)
-
-
-def quotient_by_ray(lattice: ScaledLattice, v: LatticePoint) -> QuotientLattice:
-    """Projection onto ``N / Z*v`` with ``v`` primitive."""
     w = lattice.basis_coords(v)
-    if not lattice.is_primitive(v):
+    if gcd(*w) != 1:
         raise NotPrimitive(f"{v} is not primitive")
     # the Hermite form of w over the identity is [w u; u] with u unimodular;
     # w u = e_1 as w is primitive, so the lower blocks of the other columns
@@ -187,5 +166,4 @@ def quotient_by_ray(lattice: ScaledLattice, v: LatticePoint) -> QuotientLattice:
     h = hermite_normal_form(IntMatrix([w, *IntMatrix.identity(lattice.dim).data]))
     if any(h[0][1:]):
         raise InvariantError(f"quotient by {v} does not have {v} in its kernel")
-    proj = IntMatrix([col[1:] for col in h.columns()[1:]])
-    return QuotientLattice(lattice.dim - 1, proj, lattice)
+    return IntMatrix([col[1:] for col in h.columns()[1:]])

@@ -76,12 +76,13 @@ def is_crepant(fan: Fan, group: GroupData) -> bool:
 
 def certify_fan(group: GroupData, fan: Fan, sequence=()) -> ResolutionResult:
     """Populate all certificate fields for a fan refining the orthant."""
+    disc = discrepancies(fan, group)
     return ResolutionResult(
         fan=fan,
         sequence=tuple(sequence),
-        discrepancies=discrepancies(fan, group),
+        discrepancies=disc,
         smooth=fan.is_smooth,
-        crepant=is_crepant(fan, group),
+        crepant=not any(disc.values()),
         terminal_flags={c: is_terminal(c, group.lattice) for c in fan.maximal_cones},
         euler=len(fan.maximal_cones),
     )

@@ -5,7 +5,8 @@ from pathlib import Path
 import hypothesis.strategies as st
 import pytest
 
-from oracles import star_subdivision
+from oracles import is_primitive, star_subdivision
+from torcrep.fans import validate_fan
 from torcrep.groups import close_group
 from torcrep.lattice import LatticePoint
 from torcrep.resolve import resolve
@@ -133,6 +134,28 @@ def partial_folds(draw):
     group = draw(small_groups())
     seq = draw(st.permutations(group.juniors))
     return resolve(group, seq[:draw(st.integers(0, len(seq)))]).fan
+
+
+@st.composite
+def validated_fans(draw):
+    """A group in n = 3, 4 and a fan refining its orthant that passes ``validate_fan``.
+
+    Up to six primitive group elements, junior or not, are folded from the
+    orthant in a random order, so smooth and singular cones mix.
+    """
+    n = draw(st.integers(3, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        m = draw(st.integers(2, {3: 9, 4: 5}[n]))
+        coords = draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
+        gens.append(LatticePoint((*coords, -sum(coords) % m), m))
+    group = close_group(gens, n)
+    points = [p for p in group.elements
+              if not p.is_zero() and is_primitive(group.lattice, p)]
+    seq = draw(st.lists(st.sampled_from(points), unique=True, max_size=6)) if points else []
+    fan = resolve(group, seq).fan
+    validate_fan(fan)
+    return group, fan
 
 
 @st.composite

@@ -2,6 +2,10 @@
 
 ``from_basis_coords`` inverts ``ScaledLattice.basis_coords``; it left the
 lattice once certificates read each cone's image off the checked lifts.
+``is_primitive`` and ``project`` are the lattice's primitivity test and the
+quotient's projection of a point before callers read both off one forward
+substitution (a second substitution each, and the zero vector rejected as
+not in the lattice).
 The linear-algebra oracles are the solvers torcrep used before its single
 fraction-free kernel: Fraction Gauss-Jordan, a Bareiss determinant loop,
 an unnormalised fraction-free rank loop and cofactor expansion; and
@@ -118,8 +122,23 @@ def from_basis_coords(lat: ScaledLattice, x) -> LatticePoint:
     return LatticePoint(lat.basis.mul_vec(x), lat.denom)
 
 
+def is_primitive(lat: ScaledLattice, p: LatticePoint) -> bool:
+    if p.is_zero():
+        raise NotInLattice("the zero vector has no primitivity")
+    x = lat.coords_or_none(p)
+    if x is None:
+        raise NotInLattice(f"{p} is not in the lattice")
+    return gcd(*x) == 1
+
+
+def project(lat: ScaledLattice, proj: IntMatrix, p: LatticePoint) -> LatticePoint:
+    """The image of ``p`` in ``N / Z*v`` under ``proj = quotient_by_ray(lat, v)``."""
+    x = lat.basis_coords(p)
+    return LatticePoint(proj.mul_vec(x), 1)
+
+
 def quotient_projection_two_forms(lat: ScaledLattice, v: LatticePoint) -> IntMatrix:
-    """``quotient_by_ray(lat, v).projection`` from two Hermite forms.
+    """``quotient_by_ray(lat, v)`` from two Hermite forms.
 
     The transform ``u`` of the form of ``w = coords(v)`` has ``w u = e_1``,
     so its other columns span the annihilator of ``w``; a second form puts
@@ -489,7 +508,7 @@ def star_subdivision_by_pivot(fan: Fan, mu: LatticePoint) -> Fan:
     lat = fan.lattice
     if not lat.contains(mu):
         raise NotInLattice(f"{mu} is not a lattice point")
-    if not lat.is_primitive(mu):
+    if not is_primitive(lat, mu):
         raise NotPrimitive(f"{mu} is not primitive")
     hit = False
     new_cones = []
@@ -521,7 +540,7 @@ def star_subdivision_by_make_cone(fan: Fan, mu: LatticePoint) -> Fan:
     lat = fan.lattice
     if not lat.contains(mu):
         raise NotInLattice(f"{mu} is not a lattice point")
-    if not lat.is_primitive(mu):
+    if not is_primitive(lat, mu):
         raise NotPrimitive(f"{mu} is not primitive")
     hit = False
     new_cones = []
@@ -590,7 +609,7 @@ def validate_fan_all_pairs(fan: Fan) -> None:
     for p in fan.rays:
         if not lat.contains(p):
             raise InvalidFan(f"ray {p} is not a lattice point")
-        if not lat.is_primitive(p):
+        if not is_primitive(lat, p):
             raise InvalidFan(f"ray {p} is not primitive")
     for c in fan.maximal_cones:
         mat = IntMatrix.from_columns([r.coords for r in c.rays])
@@ -1018,15 +1037,15 @@ def _iso_matrix(fan: Fan, star: StarFan, g_hat: LatticePoint, anchor: Cone) -> I
     basis coordinates of the ambient lattice.
     """
     lat = fan.lattice
-    quo = star.quotient
+    proj = quotient_projection_two_forms(lat, g_hat)
     dom_cols = []
     img_cols = []
     for u in anchor.rays:
         if u == g_hat:
             continue
-        dom_cols.append(quo.project(u).coords + (_lift_age(u),))
+        dom_cols.append(project(lat, proj, u).coords + (_lift_age(u),))
         img_cols.append(lat.basis_coords(u))
-    dom_cols.append((0,) * quo.dim + (1,))
+    dom_cols.append((0,) * star.fan.lattice.dim + (1,))
     img_cols.append(lat.basis_coords(g_hat))
     d = IntMatrix.from_columns(dom_cols)
     t = IntMatrix.from_columns(img_cols)
@@ -1068,7 +1087,7 @@ def certify_normal_embedding_per_anchor(
                     f"anchor {anchor}: ray {ubar} maps off its lift {u}",
                     pair=(ubar, u),
                 )
-        apex = (0,) * star.quotient.dim + (1,)
+        apex = (0,) * star.fan.lattice.dim + (1,)
         if iso.mul_vec(apex) != lat.basis_coords(g_hat):
             raise CertificateFailure(f"anchor {anchor}: apex does not map to the ray")
         bijection = []

@@ -24,9 +24,7 @@ from oracles import (
 )
 from torcrep.cli import (
     MAX_DIM,
-    GroupSpec,
     build_parser,
-    group_from_spec,
     main,
     parse_group,
     write_json,
@@ -41,21 +39,21 @@ from torcrep.svg import junior_graph_svg
 
 
 def test_parse_single_generator():
-    spec = parse_group("6:(1,2,3)")
-    assert spec == GroupSpec(3, ((6, (1, 2, 3)),))
+    group = parse_group("6:(1,2,3)")
+    assert group.n == 3
+    assert [(g.denom, g.coords) for g in group.generators] == [(6, (1, 2, 3))]
 
 
 def test_parse_comments_and_blank_lines():
     text = "# the order-7 example\n\n7:(1,1,2,3)\n"
-    spec = parse_group(text)
-    assert spec.n == 4
-    assert spec.generators == ((7, (1, 1, 2, 3)),)
+    group = parse_group(text)
+    assert group.n == 4
+    assert [(g.denom, g.coords) for g in group.generators] == [(7, (1, 1, 2, 3))]
 
 
 def test_parse_multiple_generators_semicolon():
-    spec = parse_group("2:(1,1,0,0);2:(0,0,1,1)")
-    assert len(spec.generators) == 2
-    group = group_from_spec(spec)
+    group = parse_group("2:(1,1,0,0);2:(0,0,1,1)")
+    assert len(group.generators) == 2
     assert group.order == 4
 
 
@@ -284,7 +282,7 @@ def test_resolve_partial_fold_terminal_flags(group, seq, tmp_path, capsys):
 def _freudenthal_fan_file(r, tmp_path):
     spec = freudenthal_spec(r)
     path = tmp_path / f"freudenthal{r}.json"
-    write_json(str(path), fan_to_json(freudenthal_fan(group_from_spec(parse_group(spec)))))
+    write_json(str(path), fan_to_json(freudenthal_fan(parse_group(spec))))
     return spec, path
 
 
@@ -322,7 +320,7 @@ def scale_verify(tmp_path_factory):
     """``resolve --sequence <all juniors>`` and ``verify --out`` on the
     961-cone fan of ``SCALE_GROUP``, folded once for the module."""
     out = tmp_path_factory.mktemp("scale")
-    group = group_from_spec(parse_group(SCALE_GROUP))
+    group = parse_group(SCALE_GROUP)
     names = element_names(group)
     seq = ",".join(names[g] for g in group.juniors)
     fan, report, stdout = out / "fan.json", out / "report.json", io.StringIO()

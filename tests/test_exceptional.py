@@ -1,8 +1,16 @@
+from math import gcd
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, example, find, given, settings
 
-from conftest import Z7_HILBERT_SEQUENCE, crepant3_resolutions, nonstar_order6_fan, smooth_fans
+from conftest import (
+    Z7_HILBERT_SEQUENCE,
+    crepant3_resolutions,
+    nonstar_order6_fan,
+    smooth_fans,
+    validated_fans,
+)
 from oracles import (
     TDivisor,
     age_affinity_check,
@@ -11,11 +19,13 @@ from oracles import (
     certify_normal_embedding_per_anchor,
     fans_equal,
     gl2_equivalent,
+    project,
+    quotient_projection_two_forms,
     total_space_fan,
     validate_fan_all_pairs,
     xi_g,
 )
-from torcrep.errors import CertificateFailure, NotComplete, NotSurface, RayAbsent
+from torcrep.errors import CertificateFailure, NotComplete, NotSmooth, NotSurface, RayAbsent
 from torcrep.exceptional import (
     StarFan,
     certificate_to_json,
@@ -28,7 +38,7 @@ from torcrep.fans import make_cone, make_fan, sigma_fan
 from torcrep.groups import close_group, compact_juniors
 from torcrep.hilbert import hilbert_basis
 from torcrep.intlinalg import IntMatrix
-from torcrep.lattice import LatticePoint, ScaledLattice, quotient_by_ray, unit_point
+from torcrep.lattice import LatticePoint, ScaledLattice, unit_point
 from torcrep.resolve import resolve
 
 
@@ -38,9 +48,7 @@ def std_lattice(n):
 
 def plain_star(fan, lifts=(), complete=True):
     """Star fan wrapper for synthetic bases in line-bundle tests."""
-    quo = quotient_by_ray(std_lattice(fan.lattice.dim + 1),
-                          unit_point(fan.lattice.dim, fan.lattice.dim + 1, 1))
-    return StarFan(quo, fan, lifts, complete)
+    return StarFan(fan, lifts, complete)
 
 
 def test_xi_g_counts(z6, z6_result, z5_result, trivial3):
@@ -193,6 +201,51 @@ def test_certificate_matches_per_anchor_oracle(case):
     for ray in fan.rays:
         assert _certificate_outcome(certify_normal_embedding, fan, ray) == \
             _certificate_outcome(certify_normal_embedding_per_anchor, fan, ray)
+
+
+_Z31 = close_group([LatticePoint((1, 30, 0), 31), LatticePoint((0, 1, 30), 31)])
+
+
+@pytest.mark.parametrize("group", [_Z6, _Z31], ids=["z6", "961-cones"])
+def test_certificate_substitutes_each_ray_once(group, monkeypatch):
+    # star_fan solves g and the k other rays through it, the map's anchor its
+    # n rays; the lift and apex checks compare scaled coordinates
+    fan = resolve(group, group.juniors).fan
+    assert fan.is_smooth
+    calls = []
+    substitute = ScaledLattice.coords_or_none
+
+    def counted(self, p):
+        calls.append(p)
+        return substitute(self, p)
+
+    monkeypatch.setattr(ScaledLattice, "coords_or_none", counted)
+    for g in group.juniors:
+        k = len({u for c in fan.cones_through[g] for u in c.rays}) - 1
+        calls.clear()
+        certify_normal_embedding(fan, g)
+        assert len(calls) <= k + group.n + 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(validated_fans())
+def test_star_rays_match_two_form_projection(case):
+    # every ray's star rays and lifts are the images of the rays through it
+    # under the projection that two Hermite forms gave
+    _, fan = case
+    lat = fan.lattice
+    for g in fan.rays:
+        proj = quotient_projection_two_forms(lat, g)
+        through = {u for c in fan.cones_through[g] for u in c.rays} - {g}
+        want = {project(lat, proj, u): u for u in through}
+        assert len(want) == len(through)
+        if all(gcd(*ubar.coords) == 1 for ubar in want):
+            star = star_fan(fan, g)
+            assert star.lifts == tuple(sorted(want.items(), key=lambda kv: kv[0].coords))
+            assert set(star.fan.rays) == set(want)
+        else:
+            with pytest.raises(NotSmooth):
+                star_fan(fan, g)
 
 
 def test_smooth_fans_include_failing_certificates():

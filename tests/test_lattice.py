@@ -7,6 +7,8 @@ from oracles import (
     from_basis_coords,
     hermite_with_transform,
     inverse_unimodular,
+    is_primitive,
+    project,
     quotient_projection_two_forms,
 )
 from torcrep.errors import DenomMismatch, InvalidGenerator, NotInLattice, NotPrimitive
@@ -68,13 +70,26 @@ def test_point_rejects_non_integer_coordinates(coords):
         LatticePoint(coords, 6)
 
 
+@pytest.mark.parametrize("denom", [6.0, True, 6.5, "6"])
+def test_point_rejects_non_integer_denominator(denom):
+    # 6.0 would print as (1/6.0)(1,2,3) and equal the integer point
+    with pytest.raises(TypeError):
+        LatticePoint((1, 2, 3), denom)
+
+
+@pytest.mark.parametrize("denom", [-6, 0, 6.0])
+def test_build_rejects_non_positive_denominator(denom):
+    with pytest.raises(InvalidGenerator):
+        build_lattice([], 3, denom)
+
+
 def test_primitivity(z6):
     lat = z6.lattice
-    assert lat.is_primitive(unit_point(0, 3, 6))
-    assert lat.is_primitive(LatticePoint((2, 4, 0), 6))
-    assert not lat.is_primitive(LatticePoint((12, 0, 0), 6))
+    assert is_primitive(lat, unit_point(0, 3, 6))
+    assert is_primitive(lat, LatticePoint((2, 4, 0), 6))
+    assert not is_primitive(lat, LatticePoint((12, 0, 0), 6))
     with pytest.raises(NotInLattice):
-        lat.is_primitive(LatticePoint((1, 1, 1), 6))
+        is_primitive(lat, LatticePoint((1, 1, 1), 6))
 
 
 def test_primitivity_against_division_oracle(rng):
@@ -88,7 +103,7 @@ def test_primitivity_against_division_oracle(rng):
             p = LatticePoint(coords, lat.denom)
             if p.is_zero():
                 continue
-            claim = lat.is_primitive(p)
+            claim = is_primitive(lat, p)
             oracle = True
             for k in range(2, 25):
                 if all(c % k == 0 for c in p.coords):
@@ -127,27 +142,27 @@ def test_quotient_drop_coordinate():
     quo = quotient_by_ray(lat, unit_point(2, 3, 1))
     p = LatticePoint((4, 5, 7), 1)
     q = LatticePoint((4, 5, 0), 1)
-    assert quo.project(p) == quo.project(q)
-    assert quo.project(unit_point(2, 3, 1)).is_zero()
+    assert project(lat, quo, p) == project(lat, quo, q)
+    assert project(lat, quo, unit_point(2, 3, 1)).is_zero()
 
 
 def test_quotient_kernel_and_section(z6):
     g1 = LatticePoint((1, 2, 3), 6)
     lat = z6.lattice
     quo = quotient_by_ray(lat, g1)
-    assert quo.project(g1).is_zero()
+    assert project(lat, quo, g1).is_zero()
     # the section from the same Hermite transform: w^T u = e_1^T, and the
     # rows of u^-1 after the first split the projection the columns give
     _, u = hermite_with_transform(IntMatrix([lat.basis_coords(g1)]))
     sect = IntMatrix.from_columns(inverse_unimodular(u).data[1:])
     hc, v = hermite_with_transform(IntMatrix(u.columns()[1:]).transpose())
-    assert quo.projection == hc.transpose()
+    assert quo == hc.transpose()
     sect = sect * inverse_unimodular(v).transpose()
-    assert quo.projection * sect == IntMatrix.identity(2)
+    assert quo * sect == IntMatrix.identity(2)
     for coords in [(0, 6, 0), (0, 0, 6), (2, 4, 0)]:
-        q = quo.project(LatticePoint(coords, 6))
+        q = project(lat, quo, LatticePoint(coords, 6))
         lifted = from_basis_coords(lat, sect.mul_vec(q.coords))
-        assert quo.project(lifted) == q
+        assert project(lat, quo, lifted) == q
 
 
 @pytest.mark.parametrize("gens", [
@@ -168,17 +183,17 @@ def test_quotient_projection_matches_two_form_oracle(gens):
     group = close_group([LatticePoint(c, r) for r, c in gens])
     lat = group.lattice
     points = [g for g in group.elements
-              if not g.is_zero() and lat.is_primitive(g)] + list(group.units())
+              if not g.is_zero() and is_primitive(lat, g)] + list(group.units())
     assert len(points) > group.n
     for v in points:
-        assert quotient_by_ray(lat, v).projection == quotient_projection_two_forms(lat, v)
+        assert quotient_by_ray(lat, v) == quotient_projection_two_forms(lat, v)
 
 
 def test_quotient_reference_images(z6):
     g1 = LatticePoint((1, 2, 3), 6)
     quo = quotient_by_ray(z6.lattice, g1)
     images = {
-        quo.project(p).coords
+        project(z6.lattice, quo, p).coords
         for p in [
             unit_point(0, 3, 6),
             unit_point(1, 3, 6),
@@ -194,6 +209,8 @@ def test_quotient_reference_images(z6):
 def test_quotient_requires_primitive(z6):
     with pytest.raises(NotPrimitive):
         quotient_by_ray(z6.lattice, LatticePoint((2, 4, 6), 6))
+    with pytest.raises(NotPrimitive):  # gcd(0, 0, 0) is 0, not 1
+        quotient_by_ray(z6.lattice, LatticePoint((0, 0, 0), 6))
 
 
 def test_quotient_translation_invariance(z6, rng):
@@ -203,12 +220,12 @@ def test_quotient_translation_invariance(z6, rng):
     for _ in range(100):
         x = [rng.randrange(-5, 6) for _ in range(3)]
         p = from_basis_coords(lat, x)
-        base = quo.project(p)
+        base = project(lat, quo, p)
         for k in range(-3, 4):
             shifted = LatticePoint(
                 tuple(a + k * b for a, b in zip(p.coords, g1.coords)), 6
             )
-            assert quo.project(shifted) == base
+            assert project(lat, quo, shifted) == base
 
 
 @given(st.integers(1, 8), st.integers(0, 7), st.integers(0, 7))

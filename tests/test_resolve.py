@@ -20,7 +20,7 @@ from oracles import (
     search_resolution_permutations,
     star_subdivision,
 )
-from torcrep.cli import group_from_spec, main, parse_group
+from torcrep.cli import main, parse_group
 from torcrep.errors import (
     DenomMismatch,
     NotInLattice,
@@ -143,7 +143,7 @@ def test_crepant_fan_h_vector_is_the_age_histogram(case):
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 8])
 def test_freudenthal_fan_h_vector_is_the_age_histogram(r):
-    group = group_from_spec(parse_group(freudenthal_spec(r)))
+    group = parse_group(freudenthal_spec(r))
     h_reversed, ages = mckay_vectors(group, freudenthal_fan(group))
     assert h_reversed == ages
     if r == 8:
@@ -223,7 +223,7 @@ def test_not_found_kinds(text, mode, budget, exhausted, monkeypatch, capsys):
         monkeypatch.delenv("TORCREP_BUDGET", raising=False)
     else:
         monkeypatch.setenv("TORCREP_BUDGET", budget)
-    group = group_from_spec(parse_group(text))
+    group = parse_group(text)
     with pytest.raises(ResolutionNotFound) as info:
         search_resolution(group, {"juniors": "juniors_only",
                                   "hilbert": "hilbert_basis"}[mode])
@@ -322,7 +322,7 @@ def test_search_not_found_matches_whole_fan_dfs(text, mode, budget, exhausted, m
         monkeypatch.delenv("TORCREP_BUDGET", raising=False)
     else:
         monkeypatch.setenv("TORCREP_BUDGET", budget)
-    group = group_from_spec(parse_group(text))
+    group = parse_group(text)
     got = _not_found(search_resolution, group, mode)
     assert got == _not_found(search_resolution_by_fans, group, mode)
     assert got[0] is exhausted
