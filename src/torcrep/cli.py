@@ -179,7 +179,7 @@ def cmd_analyze(args) -> int:
     print(f"junior simplex: {len(juniors)} junior point(s)"
           f" [{', '.join(names[g] for g in juniors)}]")
     print(f"compact juniors: [{', '.join(names[g] for g in compact)}]")
-    labels = names | {u: f"e{i + 1}" for i, u in enumerate(group.units())}
+    labels = names | {u: f"e{i + 1}" for i, u in enumerate(group.lattice.units())}
     hlb_names = [labels.get(p, "e") for p in hlb]
     print(f"Hilbert basis ({len(hlb)}): {', '.join(sorted(hlb_names))}")
     if report.not_generated_by_juniors:
@@ -221,7 +221,7 @@ def cmd_verify(args) -> int:
     group = _load_group(args)
     fan = _load_fan(args.fan, group)
     smooth = fan.is_smooth
-    crepant = is_crepant(fan, group)
+    crepant = is_crepant(fan)
     # the union-of-neighborhoods statement only applies to crepant resolutions
     coverage = coverage_check(fan, group) if smooth and crepant else None
     bundle = {

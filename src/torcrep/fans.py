@@ -4,9 +4,9 @@ Cones are given by their primitive ray generators; a fan stores only its
 maximal cones.  The fans torcrep builds and reads refine the orthant, so
 every cone it asks a question of is full-dimensional and simplicial: one
 H-description, its cached facet normals, answers membership, barycentric
-coordinates, the cone's index, its volume and its terminality, all
-exactly.  ``validate_fan`` checks one rule for such fans: the support
-volume is the orthant's and the facets pair up.
+coordinates, the cone's index and its terminality, all exactly.
+``validate_fan`` checks one rule for such fans: the facets pair up, and
+one point inside one cone lies in no other.
 
 A star subdivision moves each tracked point by a fraction-free pivot
 (Bareiss 1968).  Let ``A`` be the parent's rays, ``d = |det A|``,
@@ -34,10 +34,9 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, prod
+from math import gcd
 
 from .errors import (
     DenomMismatch,
@@ -222,22 +221,25 @@ def validate_fan(fan: Fan) -> None:
     """Check that the cones form a fan whose support is the orthant.
 
     In order: the rays are primitive lattice points, every cone is
-    full-dimensional, every ray lies in the closed orthant, the support
-    volume equals the group order ``[N : Z^n]`` (the orthant's), and the
-    facets pair up: a facet inside a coordinate hyperplane belongs to one
-    cone, every other facet to exactly two, on opposite sides of it.
-    Raises InvalidFan, naming the ray, cone or facet, on the first failure.
+    full-dimensional, every ray lies in the closed orthant, the facets pair
+    up (a facet inside a coordinate hyperplane belongs to one cone, every
+    other facet to exactly two, on opposite sides of it), and the fan has
+    cones, with the sum ``y`` of the first one's rays in no other.  Raises
+    InvalidFan, naming the ray, cone, facet or point, on the first failure.
 
     These conditions hold for a fan with the orthant as support, and they
     imply one (the pseudo-manifold characterisation, De Loera-Rambau-Santos,
-    *Triangulations*, §4.5).  The cones lie in the orthant.  Let
-    ``m(y)`` count the cones whose interior holds ``y``.  Crossing a
-    hyperplane at a general point ``w`` inside the orthant, a cone with
-    ``w`` inside counts on both sides, and a cone with ``w`` on a facet
-    counts on one side and its partner across that facet on the other; so
-    ``m`` is constant off a set of codimension 2, which does not disconnect
-    the interior.  Summing volumes, ``m`` times the orthant's volume is the
-    support volume, so ``m = 1``: the cones cover the orthant with disjoint
+    *Triangulations*, §4.5).  The cones lie in the orthant.  Let ``m(z)``
+    count the cones whose interior holds ``z``.  Crossing a hyperplane at a
+    general point ``w`` inside the orthant, a cone with ``w`` inside counts
+    on both sides, and a cone with ``w`` on a facet counts on one side and
+    its partner across that facet on the other; so ``m`` is constant off a
+    set of codimension 2, which does not disconnect the interior.  ``y``
+    lies inside the first cone, so another closed cone holding ``y`` meets
+    its interior in an open set, where ``m >= 2``.  Conversely, if ``m >= 2``,
+    points arbitrarily close to ``y`` lie inside other cones; there are
+    finitely many, so one of them holds ``y``.  So the last step passes
+    exactly when ``m = 1``: the cones cover the orthant with disjoint
     interiors.  Let ``x`` lie in cones ``C`` and ``D``.  A general path
     near ``x`` from inside ``C`` to inside ``D`` crosses only facets
     through ``x``, each from a cone to its partner (``m = 1``), and two
@@ -262,12 +264,6 @@ def validate_fan(fan: Fan) -> None:
     for p in fan.rays:
         if any(x < 0 for x in p.coords):
             raise InvalidFan(f"ray {p} lies outside the orthant")
-    volume = support_volume(fan)
-    if volume != lat.index_over_std:
-        raise InvalidFan(
-            f"the cones have support volume {volume}, not the orthant's "
-            f"{lat.index_over_std}"
-        )
     # facet rays -> (cone, inner normal of the facet, ray opposite it)
     owners: dict[tuple[LatticePoint, ...], list] = {}
     for c in fan.maximal_cones:
@@ -287,6 +283,13 @@ def validate_fan(fan: Fan) -> None:
                 raise InvalidFan(
                     f"cones {a} and {b} lie on the same side of their facet {Cone(rays)}"
                 )
+    if not fan.maximal_cones:
+        raise InvalidFan("the fan has no cones")
+    first = fan.maximal_cones[0]
+    y = LatticePoint(tuple(map(sum, zip(*(r.coords for r in first.rays)))), lat.denom)
+    for c in fan.maximal_cones[1:]:
+        if min(barycentric(c, y)[0]) >= 0:
+            raise InvalidFan(f"cones {first} and {c} overlap at {y}")
 
 
 class _FanBuilder:
@@ -362,24 +365,6 @@ class _FanBuilder:
 
     def fan(self) -> Fan:
         return make_fan(self.lattice, self.inside)
-
-
-def support_volume(fan: Fan) -> Fraction:
-    """Exact volume of the support in the slab ``age <= 1``.
-
-    For a simplicial cone with rays of positive age the slab is the
-    simplex on ``u_i / age(u_i)``, so the measure is additive across any
-    subdivision of the support and invariant under refinement; the
-    orthant's is ``[N : Z^n]``.  Requires full-dimensional cones whose rays
-    have positive age (``validate_fan`` checks both first).
-    """
-    # cone_index / prod(age u) = cone_index * denom^n / prod(sum u)
-    lat, indices = fan.lattice, {}
-    for c in fan.maximal_cones:
-        sums = prod(sum(r.coords) for r in c.rays)
-        indices[sums] = indices.get(sums, 0) + cone_index(c, lat)
-    scale = lat.denom**lat.dim
-    return sum((Fraction(i * scale, sums) for sums, i in indices.items()), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, ExplosionGuard, InvariantError, NotInSL
-from .lattice import LatticePoint, ScaledLattice, build_lattice, unit_point
+from .lattice import LatticePoint, ScaledLattice, build_lattice
 
 MAX_ELEMENTS = 10**6  # closure limit, read at each call
 
@@ -35,9 +35,6 @@ class GroupData:
     @cached_property
     def juniors(self) -> tuple[LatticePoint, ...]:
         return tuple(g for g in self.elements if sum(g.coords) == self.r)  # age 1
-
-    def units(self) -> tuple[LatticePoint, ...]:
-        return tuple(unit_point(i, self.n, self.r) for i in range(self.n))
 
 
 def _normalize_generators(generators, n):

@@ -46,7 +46,7 @@ def hilbert_basis(group: GroupData) -> tuple[LatticePoint, ...]:
     """
     n, w = group.n, group.r.bit_length() + 1
     candidates = [g for g in group.elements if not g.is_zero()]
-    candidates.extend(group.units())
+    candidates.extend(group.lattice.units())
     candidates.sort(key=lambda p: p.coords)
     minimal = []
     if n == 3:  # the dominance sweep of the module docstring

@@ -63,20 +63,19 @@ class ResolutionResult:
     euler: int = 0
 
 
-def discrepancies(fan: Fan, group: GroupData) -> dict[LatticePoint, Fraction]:
-    """Discrepancy ``age(u) - 1`` per exceptional ray; orthant rays get 0."""
-    axes = set(group.units())
-    return {ray: Fraction(0) if ray in axes else ray.age - 1 for ray in fan.rays}
+def discrepancies(fan: Fan) -> dict[LatticePoint, Fraction]:
+    """Discrepancy ``age(u) - 1`` per ray; an orthant ray has age 1, so 0."""
+    return {ray: ray.age - 1 for ray in fan.rays}
 
 
-def is_crepant(fan: Fan, group: GroupData) -> bool:
+def is_crepant(fan: Fan) -> bool:
     """Every exceptional ray has discrepancy 0."""
-    return not any(discrepancies(fan, group).values())
+    return not any(discrepancies(fan).values())
 
 
 def certify_fan(group: GroupData, fan: Fan, sequence=()) -> ResolutionResult:
     """Populate all certificate fields for a fan refining the orthant."""
-    disc = discrepancies(fan, group)
+    disc = discrepancies(fan)
     return ResolutionResult(
         fan=fan,
         sequence=tuple(sequence),
@@ -138,7 +137,7 @@ def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
     if mode == "juniors_only":
         targets = _policy_order(group.juniors)
     elif mode == "hilbert_basis":
-        axes = set(group.units())
+        axes = set(group.lattice.units())
         targets = _policy_order([p for p in hilbert_basis(group) if p not in axes])
     else:
         raise ValueError(f"unknown search mode {mode!r}")

@@ -58,7 +58,7 @@ def junior_graph_svg(fan: Fan, group: GroupData) -> str:
             f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" '
             f'y2="{_fmt(yb)}" stroke="#000000" stroke-width="1"/>'
         )
-    units = {u: f"e{i + 1}" for i, u in enumerate(group.units())}
+    units = {u: f"e{i + 1}" for i, u in enumerate(group.lattice.units())}
     for ray in fan.rays:
         x, y = positions[ray]
         lines.append(

@@ -20,8 +20,10 @@ before one ``solve``.  The fan
 oracles are the general pairwise fan check (the extreme rays of every
 intersection of two cones, computed exactly) with ``refines`` (containment
 plus support volume), which ``validate_fan`` replaced by facet pairing over
-the orthant; ``support_volume_fraction``, the support volume summed as one
-``Fraction`` per cone; ``is_terminal`` before the age rule (the bounding-box walk
+the orthant; ``validate_fan_by_volume``, that check when it pinned the
+covering multiplicity by the ``support_volume`` of the cones rather than by
+one point inside one cone; ``support_volume_fraction``, the support volume
+summed as one ``Fraction`` per cone; ``is_terminal`` before the age rule (the bounding-box walk
 over ``Conv(0, rays)``); ``certify_normal_embedding`` before it checked
 one map per junior (a map per anchor cone) and before its single pass
 (the open subfan ``xi_g``, the ``age_weighted_divisor`` and the general
@@ -67,7 +69,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 from torcrep.divisors import ClassGroup, dual_basis
 from torcrep.errors import (
@@ -99,7 +101,6 @@ from torcrep.fans import (
     make_cone,
     make_fan,
     sigma_fan,
-    support_volume,
 )
 from torcrep.groups import GroupData
 from torcrep.hilbert import hilbert_basis
@@ -626,6 +627,95 @@ def validate_fan_all_pairs(fan: Fan) -> None:
                 )
 
 
+def validate_fan_by_volume(fan: Fan) -> None:
+    """Check that the cones form a fan whose support is the orthant.
+
+    In order: the rays are primitive lattice points, every cone is
+    full-dimensional, every ray lies in the closed orthant, the support
+    volume equals the group order ``[N : Z^n]`` (the orthant's), and the
+    facets pair up: a facet inside a coordinate hyperplane belongs to one
+    cone, every other facet to exactly two, on opposite sides of it.
+    Raises InvalidFan, naming the ray, cone or facet, on the first failure.
+
+    These conditions hold for a fan with the orthant as support, and they
+    imply one (the pseudo-manifold characterisation, De Loera-Rambau-Santos,
+    *Triangulations*, §4.5).  The cones lie in the orthant.  Let
+    ``m(y)`` count the cones whose interior holds ``y``.  Crossing a
+    hyperplane at a general point ``w`` inside the orthant, a cone with
+    ``w`` inside counts on both sides, and a cone with ``w`` on a facet
+    counts on one side and its partner across that facet on the other; so
+    ``m`` is constant off a set of codimension 2, which does not disconnect
+    the interior.  Summing volumes, ``m`` times the orthant's volume is the
+    support volume, so ``m = 1``: the cones cover the orthant with disjoint
+    interiors.  Let ``x`` lie in cones ``C`` and ``D``.  A general path
+    near ``x`` from inside ``C`` to inside ``D`` crosses only facets
+    through ``x``, each from a cone to its partner (``m = 1``), and two
+    cones sharing a facet through ``x`` have the same smallest face holding
+    ``x``.  So that face is common to ``C`` and ``D``, and ``C ∩ D`` is the
+    cone on their common rays.
+    """
+    lat = fan.lattice
+    n = lat.dim
+    for p in fan.rays:
+        x = lat.coords_or_none(p)
+        if x is None:
+            raise InvalidFan(f"ray {p} is not a lattice point")
+        if gcd(*x) != 1:
+            raise InvalidFan(f"ray {p} is not primitive")
+    for c in fan.maximal_cones:
+        if c.dim != n:
+            raise InvalidFan(
+                f"cone {c} has dimension {c.dim}; a fan with the orthant as "
+                f"support has full-dimensional cones (dimension {n})"
+            )
+    for p in fan.rays:
+        if any(x < 0 for x in p.coords):
+            raise InvalidFan(f"ray {p} lies outside the orthant")
+    volume = support_volume(fan)
+    if volume != lat.index_over_std:
+        raise InvalidFan(
+            f"the cones have support volume {volume}, not the orthant's "
+            f"{lat.index_over_std}"
+        )
+    # facet rays -> (cone, inner normal of the facet, ray opposite it)
+    owners: dict[tuple[LatticePoint, ...], list] = {}
+    for c in fan.maximal_cones:
+        for i, h in enumerate(c.facet_normals[0]):
+            owners.setdefault(c.rays[:i] + c.rays[i + 1:], []).append((c, h, c.rays[i]))
+    for rays, cones in owners.items():
+        boundary = any(all(r.coords[k] == 0 for r in rays) for k in range(n))
+        want = 1 if boundary else 2
+        if len(cones) != want:
+            names = ", ".join(str(c) for c, _, _ in cones)
+            raise InvalidFan(
+                f"facet {Cone(rays)} lies in {len(cones)} cone(s), not {want}: {names}"
+            )
+        if not boundary:
+            (a, h, _), (b, _, far) = cones
+            if sum(x * y for x, y in zip(h, far.coords)) > 0:
+                raise InvalidFan(
+                    f"cones {a} and {b} lie on the same side of their facet {Cone(rays)}"
+                )
+
+
+def support_volume(fan: Fan) -> Fraction:
+    """Exact volume of the support in the slab ``age <= 1``.
+
+    For a simplicial cone with rays of positive age the slab is the
+    simplex on ``u_i / age(u_i)``, so the measure is additive across any
+    subdivision of the support and invariant under refinement; the
+    orthant's is ``[N : Z^n]``.  Requires full-dimensional cones whose rays
+    have positive age (``validate_fan`` checks both first).
+    """
+    # cone_index / prod(age u) = cone_index * denom^n / prod(sum u)
+    lat, indices = fan.lattice, {}
+    for c in fan.maximal_cones:
+        sums = prod(sum(r.coords) for r in c.rays)
+        indices[sums] = indices.get(sums, 0) + cone_index(c, lat)
+    scale = lat.denom**lat.dim
+    return sum((Fraction(i * scale, sums) for sums, i in indices.items()), Fraction(0))
+
+
 def refines(fine: Fan, coarse: Fan) -> bool:
     """Same lattice, every cone inside a coarse cone, equal support volume.
 
@@ -794,7 +884,7 @@ def is_irreducible(group: GroupData, v: LatticePoint):
 def hilbert_basis_box_walk(group: GroupData) -> tuple[LatticePoint, ...]:
     """``hilbert_basis`` by ``is_irreducible`` over every candidate."""
     candidates = {g for g in group.elements if not g.is_zero()}
-    candidates.update(group.units())
+    candidates.update(group.lattice.units())
     return tuple(
         v for v in sorted(candidates, key=lambda p: p.coords)
         if is_irreducible(group, v)[0]
@@ -804,7 +894,7 @@ def hilbert_basis_box_walk(group: GroupData) -> tuple[LatticePoint, ...]:
 def hilbert_basis_pairwise(group: GroupData) -> tuple[LatticePoint, ...]:
     """``hilbert_basis`` by comparing each candidate with each kept element."""
     candidates = [g for g in group.elements if not g.is_zero()]
-    candidates.extend(group.units())
+    candidates.extend(group.lattice.units())
     minimal = []
     for v in sorted(candidates, key=lambda p: p.coords):
         if not any(
@@ -834,7 +924,7 @@ class JuniorSimplex:
 
 
 def junior_simplex(group: GroupData) -> JuniorSimplex:
-    return JuniorSimplex(group.units(), group.juniors)
+    return JuniorSimplex(group.lattice.units(), group.juniors)
 
 
 def freudenthal_spec(r: int) -> str:
@@ -1136,7 +1226,7 @@ def search_resolution_permutations(group: GroupData, mode: str) -> ResolutionRes
     if mode == "juniors_only":
         targets = _policy_order(group.juniors)
     elif mode == "hilbert_basis":
-        axes = set(group.units())
+        axes = set(group.lattice.units())
         targets = _policy_order([p for p in hilbert_basis(group) if p not in axes])
     else:
         raise ValueError(f"unknown search mode {mode!r}")
@@ -1173,7 +1263,7 @@ def search_resolution_by_fans(group: GroupData, mode: str) -> ResolutionResult:
     if mode == "juniors_only":
         targets = _policy_order(group.juniors)
     elif mode == "hilbert_basis":
-        axes = set(group.units())
+        axes = set(group.lattice.units())
         targets = _policy_order([p for p in hilbert_basis(group) if p not in axes])
     else:
         raise ValueError(f"unknown search mode {mode!r}")

@@ -16,6 +16,7 @@ from oracles import (
     is_primitive,
     is_principal,
     star_subdivision,
+    support_volume,
 )
 from torcrep.divisors import class_group
 from torcrep.exceptional import (
@@ -30,7 +31,6 @@ from torcrep.fans import (
     make_cone,
     make_fan,
     sigma_fan,
-    support_volume,
 )
 from torcrep.groups import close_group, crepant_obstructions
 from torcrep.hilbert import hilbert_basis

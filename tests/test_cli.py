@@ -391,6 +391,16 @@ def test_verify_wrong_group(tmp_path, capsys):
     assert main(["verify", str(fan_path), "5:(1,2,2)"]) == 2
 
 
+def test_verify_empty_fan_is_input_error(tmp_path, capsys):
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    data = {"lattice": {"n": 3, "r": 1, "basis": identity},
+            "rays": [], "maximal_cones": []}
+    fan_path = tmp_path / "empty.json"
+    fan_path.write_text(json.dumps(data))
+    assert main(["verify", str(fan_path), "1:(0,0,0)"]) == 2
+    assert "input error: the fan has no cones" in capsys.readouterr().err
+
+
 def test_verify_non_smooth_fan_fails(tmp_path, capsys):
     # the singular 4-cone minimal model of the order-7 group
     z7 = torcrep.close_group([torcrep.LatticePoint((1, 1, 2, 3), 7)])

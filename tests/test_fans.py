@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from itertools import combinations
 from math import prod
 
 import hypothesis.strategies as st
@@ -22,8 +23,10 @@ from oracles import (
     refines,
     star_subdivision,
     star_subdivision_by_make_cone,
+    support_volume,
     support_volume_fraction,
     validate_fan_all_pairs,
+    validate_fan_by_volume,
 )
 from torcrep.errors import DenomMismatch, InvalidFan, NotInSupport, NotPrimitive
 from torcrep.fans import (
@@ -38,7 +41,6 @@ from torcrep.fans import (
     make_cone,
     make_fan,
     sigma_fan,
-    support_volume,
     validate_fan,
 )
 from torcrep.groups import close_group
@@ -209,7 +211,7 @@ def subdivision_sequences(draw):
         gens.append(LatticePoint((*coords, -sum(coords) % r), r))
     group = close_group(gens, n)
     lat = group.lattice
-    points = [p for p in group.elements + group.units()
+    points = [p for p in group.elements + group.lattice.units()
               if not p.is_zero() and is_primitive(lat, p)]
     return lat, draw(st.lists(st.sampled_from(points), max_size=8))
 
@@ -435,6 +437,36 @@ def test_validate_fan_matches_all_pairs_oracle(fan):
     assert (_rejection(validate_fan, fan) is None) == _fan_and_refinement(fan)
 
 
+def _two_folds(n):
+    """Two folds of the orthant of ``Z^n`` that share no facet, overlaid.
+
+    The first folds at ``e_i + e_j``, the second at ``e_i + 2 e_j``, for
+    every ``i < j``.  The facets pair up, but every point is covered twice.
+    """
+    lat, cones = std_lattice(n), []
+    for a in (1, 2):
+        fan = sigma_fan(lat)
+        for i, j in combinations(range(n), 2):
+            coords = tuple(1 if k == i else a if k == j else 0 for k in range(n))
+            fan = star_subdivision(fan, LatticePoint(coords, 1))
+        cones += fan.maximal_cones
+    return make_fan(lat, cones)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(perturbed_fans())
+@example(make_fan(std_lattice(3), []))
+@example(_two_folds(3))
+@example(_two_folds(4))
+def test_validate_fan_matches_volume_oracle(fan):
+    # an input the volume step rejected may now fail at the facet pairing
+    # or at the point step, with that step's message
+    new, old = _rejection(validate_fan, fan), _rejection(validate_fan_by_volume, fan)
+    assert (new is None) == (old is None)
+    if old is not None and not old.startswith("the cones have support volume"):
+        assert new == old
+
+
 def test_perturbed_fans_include_valid_and_invalid():
     # validate_fan stands in for the slower oracle it is tested against above
     quick = settings(deadline=None, database=None, phases=[Phase.generate],
@@ -472,11 +504,12 @@ def test_validate_fan_rejects_orthant_t_junction():
 @pytest.mark.parametrize("cones, message", [
     ([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]], "ray (-1,0) lies outside the orthant"),
     ([[(1, 0), (0, 1)], [(2, 1), (1, 2)]],
-     "the cones have support volume 4/3, not the orthant's 1"),
+     "facet Cone((2,1)) lies in 1 cone(s), not 2: Cone((1,2), (2,1))"),
     # two cones share the product 3 of their rays' coordinate sums
     ([[(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0), (1, 1, 1)],
       [(1, 0, 0), (0, 0, 1), (1, 1, 1)]],
-     "the cones have support volume 5/3, not the orthant's 1"),
+     "facet Cone((0,1,0), (1,0,0)) lies in 2 cone(s), not 1: "
+     "Cone((0,0,1), (0,1,0), (1,0,0)), Cone((0,1,0), (1,0,0), (1,1,1))"),
     ([[(1, 0), (1, 2)], [(1, 2), (2, 1)]],
      "cones Cone((1,0), (1,2)) and Cone((1,2), (2,1)) lie on the same side "
      "of their facet Cone((1,2))"),
@@ -485,9 +518,15 @@ def test_validate_fan_rejects_orthant_t_junction():
       [(1, 0, 0), (0, 0, 1), (1, 1, 1)]],
      "facet Cone((0,1,0), (1,1,0)) lies in 2 cone(s), not 1: "
      "Cone((0,0,1), (0,1,0), (1,1,0)), Cone((0,1,0), (1,1,0), (1,1,1))"),
-], ids=["outside", "volume", "volume-grouped", "same-side", "boundary-facet-twice"])
+    # the facets pair up, but every point of the orthant is covered twice
+    ([[r.coords for r in c.rays] for c in _two_folds(3).maximal_cones],
+     "cones Cone((0,0,1), (0,1,1), (1,1,0)) and Cone((0,0,1), (0,1,2), (1,2,0)) "
+     "overlap at (1,2,2)"),
+    ([], "the fan has no cones"),
+], ids=["outside", "volume", "volume-grouped", "same-side", "boundary-facet-twice",
+        "overlap", "no-cones"])
 def test_validate_fan_names_what_breaks(cones, message):
-    fan = make_fan(std_lattice(len(cones[0][0])), [
+    fan = make_fan(std_lattice(len(cones[0][0]) if cones else 3), [
         make_cone([LatticePoint(c, 1) for c in rays]) for rays in cones])
     with pytest.raises(InvalidFan) as exc:
         validate_fan(fan)

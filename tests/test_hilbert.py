@@ -24,7 +24,7 @@ from torcrep.lattice import LatticePoint
 
 def test_trivial_group_basis(trivial3):
     hlb = hilbert_basis(trivial3)
-    assert set(hlb) == set(trivial3.units())
+    assert set(hlb) == set(trivial3.lattice.units())
 
 
 def test_order7_basis(z7):
@@ -46,7 +46,7 @@ def test_order6_basis_equals_junior_simplex(z6):
 
 def test_unit_vectors_always_irreducible(z6, z7):
     for group in (z6, z7):
-        for u in group.units():
+        for u in group.lattice.units():
             ok, wit = is_irreducible(group, u)
             assert ok and wit is None
 
@@ -226,5 +226,5 @@ def test_n3_basis_is_juniors_and_units(group):
     senior is minimal, and in n = 3 the sweep keeps exactly the juniors
     and the units.
     """
-    want = sorted((*group.juniors, *group.units()), key=lambda p: p.coords)
+    want = sorted((*group.juniors, *group.lattice.units()), key=lambda p: p.coords)
     assert hilbert_basis(group) == tuple(want)

@@ -183,7 +183,7 @@ def test_quotient_projection_matches_two_form_oracle(gens):
     group = close_group([LatticePoint(c, r) for r, c in gens])
     lat = group.lattice
     points = [g for g in group.elements
-              if not g.is_zero() and is_primitive(lat, g)] + list(group.units())
+              if not g.is_zero() and is_primitive(lat, g)] + list(group.lattice.units())
     assert len(points) > group.n
     for v in points:
         assert quotient_by_ray(lat, v) == quotient_projection_two_forms(lat, v)

@@ -19,6 +19,7 @@ from oracles import (
     search_resolution_by_fans,
     search_resolution_permutations,
     star_subdivision,
+    support_volume,
 )
 from torcrep.cli import main, parse_group
 from torcrep.errors import (
@@ -29,7 +30,7 @@ from torcrep.errors import (
     ResolutionNotFound,
     TorcrepError,
 )
-from torcrep.fans import is_terminal, sigma_fan, support_volume
+from torcrep.fans import is_terminal, sigma_fan
 from torcrep.groups import close_group
 from torcrep.hilbert import hilbert_basis
 from torcrep.lattice import LatticePoint, unit_point
@@ -67,11 +68,11 @@ def test_resolve_order7_minimal_model(z7):
     assert all(is_terminal(c, z7.lattice) for c in res.fan.maximal_cones)
 
 
-def test_discrepancies(z6, z6_result, z7, z7_hilbert_result):
-    d6 = discrepancies(z6_result.fan, z6)
+def test_discrepancies(z6_result, z7_hilbert_result):
+    d6 = discrepancies(z6_result.fan)
     assert d6[LatticePoint((1, 2, 3), 6)] == 0
     assert d6[unit_point(0, 3, 6)] == 0
-    d7 = discrepancies(z7_hilbert_result.fan, z7)
+    d7 = discrepancies(z7_hilbert_result.fan)
     assert d7[LatticePoint((3, 3, 6, 2), 7)] == 1
     assert d7[unit_point(0, 4, 7)] == 0
     assert not z7_hilbert_result.crepant
@@ -175,7 +176,7 @@ def test_search_hilbert_order7(z7):
 def test_search_hilbert_certifies_first_smooth_permutation():
     # reference: certify every permutation in policy order, keep the first smooth one
     group = close_group([LatticePoint((1, 1, 3, 4), 9)])
-    axes = set(group.units())
+    axes = set(group.lattice.units())
     targets = _policy_order([p for p in hilbert_basis(group) if p not in axes])
     first = next(res for res in (resolve(group, perm) for perm in permutations(targets))
                  if res.smooth)
@@ -249,7 +250,7 @@ def search_cases(draw):
         gens.append(LatticePoint((*coords, -sum(coords) % m), m))
     group = close_group(gens, n)
     mode = draw(st.sampled_from(["juniors_only", "hilbert_basis"]))
-    axes = set(group.units())
+    axes = set(group.lattice.units())
     targets = group.juniors if mode == "juniors_only" else [
         p for p in hilbert_basis(group) if p not in axes]
     assume(len(targets) <= 5)  # the oracle folds all k! permutations
