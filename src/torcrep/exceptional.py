@@ -11,15 +11,15 @@ read off one maximal cone through ``g``, sends each weighted ray to its
 lift and the apex to ``g``.  It serves every cone, as the map read off any
 other cone agrees with it on that cone's basis; checking it on every ray
 and cone certifies that the open set of the cones through ``g`` is that
-whole total space, so ``E`` is normally embedded.  Each ray is projected
-once, the map is checked on the lifts' scaled coordinates, so no lift is
-solved twice, and a total-space cone's image is ``g`` with its star rays'
-lifts.
+whole total space, so ``E`` is normally embedded.  ``star_fan`` solves each
+lift for its basis coordinates once, and the map is checked against them
+and one solve of ``g``; a star cone is independent as its fan cone is, and
+a total-space cone's image is ``g`` with its star rays' lifts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cmp_to_key
 from math import gcd
 
@@ -43,13 +43,14 @@ class StarFan:
     """Fan of the exceptional divisor in the quotient lattice ``Z^(n-1)``.
 
     ``lifts`` maps each quotient ray generator back to the unique fan ray
-    it came from; ``complete`` records whether the junior point is
-    interior to the orthant.
+    it came from, and ``lift_coords`` each lift to its basis coordinates;
+    ``complete`` records whether the junior point is interior to the orthant.
     """
 
     fan: Fan
     lifts: tuple[tuple[LatticePoint, LatticePoint], ...]
     complete: bool
+    lift_coords: dict[LatticePoint, tuple[int, ...]] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,7 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
     proj = quotient_by_ray(lat, g_hat)
     lifts: dict[LatticePoint, LatticePoint] = {}
     images: dict[LatticePoint, LatticePoint] = {}  # ray -> star ray
+    coords: dict[LatticePoint, tuple[int, ...]] = {}  # ray -> basis coordinates
     cones = []
     for c in fan.cones_through[g_hat]:
         imgs = []
@@ -93,21 +95,23 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
                 continue
             ubar = images.get(u)
             if ubar is None:
-                ubar = images[u] = LatticePoint(proj.mul_vec(lat.basis_coords(u)), 1)
+                x = coords[u] = lat.basis_coords(u)
+                ubar = images[u] = LatticePoint(proj.mul_vec(x), 1)
                 prev = lifts.setdefault(ubar, u)
                 if prev != u:
                     raise LiftAmbiguous(
                         f"rays {prev} and {u} project to the same star ray {ubar}"
                     )
             imgs.append(ubar)
-        cones.append(make_cone(imgs))
+        # independent, as c is: sum a_u ubar = 0 puts sum a_u u in Q*g, so every a_u = 0
+        cones.append(Cone(tuple(sorted(imgs, key=lambda p: p.coords))))
     star = make_fan(ScaledLattice(lat.dim - 1, 1, IntMatrix.identity(lat.dim - 1)), cones)
     for ubar in star.rays:
         if gcd(*ubar.coords) != 1:
             raise NotSmooth(f"star ray {ubar} is not primitive; fan is singular along the ray")
     complete = all(c > 0 for c in g_hat.coords)
     ordered = tuple(sorted(lifts.items(), key=lambda kv: kv[0].coords))
-    return StarFan(star, ordered, complete)
+    return StarFan(star, ordered, complete, coords)
 
 
 def _lift_age(u: LatticePoint) -> int:
@@ -144,7 +148,8 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
     anchor = anchors[0]
     # iso * d = t for d, t with the anchor rays' preimages and coordinates
     # as columns: the rows of iso solve d^T against the rows of t
-    t = IntMatrix.from_columns([lat.basis_coords(u) for u in anchor.rays])
+    coords = star.lift_coords | {g_hat: lat.basis_coords(g_hat)}
+    t = IntMatrix.from_columns([coords[u] for u in anchor.rays])
     try:
         rows, det = solve(IntMatrix([preimage[u].coords for u in anchor.rays]), t.data)
     except ValueError:  # singular
@@ -152,16 +157,13 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
     iso = IntMatrix(rows) if det == 1 else None
     if iso is None or not iso.is_unimodular():
         raise CertificateFailure(f"anchor {anchor}: induced map is not unimodular")
-    # the basis is nonsingular, so basis * iso sends a weighted ray to a lift's
-    # scaled coordinates exactly when iso sends it to its basis coordinates
-    amb = lat.basis * iso
     for ubar, u in star.lifts:
-        if amb.mul_vec(weighted[ubar].coords) != u.coords:
+        if iso.mul_vec(weighted[ubar].coords) != coords[u]:
             raise CertificateFailure(
                 f"anchor {anchor}: ray {ubar} maps off its lift {u}",
                 pair=(ubar, u),
             )
-    if amb.mul_vec(apex.coords) != g_hat.coords:
+    if iso.mul_vec(apex.coords) != coords[g_hat]:
         raise CertificateFailure(f"anchor {anchor}: apex does not map to the ray")
     fresh = {c.ray_set: c for c in anchors}
     bijection = []

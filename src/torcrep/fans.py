@@ -6,7 +6,9 @@ every cone it asks a question of is full-dimensional and simplicial: one
 H-description, its cached facet normals, answers membership, barycentric
 coordinates, the cone's index and its terminality, all exactly.
 ``validate_fan`` checks one rule for such fans: the facets pair up, and
-one point inside one cone lies in no other.
+one point inside one cone lies in no other; the solve for a cone's facet
+normals proves its rays independent.  A cone torcrep builds is independent
+by construction: the orthant, a star subdivision's child (below), a star cone.
 
 A star subdivision moves each tracked point by a fraction-free pivot
 (Bareiss 1968).  Let ``A`` be the parent's rays, ``d = |det A|``,
@@ -47,7 +49,7 @@ from .errors import (
     NotPrimitive,
 )
 from .groups import closure
-from .intlinalg import IntMatrix, rank, solve
+from .intlinalg import IntMatrix, solve
 from .lattice import LatticePoint, ScaledLattice
 
 # The Hermite forms and eliminations behind every command are cubic in the
@@ -58,7 +60,7 @@ MAX_DIM = 64
 
 @dataclass(frozen=True)
 class Cone:
-    """Simplicial cone spanned by pairwise-distinct, independent rays."""
+    """Simplicial cone on distinct rays, proved independent by ``validate_fan`` or built so."""
 
     rays: tuple[LatticePoint, ...]
 
@@ -93,13 +95,8 @@ class Cone:
 
 
 def make_cone(points) -> Cone:
-    """Canonical cone from ray generators; checks simpliciality."""
-    rays = tuple(sorted(set(points), key=lambda p: p.coords))
-    if rays:
-        mat = IntMatrix.from_columns([r.coords for r in rays])
-        if rank(mat) != len(rays):
-            raise ValueError("rays are linearly dependent; cone is not simplicial")
-    return Cone(rays)
+    """Canonical cone: the rays sorted, each once; ``validate_fan`` tests independence."""
+    return Cone(tuple(sorted(set(points), key=lambda p: p.coords)))
 
 
 def _pivot(bq, i: int, b, d: int, order) -> tuple[int, ...]:
@@ -221,9 +218,9 @@ def validate_fan(fan: Fan) -> None:
     """Check that the cones form a fan whose support is the orthant.
 
     In order: the rays are primitive lattice points, every cone is
-    full-dimensional, every ray lies in the closed orthant, the facets pair
-    up (a facet inside a coordinate hyperplane belongs to one cone, every
-    other facet to exactly two, on opposite sides of it), and the fan has
+    full-dimensional and simplicial, every ray lies in the closed orthant, the
+    facets pair up (a facet inside a coordinate hyperplane belongs to one cone,
+    every other facet to exactly two, on opposite sides of it), and the fan has
     cones, with the sum ``y`` of the first one's rays in no other.  Raises
     InvalidFan, naming the ray, cone, facet or point, on the first failure.
 
@@ -261,6 +258,11 @@ def validate_fan(fan: Fan) -> None:
                 f"cone {c} has dimension {c.dim}; a fan with the orthant as "
                 f"support has full-dimensional cones (dimension {n})"
             )
+        try:
+            c.facet_normals  # the solve the facet pairing reads
+        except ValueError as exc:
+            raise InvalidFan(f"cone {c}: rays are linearly dependent; "
+                             "cone is not simplicial") from exc
     for p in fan.rays:
         if any(x < 0 for x in p.coords):
             raise InvalidFan(f"ray {p} lies outside the orthant")

@@ -7,7 +7,7 @@ bit-exact and deterministic.
 Conventions:
 
 * One fraction-free (Bareiss) forward elimination, ``_echelon``, backs
-  ``IntMatrix.det``, ``rank`` and ``solve``.  ``solve(m, cols)`` returns
+  ``IntMatrix.det`` and ``solve``.  ``solve(m, cols)`` returns
   ``(numerators, d)`` with ``d > 0`` and ``m * numerators[k] = d * cols[k]``;
   rational solutions are ``numerators / d`` and callers that need them
   integral test ``num % d == 0``.
@@ -227,8 +227,3 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
                 h[j] = [a - f * b for a, b in zip(h[j], top)]
         pc += 1
     return IntMatrix.from_columns(h)
-
-
-def rank(m: IntMatrix) -> int:
-    """Rank over Q."""
-    return len(_echelon([list(row) for row in m.data], m.cols)[0])

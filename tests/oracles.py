@@ -8,7 +8,8 @@ substitution (a second substitution each, and the zero vector rejected as
 not in the lattice).
 The linear-algebra oracles are the solvers torcrep used before its single
 fraction-free kernel: Fraction Gauss-Jordan, a Bareiss determinant loop,
-an unnormalised fraction-free rank loop and cofactor expansion; and
+an unnormalised fraction-free rank loop (the one rank test left once
+``make_cone`` stopped testing independence) and cofactor expansion; and
 ``smith_normal_form``, the dense three-matrix Smith form ``s = p * m * q``
 that ``class_group`` used before its private elimination kept only the
 rows of ``p``, sparse, and no ``q``; ``hermite_with_transform``, the
@@ -104,7 +105,7 @@ from torcrep.fans import (
 )
 from torcrep.groups import GroupData
 from torcrep.hilbert import hilbert_basis
-from torcrep.intlinalg import IntMatrix, rank, solve, xgcd
+from torcrep.intlinalg import IntMatrix, solve, xgcd
 from torcrep.lattice import LatticePoint, ScaledLattice
 from torcrep.resolve import (
     BUDGET_ENV,
@@ -614,7 +615,7 @@ def validate_fan_all_pairs(fan: Fan) -> None:
             raise InvalidFan(f"ray {p} is not primitive")
     for c in fan.maximal_cones:
         mat = IntMatrix.from_columns([r.coords for r in c.rays])
-        if rank(mat) != c.dim:
+        if rank_loop(mat) != c.dim:
             raise InvalidFan(f"cone {c} is not simplicial")
     for a, b in combinations(fan.maximal_cones, 2):
         common = a.ray_set & b.ray_set
@@ -719,8 +720,8 @@ def support_volume(fan: Fan) -> Fraction:
 def refines(fine: Fan, coarse: Fan) -> bool:
     """Same lattice, every cone inside a coarse cone, equal support volume.
 
-    A cone of lower dimension or with a ray of non-positive age has no
-    support volume; it refines nothing.
+    A cone of lower dimension, with dependent rays or with a ray of
+    non-positive age has no support volume; it refines nothing.
     """
     if fine.lattice != coarse.lattice:
         return False
@@ -732,6 +733,7 @@ def refines(fine: Fan, coarse: Fan) -> bool:
             return False
     n = fine.lattice.dim
     if any(c.dim != n or any(r.age <= 0 for r in c.rays)
+           or rank_loop(IntMatrix.from_columns([r.coords for r in c.rays])) < n
            for c in fine.maximal_cones):
         return False
     return support_volume(fine) == support_volume(coarse)

@@ -31,7 +31,7 @@ from torcrep.cli import (
 )
 from torcrep.divisors import class_group, class_group_to_json
 from torcrep.errors import DimensionMismatch, GroupSyntaxError, NotInSL
-from torcrep.fans import Cone, fan_from_json, fan_to_json, sigma_fan
+from torcrep.fans import Cone, fan_from_json, fan_to_json, make_cone, make_fan, sigma_fan
 from torcrep.groups import close_group, element_names
 from torcrep.lattice import LatticePoint
 from torcrep.resolve import result_to_json
@@ -348,9 +348,12 @@ def test_class_group_matches_reference_at_961_cones(scale_verify):
 
 
 def test_resolve_all_juniors_at_961_cones(scale_verify):
-    # the n = 3 fold at scale: 525 star subdivisions, one per junior
+    # the n = 3 fold at scale: 525 star subdivisions, one per junior; the
+    # resolve --out file is pinned as the verify --out bundle is above
     data = json.loads(scale_verify[0].read_text())
     assert data["smooth"] and data["crepant"] and data["euler"] == 961
+    assert hashlib.sha256(scale_verify[0].read_bytes()).hexdigest() == (
+        "01e0197d2db11fc397b433b1150eba78785b110b78dc9501d5a44e63fe432550")
 
 
 # keys with quotes, backslashes, control and non-ASCII characters
@@ -574,6 +577,22 @@ def test_export_graph_checks_refinement(tmp_path, capsys):
     assert "input error: cone Cone((1/6)(0,0,6), (1/6)(0,6,0)) has dimension 2" in err
     assert "Traceback" not in err
     assert not svg_path.exists()
+
+
+@pytest.mark.parametrize("command", [["verify"], ["export-graph", "--svg", "out.svg"]],
+                         ids=["verify", "export-graph"])
+def test_dependent_cone_is_input_error(command, tmp_path, capsys, monkeypatch):
+    # primitive lattice rays of 1/6(1,2,3) in the orthant, but all in one plane
+    lat = parse_group("6:(1,2,3)").lattice
+    cone = make_cone([LatticePoint(c, 6) for c in [(6, 0, 0), (0, 6, 0), (2, 4, 0)]])
+    path = tmp_path / "dependent.json"
+    write_json(str(path), fan_to_json(make_fan(lat, [cone])))
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], str(path), "6:(1,2,3)", *command[1:]]) == 2
+    assert capsys.readouterr().err == (
+        "input error: cone Cone((1/6)(0,6,0), (1/6)(2,4,0), (1/6)(6,0,0)): rays are "
+        "linearly dependent; cone is not simplicial\n")
+    assert not (tmp_path / "out.svg").exists()
 
 
 def test_export_graph_wrong_group(tmp_path, capsys):

@@ -20,6 +20,7 @@ from oracles import (
     is_hermite_basis_by_recomputation,
     is_primitive,
     is_terminal_box_walk,
+    rank_loop,
     refines,
     star_subdivision,
     star_subdivision_by_make_cone,
@@ -375,6 +376,7 @@ def perturbed_fans(draw):
     swaps one ray of a cone, or subdivides only one of the cones through a
     point on a shared face.  That leaves a neighbour meeting the new cones
     beyond a common face, in a refinement of the orthant with its volume.
+    An added or swapped cone may have dependent rays.
     """
     n = draw(st.sampled_from([2, 3, 4]))
     r = draw(st.integers(2, 5 if n == 4 else 8))
@@ -390,31 +392,35 @@ def perturbed_fans(draw):
         fan = star_subdivision(fan, mu)
     cones = list(fan.maximal_cones)
     kind = draw(st.sampled_from(["add", "swap", "partial", "partial", "drop", "none"]))
-    try:
-        through = {p: [c for c in cones if contains_point(c, p)]
-                   for p in points if p not in fan.ray_set}
-        shared = [p for p, cs in through.items() if len(cs) > 1]
-        if kind == "partial" and shared:
-            mu = draw(st.sampled_from(shared))
-            one = draw(st.sampled_from(through[mu]))
-            cones.remove(one)
-            cones += star_subdivision(make_fan(fan.lattice, [one]), mu).maximal_cones
-        elif kind == "add":
-            k = draw(st.sampled_from([n, n, n - 1]))
-            cones.append(make_cone(draw(st.lists(
-                st.sampled_from(fan.rays), min_size=k, max_size=k, unique=True))))
-        elif kind == "swap":
-            i = draw(st.integers(0, len(cones) - 1))
-            rays = list(cones[i].rays)
-            others = [p for p in list(fan.rays) + points if p not in rays]
-            if others:
-                rays[draw(st.integers(0, len(rays) - 1))] = draw(st.sampled_from(others))
-                cones[i] = make_cone(rays)
-        elif kind == "drop" and len(cones) > 1:
-            del cones[draw(st.integers(0, len(cones) - 1))]
-    except ValueError:  # dependent rays: keep the fan as it was
-        cones = list(fan.maximal_cones)
+    through = {p: [c for c in cones if contains_point(c, p)]
+               for p in points if p not in fan.ray_set}
+    shared = [p for p, cs in through.items() if len(cs) > 1]
+    if kind == "partial" and shared:
+        mu = draw(st.sampled_from(shared))
+        one = draw(st.sampled_from(through[mu]))
+        cones.remove(one)
+        cones += star_subdivision(make_fan(fan.lattice, [one]), mu).maximal_cones
+    elif kind == "add":
+        k = draw(st.sampled_from([n, n, n - 1]))
+        cones.append(make_cone(draw(st.lists(
+            st.sampled_from(fan.rays), min_size=k, max_size=k, unique=True))))
+    elif kind == "swap":
+        i = draw(st.integers(0, len(cones) - 1))
+        rays = list(cones[i].rays)
+        others = [p for p in list(fan.rays) + points if p not in rays]
+        if others:
+            rays[draw(st.integers(0, len(rays) - 1))] = draw(st.sampled_from(others))
+            cones[i] = make_cone(rays)
+    elif kind == "drop" and len(cones) > 1:
+        del cones[draw(st.integers(0, len(cones) - 1))]
     return make_fan(fan.lattice, cones)
+
+
+def _dependent_cones(fan):
+    """The full-dimensional cones of the fan whose rays are dependent."""
+    n = fan.lattice.dim
+    return [c for c in fan.maximal_cones if c.dim == n
+            and rank_loop(IntMatrix.from_columns([r.coords for r in c.rays])) < n]
 
 
 def _rejection(check, fan):
@@ -459,9 +465,21 @@ def _two_folds(n):
 @example(_two_folds(3))
 @example(_two_folds(4))
 def test_validate_fan_matches_volume_oracle(fan):
+    new = _rejection(validate_fan, fan)
+    dependent = _dependent_cones(fan)
+    if dependent:
+        if new != (f"cone {dependent[0]}: rays are linearly dependent; "
+                   "cone is not simplicial"):
+            # only a ray or dimension step comes before the independence test,
+            # and the oracle, which cannot sum a dependent cone's volume, must stop there
+            assert new is not None
+            assert any(s in new for s in ("not a lattice point", "not primitive",
+                                          "has dimension"))
+            assert new == _rejection(validate_fan_by_volume, fan)
+        return
     # an input the volume step rejected may now fail at the facet pairing
     # or at the point step, with that step's message
-    new, old = _rejection(validate_fan, fan), _rejection(validate_fan_by_volume, fan)
+    old = _rejection(validate_fan_by_volume, fan)
     assert (new is None) == (old is None)
     if old is not None and not old.startswith("the cones have support volume"):
         assert new == old
@@ -475,6 +493,7 @@ def test_perturbed_fans_include_valid_and_invalid():
         find(perturbed_fans(),
              lambda f: (_rejection(validate_fan, f) is None) == valid,
              settings=quick)
+    find(perturbed_fans(), _dependent_cones, settings=quick)
     # the case facet pairing exists for: a refinement of the orthant with
     # its volume whose cones still meet beyond a common face
     t_junction = find(perturbed_fans(),
@@ -501,33 +520,41 @@ def test_validate_fan_rejects_orthant_t_junction():
         "Cone((0,0,1), (1,0,0), (1,1,1))")
 
 
-@pytest.mark.parametrize("cones, message", [
-    ([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]], "ray (-1,0) lies outside the orthant"),
-    ([[(1, 0), (0, 1)], [(2, 1), (1, 2)]],
+def _std_fan(cones):
+    return make_fan(std_lattice(len(cones[0][0])), [
+        make_cone([LatticePoint(c, 1) for c in rays]) for rays in cones])
+
+
+@pytest.mark.parametrize("fan, message", [
+    (_std_fan([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]]), "ray (-1,0) lies outside the orthant"),
+    (_std_fan([[(1, 0), (0, 1)], [(2, 1), (1, 2)]]),
      "facet Cone((2,1)) lies in 1 cone(s), not 2: Cone((1,2), (2,1))"),
     # two cones share the product 3 of their rays' coordinate sums
-    ([[(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0), (1, 1, 1)],
-      [(1, 0, 0), (0, 0, 1), (1, 1, 1)]],
+    (_std_fan([[(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0), (0, 1, 0), (1, 1, 1)],
+               [(1, 0, 0), (0, 0, 1), (1, 1, 1)]]),
      "facet Cone((0,1,0), (1,0,0)) lies in 2 cone(s), not 1: "
      "Cone((0,0,1), (0,1,0), (1,0,0)), Cone((0,1,0), (1,0,0), (1,1,1))"),
-    ([[(1, 0), (1, 2)], [(1, 2), (2, 1)]],
+    (_std_fan([[(1, 0), (1, 2)], [(1, 2), (2, 1)]]),
      "cones Cone((1,0), (1,2)) and Cone((1,2), (2,1)) lie on the same side "
      "of their facet Cone((1,2))"),
     # volume 1/2 + 1/6 + 1/3, but two cones on the boundary facet cone(e2, e1+e2)
-    ([[(0, 0, 1), (0, 1, 0), (1, 1, 0)], [(0, 1, 0), (1, 1, 0), (1, 1, 1)],
-      [(1, 0, 0), (0, 0, 1), (1, 1, 1)]],
+    (_std_fan([[(0, 0, 1), (0, 1, 0), (1, 1, 0)], [(0, 1, 0), (1, 1, 0), (1, 1, 1)],
+               [(1, 0, 0), (0, 0, 1), (1, 1, 1)]]),
      "facet Cone((0,1,0), (1,1,0)) lies in 2 cone(s), not 1: "
      "Cone((0,0,1), (0,1,0), (1,1,0)), Cone((0,1,0), (1,1,0), (1,1,1))"),
     # the facets pair up, but every point of the orthant is covered twice
-    ([[r.coords for r in c.rays] for c in _two_folds(3).maximal_cones],
+    (_two_folds(3),
      "cones Cone((0,0,1), (0,1,1), (1,1,0)) and Cone((0,0,1), (0,1,2), (1,2,0)) "
      "overlap at (1,2,2)"),
-    ([], "the fan has no cones"),
+    (make_fan(std_lattice(3), []), "the fan has no cones"),
+    # primitive lattice rays of 1/6(1,2,3) in the orthant, all in one plane
+    (make_fan(close_group([LatticePoint((1, 2, 3), 6)]).lattice, [make_cone(
+        [LatticePoint(c, 6) for c in [(6, 0, 0), (0, 6, 0), (2, 4, 0)]])]),
+     "cone Cone((1/6)(0,6,0), (1/6)(2,4,0), (1/6)(6,0,0)): rays are linearly "
+     "dependent; cone is not simplicial"),
 ], ids=["outside", "volume", "volume-grouped", "same-side", "boundary-facet-twice",
-        "overlap", "no-cones"])
-def test_validate_fan_names_what_breaks(cones, message):
-    fan = make_fan(std_lattice(len(cones[0][0]) if cones else 3), [
-        make_cone([LatticePoint(c, 1) for c in rays]) for rays in cones])
+        "overlap", "no-cones", "dependent"])
+def test_validate_fan_names_what_breaks(fan, message):
     with pytest.raises(InvalidFan) as exc:
         validate_fan(fan)
     assert str(exc.value) == message
