@@ -61,7 +61,7 @@ def nonstar_model(outdir: Path) -> None:
     """Certify the non-star model and write its artifacts."""
     z6 = close_group([LatticePoint((1, 2, 3), 6)])
     fan = nonstar_order6_fan(z6.lattice)
-    summary = certify_fan(z6, fan)
+    summary = certify_fan(fan)
     if not (summary.smooth and summary.crepant):
         raise SystemExit("the non-star model must be smooth and crepant")
     # not reachable by any star-subdivision order of the four juniors

@@ -30,7 +30,6 @@ from .errors import (
     DimensionUnsupported,
     GroupSyntaxError,
     InputError,
-    InvariantError,
     NotInSL,
     ResolutionNotFound,
     TorcrepError,
@@ -172,10 +171,7 @@ def cmd_analyze(args) -> int:
         if g.is_zero():
             print("  id    0")
             continue
-        age, rest = divmod(sum(g.coords), group.r)
-        if rest:
-            raise InvariantError(f"element {g} of G in SL(n) has non-integral age")
-        print(f"  {names[g]:<5} {g}  age {age}")
+        print(f"  {names[g]:<5} {g}  age {g.age}")
     print(f"junior simplex: {len(juniors)} junior point(s)"
           f" [{', '.join(names[g] for g in juniors)}]")
     print(f"compact juniors: [{', '.join(names[g] for g in compact)}]")
@@ -259,7 +255,7 @@ def cmd_verify(args) -> int:
         bundle["certificates"].append(certificate_to_json(cert, surface))
         extra = f", surface {surface}" if surface else ""
         print(f"junior {names[g]} {g}: verified over "
-              f"{cert.anchor_cones_checked} anchor cone(s){extra}")
+              f"{len(cert.cone_bijection)} anchor cone(s){extra}")
     if bundle["coverage"] is not None:
         print(f"coverage (every cone meets a junior ray): {bundle['coverage']}")
         all_ok = all_ok and bundle["coverage"]

@@ -10,14 +10,12 @@ class InputError(TorcrepError):
 
 
 class GroupSyntaxError(InputError):
-    """Group grammar violation, with 1-based line/column when known."""
+    """Group grammar violation; the message leads with the line and column when known."""
 
     def __init__(self, message, line=None, col=None):
         if line is not None:
             message = f"line {line}, col {col}: {message}"
         super().__init__(message)
-        self.line = line
-        self.col = col
 
 
 class NotInSL(InputError):
@@ -85,11 +83,7 @@ class ResolutionNotFound(TorcrepError):
 
 
 class CertificateFailure(TorcrepError):
-    """A normal-embedding certificate check failed."""
-
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
+    """A normal-embedding certificate check failed; the message names what broke."""
 
 
 class NotComplete(TorcrepError):

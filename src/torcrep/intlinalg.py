@@ -101,14 +101,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(list(zip(*self.data)))
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        cols = list(zip(*other.data))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.data]
-        )
-
     def mul_vec(self, v) -> tuple[int, ...]:
         v = tuple(v)
         if len(v) != self.cols:

@@ -4,7 +4,9 @@ The lattice ``N = Z^n + sum Z*ghat`` generated by the fractional
 expressions of a group sits inside ``(1/r) Z^n``.  All points are stored
 multiplied by the common denominator ``r``, so every coordinate in this
 package is an exact integer: a :class:`LatticePoint` with ``coords=(1,2,3)``
-and ``denom=6`` is the rational vector ``(1/6)(1,2,3)``.
+and ``denom=6`` is the rational vector ``(1/6)(1,2,3)``.  Its age, the
+coordinate sum over the denominator, is an integer on ``N`` as the group
+lies in ``SL(n)``.
 
 A :class:`ScaledLattice` keeps a column-Hermite basis of ``r*N`` inside
 ``Z^n``.  One forward substitution against that basis gives a point's
@@ -17,7 +19,6 @@ onto ``Z^(n-1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -53,9 +54,12 @@ class LatticePoint:
         return len(self.coords)
 
     @property
-    def age(self) -> Fraction:
-        """Coordinate sum divided by the denominator."""
-        return Fraction(sum(self.coords), self.denom)
+    def age(self) -> int:
+        """Coordinate sum divided by the denominator, an integer for a point of ``N``."""
+        age, rest = divmod(sum(self.coords), self.denom)
+        if rest:
+            raise InvariantError(f"{self} has non-integral age")
+        return age
 
     def is_zero(self) -> bool:
         return not any(self.coords)

@@ -2,8 +2,9 @@
 
 A resolution attempt folds star subdivisions over a sequence of lattice
 points starting from the orthant fan, then certifies the result: ray
-discrepancies, smoothness, crepancy, per-cone terminality and the Euler
-number (= number of maximal cones).  The search walks the star-subdivision
+discrepancies (integers ``age - 1``), smoothness, crepancy, per-cone
+terminality and the Euler number (= number of maximal cones), all read
+off the fan and its lattice.  The search walks the star-subdivision
 sequences over a target set depth first, each distinct fan once, and
 returns the first smooth fan, proves that no sequence gives one
 (exhausted), or stops when it has expanded ``TORCREP_BUDGET`` fans.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InputError, ResolutionNotFound
 from .fans import (
@@ -56,14 +56,14 @@ def search_budget() -> int:
 class ResolutionResult:
     fan: Fan
     sequence: tuple[LatticePoint, ...]
-    discrepancies: dict[LatticePoint, Fraction] = field(compare=False)
-    smooth: bool = False
-    crepant: bool = False
-    terminal_flags: dict[Cone, bool] = field(default_factory=dict, compare=False)
-    euler: int = 0
+    discrepancies: dict[LatticePoint, int] = field(compare=False)
+    smooth: bool
+    crepant: bool
+    terminal_flags: dict[Cone, bool] = field(compare=False)
+    euler: int
 
 
-def discrepancies(fan: Fan) -> dict[LatticePoint, Fraction]:
+def discrepancies(fan: Fan) -> dict[LatticePoint, int]:
     """Discrepancy ``age(u) - 1`` per ray; an orthant ray has age 1, so 0."""
     return {ray: ray.age - 1 for ray in fan.rays}
 
@@ -73,8 +73,8 @@ def is_crepant(fan: Fan) -> bool:
     return not any(discrepancies(fan).values())
 
 
-def certify_fan(group: GroupData, fan: Fan, sequence=()) -> ResolutionResult:
-    """Populate all certificate fields for a fan refining the orthant."""
+def certify_fan(fan: Fan, sequence=()) -> ResolutionResult:
+    """Populate all certificate fields for a fan refining the orthant of its lattice."""
     disc = discrepancies(fan)
     return ResolutionResult(
         fan=fan,
@@ -82,7 +82,7 @@ def certify_fan(group: GroupData, fan: Fan, sequence=()) -> ResolutionResult:
         discrepancies=disc,
         smooth=fan.is_smooth,
         crepant=not any(disc.values()),
-        terminal_flags={c: is_terminal(c, group.lattice) for c in fan.maximal_cones},
+        terminal_flags={c: is_terminal(c, fan.lattice) for c in fan.maximal_cones},
         euler=len(fan.maximal_cones),
     )
 
@@ -97,7 +97,7 @@ def _fold(group: GroupData, seq) -> Fan:
 def resolve(group: GroupData, sequence) -> ResolutionResult:
     """Fold star subdivisions over ``sequence`` starting from the orthant."""
     seq = tuple(sequence)
-    return certify_fan(group, _fold(group, seq), seq)
+    return certify_fan(_fold(group, seq), seq)
 
 
 def _policy_order(points) -> list[LatticePoint]:
@@ -153,7 +153,7 @@ def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
             pending = [t for t in targets if t in state.where]
             if not _has_dead_cone(state):
                 if not pending:
-                    return certify_fan(group, state.fan(), seq)
+                    return certify_fan(state.fan(), seq)
                 if expanded == budget:
                     raise ResolutionNotFound(
                         f"budget hit: the {mode} search stopped after expanding {budget} "
@@ -176,16 +176,13 @@ def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
 
 
 def result_to_json(result: ResolutionResult) -> dict:
-    fan_data = fan_to_json(result.fan)
-    ray_order = [tuple(r) for r in fan_data["rays"]]
-    disc = {tuple(k.coords): v for k, v in result.discrepancies.items()}
     return {
-        "fan": fan_data,
+        "fan": fan_to_json(result.fan),
         "sequence": [list(p.coords) for p in result.sequence],
         "smooth": result.smooth,
         "crepant": result.crepant,
         "euler": result.euler,
-        "ray_discrepancies": [str(disc[r]) for r in ray_order],
+        "ray_discrepancies": [str(result.discrepancies[r]) for r in result.fan.rays],
         "cone_terminal": [result.terminal_flags[c] for c in result.fan.maximal_cones],
         "star_sequence": True,
     }

@@ -17,7 +17,8 @@ Hermite form when it kept its transform ``u``, with
 ``quotient_projection_two_forms``, the quotient's projection from two such
 forms before one form of ``w`` over the identity gave it; and
 ``inverse_unimodular``, the inverse that the embedding certificate took
-before one ``solve``.  The fan
+before one ``solve``; and ``matmul``, the matrix product that left
+``IntMatrix`` when only the tests multiplied matrices.  The fan
 oracles are the general pairwise fan check (the extreme rays of every
 intersection of two cones, computed exactly) with ``refines`` (containment
 plus support volume), which ``validate_fan`` replaced by facet pairing over
@@ -88,7 +89,6 @@ from torcrep.errors import (
 from torcrep.exceptional import (
     EmbeddingCertificate,
     StarFan,
-    _lift_age,
     star_fan,
 )
 from torcrep.fans import (
@@ -153,6 +153,19 @@ def quotient_projection_two_forms(lat: ScaledLattice, v: LatticePoint) -> IntMat
 
 # ---------------------------------------------------------------------------
 # Linear-algebra oracles
+
+
+def matmul(*ms: IntMatrix) -> IntMatrix:
+    """The product ``ms[0] * ms[1] * ...``, left to right."""
+    out = ms[0]
+    for m in ms[1:]:
+        if out.cols != m.rows:
+            raise ValueError("dimension mismatch in matrix product")
+        cols = list(zip(*m.data))
+        out = IntMatrix(
+            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in out.data]
+        )
+    return out
 
 
 def hermite_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -749,7 +762,7 @@ def support_volume_fraction(fan: Fan) -> Fraction:
     for c in fan.maximal_cones:
         denom = 1
         for r in c.rays:
-            denom *= r.age
+            denom *= Fraction(r.age)
         total += cone_index(c, fan.lattice) / denom
     return total
 
@@ -760,7 +773,7 @@ def _saturation_coords(cone: Cone, lattice: ScaledLattice) -> IntMatrix:
     if cone.dim == lattice.dim:
         return mat
     _, p, _ = smith_normal_form(mat)
-    return IntMatrix((p * mat).data[:cone.dim])
+    return IntMatrix(matmul(p, mat).data[:cone.dim])
 
 
 def psi_lattice_points(cone: Cone, lattice: ScaledLattice):
@@ -1101,7 +1114,7 @@ class LineBundleFan:
 
 def age_weighted_divisor(star: StarFan) -> TDivisor:
     """Star-fan divisor with coefficient minus the age of each ray's lift."""
-    return TDivisor.from_dict({ubar: -_lift_age(u) for ubar, u in star.lifts})
+    return TDivisor.from_dict({ubar: -u.age for ubar, u in star.lifts})
 
 
 def total_space_fan(star: StarFan, div: TDivisor) -> LineBundleFan:
@@ -1135,13 +1148,13 @@ def _iso_matrix(fan: Fan, star: StarFan, g_hat: LatticePoint, anchor: Cone) -> I
     for u in anchor.rays:
         if u == g_hat:
             continue
-        dom_cols.append(project(lat, proj, u).coords + (_lift_age(u),))
+        dom_cols.append(project(lat, proj, u).coords + (u.age,))
         img_cols.append(lat.basis_coords(u))
     dom_cols.append((0,) * star.fan.lattice.dim + (1,))
     img_cols.append(lat.basis_coords(g_hat))
     d = IntMatrix.from_columns(dom_cols)
     t = IntMatrix.from_columns(img_cols)
-    return t * inverse_unimodular(d)
+    return matmul(t, inverse_unimodular(d))
 
 
 def certify_normal_embedding_per_anchor(
@@ -1173,12 +1186,9 @@ def certify_normal_embedding_per_anchor(
                 f"anchor {anchor}: induced map is not unimodular"
             )
         for ubar, u in star.lifts:
-            got = iso.mul_vec(ubar.coords + (_lift_age(u),))
+            got = iso.mul_vec(ubar.coords + (u.age,))
             if got != lat.basis_coords(u):
-                raise CertificateFailure(
-                    f"anchor {anchor}: ray {ubar} maps off its lift {u}",
-                    pair=(ubar, u),
-                )
+                raise CertificateFailure(f"anchor {anchor}: ray {ubar} maps off its lift {u}")
         apex = (0,) * star.fan.lattice.dim + (1,)
         if iso.mul_vec(apex) != lat.basis_coords(g_hat):
             raise CertificateFailure(f"anchor {anchor}: apex does not map to the ray")
@@ -1191,10 +1201,7 @@ def certify_normal_embedding_per_anchor(
                 img_rays.append(from_basis_coords(lat, x))
             img = make_cone(img_rays)
             if img not in anchor_set or img in seen:
-                raise CertificateFailure(
-                    f"cone {tc} maps to {img}, not a fresh maximal cone",
-                    pair=(tc, img),
-                )
+                raise CertificateFailure(f"cone {tc} maps to {img}, not a fresh maximal cone")
             seen.add(img)
             bijection.append((tc, img))
         if len(seen) != len(anchors):
@@ -1207,7 +1214,6 @@ def certify_normal_embedding_per_anchor(
         star=star,
         iso=first_iso,
         cone_bijection=first_bijection,
-        anchor_cones_checked=len(anchors),
     )
 
 
@@ -1240,7 +1246,7 @@ def search_resolution_permutations(group: GroupData, mode: str) -> ResolutionRes
         # every target is folded in, so the rays (and with juniors, crepancy)
         # hold by construction; only smoothness can fail
         if fan.is_smooth:
-            return certify_fan(group, fan, perm)
+            return certify_fan(fan, perm)
     raise ResolutionNotFound(
         f"no {mode} resolution within {tried} permutations",
         exhausted=tried == factorial(len(targets)),
@@ -1280,7 +1286,7 @@ def search_resolution_by_fans(group: GroupData, mode: str) -> ResolutionResult:
             pending = [t for t in targets if t not in fan.ray_set]
             if not _has_dead_cone_by_scan(fan, pending):
                 if not pending:
-                    return certify_fan(group, fan, seq)
+                    return certify_fan(fan, seq)
                 if expanded == budget:
                     raise ResolutionNotFound(
                         f"budget hit: the {mode} search stopped after expanding {budget} "

@@ -65,7 +65,7 @@ def test_parse_rejects_non_sl():
 def test_parse_rejects_syntax():
     with pytest.raises(GroupSyntaxError) as info:
         parse_group("6:1,2,3")
-    assert info.value.line == 1
+    assert str(info.value).startswith("line 1, col 1: ")
 
 
 def test_parse_rejects_out_of_range():

@@ -160,21 +160,20 @@ def test_certificates_order6(z6, z6_result, z6_result_alt):
             cert = certify_normal_embedding(res.fan, g)
             assert cert.iso.is_unimodular()
             expected_anchors = len(res.fan.cones_through[g])
-            assert cert.anchor_cones_checked == expected_anchors
             assert len(cert.cone_bijection) == expected_anchors
 
 
 def test_certificates_order5(z5, z5_result):
     for g in z5.juniors:
         cert = certify_normal_embedding(z5_result.fan, g)
-        assert cert.anchor_cones_checked == len(z5_result.fan.cones_through[g])
+        assert len(cert.cone_bijection) == len(z5_result.fan.cones_through[g])
 
 
 def test_certificate_order7_age_weighted(z7, z7_hilbert_result):
     cert = certify_normal_embedding(
         z7_hilbert_result.fan, LatticePoint((1, 1, 2, 3), 7)
     )
-    assert cert.anchor_cones_checked == len(
+    assert len(cert.cone_bijection) == len(
         z7_hilbert_result.fan.cones_through[LatticePoint((1, 1, 2, 3), 7)]
     )
 
@@ -265,11 +264,11 @@ def test_smooth_fans_include_failing_certificates():
 def test_certificates_nonstar_fan(z6, z6_nonstar_fan):
     from torcrep.resolve import certify_fan
 
-    summary = certify_fan(z6, z6_nonstar_fan)
+    summary = certify_fan(z6_nonstar_fan)
     assert summary.smooth and summary.crepant and summary.euler == 6
     for g in z6.juniors:
         cert = certify_normal_embedding(z6_nonstar_fan, g)
-        assert cert.anchor_cones_checked == len(z6_nonstar_fan.cones_through[g])
+        assert len(cert.cone_bijection) == len(z6_nonstar_fan.cones_through[g])
     assert coverage_check(z6_nonstar_fan, z6) is True
 
 

@@ -71,14 +71,20 @@ def test_public_names_are_used_by_the_package_or_scripts():
     assert [name for name in public if name.split(".")[-1] not in used] == []
 
 
-def test_dataclass_fields_are_read_by_the_package_or_scripts():
-    # a field that only tests read is state the API carries for no caller
+def _attributes_read() -> set[str]:
+    """Every attribute name that src/ (bar __init__.py) or scripts/ reads."""
     read = set()
     files = [p for p in (SRC / "torcrep").glob("*.py") if p.name != "__init__.py"]
     for path in files + sorted((ROOT / "scripts").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+    return read
+
+
+def test_dataclass_fields_are_read_by_the_package_or_scripts():
+    # a field that only tests read is state the API carries for no caller
+    read = _attributes_read()
     fields = []
     for path in sorted((SRC / "torcrep").glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
@@ -87,6 +93,22 @@ def test_dataclass_fields_are_read_by_the_package_or_scripts():
                 fields += [f"{node.name}.{f.target.id}" for f in node.body
                            if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
     assert [name for name in fields if name.split(".")[-1] not in read] == []
+
+
+def test_exception_attributes_are_read_by_the_package_or_scripts():
+    # an attribute an error stores but no caller reads belongs in its message
+    read = _attributes_read()
+    stored = []
+    path = SRC / "torcrep" / "errors.py"
+    for cls in ast.parse(path.read_text(), filename=str(path)).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for init in cls.body:
+            if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                stored += [f"{cls.name}.{t.attr}" for t in ast.walk(init)
+                           if isinstance(t, ast.Attribute) and isinstance(t.ctx, ast.Store)]
+    assert "ResolutionNotFound.exhausted" in stored  # the walk sees stores
+    assert [name for name in stored if name.split(".")[-1] not in read] == []
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])

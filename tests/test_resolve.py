@@ -24,6 +24,7 @@ from oracles import (
 from torcrep.cli import main, parse_group
 from torcrep.errors import (
     DenomMismatch,
+    InvariantError,
     NotInLattice,
     NotInSupport,
     NotPrimitive,
@@ -37,6 +38,7 @@ from torcrep.lattice import LatticePoint, unit_point
 from torcrep.resolve import (
     _fold,
     _policy_order,
+    certify_fan,
     discrepancies,
     resolve,
     result_to_json,
@@ -78,6 +80,17 @@ def test_discrepancies(z6_result, z7_hilbert_result):
     assert not z7_hilbert_result.crepant
     assert z7_hilbert_result.smooth
     assert z7_hilbert_result.euler == 14
+
+
+def test_ages_and_discrepancies_are_ints(z5, z7, z6_nonstar_fan, z7_hilbert_result):
+    # G lies in SL(n), so every point of N has an integer age
+    for group in (z5, z7, parse_group("5:(1,1,3);5:(0,1,4)")):
+        assert all(type(g.age) is int for g in group.elements)
+    for fan in (z6_nonstar_fan, z7_hilbert_result.fan, resolve(z7, []).fan):
+        disc = certify_fan(fan).discrepancies
+        assert disc and all(type(k) is int for k in disc.values())
+    with pytest.raises(InvariantError, match="non-integral age"):
+        LatticePoint((1, 0), 2).age
 
 
 def test_euler_check(z6, z6_result, z5, z5_result, trivial3, z7, z7_hilbert_result):
