@@ -11,12 +11,10 @@ one of them; class coordinates are basis-dependent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvariantError
 from .fans import Fan
 from .intlinalg import IntMatrix, clearing, hermite_normal_form, solve
-from .lattice import ScaledLattice
+from .lattice import Record, ScaledLattice
 
 
 def dual_basis(lattice: ScaledLattice) -> IntMatrix:
@@ -94,8 +92,7 @@ def _smith_rows(s: list[list[int]]) -> tuple[list[int], list[dict[int, int]]]:
     return diag, p
 
 
-@dataclass(frozen=True)
-class ClassGroup:
+class ClassGroup(Record):
     """``Cl(X)`` with the class of each ray and of the canonical divisor.
 
     A class lists torsion coordinates (mod the matching invariant factor)

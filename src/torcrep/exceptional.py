@@ -19,7 +19,6 @@ a total-space cone's image is ``g`` with its star rays' lifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cmp_to_key
 from math import gcd
 
@@ -35,11 +34,10 @@ from .errors import (
 from .fans import Cone, Fan, make_cone, make_fan
 from .groups import GroupData
 from .intlinalg import IntMatrix, solve
-from .lattice import LatticePoint, ScaledLattice, quotient_by_ray
+from .lattice import LatticePoint, Record, ScaledLattice, quotient_by_ray
 
 
-@dataclass(frozen=True)
-class StarFan:
+class StarFan(Record, uncompared=("lift_coords",)):
     """Fan of the exceptional divisor in the quotient lattice ``Z^(n-1)``.
 
     ``lifts`` maps each quotient ray generator back to the unique fan ray
@@ -50,11 +48,10 @@ class StarFan:
     fan: Fan
     lifts: tuple[tuple[LatticePoint, LatticePoint], ...]
     complete: bool
-    lift_coords: dict[LatticePoint, tuple[int, ...]] = field(compare=False)
+    lift_coords: dict[LatticePoint, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class SurfaceType:
+class SurfaceType(Record):
     """Classification of a smooth complete toric surface."""
 
     kind: str  # "P2", "hirzebruch" or "chain"
@@ -69,8 +66,7 @@ class SurfaceType:
         return "blowup chain " + str(list(self.self_intersections))
 
 
-@dataclass(frozen=True)
-class EmbeddingCertificate:
+class EmbeddingCertificate(Record):
     """The anchor map ``iso`` of a junior ray and its total-space cones.
 
     ``cone_bijection`` pairs each total-space cone with its image, so it

@@ -1,6 +1,7 @@
 """Simplicial rational cones and fans over a scaled lattice.
 
-Cones are given by their primitive ray generators; a fan stores only its
+A cone is given by its primitive ray generators and keeps its hash, as
+cones key the builder's maps; a fan is a ``Record`` of its lattice and its
 maximal cones.  The fans torcrep builds and reads refine the orthant, so
 every cone it asks a question of is full-dimensional and simplicial: one
 H-description, its cached facet normals, answers membership, barycentric
@@ -34,8 +35,6 @@ which is bit-exact across runs.
 
 from __future__ import annotations
 
-from copy import copy
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -50,7 +49,7 @@ from .errors import (
 )
 from .groups import closure
 from .intlinalg import IntMatrix, solve
-from .lattice import LatticePoint, ScaledLattice
+from .lattice import LatticePoint, Record, ScaledLattice
 
 # The Hermite forms and eliminations behind every command are cubic in the
 # dimension, so a group or fan of higher dimension would run for minutes
@@ -58,11 +57,28 @@ from .lattice import LatticePoint, ScaledLattice
 MAX_DIM = 64
 
 
-@dataclass(frozen=True)
 class Cone:
     """Simplicial cone on distinct rays, proved independent by ``validate_fan`` or built so."""
 
-    rays: tuple[LatticePoint, ...]
+    # _hash: the record hash, kept; __dict__: the cached properties
+    __slots__ = ("rays", "_hash", "__dict__", "__weakref__")
+
+    def __init__(self, rays: tuple[LatticePoint, ...]):
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "_hash", hash((rays,)))
+
+    __setattr__ = __delattr__ = Record.__setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rays == other.rays
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Cone(rays={self.rays!r})"
 
     @property
     def dim(self) -> int:
@@ -166,8 +182,7 @@ def is_terminal(cone: Cone, lattice: ScaledLattice) -> bool:
     return all(sum(g) > index for g in closure(gens, index))
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """Fan given by its maximal cones over a shared lattice."""
 
     lattice: ScaledLattice
@@ -329,8 +344,8 @@ class _FanBuilder:
                 raise NotInSupport(f"{p} is outside the support of the fan")
 
     def copy(self) -> _FanBuilder:
-        twin = copy(self)
-        twin.inside, twin.where = dict(self.inside), dict(self.where)
+        twin = _FanBuilder.__new__(_FanBuilder)
+        twin.lattice, twin.inside, twin.where = self.lattice, dict(self.inside), dict(self.where)
         twin.ray_counts = dict(self.ray_counts)
         return twin
 

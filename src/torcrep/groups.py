@@ -8,18 +8,16 @@ under componentwise addition mod r, built coset by coset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, ExplosionGuard, InvariantError, NotInSL
-from .lattice import LatticePoint, ScaledLattice, build_lattice
+from .lattice import LatticePoint, Record, ScaledLattice, build_lattice
 
 MAX_ELEMENTS = 10**6  # closure limit, read at each call
 
 
-@dataclass(frozen=True)
-class GroupData:
+class GroupData(Record):
     """The set ``Ghat`` of fractional expressions, closed under addition mod r."""
 
     n: int
@@ -34,7 +32,7 @@ class GroupData:
 
     @cached_property
     def juniors(self) -> tuple[LatticePoint, ...]:
-        return tuple(g for g in self.elements if sum(g.coords) == self.r)  # age 1
+        return tuple(g for g in self.elements if g.age == 1)
 
 
 def _normalize_generators(generators, n):
@@ -116,8 +114,7 @@ def compact_juniors(group: GroupData) -> tuple[LatticePoint, ...]:
     return tuple(g for g in group.juniors if all(c > 0 for c in g.coords))
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """Crepant-existence obstructions; either flag excludes a crepant resolution."""
 
     not_generated_by_juniors: bool
@@ -142,7 +139,7 @@ def crepant_obstructions(group: GroupData, hlb) -> ObstructionReport:
             gens.append(h)
             lattice = build_lattice(gens, group.n, group.r)
     generated = lattice.index_over_std == group.order
-    seniors_in_basis = any(sum(p.coords) > group.r for p in hlb)
+    seniors_in_basis = any(p.age > 1 for p in hlb)
     return ObstructionReport(
         not_generated_by_juniors=not generated,
         hilbert_basis_contains_seniors=seniors_in_basis,
@@ -155,5 +152,5 @@ def element_names(group: GroupData) -> dict[LatticePoint, str]:
     Juniors always occupy the initial prefix since they sort first by age.
     """
     nonzero = [g for g in group.elements if not g.is_zero()]
-    nonzero.sort(key=lambda g: (sum(g.coords), g.coords))
+    nonzero.sort(key=lambda g: (g.age, g.coords))
     return {g: f"g{i + 1}" for i, g in enumerate(nonzero)}

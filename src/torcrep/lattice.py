@@ -14,11 +14,14 @@ basis coordinates, or ``None`` off the lattice; membership reads it, a
 point is primitive when the gcd of its coordinates is 1, and the quotient
 ``N / Z*v`` by a primitive ``v`` is the integer matrix that projects them
 onto ``Z^(n-1)``.
+
+The package's records are immutable and compare by their fields.  Points
+and cones key every dict and set, so they are written by hand with their
+hash kept; the others derive from :class:`Record`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -32,22 +35,78 @@ from .errors import (
 from .intlinalg import IntMatrix, hermite_normal_form
 
 
-@dataclass(frozen=True)
+class Record:
+    """Immutable record whose fields are its class annotations, in order.
+
+    Built by position or keyword; ``==`` and ``hash`` read the fields bar
+    those the class keyword ``uncompared`` names; ``cached_property``
+    writes ``__dict__`` directly.
+    """
+
+    def __init_subclass__(cls, uncompared=()):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._compared = tuple(f for f in cls._fields if f not in uncompared)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        # valid when the keywords name fields past the positional ones and all are given
+        if (len(args) + len(kwargs) != len(fields)
+                or not set(kwargs) <= set(fields[len(args):])):
+            raise TypeError(f"{type(self).__name__} takes the fields {fields}, "
+                            f"got {len(args)} positional and {sorted(kwargs)}")
+        self.__dict__.update(zip(fields, args), **kwargs)
+
+    def __setattr__(self, key, value=None):
+        raise AttributeError(f"cannot assign to or delete field {key!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple([self.__dict__[f] for f in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
 class LatticePoint:
     """Point of ``(1/denom) Z^n`` stored as scaled integer coordinates."""
 
-    coords: tuple[int, ...]
-    denom: int
+    __slots__ = ("coords", "denom", "_hash")  # _hash: the record hash, kept
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
+    def __init__(self, coords, denom: int):
+        coords = tuple(coords)
         if not all(type(x) is int for x in coords):
             raise TypeError(f"coordinates must be integers, got {coords!r}")
-        object.__setattr__(self, "coords", coords)
-        if type(self.denom) is not int:
-            raise TypeError(f"denominator must be an integer, got {self.denom!r}")
-        if self.denom < 1:
+        if type(denom) is not int:
+            raise TypeError(f"denominator must be an integer, got {denom!r}")
+        if denom < 1:
             raise ValueError("denominator must be positive")
+        init = object.__setattr__
+        init(self, "coords", coords)
+        init(self, "denom", denom)
+        init(self, "_hash", hash((coords, denom)))
+
+    __setattr__ = __delattr__ = Record.__setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords and self.denom == other.denom
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"LatticePoint(coords={self.coords!r}, denom={self.denom!r})"
 
     @property
     def dim(self) -> int:
@@ -76,8 +135,7 @@ def unit_point(i: int, n: int, denom: int) -> LatticePoint:
     return LatticePoint(tuple(denom if j == i else 0 for j in range(n)), denom)
 
 
-@dataclass(frozen=True)
-class ScaledLattice:
+class ScaledLattice(Record):
     """Lattice ``N`` with ``Z^n <= N <= (1/denom) Z^n``.
 
     ``basis`` is an n-by-n column Hermite form whose columns span

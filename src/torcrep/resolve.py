@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 
 from .errors import InputError, ResolutionNotFound
 from .fans import (
@@ -33,7 +32,7 @@ from .fans import (
 )
 from .groups import GroupData
 from .hilbert import hilbert_basis
-from .lattice import LatticePoint
+from .lattice import LatticePoint, Record
 
 DEFAULT_BUDGET = 20000
 BUDGET_ENV = "TORCREP_BUDGET"
@@ -52,14 +51,13 @@ def search_budget() -> int:
     return budget
 
 
-@dataclass(frozen=True)
-class ResolutionResult:
+class ResolutionResult(Record, uncompared=("discrepancies", "terminal_flags")):
     fan: Fan
     sequence: tuple[LatticePoint, ...]
-    discrepancies: dict[LatticePoint, int] = field(compare=False)
+    discrepancies: dict[LatticePoint, int]
     smooth: bool
     crepant: bool
-    terminal_flags: dict[Cone, bool] = field(compare=False)
+    terminal_flags: dict[Cone, bool]
     euler: int
 
 
@@ -75,13 +73,12 @@ def is_crepant(fan: Fan) -> bool:
 
 def certify_fan(fan: Fan, sequence=()) -> ResolutionResult:
     """Populate all certificate fields for a fan refining the orthant of its lattice."""
-    disc = discrepancies(fan)
     return ResolutionResult(
         fan=fan,
         sequence=tuple(sequence),
-        discrepancies=disc,
+        discrepancies=discrepancies(fan),
         smooth=fan.is_smooth,
-        crepant=not any(disc.values()),
+        crepant=is_crepant(fan),
         terminal_flags={c: is_terminal(c, fan.lattice) for c in fan.maximal_cones},
         euler=len(fan.maximal_cones),
     )
@@ -101,10 +98,10 @@ def resolve(group: GroupData, sequence) -> ResolutionResult:
 
 
 def _policy_order(points) -> list[LatticePoint]:
-    # interior points first, then by age (coordinate sum), then lexicographically
+    # interior points first, then by age, then lexicographically
     return sorted(
         points,
-        key=lambda p: (0 if all(c > 0 for c in p.coords) else 1, sum(p.coords), p.coords),
+        key=lambda p: (0 if all(c > 0 for c in p.coords) else 1, p.age, p.coords),
     )
 
 

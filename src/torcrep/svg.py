@@ -1,40 +1,35 @@
 """Deterministic SVG rendering of junior-simplex triangulations (n = 3).
 
 Ray generators are projected to the age-1 slice by barycentric
-coordinates and drawn inside an equilateral triangle.  All positions are
-computed as exact fractions and quantized to fixed decimals, so the
-output bytes depend only on the input fan.
+coordinates and drawn inside an equilateral triangle.  Each position is a
+pair of integer numerators over one denominator ``10 * sum(coords)``,
+quantized to fixed decimals, so the output bytes depend only on the input
+fan.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import DimensionUnsupported
 from .fans import Fan
 from .groups import GroupData, element_names
 
-# equilateral triangle corners for e1, e2, e3 (height 300*sqrt(3) ~ 519.6)
-_CORNERS = (
-    (Fraction(30), Fraction(5696, 10)),
-    (Fraction(630), Fraction(5696, 10)),
-    (Fraction(330), Fraction(50)),
-)
+# equilateral triangle corners for e1, e2, e3 in tenths (height 300*sqrt(3) ~ 519.6)
+_CORNERS = ((300, 5696), (6300, 5696), (3300, 500))
 _WIDTH, _HEIGHT = 660, 620
 
 
-def _fmt(x: Fraction) -> str:
-    # round half up at two decimals using integer arithmetic only
-    q = (x.numerator * 200 + x.denominator) // (2 * x.denominator)
+def _fmt(num: int, den: int) -> str:
+    # round half up at two decimals using integer arithmetic only; the
+    # result depends on num / den alone, so a common factor changes nothing
+    q = (num * 200 + den) // (2 * den)
     return f"{q // 100}.{q % 100:02d}"
 
 
-def _position(coords) -> tuple[Fraction, Fraction]:
-    total = sum(coords)
-    bary = [Fraction(c, total) for c in coords]
-    x = sum(b * corner[0] for b, corner in zip(bary, _CORNERS))
-    y = sum(b * corner[1] for b, corner in zip(bary, _CORNERS))
-    return x, y
+def _position(coords) -> tuple[int, int, int]:
+    """Numerators of ``x`` and ``y`` and their denominator ``10 * sum(coords)``."""
+    x = sum(c * corner[0] for c, corner in zip(coords, _CORNERS))
+    y = sum(c * corner[1] for c, corner in zip(coords, _CORNERS))
+    return x, y, 10 * sum(coords)
 
 
 def junior_graph_svg(fan: Fan, group: GroupData) -> str:
@@ -52,22 +47,22 @@ def junior_graph_svg(fan: Fan, group: GroupData) -> str:
     ]
     for edge in fan.two_cones():
         a, b = edge.rays
-        xa, ya = positions[a]
-        xb, yb = positions[b]
+        xa, ya, da = positions[a]
+        xb, yb, db = positions[b]
         lines.append(
-            f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" '
-            f'y2="{_fmt(yb)}" stroke="#000000" stroke-width="1"/>'
+            f'<line x1="{_fmt(xa, da)}" y1="{_fmt(ya, da)}" x2="{_fmt(xb, db)}" '
+            f'y2="{_fmt(yb, db)}" stroke="#000000" stroke-width="1"/>'
         )
     units = {u: f"e{i + 1}" for i, u in enumerate(group.lattice.units())}
     for ray in fan.rays:
-        x, y = positions[ray]
+        x, y, d = positions[ray]
         lines.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="#000000"/>'
+            f'<circle cx="{_fmt(x, d)}" cy="{_fmt(y, d)}" r="4" fill="#000000"/>'
         )
         label = units.get(ray) or names.get(ray) or ""
         if label:
             lines.append(
-                f'<text x="{_fmt(x + 8)}" y="{_fmt(y - 6)}" '
+                f'<text x="{_fmt(x + 8 * d, d)}" y="{_fmt(y - 6 * d, d)}" '
                 f'font-family="monospace" font-size="14">{label}</text>'
             )
     lines.append("</svg>")

@@ -82,17 +82,41 @@ def _attributes_read() -> set[str]:
     return read
 
 
-def test_dataclass_fields_are_read_by_the_package_or_scripts():
-    # a field that only tests read is state the API carries for no caller
-    read = _attributes_read()
+def _record_fields() -> list[str]:
+    """``Class.field`` for the annotations of each ``Record`` and each class's ``__slots__``."""
     fields = []
     for path in sorted((SRC / "torcrep").glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
-            if isinstance(node, ast.ClassDef) and any(
-                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if any(ast.unparse(b) == "Record" for b in node.bases):
                 fields += [f"{node.name}.{f.target.id}" for f in node.body
                            if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            for f in node.body:
+                if isinstance(f, ast.Assign) and ast.unparse(f.targets[0]) == "__slots__":
+                    fields += [f"{node.name}.{name}" for name in ast.literal_eval(f.value)
+                               if not name.startswith("__")]
+    return fields
+
+
+def test_record_fields_are_read_by_the_package_or_scripts():
+    # a field that only tests read is state the API carries for no caller
+    read = _attributes_read()
+    fields = _record_fields()
+    # the walk sees the hand-written slots and the annotated fields of a Record
+    assert {"LatticePoint.coords", "Cone.rays", "StarFan.lift_coords"} <= set(fields)
     assert [name for name in fields if name.split(".")[-1] not in read] == []
+
+
+def test_cli_import_skips_dataclasses_fractions_and_copy():
+    # dataclasses pulls in inspect, ast and dis, fractions pulls in decimal,
+    # and every command pays for the imports of its process; -S leaves out site
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    probe = ("import sys, torcrep.cli; print(sorted(m for m in ('dataclasses', "
+             "'inspect', 'fractions', 'decimal', 'copy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_exception_attributes_are_read_by_the_package_or_scripts():
