@@ -103,7 +103,7 @@ def main() -> None:
     for group in OBSTRUCTED:
         torcrep_main(["analyze", group])
         try:
-            search_resolution(parse_group(group), "juniors_only")
+            search_resolution(parse_group(group), "juniors")
             raise AssertionError("obstructed group must not resolve crepantly")
         except ResolutionNotFound as exc:
             # a budget stop proves nothing; only an exhausted search is an obstruction

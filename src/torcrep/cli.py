@@ -21,7 +21,6 @@ import argparse
 import json
 import re
 import sys
-from pathlib import Path
 
 from .divisors import class_group, class_group_to_json
 from .errors import (
@@ -100,7 +99,8 @@ def parse_group(text: str) -> GroupData:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot decode {path}: {exc}") from exc
 
@@ -144,7 +144,8 @@ def _json_text(v, pad: str) -> str:
 
 def write_json(path: str, data) -> None:
     """Write ``json.dumps(data, sort_keys=True, indent=1)`` and a newline; keys are strings."""
-    Path(path).write_text(_json_text(data, "") + "\n")
+    with open(path, "w") as f:
+        f.write(_json_text(data, "") + "\n")
 
 
 def _sequence_points(names: dict[LatticePoint, str], spec: str) -> list[LatticePoint]:
@@ -194,18 +195,16 @@ def cmd_resolve(args) -> int:
         seq = _sequence_points(names, args.sequence)
         result = resolve(group, seq)
     else:
-        mode = {"juniors": "juniors_only", "hilbert": "hilbert_basis"}[args.search]
-        result = search_resolution(group, mode)
+        result = search_resolution(group, args.search)
     seq_names = ",".join(names[p] for p in result.sequence)
     print(f"sequence: {seq_names or '(empty)'}")
     print(f"maximal cones (Euler number): {result.euler}")
     print(f"smooth: {result.smooth}")
     print(f"crepant: {result.crepant}")
-    nonzero = {k: v for k, v in result.discrepancies.items() if v != 0}
-    if nonzero:
-        for ray, v in sorted(nonzero.items(), key=lambda kv: kv[0].coords):
-            print(f"discrepancy {ray}: {v}")
-    else:
+    nonzero = [(ray, v) for ray, v in zip(result.fan.rays, result.discrepancies) if v]
+    for ray, v in nonzero:
+        print(f"discrepancy {ray}: {v}")
+    if not nonzero:
         print("all discrepancies 0")
     if args.out:
         write_json(args.out, result_to_json(result))
@@ -237,9 +236,9 @@ def cmd_verify(args) -> int:
     all_ok = smooth
     if not smooth:
         print("fan is not smooth; embedding certificates not applicable")
-    junior_rays = [g for g in group.juniors if g in fan.ray_set]
+    junior_rays = [g for g in group.juniors if g in fan.cones_through]
     bundle["juniors_missing_from_rays"] = [
-        list(g.coords) for g in group.juniors if g not in fan.ray_set
+        list(g.coords) for g in group.juniors if g not in fan.cones_through
     ]
     failures = []
     for g in junior_rays if smooth else []:
@@ -278,7 +277,8 @@ def cmd_export_graph(args) -> int:
     group = _load_group(args)
     fan = _load_fan(args.fan, group)
     svg = junior_graph_svg(fan, group)
-    Path(args.svg).write_text(svg)
+    with open(args.svg, "w") as f:
+        f.write(svg)
     print(f"wrote {args.svg}")
     return 0
 

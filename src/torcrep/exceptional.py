@@ -37,18 +37,19 @@ from .intlinalg import IntMatrix, solve
 from .lattice import LatticePoint, Record, ScaledLattice, quotient_by_ray
 
 
-class StarFan(Record, uncompared=("lift_coords",)):
+class StarFan(Record):
     """Fan of the exceptional divisor in the quotient lattice ``Z^(n-1)``.
 
     ``lifts`` maps each quotient ray generator back to the unique fan ray
-    it came from, and ``lift_coords`` each lift to its basis coordinates;
-    ``complete`` records whether the junior point is interior to the orthant.
+    it came from, and ``lift_coords`` pairs each lift, in ``lifts`` order,
+    with its basis coordinates; ``complete`` records whether the junior
+    point is interior to the orthant.
     """
 
     fan: Fan
     lifts: tuple[tuple[LatticePoint, LatticePoint], ...]
     complete: bool
-    lift_coords: dict[LatticePoint, tuple[int, ...]]
+    lift_coords: tuple[tuple[LatticePoint, tuple[int, ...]], ...]
 
 
 class SurfaceType(Record):
@@ -81,7 +82,7 @@ class EmbeddingCertificate(Record):
 
 def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
     """Project the cones through a ray into the quotient lattice, each ray once."""
-    if g_hat not in fan.ray_set:
+    if g_hat not in fan.cones_through:
         raise RayAbsent(f"{g_hat} is not a ray of the fan")
     lat = fan.lattice
     proj = quotient_by_ray(lat, g_hat)
@@ -112,7 +113,7 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
             raise NotSmooth(f"star ray {ubar} is not primitive; fan is singular along the ray")
     complete = all(c > 0 for c in g_hat.coords)
     ordered = tuple(sorted(lifts.items(), key=lambda kv: kv[0].coords))
-    return StarFan(star, ordered, complete, coords)
+    return StarFan(star, ordered, complete, tuple([(u, coords[u]) for _, u in ordered]))
 
 
 def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertificate:
@@ -141,7 +142,7 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
     anchor = anchors[0]
     # iso * d = t for d, t with the anchor rays' preimages and coordinates
     # as columns: the rows of iso solve d^T against the rows of t
-    coords = star.lift_coords | {g_hat: lat.basis_coords(g_hat)}
+    coords = dict(star.lift_coords) | {g_hat: lat.basis_coords(g_hat)}
     t = IntMatrix.from_columns([coords[u] for u in anchor.rays])
     try:
         rows, det = solve(IntMatrix([preimage[u].coords for u in anchor.rays]), t.data)
@@ -155,7 +156,7 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
             raise CertificateFailure(f"anchor {anchor}: ray {ubar} maps off its lift {u}")
     if iso.mul_vec(apex.coords) != coords[g_hat]:
         raise CertificateFailure(f"anchor {anchor}: apex does not map to the ray")
-    fresh = {c.ray_set: c for c in anchors}
+    fresh = {frozenset(c.rays): c for c in anchors}
     bijection = []
     # the star cones are in make_fan order and so are these: weighted rays
     # sort as their star rays do, and inserting the apex, which every cone

@@ -85,10 +85,6 @@ class Cone:
         return len(self.rays)
 
     @cached_property
-    def ray_set(self) -> frozenset[LatticePoint]:
-        return frozenset(self.rays)
-
-    @cached_property
     def facet_normals(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """``(rows, d)``: rows of ``d * A^-1``, ``d = |det A|``, ``A`` the rays.
 
@@ -191,10 +187,6 @@ class Fan(Record):
     @cached_property
     def rays(self) -> tuple[LatticePoint, ...]:
         return tuple(sorted(self.cones_through, key=lambda p: p.coords))
-
-    @cached_property
-    def ray_set(self) -> frozenset[LatticePoint]:
-        return frozenset(self.rays)
 
     @cached_property
     def cones_through(self) -> dict[LatticePoint, tuple[Cone, ...]]:

@@ -16,14 +16,15 @@ fields ``1 .. n-1`` onto field 0 (``n - 1`` shifts inside the slot) sets
 the guard of field 0 of slot ``k`` exactly when ``h^k <= v``; ``v`` is
 minimal when every slot has a failing field.
 
-In ``n = 3`` a dominance sweep replaces it (Bentley, CACM 1980).  Age is
-linear, integral on ``N`` (``G`` lies in SL) and positive on the orthant's
-nonzero points, so a sum of two has age >= 2: juniors and units (age 1)
-are minimal, the other candidates (coordinates below ``r``) have age 2,
-and such a ``v`` is reducible exactly when an age-1 candidate lies below
-it, earlier in lex order.  A Fenwick tree over the second coordinate
-keeps the least third coordinate of the age-1 points so far: ``v`` is
-reducible when the least one up to ``v_2`` is ``<= v_3``.
+In ``n <= 3`` the basis is the juniors and the units, read off the ages:
+
+- age is additive, integral on ``N`` (``G`` lies in SL) and at least 1
+  on the orthant's nonzero points, so a point of age 1 is irreducible;
+- a candidate other than a unit has coordinates below ``r``, so its age
+  is at most ``n - 1 <= 2``;
+- a point of age 2 is a sum of two of age 1, as lattice polygons and
+  segments are normal (Bruns-Gubeladze, *Polytopes, Rings, and
+  K-Theory*, 2009).
 """
 
 from __future__ import annotations
@@ -41,30 +42,18 @@ def hilbert_basis(group: GroupData) -> tuple[LatticePoint, ...]:
     lattice point ``u != 0, v`` with ``0 <= u <= v`` exists; every
     coordinate of ``u`` is below ``r`` (only ``r*e_i`` reaches ``r``, and
     ``u`` would be it), so ``u`` is a group element: the basis is the minimal
-    candidates.  A candidate above another lies above a minimal one, earlier
-    in lex order, so one lex scan against the kept minimal ones suffices.
+    candidates.  In ``n <= 3`` they are the juniors and the units (module
+    docstring).  Otherwise a candidate above another lies above a minimal
+    one, earlier in lex order, so one lex scan against the kept minimal
+    ones suffices.
     """
     n, w = group.n, group.r.bit_length() + 1
+    if n <= 3:
+        return tuple(sorted(group.juniors + group.lattice.units(), key=lambda p: p.coords))
     candidates = [g for g in group.elements if not g.is_zero()]
     candidates.extend(group.lattice.units())
     candidates.sort(key=lambda p: p.coords)
     minimal = []
-    if n == 3:  # the dominance sweep of the module docstring
-        r, low = group.r, [group.r + 1] * (group.r + 2)  # 1-based, b at b + 1
-        for v in candidates:
-            a, b, c = v.coords
-            i = b + 1
-            if a + b + c == r:  # a node holding <= c has ancestors that do too
-                while i <= r + 1 and c < low[i]:
-                    low[i] = c
-                    i += i & -i
-            else:
-                while i and low[i] > c:
-                    i &= i - 1
-                if i:  # some age-1 point lies below v
-                    continue
-            minimal.append(v)
-        return tuple(minimal)
     first = 1 << (w - 1)
     guard = sum(first << (i * w) for i in range(n))
     kept = ones = guards = firsts = 0

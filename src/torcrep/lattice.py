@@ -38,14 +38,12 @@ from .intlinalg import IntMatrix, hermite_normal_form
 class Record:
     """Immutable record whose fields are its class annotations, in order.
 
-    Built by position or keyword; ``==`` and ``hash`` read the fields bar
-    those the class keyword ``uncompared`` names; ``cached_property``
-    writes ``__dict__`` directly.
+    Built by position or keyword; ``==`` and ``hash`` read every field;
+    ``cached_property`` writes ``__dict__`` directly.
     """
 
-    def __init_subclass__(cls, uncompared=()):
+    def __init_subclass__(cls):
         cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._compared = tuple(f for f in cls._fields if f not in uncompared)
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -62,7 +60,7 @@ class Record:
     __delattr__ = __setattr__
 
     def _key(self) -> tuple:
-        return tuple([self.__dict__[f] for f in self._compared])
+        return tuple([self.__dict__[f] for f in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -22,7 +22,6 @@ import re
 
 from .errors import InputError, ResolutionNotFound
 from .fans import (
-    Cone,
     Fan,
     _FanBuilder,
     fan_to_json,
@@ -51,24 +50,27 @@ def search_budget() -> int:
     return budget
 
 
-class ResolutionResult(Record, uncompared=("discrepancies", "terminal_flags")):
+class ResolutionResult(Record):
+    """Certificates of a fan; ``discrepancies`` follow ``fan.rays`` and
+    ``terminal_flags`` follow ``fan.maximal_cones``, as in the JSON."""
+
     fan: Fan
     sequence: tuple[LatticePoint, ...]
-    discrepancies: dict[LatticePoint, int]
+    discrepancies: tuple[int, ...]
     smooth: bool
     crepant: bool
-    terminal_flags: dict[Cone, bool]
+    terminal_flags: tuple[bool, ...]
     euler: int
 
 
-def discrepancies(fan: Fan) -> dict[LatticePoint, int]:
-    """Discrepancy ``age(u) - 1`` per ray; an orthant ray has age 1, so 0."""
-    return {ray: ray.age - 1 for ray in fan.rays}
+def discrepancies(fan: Fan) -> tuple[int, ...]:
+    """Discrepancy ``age(u) - 1`` per ray, in ``fan.rays`` order; an orthant ray has 0."""
+    return tuple([ray.age - 1 for ray in fan.rays])
 
 
 def is_crepant(fan: Fan) -> bool:
     """Every exceptional ray has discrepancy 0."""
-    return not any(discrepancies(fan).values())
+    return not any(discrepancies(fan))
 
 
 def certify_fan(fan: Fan, sequence=()) -> ResolutionResult:
@@ -79,7 +81,7 @@ def certify_fan(fan: Fan, sequence=()) -> ResolutionResult:
         discrepancies=discrepancies(fan),
         smooth=fan.is_smooth,
         crepant=is_crepant(fan),
-        terminal_flags={c: is_terminal(c, fan.lattice) for c in fan.maximal_cones},
+        terminal_flags=tuple([is_terminal(c, fan.lattice) for c in fan.maximal_cones]),
         euler=len(fan.maximal_cones),
     )
 
@@ -114,8 +116,8 @@ def _has_dead_cone(state: _FanBuilder) -> bool:
 def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
     """Depth-first search over star-subdivision sequences of the targets.
 
-    ``mode`` is ``"juniors_only"`` (targets: the juniors) or
-    ``"hilbert_basis"`` (targets: the non-axis Hilbert basis elements).
+    ``mode`` is ``"juniors"`` (targets: the juniors) or ``"hilbert"``
+    (targets: the non-axis Hilbert basis elements), as ``--search`` names them.
     A fan's children are its star subdivisions at its pending targets (not
     yet rays), in policy order.  Two skips drop only subtrees without a
     smooth leaf.  *Seen fans:* a fan's rays fix its pending targets and so
@@ -131,9 +133,9 @@ def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
     ``exhausted`` False when the budget stopped it.
     """
     budget = search_budget()
-    if mode == "juniors_only":
+    if mode == "juniors":
         targets = _policy_order(group.juniors)
-    elif mode == "hilbert_basis":
+    elif mode == "hilbert":
         axes = set(group.lattice.units())
         targets = _policy_order([p for p in hilbert_basis(group) if p not in axes])
     else:
@@ -179,7 +181,7 @@ def result_to_json(result: ResolutionResult) -> dict:
         "smooth": result.smooth,
         "crepant": result.crepant,
         "euler": result.euler,
-        "ray_discrepancies": [str(result.discrepancies[r]) for r in result.fan.rays],
-        "cone_terminal": [result.terminal_flags[c] for c in result.fan.maximal_cones],
+        "ray_discrepancies": [str(d) for d in result.discrepancies],
+        "cone_terminal": list(result.terminal_flags),
         "star_sequence": True,
     }

@@ -631,7 +631,7 @@ def validate_fan_all_pairs(fan: Fan) -> None:
         if rank_loop(mat) != c.dim:
             raise InvalidFan(f"cone {c} is not simplicial")
     for a, b in combinations(fan.maximal_cones, 2):
-        common = a.ray_set & b.ray_set
+        common = set(a.rays) & set(b.rays)
         tau = make_cone(common) if common else Cone(())
         for x in intersection_generators(a, b):
             pt = LatticePoint(x, a.rays[0].denom)
@@ -1098,7 +1098,7 @@ def xi_g(fan: Fan, g_hat: LatticePoint) -> Fan:
     Corresponds to an open toric subvariety; only the maximal cones are
     stored, faces are implicit.
     """
-    if g_hat not in fan.ray_set:
+    if g_hat not in fan.cones_through:
         raise RayAbsent(f"{g_hat} is not a ray of the fan")
     return make_fan(fan.lattice, fan.cones_through[g_hat])
 
@@ -1224,16 +1224,16 @@ def certify_normal_embedding_per_anchor(
 def search_resolution_permutations(group: GroupData, mode: str) -> ResolutionResult:
     """Try permutations of the target set in a deterministic policy order.
 
-    ``mode`` is ``"juniors_only"`` (targets: the juniors) or
-    ``"hilbert_basis"`` (targets: the non-axis Hilbert basis elements); the
-    first permutation whose fan is smooth wins.  Only the accepted fan is
-    certified.  ``TORCREP_BUDGET`` bounds the permutations tried; not-found
-    is exhausted when every permutation was tried.
+    ``mode`` is ``"juniors"`` (targets: the juniors) or ``"hilbert"``
+    (targets: the non-axis Hilbert basis elements); the first permutation
+    whose fan is smooth wins.  Only the accepted fan is certified.
+    ``TORCREP_BUDGET`` bounds the permutations tried; not-found is
+    exhausted when every permutation was tried.
     """
     budget = search_budget()
-    if mode == "juniors_only":
+    if mode == "juniors":
         targets = _policy_order(group.juniors)
-    elif mode == "hilbert_basis":
+    elif mode == "hilbert":
         axes = set(group.lattice.units())
         targets = _policy_order([p for p in hilbert_basis(group) if p not in axes])
     else:
@@ -1268,9 +1268,9 @@ def search_resolution_by_fans(group: GroupData, mode: str) -> ResolutionResult:
     scans every singular cone for every pending target.
     """
     budget = search_budget()
-    if mode == "juniors_only":
+    if mode == "juniors":
         targets = _policy_order(group.juniors)
-    elif mode == "hilbert_basis":
+    elif mode == "hilbert":
         axes = set(group.lattice.units())
         targets = _policy_order([p for p in hilbert_basis(group) if p not in axes])
     else:
@@ -1283,7 +1283,7 @@ def search_resolution_by_fans(group: GroupData, mode: str) -> ResolutionResult:
     while True:
         if fan.maximal_cones not in seen:
             seen.add(fan.maximal_cones)
-            pending = [t for t in targets if t not in fan.ray_set]
+            pending = [t for t in targets if t not in fan.cones_through]
             if not _has_dead_cone_by_scan(fan, pending):
                 if not pending:
                     return certify_fan(fan, seq)

@@ -45,7 +45,7 @@ def test_criterion_1_order6_crepant_resolution(z6, z6_result):
     assert z6_result.smooth
     assert z6_result.crepant
     assert z6_result.euler == 6 == z6.order
-    assert all(v == 0 for v in z6_result.discrepancies.values())
+    assert all(v == 0 for v in z6_result.discrepancies)
     _report(1, "sequence (g1,g2,g3,g4) gives a smooth crepant fan with 6 cones")
 
 

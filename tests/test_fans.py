@@ -157,7 +157,7 @@ def test_star_subdivision_order6(z6):
         frozenset({g1, e1, e3}),
         frozenset({g1, e1, e2}),
     }
-    assert {c.ray_set for c in fan1.maximal_cones} == expected
+    assert {frozenset(c.rays) for c in fan1.maximal_cones} == expected
     assert set(fan1.rays) == set(fan.rays) | {g1}
     assert refines(fan1, fan)
     validate_fan(fan1)
@@ -393,7 +393,7 @@ def perturbed_fans(draw):
     cones = list(fan.maximal_cones)
     kind = draw(st.sampled_from(["add", "swap", "partial", "partial", "drop", "none"]))
     through = {p: [c for c in cones if contains_point(c, p)]
-               for p in points if p not in fan.ray_set}
+               for p in points if p not in fan.cones_through}
     shared = [p for p, cs in through.items() if len(cs) > 1]
     if kind == "partial" and shared:
         mu = draw(st.sampled_from(shared))

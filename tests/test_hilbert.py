@@ -190,8 +190,7 @@ def _group(*gens):
 @given(larger_groups())
 @example(close_group([], n=3))  # trivial: r = 1, every candidate a unit
 # r = 2^k and 2^k - 1: a unit's coordinate r reaches the top bit below the
-# guard, or fills every bit below it; in n = 3 the sweep's tree has r + 1
-# nodes, a power of two plus one or a power of two
+# guard, or fills every bit below it
 @example(_cyclic((1, 1, 2, 4), 8))
 @example(_cyclic((1, 2, 4), 7))
 @example(_cyclic((1, 1, 1022), 1024))
@@ -202,6 +201,7 @@ def _group(*gens):
 @example(_group((8, (1, 7, 0)), (8, (0, 1, 7))))
 @example(_group((7, (1, 6, 0)), (7, (0, 1, 6))))
 @example(close_group([], n=MAX_DIM))  # the most fields in one slot
+@example(_cyclic((1, 599), 600))  # n = 2: every nonzero element is minimal
 def test_hilbert_basis_matches_pairwise_oracle(group):
     assert hilbert_basis(group) == hilbert_basis_pairwise(group)
 
@@ -223,8 +223,10 @@ def test_n3_basis_is_juniors_and_units(group):
     """Bruns-Gubeladze: every lattice polygon is normal.
 
     So each point of age 2 in the orthant is a sum of two of age 1, no
-    senior is minimal, and in n = 3 the sweep keeps exactly the juniors
-    and the units.
+    senior is minimal, and in n = 3 the minimal candidates are exactly the
+    juniors and the units.  The pairwise oracle compares coordinates and
+    never reads an age.
     """
-    want = sorted((*group.juniors, *group.lattice.units()), key=lambda p: p.coords)
-    assert hilbert_basis(group) == tuple(want)
+    want = tuple(sorted((*group.juniors, *group.lattice.units()), key=lambda p: p.coords))
+    assert hilbert_basis_pairwise(group) == want
+    assert hilbert_basis(group) == want

@@ -108,12 +108,13 @@ def test_record_fields_are_read_by_the_package_or_scripts():
     assert [name for name in fields if name.split(".")[-1] not in read] == []
 
 
-def test_cli_import_skips_dataclasses_fractions_and_copy():
+def test_cli_import_skips_dataclasses_fractions_copy_and_pathlib():
     # dataclasses pulls in inspect, ast and dis, fractions pulls in decimal,
-    # and every command pays for the imports of its process; -S leaves out site
+    # pathlib pulls in urllib.parse and fnmatch, and every command pays for
+    # the imports of its process; -S leaves out site
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     probe = ("import sys, torcrep.cli; print(sorted(m for m in ('dataclasses', "
-             "'inspect', 'fractions', 'decimal', 'copy') if m in sys.modules))")
+             "'inspect', 'fractions', 'decimal', 'copy', 'pathlib') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
                          capture_output=True, text=True, env=env, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -53,7 +53,7 @@ def test_resolve_order6(z6, z6_result):
     assert z6_result.smooth
     assert z6_result.crepant
     assert z6_result.euler == 6
-    assert all(v == 0 for v in z6_result.discrepancies.values())
+    assert all(v == 0 for v in z6_result.discrepancies)
     assert refines(z6_result.fan, sigma_fan(z6.lattice))
 
 
@@ -71,10 +71,12 @@ def test_resolve_order7_minimal_model(z7):
 
 
 def test_discrepancies(z6_result, z7_hilbert_result):
-    d6 = discrepancies(z6_result.fan)
+    # one discrepancy per ray, in fan.rays order
+    d6 = dict(zip(z6_result.fan.rays, discrepancies(z6_result.fan), strict=True))
     assert d6[LatticePoint((1, 2, 3), 6)] == 0
     assert d6[unit_point(0, 3, 6)] == 0
-    d7 = discrepancies(z7_hilbert_result.fan)
+    d7 = dict(zip(z7_hilbert_result.fan.rays, discrepancies(z7_hilbert_result.fan),
+                  strict=True))
     assert d7[LatticePoint((3, 3, 6, 2), 7)] == 1
     assert d7[unit_point(0, 4, 7)] == 0
     assert not z7_hilbert_result.crepant
@@ -88,7 +90,7 @@ def test_ages_and_discrepancies_are_ints(z5, z7, z6_nonstar_fan, z7_hilbert_resu
         assert all(type(g.age) is int for g in group.elements)
     for fan in (z6_nonstar_fan, z7_hilbert_result.fan, resolve(z7, []).fan):
         disc = certify_fan(fan).discrepancies
-        assert disc and all(type(k) is int for k in disc.values())
+        assert disc and all(type(k) is int for k in disc)
     with pytest.raises(InvariantError, match="non-integral age"):
         LatticePoint((1, 0), 2).age
 
@@ -165,7 +167,7 @@ def test_freudenthal_fan_h_vector_is_the_age_histogram(r):
 
 
 def test_search_juniors_order6(z6):
-    res = search_resolution(z6, "juniors_only")
+    res = search_resolution(z6, "juniors")
     assert res.smooth and res.crepant and res.euler == 6
     # policy order starts with the unique interior junior
     assert res.sequence[0].coords == (1, 2, 3)
@@ -173,11 +175,11 @@ def test_search_juniors_order6(z6):
 
 def test_search_juniors_order7_not_found(z7):
     with pytest.raises(ResolutionNotFound):
-        search_resolution(z7, "juniors_only")
+        search_resolution(z7, "juniors")
 
 
 def test_search_hilbert_order7(z7):
-    res = search_resolution(z7, "hilbert_basis")
+    res = search_resolution(z7, "hilbert")
     assert res.smooth
     assert res.euler == 14
     assert set(res.fan.rays) == set(hilbert_basis(z7))
@@ -194,7 +196,7 @@ def test_search_hilbert_certifies_first_smooth_permutation():
     first = next(res for res in (resolve(group, perm) for perm in permutations(targets))
                  if res.smooth)
     assert first.sequence != tuple(targets)  # the first permutation is singular
-    found = search_resolution(group, "hilbert_basis")
+    found = search_resolution(group, "hilbert")
     assert found.sequence == first.sequence
     assert result_to_json(found) == result_to_json(first)
 
@@ -203,11 +205,11 @@ def test_search_budget(z6, monkeypatch):
     # the first path expands the orthant and three partial fans, and its
     # leaf is smooth
     monkeypatch.setenv("TORCREP_BUDGET", "4")
-    res = search_resolution(z6, "juniors_only")
+    res = search_resolution(z6, "juniors")
     assert res.crepant
     monkeypatch.setenv("TORCREP_BUDGET", "3")
     with pytest.raises(ResolutionNotFound) as info:
-        search_resolution(z6, "juniors_only")
+        search_resolution(z6, "juniors")
     assert not info.value.exhausted
     assert "stopped after expanding 3 fans" in str(info.value)
 
@@ -218,12 +220,12 @@ def test_search_budget_env_override(z6, z7, monkeypatch):
     monkeypatch.setenv("TORCREP_BUDGET", "17")
     assert search_budget() == 17
     with pytest.raises(ResolutionNotFound) as info:
-        search_resolution(z7, "juniors_only")
+        search_resolution(z7, "juniors")
     assert info.value.exhausted
     assert "fans expanded: 1" in str(info.value)  # only one junior to fold
     monkeypatch.setenv("TORCREP_BUDGET", "3")
     with pytest.raises(ResolutionNotFound) as info:
-        search_resolution(z6, "juniors_only")
+        search_resolution(z6, "juniors")
     assert not info.value.exhausted
 
 
@@ -239,8 +241,7 @@ def test_not_found_kinds(text, mode, budget, exhausted, monkeypatch, capsys):
         monkeypatch.setenv("TORCREP_BUDGET", budget)
     group = parse_group(text)
     with pytest.raises(ResolutionNotFound) as info:
-        search_resolution(group, {"juniors": "juniors_only",
-                                  "hilbert": "hilbert_basis"}[mode])
+        search_resolution(group, mode)
     assert info.value.exhausted is exhausted
     assert main(["resolve", text, "--search", mode]) == 3
     err = capsys.readouterr().err
@@ -262,9 +263,9 @@ def search_cases(draw):
         coords = draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
         gens.append(LatticePoint((*coords, -sum(coords) % m), m))
     group = close_group(gens, n)
-    mode = draw(st.sampled_from(["juniors_only", "hilbert_basis"]))
+    mode = draw(st.sampled_from(["juniors", "hilbert"]))
     axes = set(group.lattice.units())
-    targets = group.juniors if mode == "juniors_only" else [
+    targets = group.juniors if mode == "juniors" else [
         p for p in hilbert_basis(group) if p not in axes]
     assume(len(targets) <= 5)  # the oracle folds all k! permutations
     return group, mode
@@ -315,9 +316,9 @@ def _cyclic(coords, m):
 
 @settings(max_examples=60, deadline=None)
 @given(search_cases())
-@example((_cyclic((1, 2, 4, 5), 6), "hilbert_basis"))  # found after memo hits
-@example((_cyclic((1, 5, 5, 9), 10), "juniors_only"))  # exhausted after memo hits
-@example((_cyclic((1, 2, 3, 4), 5), "hilbert_basis"))  # exhausted by prunes alone
+@example((_cyclic((1, 2, 4, 5), 6), "hilbert"))  # found after memo hits
+@example((_cyclic((1, 5, 5, 9), 10), "juniors"))  # exhausted after memo hits
+@example((_cyclic((1, 2, 3, 4), 5), "hilbert"))  # exhausted by prunes alone
 def test_search_matches_permutation_oracle(case):
     group, mode = case
     assert _search_with_counts(group, mode)[0] == \
@@ -325,10 +326,10 @@ def test_search_matches_permutation_oracle(case):
 
 
 @pytest.mark.parametrize("text, mode, budget, exhausted", [
-    ("9:(1,1,3,4)", "hilbert_basis", "1", False),
-    ("10:(1,2,3,4)", "hilbert_basis", "5", False),
-    ("7:(1,1,2,3)", "juniors_only", "1", True),  # its one leaf is in budget
-    ("11:(1,2,3,5)", "hilbert_basis", None, True),
+    ("9:(1,1,3,4)", "hilbert", "1", False),
+    ("10:(1,2,3,4)", "hilbert", "5", False),
+    ("7:(1,1,2,3)", "juniors", "1", True),  # its one leaf is in budget
+    ("11:(1,2,3,5)", "hilbert", None, True),
 ])
 def test_search_not_found_matches_whole_fan_dfs(text, mode, budget, exhausted, monkeypatch):
     # budget stops and exhausted searches end as the DFS over whole fans did
