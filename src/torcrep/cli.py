@@ -191,7 +191,7 @@ def cmd_analyze(args) -> int:
 def cmd_resolve(args) -> int:
     group = _load_group(args)
     names = element_names(group)
-    if args.sequence:
+    if args.sequence is not None:
         seq = _sequence_points(names, args.sequence)
         result = resolve(group, seq)
     else:

@@ -25,7 +25,7 @@ def dual_basis(lattice: ScaledLattice) -> IntMatrix:
     """
     r = lattice.denom
     # basis * num = d * I, so the columns of r * basis^-1 are r * num / d
-    num, d = solve(lattice.basis, IntMatrix.identity(lattice.dim).columns())
+    num, d = solve(lattice.basis, IntMatrix.identity(lattice.dim).data)
     if any(r * v % d for col in num for v in col):
         raise InvariantError("lattice does not contain Z^n")
     return hermite_normal_form(IntMatrix([[r * v // d for v in col] for col in num]))

@@ -11,10 +11,10 @@ read off one maximal cone through ``g``, sends each weighted ray to its
 lift and the apex to ``g``.  It serves every cone, as the map read off any
 other cone agrees with it on that cone's basis; checking it on every ray
 and cone certifies that the open set of the cones through ``g`` is that
-whole total space, so ``E`` is normally embedded.  ``star_fan`` solves each
-lift for its basis coordinates once, and the map is checked against them
-and one solve of ``g``; a star cone is independent as its fan cone is, and
-a total-space cone's image is ``g`` with its star rays' lifts.
+whole total space, so ``E`` is normally embedded.  The fan solves each ray
+for its basis coordinates once (``Fan.ray_coords``); the projection, the
+map and its checks read them.  A star cone is independent as its fan cone
+is, and a total-space cone's image is ``g`` with its star rays' lifts.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import (
     InvariantError,
     LiftAmbiguous,
     NotComplete,
+    NotInLattice,
     NotSmooth,
     NotSurface,
     RayAbsent,
@@ -41,15 +42,13 @@ class StarFan(Record):
     """Fan of the exceptional divisor in the quotient lattice ``Z^(n-1)``.
 
     ``lifts`` maps each quotient ray generator back to the unique fan ray
-    it came from, and ``lift_coords`` pairs each lift, in ``lifts`` order,
-    with its basis coordinates; ``complete`` records whether the junior
-    point is interior to the orthant.
+    it came from; ``complete`` records whether the junior point is interior
+    to the orthant.
     """
 
     fan: Fan
     lifts: tuple[tuple[LatticePoint, LatticePoint], ...]
     complete: bool
-    lift_coords: tuple[tuple[LatticePoint, tuple[int, ...]], ...]
 
 
 class SurfaceType(Record):
@@ -80,15 +79,22 @@ class EmbeddingCertificate(Record):
     cone_bijection: tuple[tuple[Cone, Cone], ...]
 
 
+def _solved(fan: Fan, p: LatticePoint) -> tuple[int, ...]:
+    """Basis coordinates of the ray ``p``, read off the fan's one solve of each ray."""
+    x = fan.ray_coords[p]
+    if x is None:
+        raise NotInLattice(f"{p} is not in the lattice")
+    return x
+
+
 def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
     """Project the cones through a ray into the quotient lattice, each ray once."""
     if g_hat not in fan.cones_through:
         raise RayAbsent(f"{g_hat} is not a ray of the fan")
-    lat = fan.lattice
-    proj = quotient_by_ray(lat, g_hat)
+    m = fan.lattice.dim - 1
+    proj = quotient_by_ray(g_hat, _solved(fan, g_hat))
     lifts: dict[LatticePoint, LatticePoint] = {}
     images: dict[LatticePoint, LatticePoint] = {}  # ray -> star ray
-    coords: dict[LatticePoint, tuple[int, ...]] = {}  # ray -> basis coordinates
     cones = []
     for c in fan.cones_through[g_hat]:
         imgs = []
@@ -97,8 +103,7 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
                 continue
             ubar = images.get(u)
             if ubar is None:
-                x = coords[u] = lat.basis_coords(u)
-                ubar = images[u] = LatticePoint(proj.mul_vec(x), 1)
+                ubar = images[u] = LatticePoint(proj.mul_vec(_solved(fan, u)), 1)
                 prev = lifts.setdefault(ubar, u)
                 if prev != u:
                     raise LiftAmbiguous(
@@ -107,13 +112,12 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
             imgs.append(ubar)
         # independent, as c is: sum a_u ubar = 0 puts sum a_u u in Q*g, so every a_u = 0
         cones.append(Cone(tuple(sorted(imgs, key=lambda p: p.coords))))
-    star = make_fan(ScaledLattice(lat.dim - 1, 1, IntMatrix.identity(lat.dim - 1)), cones)
+    star = make_fan(ScaledLattice(m, 1, IntMatrix.identity(m)), cones)
     for ubar in star.rays:
         if gcd(*ubar.coords) != 1:
             raise NotSmooth(f"star ray {ubar} is not primitive; fan is singular along the ray")
     complete = all(c > 0 for c in g_hat.coords)
-    ordered = tuple(sorted(lifts.items(), key=lambda kv: kv[0].coords))
-    return StarFan(star, ordered, complete, tuple([(u, coords[u]) for _, u in ordered]))
+    return StarFan(star, tuple(sorted(lifts.items(), key=lambda kv: kv[0].coords)), complete)
 
 
 def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertificate:
@@ -129,8 +133,15 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
     serves every cone: the map read off any other one agrees with it on
     that cone's basis, which the lift and apex checks cover.  Raises
     CertificateFailure at the first violation.
+
+    At a ray ``g`` of age 1 of a valid smooth fan no check fails.  The
+    anchor's rays ``v_i`` and ``g`` are a basis of ``N``; age is linear, so
+    the map sends ``(ubar, age u)`` for ``u = sum a_i v_i + a_g g`` to
+    ``u + a_g (age g - 1) g = u``.  Two rays through ``g`` never share a
+    star ray, or one would lie in the cone on the other and ``g``: the lifts
+    are unique and the cone bijection is the identity.  So on valid input
+    the checks guard the code that builds the star fan.
     """
-    lat = fan.lattice
     if not fan.is_smooth:
         raise NotSmooth("embedding certificates require a smooth fan")
     star = star_fan(fan, g_hat)
@@ -142,10 +153,10 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
     anchor = anchors[0]
     # iso * d = t for d, t with the anchor rays' preimages and coordinates
     # as columns: the rows of iso solve d^T against the rows of t
-    coords = dict(star.lift_coords) | {g_hat: lat.basis_coords(g_hat)}
-    t = IntMatrix.from_columns([coords[u] for u in anchor.rays])
+    coords = fan.ray_coords
+    t = zip(*(coords[u] for u in anchor.rays))
     try:
-        rows, det = solve(IntMatrix([preimage[u].coords for u in anchor.rays]), t.data)
+        rows, det = solve(IntMatrix([preimage[u].coords for u in anchor.rays]), t)
     except ValueError:  # singular
         det = 0
     iso = IntMatrix(rows) if det == 1 else None

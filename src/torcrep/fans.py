@@ -88,14 +88,14 @@ class Cone:
     def facet_normals(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """``(rows, d)``: rows of ``d * A^-1``, ``d = |det A|``, ``A`` the rays.
 
-        Row ``i`` is the inner normal of the facet opposite ray ``i``.
-        Raises ValueError for a cone that is not full-dimensional.
+        Row ``i`` (from ``A^T x = d e_i``) is the inner normal of the facet
+        opposite ray ``i``.  Raises ValueError for a cone not full-dimensional.
         """
         if not self.rays or self.dim != self.rays[0].dim:
             raise ValueError(f"cone {self} is not full-dimensional")
-        mat = IntMatrix.from_columns([r.coords for r in self.rays])
-        cols, d = solve(mat, IntMatrix.identity(self.dim).columns())
-        return tuple(zip(*cols)), d
+        mat = IntMatrix([r.coords for r in self.rays])
+        rows, d = solve(mat, IntMatrix.identity(self.dim).data)
+        return tuple(rows), d
 
     @cached_property
     def det(self) -> int:
@@ -189,6 +189,11 @@ class Fan(Record):
         return tuple(sorted(self.cones_through, key=lambda p: p.coords))
 
     @cached_property
+    def ray_coords(self) -> dict[LatticePoint, tuple[int, ...] | None]:
+        """Each ray's basis coordinates, or None off the lattice, solved once per fan."""
+        return {p: self.lattice.coords_or_none(p) for p in self.rays}
+
+    @cached_property
     def cones_through(self) -> dict[LatticePoint, tuple[Cone, ...]]:
         """Each ray's maximal cones, in fan order."""
         index: dict[LatticePoint, list[Cone]] = {}
@@ -253,8 +258,7 @@ def validate_fan(fan: Fan) -> None:
     """
     lat = fan.lattice
     n = lat.dim
-    for p in fan.rays:
-        x = lat.coords_or_none(p)
+    for p, x in fan.ray_coords.items():
         if x is None:
             raise InvalidFan(f"ray {p} is not a lattice point")
         if gcd(*x) != 1:

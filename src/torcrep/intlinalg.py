@@ -24,6 +24,8 @@ Conventions:
 
 from __future__ import annotations
 
+from functools import cache
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Extended gcd: ``(g, x, y)`` with ``g = a*x + b*y`` and ``g >= 0``."""
@@ -71,6 +73,7 @@ class IntMatrix:
         self.data = rows
 
     @classmethod
+    @cache  # immutable, so one per dimension serves every caller
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 

@@ -13,7 +13,7 @@ A :class:`ScaledLattice` keeps a column-Hermite basis of ``r*N`` inside
 basis coordinates, or ``None`` off the lattice; membership reads it, a
 point is primitive when the gcd of its coordinates is 1, and the quotient
 ``N / Z*v`` by a primitive ``v`` is the integer matrix that projects them
-onto ``Z^(n-1)``.
+onto ``Z^(n-1)``.  A fan solves each ray once, in ``Fan.ray_coords``.
 
 The package's records are immutable and compare by their fields.  Points
 and cones key every dict and set, so they are written by hand with their
@@ -29,7 +29,6 @@ from .errors import (
     DenomMismatch,
     InvalidGenerator,
     InvariantError,
-    NotInLattice,
     NotPrimitive,
 )
 from .intlinalg import IntMatrix, hermite_normal_form
@@ -175,12 +174,6 @@ class ScaledLattice(Record):
     def contains(self, p: LatticePoint) -> bool:
         return self.coords_or_none(p) is not None
 
-    def basis_coords(self, p: LatticePoint) -> tuple[int, ...]:
-        x = self.coords_or_none(p)
-        if x is None:
-            raise NotInLattice(f"{p} is not in the lattice")
-        return x
-
 
 def build_lattice(gens, n: int, denom: int) -> ScaledLattice:
     """Hermite basis of ``Z^n + sum Z*g`` for scaled generators ``gens``.
@@ -212,18 +205,17 @@ def build_lattice(gens, n: int, denom: int) -> ScaledLattice:
     return ScaledLattice(n, denom, basis)
 
 
-def quotient_by_ray(lattice: ScaledLattice, v: LatticePoint) -> IntMatrix:
+def quotient_by_ray(v: LatticePoint, w: tuple[int, ...]) -> IntMatrix:
     """Projection of basis coordinates onto ``N / Z*v = Z^(n-1)``, ``v`` primitive.
 
-    Its kernel is exactly the line through ``v``.
+    ``w`` is ``v`` in basis coordinates; the kernel is exactly the line through it.
     """
-    w = lattice.basis_coords(v)
     if gcd(*w) != 1:
         raise NotPrimitive(f"{v} is not primitive")
     # the Hermite form of w over the identity is [w u; u] with u unimodular;
     # w u = e_1 as w is primitive, so the lower blocks of the other columns
     # are the Hermite basis of the annihilator of w, which maps N onto Z^(n-1)
-    h = hermite_normal_form(IntMatrix([w, *IntMatrix.identity(lattice.dim).data]))
+    h = hermite_normal_form(IntMatrix([w, *IntMatrix.identity(len(w)).data]))
     if any(h[0][1:]):
         raise InvariantError(f"quotient by {v} does not have {v} in its kernel")
     return IntMatrix([col[1:] for col in h.columns()[1:]])

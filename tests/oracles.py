@@ -1,6 +1,8 @@
 """Reference implementations and helpers that only the tests use.
 
-``from_basis_coords`` inverts ``ScaledLattice.basis_coords``; it left the
+``basis_coords`` is a point's basis coordinates, raising off the lattice;
+it left ``ScaledLattice`` once each fan solved its rays once
+(``Fan.ray_coords``).  ``from_basis_coords`` inverts it; it left the
 lattice once certificates read each cone's image off the checked lifts.
 ``is_primitive`` and ``project`` are the lattice's primitivity test and the
 quotient's projection of a point before callers read both off one forward
@@ -18,7 +20,9 @@ Hermite form when it kept its transform ``u``, with
 forms before one form of ``w`` over the identity gave it; and
 ``inverse_unimodular``, the inverse that the embedding certificate took
 before one ``solve``; and ``matmul``, the matrix product that left
-``IntMatrix`` when only the tests multiplied matrices.  The fan
+``IntMatrix`` when only the tests multiplied matrices;
+``facet_normals_by_columns``, ``Cone.facet_normals`` before it solved with
+the rays as rows.  The fan
 oracles are the general pairwise fan check (the extreme rays of every
 intersection of two cones, computed exactly) with ``refines`` (containment
 plus support volume), which ``validate_fan`` replaced by facet pairing over
@@ -119,6 +123,13 @@ from torcrep.resolve import (
 # Lattice oracles
 
 
+def basis_coords(lat: ScaledLattice, p: LatticePoint) -> tuple[int, ...]:
+    x = lat.coords_or_none(p)
+    if x is None:
+        raise NotInLattice(f"{p} is not in the lattice")
+    return x
+
+
 def from_basis_coords(lat: ScaledLattice, x) -> LatticePoint:
     """The lattice point with basis coordinates ``x``, inverse of ``basis_coords``."""
     return LatticePoint(lat.basis.mul_vec(x), lat.denom)
@@ -127,26 +138,23 @@ def from_basis_coords(lat: ScaledLattice, x) -> LatticePoint:
 def is_primitive(lat: ScaledLattice, p: LatticePoint) -> bool:
     if p.is_zero():
         raise NotInLattice("the zero vector has no primitivity")
-    x = lat.coords_or_none(p)
-    if x is None:
-        raise NotInLattice(f"{p} is not in the lattice")
-    return gcd(*x) == 1
+    return gcd(*basis_coords(lat, p)) == 1
 
 
 def project(lat: ScaledLattice, proj: IntMatrix, p: LatticePoint) -> LatticePoint:
-    """The image of ``p`` in ``N / Z*v`` under ``proj = quotient_by_ray(lat, v)``."""
-    x = lat.basis_coords(p)
+    """The image of ``p`` in ``N / Z*v`` under ``proj = quotient_by_ray(v, w)``."""
+    x = basis_coords(lat, p)
     return LatticePoint(proj.mul_vec(x), 1)
 
 
 def quotient_projection_two_forms(lat: ScaledLattice, v: LatticePoint) -> IntMatrix:
-    """``quotient_by_ray(lat, v)`` from two Hermite forms.
+    """``quotient_by_ray(v, basis_coords(lat, v))`` from two Hermite forms.
 
     The transform ``u`` of the form of ``w = coords(v)`` has ``w u = e_1``,
     so its other columns span the annihilator of ``w``; a second form puts
     them in canonical order.
     """
-    _, u = hermite_with_transform(IntMatrix([lat.basis_coords(v)]))
+    _, u = hermite_with_transform(IntMatrix([basis_coords(lat, v)]))
     proj = IntMatrix(u.columns()[1:])
     return hermite_with_transform(proj.transpose())[0].transpose()
 
@@ -464,6 +472,18 @@ def faces(cone: Cone) -> tuple[Cone, ...]:
     return tuple(out)
 
 
+def facet_normals_by_columns(cone: Cone) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``Cone.facet_normals`` as it solved ``A x = d e_i`` with the rays as columns.
+
+    The columns of ``d * A^-1`` come out, and ``zip`` turns them into its rows.
+    """
+    if not cone.rays or cone.dim != cone.rays[0].dim:
+        raise ValueError(f"cone {cone} is not full-dimensional")
+    mat = IntMatrix.from_columns([r.coords for r in cone.rays])
+    cols, d = solve(mat, IntMatrix.identity(cone.dim).columns())
+    return tuple(zip(*cols)), d
+
+
 def barycentric_by_solve(cone: Cone, p: LatticePoint):
     """``barycentric`` by one ``solve`` of the cleared system, for any cone."""
     rd, pd = cone.rays[0].denom, p.denom
@@ -769,7 +789,7 @@ def support_volume_fraction(fan: Fan) -> Fraction:
 
 def _saturation_coords(cone: Cone, lattice: ScaledLattice) -> IntMatrix:
     """Ray coordinates in a basis of ``N ∩ span(c)`` (a d-by-d matrix)."""
-    mat = IntMatrix.from_columns([lattice.basis_coords(r) for r in cone.rays])
+    mat = IntMatrix.from_columns([basis_coords(lattice, r) for r in cone.rays])
     if cone.dim == lattice.dim:
         return mat
     _, p, _ = smith_normal_form(mat)
@@ -1149,9 +1169,9 @@ def _iso_matrix(fan: Fan, star: StarFan, g_hat: LatticePoint, anchor: Cone) -> I
         if u == g_hat:
             continue
         dom_cols.append(project(lat, proj, u).coords + (u.age,))
-        img_cols.append(lat.basis_coords(u))
+        img_cols.append(basis_coords(lat, u))
     dom_cols.append((0,) * star.fan.lattice.dim + (1,))
-    img_cols.append(lat.basis_coords(g_hat))
+    img_cols.append(basis_coords(lat, g_hat))
     d = IntMatrix.from_columns(dom_cols)
     t = IntMatrix.from_columns(img_cols)
     return matmul(t, inverse_unimodular(d))
@@ -1187,10 +1207,10 @@ def certify_normal_embedding_per_anchor(
             )
         for ubar, u in star.lifts:
             got = iso.mul_vec(ubar.coords + (u.age,))
-            if got != lat.basis_coords(u):
+            if got != basis_coords(lat, u):
                 raise CertificateFailure(f"anchor {anchor}: ray {ubar} maps off its lift {u}")
         apex = (0,) * star.fan.lattice.dim + (1,)
-        if iso.mul_vec(apex) != lat.basis_coords(g_hat):
+        if iso.mul_vec(apex) != basis_coords(lat, g_hat):
             raise CertificateFailure(f"anchor {anchor}: apex does not map to the ray")
         bijection = []
         seen = set()

@@ -262,6 +262,15 @@ def test_resolve_sequence_through_seniors(tmp_path, capsys):
     assert data["euler"] == 14 and data["smooth"]
 
 
+@pytest.mark.parametrize("seq", ["", " "], ids=["empty", "space"])
+def test_blank_sequence_is_input_error(seq, capsys):
+    # an empty --sequence names no element; it is not a request to search
+    assert main(["resolve", "6:(1,2,3)", "--sequence", seq]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: unknown element name ''")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("group, seq", [
     ("7:(1,1,2,3)", "g1"),
     ("11:(1,2,3,5)", "g1"),

@@ -34,7 +34,7 @@ from torcrep.exceptional import (
     coverage_check,
     star_fan,
 )
-from torcrep.fans import make_cone, make_fan, sigma_fan
+from torcrep.fans import fan_from_json, fan_to_json, make_cone, make_fan, sigma_fan, validate_fan
 from torcrep.groups import close_group, compact_juniors
 from torcrep.hilbert import hilbert_basis
 from torcrep.intlinalg import IntMatrix
@@ -48,7 +48,7 @@ def std_lattice(n):
 
 def plain_star(fan, lifts=(), complete=True):
     """Star fan wrapper for synthetic bases in line-bundle tests."""
-    return StarFan(fan, lifts, complete, {})
+    return StarFan(fan, lifts, complete)
 
 
 def test_xi_g_counts(z6, z6_result, z5_result, trivial3):
@@ -207,10 +207,10 @@ _Z31 = close_group([LatticePoint((1, 30, 0), 31), LatticePoint((0, 1, 30), 31)])
 
 @pytest.mark.parametrize("group", [_Z6, _Z31], ids=["z6", "961-cones"])
 def test_certificate_substitutes_each_ray_once(group, monkeypatch):
-    # star_fan solves g and the k other rays through it; the map reads their
-    # coordinates and solves g once more, for the anchor and the apex check
-    fan = resolve(group, group.juniors).fan
-    assert fan.is_smooth
+    # validate_fan and every junior's certificate read the fan's one forward
+    # substitution per ray, and share one identity matrix per dimension; the
+    # fan is read back from JSON, so no cone has its facet normals yet
+    fan = fan_from_json(fan_to_json(resolve(group, group.juniors).fan))
     calls = []
     substitute = ScaledLattice.coords_or_none
 
@@ -219,11 +219,13 @@ def test_certificate_substitutes_each_ray_once(group, monkeypatch):
         return substitute(self, p)
 
     monkeypatch.setattr(ScaledLattice, "coords_or_none", counted)
+    IntMatrix.identity.cache_clear()
+    validate_fan(fan)
+    assert fan.is_smooth
     for g in group.juniors:
-        k = len({u for c in fan.cones_through[g] for u in c.rays}) - 1
-        calls.clear()
         certify_normal_embedding(fan, g)
-        assert len(calls) <= k + 2
+    assert len(calls) == len(fan.rays) and set(calls) == set(fan.rays)
+    assert IntMatrix.identity.cache_info().misses <= 2  # dimensions n and n - 1
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -8,11 +8,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 
-from conftest import partial_folds, random_cyclic_group, smooth_fans
+from conftest import partial_folds, random_cyclic_group, smooth_fans, validated_fans
 from oracles import (
     barycentric_by_solve,
     contains_point,
     faces,
+    facet_normals_by_columns,
     fans_equal,
     gl2_equivalent,
     gl2_normal_form,
@@ -501,6 +502,28 @@ def test_perturbed_fans_include_valid_and_invalid():
                       and _rejection(validate_fan_all_pairs, f) is not None,
                       settings=quick)
     assert "not 2" in _rejection(validate_fan, t_junction)
+
+
+def _normals_outcome(normals, cone):
+    try:
+        return normals(cone)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_E = [LatticePoint(c, 1) for c in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(validated_fans().map(lambda case: case[1]), perturbed_fans()))
+@example(make_fan(std_lattice(3), [make_cone([_E[0], _E[1], _E[3]])]))  # dependent rays
+@example(make_fan(std_lattice(3), [make_cone(_E[:2])]))  # not full-dimensional
+def test_facet_normals_match_column_solve(fan):
+    # solving with the rays as rows gives the rows of d * A^-1 that the
+    # column solve gave, or the same error; a fresh cone has no normals cached
+    for cone in fan.maximal_cones:
+        assert _normals_outcome(lambda c: c.facet_normals, Cone(cone.rays)) == \
+            _normals_outcome(facet_normals_by_columns, cone)
 
 
 def test_validate_fan_rejects_orthant_t_junction():

@@ -4,6 +4,7 @@ from hypothesis import given
 
 from conftest import random_cyclic_group
 from oracles import (
+    basis_coords,
     from_basis_coords,
     hermite_with_transform,
     inverse_unimodular,
@@ -138,9 +139,13 @@ def test_index_formula_random(rng):
         assert len(seen) == group.order
 
 
+def _quotient(lat, v):
+    return quotient_by_ray(v, basis_coords(lat, v))
+
+
 def test_quotient_drop_coordinate():
     lat = build_lattice([], 3, denom=1)
-    quo = quotient_by_ray(lat, unit_point(2, 3, 1))
+    quo = _quotient(lat, unit_point(2, 3, 1))
     p = LatticePoint((4, 5, 7), 1)
     q = LatticePoint((4, 5, 0), 1)
     assert project(lat, quo, p) == project(lat, quo, q)
@@ -150,11 +155,11 @@ def test_quotient_drop_coordinate():
 def test_quotient_kernel_and_section(z6):
     g1 = LatticePoint((1, 2, 3), 6)
     lat = z6.lattice
-    quo = quotient_by_ray(lat, g1)
+    quo = _quotient(lat, g1)
     assert project(lat, quo, g1).is_zero()
     # the section from the same Hermite transform: w^T u = e_1^T, and the
     # rows of u^-1 after the first split the projection the columns give
-    _, u = hermite_with_transform(IntMatrix([lat.basis_coords(g1)]))
+    _, u = hermite_with_transform(IntMatrix([basis_coords(lat, g1)]))
     sect = IntMatrix.from_columns(inverse_unimodular(u).data[1:])
     hc, v = hermite_with_transform(IntMatrix(u.columns()[1:]).transpose())
     assert quo == hc.transpose()
@@ -187,12 +192,12 @@ def test_quotient_projection_matches_two_form_oracle(gens):
               if not g.is_zero() and is_primitive(lat, g)] + list(group.lattice.units())
     assert len(points) > group.n
     for v in points:
-        assert quotient_by_ray(lat, v) == quotient_projection_two_forms(lat, v)
+        assert _quotient(lat, v) == quotient_projection_two_forms(lat, v)
 
 
 def test_quotient_reference_images(z6):
     g1 = LatticePoint((1, 2, 3), 6)
-    quo = quotient_by_ray(z6.lattice, g1)
+    quo = _quotient(z6.lattice, g1)
     images = {
         project(z6.lattice, quo, p).coords
         for p in [
@@ -209,14 +214,14 @@ def test_quotient_reference_images(z6):
 
 def test_quotient_requires_primitive(z6):
     with pytest.raises(NotPrimitive):
-        quotient_by_ray(z6.lattice, LatticePoint((2, 4, 6), 6))
+        _quotient(z6.lattice, LatticePoint((2, 4, 6), 6))
     with pytest.raises(NotPrimitive):  # gcd(0, 0, 0) is 0, not 1
-        quotient_by_ray(z6.lattice, LatticePoint((0, 0, 0), 6))
+        _quotient(z6.lattice, LatticePoint((0, 0, 0), 6))
 
 
 def test_quotient_translation_invariance(z6, rng):
     g1 = LatticePoint((1, 2, 3), 6)
-    quo = quotient_by_ray(z6.lattice, g1)
+    quo = _quotient(z6.lattice, g1)
     lat = z6.lattice
     for _ in range(100):
         x = [rng.randrange(-5, 6) for _ in range(3)]

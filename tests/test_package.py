@@ -104,7 +104,7 @@ def test_record_fields_are_read_by_the_package_or_scripts():
     read = _attributes_read()
     fields = _record_fields()
     # the walk sees the hand-written slots and the annotated fields of a Record
-    assert {"LatticePoint.coords", "Cone.rays", "StarFan.lift_coords"} <= set(fields)
+    assert {"LatticePoint.coords", "Cone.rays", "StarFan.lifts"} <= set(fields)
     assert [name for name in fields if name.split(".")[-1] not in read] == []
 
 

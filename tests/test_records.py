@@ -30,7 +30,7 @@ FIELDS = {
     ObstructionReport: ("not_generated_by_juniors", "hilbert_basis_contains_seniors"),
     Fan: ("lattice", "maximal_cones"),
     ClassGroup: ("rank", "torsion", "ray_classes", "canonical_class"),
-    StarFan: ("fan", "lifts", "complete", "lift_coords"),
+    StarFan: ("fan", "lifts", "complete"),
     SurfaceType: ("kind", "parameter", "self_intersections"),
     EmbeddingCertificate: ("junior", "star", "iso", "cone_bijection"),
     ResolutionResult: ("fan", "sequence", "discrepancies", "smooth", "crepant",
