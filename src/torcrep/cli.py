@@ -21,6 +21,8 @@ import argparse
 import json
 import re
 import sys
+from functools import cache
+from itertools import islice
 
 from .divisors import class_group, class_group_to_json
 from .errors import (
@@ -29,6 +31,7 @@ from .errors import (
     DimensionUnsupported,
     GroupSyntaxError,
     InputError,
+    InvariantError,
     NotInSL,
     ResolutionNotFound,
     TorcrepError,
@@ -45,6 +48,10 @@ from .hilbert import hilbert_basis
 from .lattice import LatticePoint
 from .resolve import is_crepant, resolve, result_to_json, search_resolution
 from .svg import junior_graph_svg
+
+# element table lines per write: a write per line costs a call each, and one
+# write of all would hold the whole table (51 MB at the closure limit)
+TABLE_CHUNK_LINES = 4096
 
 _GEN_RE = re.compile(r"^\s*(\d+)\s*:\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*$", re.ASCII)
 
@@ -166,18 +173,21 @@ def cmd_analyze(args) -> int:
     report = crepant_obstructions(group, hlb)
     juniors = group.juniors
     compact = compact_juniors(group)
+    labels = names | {u: f"e{i + 1}" for i, u in enumerate(group.lattice.units())}
+    try:
+        hlb_names = [labels[p] for p in hlb]
+    except KeyError as exc:
+        raise InvariantError(f"Hilbert basis element {exc.args[0]} is neither "
+                             "a group element nor a unit") from None
     print(f"group order {group.order}, denominator r={group.r}, dimension n={group.n}")
     print("elements:")
-    for g in group.elements:
-        if g.is_zero():
-            print("  id    0")
-            continue
-        print(f"  {names[g]:<5} {g}  age {g.age}")
+    lines = (f"  {names[g]:<5} {g}  age {g.age}\n" if g in names else "  id    0\n"
+             for g in group.elements)
+    while chunk := "".join(islice(lines, TABLE_CHUNK_LINES)):
+        sys.stdout.write(chunk)
     print(f"junior simplex: {len(juniors)} junior point(s)"
           f" [{', '.join(names[g] for g in juniors)}]")
     print(f"compact juniors: [{', '.join(names[g] for g in compact)}]")
-    labels = names | {u: f"e{i + 1}" for i, u in enumerate(group.lattice.units())}
-    hlb_names = [labels.get(p, "e") for p in hlb]
     print(f"Hilbert basis ({len(hlb)}): {', '.join(sorted(hlb_names))}")
     if report.not_generated_by_juniors:
         print("no crepant resolution: not generated by juniors")
@@ -324,8 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state, so one parser serves every main() call;
+    # build_parser() itself still returns a fresh one its caller may change
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ResolutionNotFound as exc:

@@ -3,13 +3,16 @@
 A group element ``diag(eps^a1, ..., eps^an)`` of order dividing ``r`` is
 stored as the scaled fractional expression ``(a1, ..., an)`` with
 denominator ``r``.  The whole group is the closure of its generators
-under componentwise addition mod r, built coset by coset.
+under componentwise addition mod r, built coset by coset.  Elements are
+named ``g1, g2, ...`` by age, then lex: one age per element and a stable
+sort on the lex-sorted list.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, lcm
+from operator import add, attrgetter, mod
 
 from .errors import DimensionMismatch, ExplosionGuard, InvariantError, NotInSL
 from .lattice import LatticePoint, Record, ScaledLattice, build_lattice
@@ -66,6 +69,7 @@ def closure(gens, r: int):
     stop at the first one it rejects.
     """
     gens = [tuple(c % r for c in g) for g in gens]
+    rs = (r,) * len(gens[0])
     subgroup = [(0,) * len(gens[0])]
     seen = set(subgroup)
     for g in gens:
@@ -75,10 +79,10 @@ def closure(gens, r: int):
                 cosets.append(shift)
                 yield shift
             else:
-                coset = [tuple([(a + b) % r for a, b in zip(h, shift)]) for h in subgroup]
+                coset = [tuple(map(mod, map(add, h, shift), rs)) for h in subgroup]
                 cosets += coset
                 yield from coset
-            shift = tuple([(a + b) % r for a, b in zip(shift, g)])
+            shift = tuple(map(mod, map(add, shift, g), rs))
         subgroup += cosets
         seen.update(cosets)
 
@@ -105,7 +109,7 @@ def close_group(generators, n: int | None = None) -> GroupData:
     coords = sorted([(0,) * n, *closure([g.coords for g in gens], r)])
     if len(coords) != order:
         raise InvariantError("lattice index must equal #G")
-    elements = tuple(LatticePoint(c, r) for c in coords)
+    elements = tuple([LatticePoint(c, r) for c in coords])
     return GroupData(n, r, elements, tuple(gens), lattice)
 
 
@@ -152,5 +156,6 @@ def element_names(group: GroupData) -> dict[LatticePoint, str]:
     Juniors always occupy the initial prefix since they sort first by age.
     """
     nonzero = [g for g in group.elements if not g.is_zero()]
-    nonzero.sort(key=lambda g: (g.age, g.coords))
+    nonzero.sort(key=attrgetter("coords"))
+    nonzero.sort(key=attrgetter("age"))  # stable: lex within each age
     return {g: f"g{i + 1}" for i, g in enumerate(nonzero)}

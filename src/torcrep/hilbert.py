@@ -29,6 +29,8 @@ In ``n <= 3`` the basis is the juniors and the units, read off the ages:
 
 from __future__ import annotations
 
+from operator import lshift
+
 from .groups import GroupData
 from .lattice import LatticePoint
 
@@ -55,10 +57,11 @@ def hilbert_basis(group: GroupData) -> tuple[LatticePoint, ...]:
     candidates.sort(key=lambda p: p.coords)
     minimal = []
     first = 1 << (w - 1)
-    guard = sum(first << (i * w) for i in range(n))
+    shifts = [i * w for i in range(n)]
+    guard = sum(first << s for s in shifts)
     kept = ones = guards = firsts = 0
     for v in candidates:
-        packed = sum(c << (i * w) for i, c in enumerate(v.coords))
+        packed = sum(map(lshift, v.coords, shifts))
         passed = ((packed | guard) * ones - kept) & guards
         below = passed
         for i in range(1, n):

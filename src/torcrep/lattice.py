@@ -121,7 +121,7 @@ class LatticePoint:
         return not any(self.coords)
 
     def __str__(self) -> str:
-        body = ",".join(str(c) for c in self.coords)
+        body = ",".join(map(str, self.coords))
         if self.denom == 1:
             return f"({body})"
         return f"(1/{self.denom})({body})"

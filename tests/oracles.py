@@ -49,7 +49,10 @@ n = 4 without ``resolve``, and ``mckay_vectors`` gives both sides of the
 McKay correspondence on a fan.  ``fan_from_json`` once
 recomputed a basis's Hermite form to check it; that is the oracle of its
 shape test.  ``closure_bfs`` is the group closure before it went coset
-by coset (breadth-first, each element built once per generator).  The
+by coset (breadth-first, each element built once per generator), and
+``closure_by_zip`` the coset-by-coset closure before it added and reduced
+with ``map``.  ``element_names_by_key`` names the elements by one
+``(age, coords)`` key sort, before the two stable sorts.  The
 Hilbert basis oracles are the
 lex scan before its packed comparison (a Python test of each candidate
 against each kept minimal element, which is also the oracle of the n = 3
@@ -862,6 +865,33 @@ def closure_bfs(gens, r: int):
                     nxt.append(cand)
                     yield cand
         frontier = nxt
+
+
+def closure_by_zip(gens, r: int):
+    """``closure`` before it added and reduced each coset with ``map``."""
+    gens = [tuple(c % r for c in g) for g in gens]
+    subgroup = [(0,) * len(gens[0])]
+    seen = set(subgroup)
+    for g in gens:
+        shift, cosets = g, []
+        while shift not in seen:
+            if len(subgroup) == 1:  # H = {0}: the coset is k*g itself
+                cosets.append(shift)
+                yield shift
+            else:
+                coset = [tuple([(a + b) % r for a, b in zip(h, shift)]) for h in subgroup]
+                cosets += coset
+                yield from coset
+            shift = tuple([(a + b) % r for a, b in zip(shift, g)])
+        subgroup += cosets
+        seen.update(cosets)
+
+
+def element_names_by_key(group: GroupData) -> dict[LatticePoint, str]:
+    """``element_names`` before it sorted twice: one ``(age, coords)`` key sort."""
+    nonzero = [g for g in group.elements if not g.is_zero()]
+    nonzero.sort(key=lambda g: (g.age, g.coords))
+    return {g: f"g{i + 1}" for i, g in enumerate(nonzero)}
 
 
 class NotInCone(TorcrepError):

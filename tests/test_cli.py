@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -142,10 +143,19 @@ def test_analyze_large_order(capsys):
      "d520663aad8b95c61ef86f1c568e348148df71d7090eef3241e24722d2bc0f33"),
     ("30030:(1,2,30027)",
      "d6fdf01cb8c56600a8258ba0b9374cb10aa3464d3aa5db4c89008aebcf0d2817"),
+    ("1:(0,0,0)",  # the table is the zero alone
+     "f167b189500fe5d219ef773243c7eeef4f99457979415fe3a3555c5a388087c9"),
+    ("3:(1,2)",
+     "533863f6a8fd549ec510aff46e92d01ceda27a48880aa23132e4f40787ada2d4"),
+    ("12:(1,11,0,0);12:(0,1,11,0);12:(0,0,1,11)",
+     "d758f8e4210eb83f375c5476ec2b78a0591cc3fa4351859e45191c405cb50101"),
+    ("6:(1,5,0,0,0);6:(0,1,5,0,0);6:(0,0,1,5,0);6:(0,0,0,1,5)",
+     "31f622551f40b7905373758dc1fe3eea7037801876ed13ca2ab6dde306237300"),
 ])
 def test_analyze_large_order_stdout_digest(capsys, group, digest):
-    """``analyze`` stdout at large order, hashed from the breadth-first
-    closure and the packed lex scan in every dimension."""
+    """``analyze`` stdout in n = 2 to 5, recorded from one ``print`` per
+    table line and the ``(age, coords)`` name sort; the first two also from
+    the breadth-first closure."""
     assert main(["analyze", group]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -493,6 +503,92 @@ def test_svg_edge_count_order6(z6, z6_result):
 def test_parser_help_smoke():
     parser = build_parser()
     assert parser.prog == "torcrep"
+
+
+def test_main_reuses_its_parser_without_state(capsys):
+    assert main(["analyze", "6:(1,2,3)"]) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as info:  # argparse: no --sequence or --search
+        main(["resolve", "6:(1,2,3)"])
+    assert info.value.code == 2
+    assert main(["analyze", "6:(1,2,2)"]) == 2  # input error: not in SL
+    capsys.readouterr()
+    assert main(["analyze", "6:(1,2,3)"]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_changing_a_built_parser_does_not_change_main(capsys):
+    assert main(["analyze", "6:(1,2,3)"]) == 0  # main's parser exists
+    first = capsys.readouterr().out
+    parser = build_parser()
+    assert parser is not build_parser()
+    parser.add_argument("--extra")
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    commands.choices["analyze"].set_defaults(func=lambda args: 99)
+    with pytest.raises(SystemExit) as info:
+        main(["--extra", "1", "analyze", "6:(1,2,3)"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(["analyze", "6:(1,2,3)"]) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_import_builds_no_parser_and_main_builds_one():
+    # count the ArgumentParsers made in a fresh process: none at import, and
+    # as many over several main() calls as one build_parser() makes
+    script = """if True:
+        import argparse, contextlib, io, json
+        built = []
+        init = argparse.ArgumentParser.__init__
+        argparse.ArgumentParser.__init__ = lambda self, *a, **k: (
+            built.append(self), init(self, *a, **k))[1]
+        import torcrep.cli as cli
+        counts = [len(built)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (["analyze", "6:(1,2,3)"], ["analyze", "5:(1,2,2)"]):
+                assert cli.main(argv) == 0
+                counts.append(len(built))
+        cli.build_parser()
+        counts.append(len(built))
+        print(json.dumps(counts))
+    """
+    src = str(Path(torcrep.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    at_import, first, second, fresh = json.loads(proc.stdout)
+    assert at_import == 0
+    assert first > 0 and second == first
+    assert fresh - second == first
+
+
+def test_analyze_writes_the_table_in_chunks(monkeypatch):
+    class Recorder(io.StringIO):
+        def write(self, s):
+            writes.append(s)
+            return super().write(s)
+
+    outs = []
+    for chunk in (4096, 2, 3):  # 9 table lines: one chunk, four and a part, three whole
+        monkeypatch.setattr("torcrep.cli.TABLE_CHUNK_LINES", chunk)
+        writes, out = [], Recorder()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", "3:(1,2,0);3:(0,1,2)"]) == 0
+        outs.append(out.getvalue())
+        assert max(w.count("\n") for w in writes) == min(chunk, 9)
+    assert outs[0].count("\n  ") == 9 and outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_foreign_hilbert_basis_element_is_invariant_error(monkeypatch, capsys):
+    foreign = LatticePoint((2, 2, 2), 6)  # not an element of 6:(1,2,3)
+    monkeypatch.setattr("torcrep.cli.hilbert_basis", lambda group: (foreign,))
+    assert main(["analyze", "6:(1,2,3)"]) == 2
+    out, err = capsys.readouterr()
+    assert err == (f"error: Hilbert basis element {foreign} is neither "
+                   "a group element nor a unit\n")
+    assert out == ""  # checked before the first line
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", " 5", "1_0", "\u0665", "+3", "9" * 5000],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 
 from conftest import random_cyclic_group, small_groups
-from oracles import closure_bfs, junior_simplex
+from oracles import closure_bfs, closure_by_zip, element_names_by_key, junior_simplex
 from torcrep import groups
 from torcrep.errors import ExplosionGuard, NotInSL
 from torcrep.groups import (
@@ -165,6 +165,17 @@ def test_element_names(z6):
     assert by_name["g5"] == (5, 4, 3)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_groups())
+def test_element_names_match_key_sort_oracle(group):
+    names = element_names(group)
+    assert list(names.items()) == list(element_names_by_key(group).items())
+
+
+def test_element_names_of_the_trivial_group(trivial3):
+    assert element_names(trivial3) == element_names_by_key(trivial3) == {}
+
+
 @st.composite
 def generator_lists(draw):
     """Up to three generators in ``(Z/r)^k``, coordinates not yet reduced.
@@ -191,3 +202,4 @@ def test_closure_matches_breadth_first_oracle(case):
     assert len(got) == len(set(got))
     assert (0,) * len(gens[0]) not in got
     assert set(got) == set(closure_bfs(gens, r))
+    assert got == list(closure_by_zip(gens, r))  # the same tuples in the same order

@@ -143,6 +143,11 @@ def test_lattice_point_checks_are_unchanged():
 def test_repr_is_the_dataclass_repr(records):
     p = LatticePoint((1, 2, 2), 5)
     assert repr(p) == "LatticePoint(coords=(1, 2, 2), denom=5)"
+    # str joins the coordinates as the generator join did
+    for q in (p, LatticePoint((), 1), LatticePoint((0, -3, 7), 1), LatticePoint((12,), 6)):
+        body = ",".join(str(c) for c in q.coords)
+        assert str(q) == (f"({body})" if q.denom == 1 else f"(1/{q.denom})({body})")
+    assert str(p) == "(1/5)(1,2,2)"
     assert repr(Cone((p,))) == f"Cone(rays=({p!r},))"
     report = records[ObstructionReport]
     assert repr(report) == (
