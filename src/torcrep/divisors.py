@@ -17,18 +17,19 @@ from .intlinalg import IntMatrix, clearing, hermite_normal_form, solve
 from .lattice import Record, ScaledLattice
 
 
-def dual_basis(lattice: ScaledLattice) -> IntMatrix:
-    """Columns form a Hermite basis of the dual lattice inside ``Z^n``.
+def dual_basis(lattice: ScaledLattice) -> list[tuple[int, ...]]:
+    """The columns of a Hermite basis of the dual lattice inside ``Z^n``.
 
     The dual consists of the integer vectors pairing integrally with every
-    lattice point; it has index ``#G`` in ``Z^n``.
+    lattice point; it has index ``#G`` in ``Z^n``, and the rows of ``r * B^-1``
+    span it, ``B`` the lattice basis and ``r`` its denominator.
     """
     r = lattice.denom
-    # basis * num = d * I, so the columns of r * basis^-1 are r * num / d
-    num, d = solve(lattice.basis, IntMatrix.identity(lattice.dim).data)
+    # basis * num = d * I: num holds the columns of d * basis^-1, zip(*num) its rows
+    num, d = solve(lattice.basis.data, IntMatrix.identity(lattice.dim).data)
     if any(r * v % d for col in num for v in col):
         raise InvariantError("lattice does not contain Z^n")
-    return hermite_normal_form(IntMatrix([[r * v // d for v in col] for col in num]))
+    return hermite_normal_form([tuple(r * v // d for v in row) for row in zip(*num)])
 
 
 def _smith_rows(s: list[list[int]]) -> tuple[list[int], list[dict[int, int]]]:
@@ -107,11 +108,12 @@ class ClassGroup(Record):
 
 def class_group(fan: Fan) -> ClassGroup:
     """Class group of the fan via the Smith form of the pairing matrix."""
-    mb = dual_basis(fan.lattice).transpose()
+    mb = dual_basis(fan.lattice)
     rows = []
     for ray in fan.rays:
         row = []
-        for v in mb.mul_vec(ray.coords):
+        for col in mb:
+            v = sum(a * b for a, b in zip(col, ray.coords))
             m, rem = divmod(v, ray.denom)
             if rem:
                 raise InvariantError(f"ray {ray} pairs non-integrally with the dual lattice")

@@ -156,11 +156,11 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
     coords = fan.ray_coords
     t = zip(*(coords[u] for u in anchor.rays))
     try:
-        rows, det = solve(IntMatrix([preimage[u].coords for u in anchor.rays]), t)
+        rows, det = solve([preimage[u].coords for u in anchor.rays], t)
     except ValueError:  # singular
         det = 0
     iso = IntMatrix(rows) if det == 1 else None
-    if iso is None or not iso.is_unimodular():
+    if iso is None or abs(iso.det()) != 1:
         raise CertificateFailure(f"anchor {anchor}: induced map is not unimodular")
     for ubar, u in star.lifts:
         if iso.mul_vec(weighted[ubar].coords) != coords[u]:

@@ -93,8 +93,7 @@ class Cone:
         """
         if not self.rays or self.dim != self.rays[0].dim:
             raise ValueError(f"cone {self} is not full-dimensional")
-        mat = IntMatrix([r.coords for r in self.rays])
-        rows, d = solve(mat, IntMatrix.identity(self.dim).data)
+        rows, d = solve([r.coords for r in self.rays], IntMatrix.identity(self.dim).data)
         return tuple(rows), d
 
     @cached_property
@@ -174,7 +173,7 @@ def is_terminal(cone: Cone, lattice: ScaledLattice) -> bool:
         return True
     rows, det = cone.facet_normals[0], lattice.det
     gens = [tuple(sum(x * y for x, y in zip(h, b)) // det for h in rows)
-            for b in lattice.basis.columns()]
+            for b in zip(*lattice.basis.data)]
     return all(sum(g) > index for g in closure(gens, index))
 
 

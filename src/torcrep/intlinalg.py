@@ -1,4 +1,4 @@
-"""Exact integer matrices with the Hermite normal form.
+"""Exact integer linear algebra with the Hermite normal form.
 
 Everything here runs on Python's arbitrary-precision integers; no
 fractions and no floating point are ever involved, so results are
@@ -6,18 +6,25 @@ bit-exact and deterministic.
 
 Conventions:
 
+* The kernel takes the format its callers hold: ``solve`` takes a matrix
+  as a sequence of integer row tuples, and ``hermite_normal_form`` takes
+  and returns a list of column tuples.  Neither builds an ``IntMatrix``.
+* ``IntMatrix`` is the checked stored matrix (a lattice basis, a quotient
+  projection, a certificate's map): its constructor checks every entry and
+  the shape.  ``det`` stays a method, as ``perfbench/tracer.py`` wraps
+  ``IntMatrix.det``.
 * One fraction-free (Bareiss) forward elimination, ``_echelon``, backs
-  ``IntMatrix.det`` and ``solve``.  ``solve(m, cols)`` returns
-  ``(numerators, d)`` with ``d > 0`` and ``m * numerators[k] = d * cols[k]``;
+  ``IntMatrix.det`` and ``solve``.  ``solve(rows, cols)`` returns
+  ``(numerators, d)`` with ``d > 0`` and ``rows * numerators[k] = d * cols[k]``;
   rational solutions are ``numerators / d`` and callers that need them
   integral test ``num % d == 0``.
-* ``hermite_normal_form(m)`` returns the form ``h = m * u`` alone; the
-  unimodular ``u`` is the lower block of the form of ``m`` stacked over the
-  identity (Cohen, *A Course in Computational Algebraic Number Theory*,
-  §2.4).  The form is column-style: pivots walk down the rows, pivot
-  entries are positive, entries to the left of a pivot in its row are
-  reduced into ``[0, pivot)``, and zero columns are pushed to the right.
-  For a nonsingular square input ``h`` is lower triangular.
+* ``hermite_normal_form(columns)`` returns the columns of the form
+  ``h = m * u`` alone; the unimodular ``u`` is the lower block of the form
+  of ``m`` stacked over the identity (Cohen, *A Course in Computational
+  Algebraic Number Theory*, §2.4).  The form is column-style: pivots walk
+  down the rows, pivot entries are positive, entries to the left of a pivot
+  in its row are reduced into ``[0, pivot)``, and zero columns are pushed
+  to the right.  For a nonsingular square input ``h`` is lower triangular.
 * ``clearing(a, b)`` is the one xgcd step of this form and of the class
   group's Smith elimination.
 """
@@ -56,7 +63,7 @@ def clearing(a: int, b: int) -> tuple[int, int, int, int]:
 
 
 class IntMatrix:
-    """Immutable integer matrix stored row-major as tuples."""
+    """Immutable integer matrix stored row-major as tuples, checked on construction."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -77,14 +84,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, columns) -> "IntMatrix":
-        columns = [tuple(c) for c in columns]
-        return cls([[c[i] for c in columns] for i in range(len(columns[0]))])
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.data == other.data
 
@@ -94,15 +93,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"IntMatrix[{body}]"
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.data)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.data)))
 
     def mul_vec(self, v) -> tuple[int, ...]:
         v = tuple(v)
@@ -117,9 +107,6 @@ class IntMatrix:
         a = [list(row) for row in self.data]
         pivots, sign = _echelon(a, self.cols)
         return sign * a[-1][-1] if len(pivots) == self.rows else 0
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
 
 
 def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -159,10 +146,11 @@ def _echelon(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def solve(m: IntMatrix, rhs_columns) -> tuple[list[tuple[int, ...]], int] | None:
+def solve(rows, rhs_columns) -> tuple[list[tuple[int, ...]], int] | None:
     """Unique rational solutions of ``m * x = b``, one per column ``b``.
 
-    Returns ``(numerator_columns, d)`` with ``d > 0`` and
+    ``m`` is given by its ``rows``, a sequence of integer row tuples of one
+    length.  Returns ``(numerator_columns, d)`` with ``d > 0`` and
     ``m * numerator_columns[k] = d * rhs_columns[k]``, or None when some
     column makes the system inconsistent.  ``d`` is the absolute
     determinant of the rows used as pivots (``|det m|`` for square ``m``),
@@ -170,10 +158,10 @@ def solve(m: IntMatrix, rhs_columns) -> tuple[list[tuple[int, ...]], int] | None
     of ``m`` to be linearly independent (raises ValueError otherwise).
     """
     rhs = [tuple(b) for b in rhs_columns]
-    if any(len(b) != m.rows for b in rhs):
+    if any(len(b) != len(rows) for b in rhs):
         raise ValueError("dimension mismatch")
-    n = m.cols
-    a = [list(row) + [b[i] for b in rhs] for i, row in enumerate(m.data)]
+    n = len(rows[0])
+    a = [list(row) + [b[i] for b in rhs] for i, row in enumerate(rows)]
     if len(_echelon(a, n)[0]) < n:
         raise ValueError("columns are linearly dependent")
     if any(any(row[n:]) for row in a[n:]):
@@ -191,10 +179,10 @@ def solve(m: IntMatrix, rhs_columns) -> tuple[list[tuple[int, ...]], int] | None
     return out, d
 
 
-def hermite_normal_form(m: IntMatrix) -> IntMatrix:
-    """Column-style Hermite normal form of ``m``."""
-    nrows, ncols = m.rows, m.cols
-    h = [list(c) for c in m.columns()]          # column-major working copy
+def hermite_normal_form(columns) -> list[tuple[int, ...]]:
+    """Columns of the column-style Hermite normal form of the matrix with these columns."""
+    nrows, ncols = len(columns[0]), len(columns)
+    h = [list(c) for c in columns]          # column-major working copy
     pc = 0
     for i in range(nrows):
         if pc >= ncols:
@@ -221,4 +209,4 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
             if f:
                 h[j] = [a - f * b for a, b in zip(h[j], top)]
         pc += 1
-    return IntMatrix.from_columns(h)
+    return [tuple(c) for c in h]

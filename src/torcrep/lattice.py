@@ -162,7 +162,7 @@ class ScaledLattice(Record):
             raise DenomMismatch(
                 f"point denom {p.denom} differs from lattice denom {self.denom}"
             )
-        b = self.basis
+        b = self.basis.data
         x = []
         for i in range(self.dim):
             acc = p.coords[i] - sum(b[i][j] * x[j] for j in range(i))
@@ -196,10 +196,10 @@ def build_lattice(gens, n: int, denom: int) -> ScaledLattice:
                 f"generator {g} violates the determinant-one condition"
             )
         cols.append(g.coords)
-    h = hermite_normal_form(IntMatrix.from_columns(cols))
-    if any(any(c) for c in h.columns()[n:]):
+    h = hermite_normal_form(cols)
+    if any(any(c) for c in h[n:]):
         raise InvariantError("Hermite form left extra columns")
-    basis = IntMatrix.from_columns(h.columns()[:n])
+    basis = IntMatrix(zip(*h[:n]))
     if basis.det() == 0:
         raise InvariantError("lattice basis is singular")
     return ScaledLattice(n, denom, basis)
@@ -215,7 +215,8 @@ def quotient_by_ray(v: LatticePoint, w: tuple[int, ...]) -> IntMatrix:
     # the Hermite form of w over the identity is [w u; u] with u unimodular;
     # w u = e_1 as w is primitive, so the lower blocks of the other columns
     # are the Hermite basis of the annihilator of w, which maps N onto Z^(n-1)
-    h = hermite_normal_form(IntMatrix([w, *IntMatrix.identity(len(w)).data]))
-    if any(h[0][1:]):
+    units = IntMatrix.identity(len(w)).data
+    h = hermite_normal_form([(w_j, *e_j) for w_j, e_j in zip(w, units)])
+    if any(col[0] for col in h[1:]):
         raise InvariantError(f"quotient by {v} does not have {v} in its kernel")
-    return IntMatrix([col[1:] for col in h.columns()[1:]])
+    return IntMatrix([col[1:] for col in h[1:]])

@@ -158,8 +158,8 @@ def quotient_projection_two_forms(lat: ScaledLattice, v: LatticePoint) -> IntMat
     them in canonical order.
     """
     _, u = hermite_with_transform(IntMatrix([basis_coords(lat, v)]))
-    proj = IntMatrix(u.columns()[1:])
-    return hermite_with_transform(proj.transpose())[0].transpose()
+    h, _ = hermite_with_transform(IntMatrix([row[1:] for row in u.data]))
+    return IntMatrix(zip(*h.data))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def matmul(*ms: IntMatrix) -> IntMatrix:
 def hermite_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """Column-style Hermite normal form ``(h, u)`` with ``h = m * u``."""
     nrows, ncols = m.rows, m.cols
-    h = [list(c) for c in m.columns()]          # column-major working copies
+    h = [list(c) for c in zip(*m.data)]          # column-major working copies
     u = [[int(i == j) for i in range(ncols)] for j in range(ncols)]
 
     def negate(j):
@@ -225,18 +225,18 @@ def hermite_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             if f:
                 addmul(j, pc, -f)
         pc += 1
-    return IntMatrix.from_columns(h), IntMatrix.from_columns(u)
+    return IntMatrix(zip(*h)), IntMatrix(zip(*u))
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse; the matrix must be unimodular."""
     if m.rows == m.cols:
         try:
-            cols, d = solve(m, IntMatrix.identity(m.rows).columns())
+            cols, d = solve(m.data, IntMatrix.identity(m.rows).data)
         except ValueError:  # singular
             d = 0
         if d == 1:
-            return IntMatrix.from_columns(cols)
+            return IntMatrix(zip(*cols))
     raise ValueError("matrix is not unimodular")
 
 
@@ -303,15 +303,15 @@ def solve_integer(m: IntMatrix, b) -> tuple[int, ...] | None:
     res = list(b)
     y = [0] * h.cols
     for j in range(h.cols):
-        i = next((i for i in range(h.rows) if h[i][j] != 0), None)
+        i = next((i for i in range(h.rows) if h.data[i][j] != 0), None)
         if i is None:
             continue
-        if res[i] % h[i][j] != 0:
+        if res[i] % h.data[i][j] != 0:
             return None
-        f = res[i] // h[i][j]
+        f = res[i] // h.data[i][j]
         if f:
             for k in range(h.rows):
-                res[k] -= f * h[k][j]
+                res[k] -= f * h.data[k][j]
         y[j] = f
     if any(res):
         return None
@@ -343,12 +343,12 @@ def inverse_by_fractions(m: IntMatrix) -> IntMatrix:
         raise ValueError("matrix is not unimodular")
     n = m.rows
     cols = [solve_rational(m, [int(i == j) for i in range(n)]) for j in range(n)]
-    return IntMatrix.from_columns([[int(x) for x in c] for c in cols])
+    return IntMatrix(zip(*[[int(x) for x in c] for c in cols]))
 
 
 def cofactor(m: IntMatrix, i: int, j: int) -> int:
     minor = [
-        [m[a][b] for b in range(m.cols) if b != j]
+        [m.data[a][b] for b in range(m.cols) if b != j]
         for a in range(m.rows)
         if a != i
     ]
@@ -443,18 +443,14 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """Nonzero diagonal of the Smith normal form."""
     s, _, _ = smith_normal_form(m)
-    diag = [s[i][i] for i in range(min(s.rows, s.cols))]
+    diag = [s.data[i][i] for i in range(min(s.rows, s.cols))]
     return tuple(d for d in diag if d != 0)
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel ``{x : m*x = 0}``."""
     h, u = hermite_with_transform(m)
-    out = []
-    for j in range(h.cols):
-        if all(h[i][j] == 0 for i in range(h.rows)):
-            out.append(u.column(j))
-    return out
+    return [uc for hc, uc in zip(zip(*h.data), zip(*u.data)) if not any(hc)]
 
 
 def is_hermite_basis_by_recomputation(m: IntMatrix) -> bool:
@@ -482,8 +478,7 @@ def facet_normals_by_columns(cone: Cone) -> tuple[tuple[tuple[int, ...], ...], i
     """
     if not cone.rays or cone.dim != cone.rays[0].dim:
         raise ValueError(f"cone {cone} is not full-dimensional")
-    mat = IntMatrix.from_columns([r.coords for r in cone.rays])
-    cols, d = solve(mat, IntMatrix.identity(cone.dim).columns())
+    cols, d = solve(list(zip(*[r.coords for r in cone.rays])), IntMatrix.identity(cone.dim).data)
     return tuple(zip(*cols)), d
 
 
@@ -492,10 +487,8 @@ def barycentric_by_solve(cone: Cone, p: LatticePoint):
     rd, pd = cone.rays[0].denom, p.denom
     g = gcd(rd, pd)
     # clear denominators: (rays/rd) lam = p/pd  <=>  (pd*rays) lam = rd*p
-    mat = IntMatrix.from_columns(
-        [tuple(pd // g * c for c in r.coords) for r in cone.rays]
-    )
-    sol = solve(mat, [tuple(rd // g * c for c in p.coords)])
+    rows = list(zip(*[tuple(pd // g * c for c in r.coords) for r in cone.rays]))
+    sol = solve(rows, [tuple(rd // g * c for c in p.coords)])
     return None if sol is None else (sol[0][0], sol[1])
 
 
@@ -612,15 +605,15 @@ def intersection_generators(a: Cone, b: Cone):
     seen = set()
     for size in range(1, n + 2):
         for sub in combinations(range(k), size):
-            mat = IntMatrix.from_columns([cols[j] for j in sub])
+            mat = IntMatrix(zip(*[cols[j] for j in sub]))
             h, u = hermite_with_transform(mat)
             zero_cols = [
                 j for j in range(h.cols)
-                if all(h[i][j] == 0 for i in range(h.rows))
+                if all(h.data[i][j] == 0 for i in range(h.rows))
             ]
             if len(zero_cols) != 1:
                 continue
-            gen = u.column(zero_cols[0])
+            gen = tuple(row[zero_cols[0]] for row in u.data)
             if all(v <= 0 for v in gen):
                 gen = tuple(-v for v in gen)
             if any(v < 0 for v in gen):
@@ -650,7 +643,7 @@ def validate_fan_all_pairs(fan: Fan) -> None:
         if not is_primitive(lat, p):
             raise InvalidFan(f"ray {p} is not primitive")
     for c in fan.maximal_cones:
-        mat = IntMatrix.from_columns([r.coords for r in c.rays])
+        mat = IntMatrix(zip(*[r.coords for r in c.rays]))
         if rank_loop(mat) != c.dim:
             raise InvalidFan(f"cone {c} is not simplicial")
     for a, b in combinations(fan.maximal_cones, 2):
@@ -769,7 +762,7 @@ def refines(fine: Fan, coarse: Fan) -> bool:
             return False
     n = fine.lattice.dim
     if any(c.dim != n or any(r.age <= 0 for r in c.rays)
-           or rank_loop(IntMatrix.from_columns([r.coords for r in c.rays])) < n
+           or rank_loop(IntMatrix(zip(*[r.coords for r in c.rays]))) < n
            for c in fine.maximal_cones):
         return False
     return support_volume(fine) == support_volume(coarse)
@@ -792,7 +785,7 @@ def support_volume_fraction(fan: Fan) -> Fraction:
 
 def _saturation_coords(cone: Cone, lattice: ScaledLattice) -> IntMatrix:
     """Ray coordinates in a basis of ``N ∩ span(c)`` (a d-by-d matrix)."""
-    mat = IntMatrix.from_columns([basis_coords(lattice, r) for r in cone.rays])
+    mat = IntMatrix(zip(*[basis_coords(lattice, r) for r in cone.rays]))
     if cone.dim == lattice.dim:
         return mat
     _, p, _ = smith_normal_form(mat)
@@ -808,9 +801,9 @@ def psi_lattice_points(cone: Cone, lattice: ScaledLattice):
     """
     x = _saturation_coords(cone, lattice)
     dim = cone.dim
-    cols, d = solve(x, IntMatrix.identity(dim).columns())
+    cols, d = solve(x.data, IntMatrix.identity(dim).data)
     inv = list(zip(*cols))  # rows of d * x^-1
-    vertices = [(0,) * dim] + x.columns()
+    vertices = [(0,) * dim] + list(zip(*x.data))
     lo = [min(v[i] for v in vertices) for i in range(dim)]
     hi = [max(v[i] for v in vertices) for i in range(dim)]
 
@@ -1110,11 +1103,9 @@ def class_group_json_reference(fan: Fan) -> dict:
     """
     mb = dual_basis(fan.lattice)
     rays = fan.rays
-    a = IntMatrix(
-        [[int(pairing(mb.column(j), ray)) for j in range(mb.cols)] for ray in rays]
-    )
+    a = IntMatrix([[int(pairing(col, ray)) for col in mb] for ray in rays])
     s, p, _ = smith_normal_form(a)
-    diag = tuple(s[i][i] for i in range(min(s.rows, s.cols)))
+    diag = tuple(s.data[i][i] for i in range(min(s.rows, s.cols)))
     nonzero = [d for d in diag if d]
 
     def reduce(y):
@@ -1137,7 +1128,7 @@ def class_group_json_reference(fan: Fan) -> dict:
     return {
         "rank": len(rays) - len(nonzero),
         "torsion": [d for d in nonzero if d > 1],
-        "ray_classes": [list(reduce(p.column(i))) for i in range(len(rays))],
+        "ray_classes": [list(reduce(col)) for col in zip(*p.data)],
         "canonical_class": list(reduce(p.mul_vec(y))),
     }
 
@@ -1202,8 +1193,8 @@ def _iso_matrix(fan: Fan, star: StarFan, g_hat: LatticePoint, anchor: Cone) -> I
         img_cols.append(basis_coords(lat, u))
     dom_cols.append((0,) * star.fan.lattice.dim + (1,))
     img_cols.append(basis_coords(lat, g_hat))
-    d = IntMatrix.from_columns(dom_cols)
-    t = IntMatrix.from_columns(img_cols)
+    d = IntMatrix(zip(*dom_cols))
+    t = IntMatrix(zip(*img_cols))
     return matmul(t, inverse_unimodular(d))
 
 
@@ -1231,7 +1222,7 @@ def certify_normal_embedding_per_anchor(
     first_bijection = None
     for anchor in anchors:
         iso = _iso_matrix(fan, star, g_hat, anchor)
-        if not iso.is_unimodular():
+        if abs(iso.det()) != 1:
             raise CertificateFailure(
                 f"anchor {anchor}: induced map is not unimodular"
             )
@@ -1407,9 +1398,7 @@ def is_principal(fan: Fan, div: TDivisor) -> bool:
     ``class_vector``, which reads the Smith form.
     """
     mb = dual_basis(fan.lattice)
-    a = IntMatrix(
-        [[int(pairing(mb.column(j), ray)) for j in range(mb.cols)] for ray in fan.rays]
-    )
+    a = IntMatrix([[int(pairing(col, ray)) for col in mb] for ray in fan.rays])
     coefficient = dict(div.coeffs)
     return solve_integer(a, [coefficient.get(ray, 0) for ray in fan.rays]) is not None
 

@@ -28,11 +28,11 @@ def reference_basis_transform():
     Sends the lattice basis {(1/5)(1,2,2), (1/5)(3,1,1), e3} to the
     standard basis; under it e1 -> (-1,2,0) and e2 -> (3,-1,-1).
     """
-    cols = IntMatrix.from_columns([(1, 2, 2), (3, 1, 1), (0, 0, 5)])
+    rows = list(zip(*[(1, 2, 2), (3, 1, 1), (0, 0, 5)]))
     units_scaled = [tuple(5 if k == i else 0 for k in range(3)) for i in range(3)]
-    images, d = solve(cols, units_scaled)
+    images, d = solve(rows, units_scaled)
     assert all(v % d == 0 for col in images for v in col)
-    return IntMatrix.from_columns([[v // d for v in col] for col in images])
+    return IntMatrix(zip(*[[v // d for v in col] for col in images]))
 
 
 def test_reference_coordinates_of_units():
@@ -44,7 +44,7 @@ def test_reference_coordinates_of_units():
 
 def test_principal_divisors_order5(z5, z5_result):
     fan = z5_result.fan
-    t = reference_basis_transform()
+    t_transposed = IntMatrix(zip(*reference_basis_transform().data))
     rho = {
         1: LatticePoint((1, 2, 2), 5),
         2: LatticePoint((3, 1, 1), 5),
@@ -53,13 +53,13 @@ def test_principal_divisors_order5(z5, z5_result):
         5: unit_point(1, 3, 5),
     }
     # div(chi^(1,0,0)) = D1 - D4 + 3 D5 in the transformed coordinates
-    m1 = t.transpose().mul_vec((1, 0, 0))
+    m1 = t_transposed.mul_vec((1, 0, 0))
     d1 = principal_divisor(fan, m1)
     assert dict(d1.coeffs) == {rho[1]: 1, rho[2]: 0, rho[3]: 0, rho[4]: -1, rho[5]: 3}
-    m2 = t.transpose().mul_vec((0, 1, 0))
+    m2 = t_transposed.mul_vec((0, 1, 0))
     d2 = principal_divisor(fan, m2)
     assert dict(d2.coeffs) == {rho[1]: 0, rho[2]: 1, rho[3]: 0, rho[4]: 2, rho[5]: -1}
-    m3 = t.transpose().mul_vec((0, 0, 1))
+    m3 = t_transposed.mul_vec((0, 0, 1))
     d3 = principal_divisor(fan, m3)
     assert dict(d3.coeffs) == {rho[1]: 0, rho[2]: 0, rho[3]: 1, rho[4]: 0, rho[5]: -1}
 
@@ -129,10 +129,9 @@ def test_crepant_fan_has_trivial_canonical_class(z6_result, z5_result):
 
 
 def test_dual_basis_pairings(z6):
-    mb = dual_basis(z6.lattice)
-    assert abs(mb.det()) == z6.order
-    for j in range(mb.cols):
-        m = mb.column(j)
+    mb = dual_basis(z6.lattice)  # its columns
+    assert abs(IntMatrix(zip(*mb)).det()) == z6.order
+    for m in mb:
         for g in z6.elements:
             assert pairing(m, g).denominator == 1
 
@@ -164,8 +163,8 @@ def test_class_group_matches_reference(fan):
 def _assert_principal_classes_vanish(fan):
     cg = class_group(fan)
     mb = dual_basis(fan.lattice)
-    for j in range(mb.cols):
-        d = principal_divisor(fan, mb.column(j))
+    for m in mb:
+        d = principal_divisor(fan, m)
         assert is_principal(fan, d)
         assert all(v == 0 for v in class_vector(fan, cg, d))
 

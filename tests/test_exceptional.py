@@ -25,6 +25,7 @@ from oracles import (
     validate_fan_all_pairs,
     xi_g,
 )
+from torcrep.divisors import class_group
 from torcrep.errors import CertificateFailure, NotComplete, NotSmooth, NotSurface, RayAbsent
 from torcrep.exceptional import (
     StarFan,
@@ -158,7 +159,7 @@ def test_certificates_order6(z6, z6_result, z6_result_alt):
     for res in (z6_result, z6_result_alt):
         for g in z6.juniors:
             cert = certify_normal_embedding(res.fan, g)
-            assert cert.iso.is_unimodular()
+            assert cert.iso.rows == cert.iso.cols and abs(cert.iso.det()) == 1
             expected_anchors = len(res.fan.cones_through[g])
             assert len(cert.cone_bijection) == expected_anchors
 
@@ -209,21 +210,39 @@ _Z31 = close_group([LatticePoint((1, 30, 0), 31), LatticePoint((0, 1, 30), 31)])
 def test_certificate_substitutes_each_ray_once(group, monkeypatch):
     # validate_fan and every junior's certificate read the fan's one forward
     # substitution per ray, and share one identity matrix per dimension; the
-    # fan is read back from JSON, so no cone has its facet normals yet
+    # fan is read back from JSON, so no cone has its facet normals yet.
+    # The kernel takes rows and columns as they are, so validate_fan and
+    # class_group build no IntMatrix, and a certificate builds two at most:
+    # the quotient projection and the anchor map
     fan = fan_from_json(fan_to_json(resolve(group, group.juniors).fan))
     calls = []
     substitute = ScaledLattice.coords_or_none
+    built = []
+    construct = IntMatrix.__init__
 
     def counted(self, p):
         calls.append(p)
         return substitute(self, p)
 
+    def counted_construct(self, data):
+        built.append(self)
+        construct(self, data)
+
+    def matrices_built():
+        # the cached identity, built once per dimension, is not counted
+        return len(built) - IntMatrix.identity.cache_info().misses
+
     monkeypatch.setattr(ScaledLattice, "coords_or_none", counted)
+    monkeypatch.setattr(IntMatrix, "__init__", counted_construct)
     IntMatrix.identity.cache_clear()
     validate_fan(fan)
+    class_group(fan)
+    assert matrices_built() == 0
     assert fan.is_smooth
     for g in group.juniors:
+        start = matrices_built()
         certify_normal_embedding(fan, g)
+        assert matrices_built() - start <= 2
     assert len(calls) == len(fan.rays) and set(calls) == set(fan.rays)
     assert IntMatrix.identity.cache_info().misses <= 2  # dimensions n and n - 1
 

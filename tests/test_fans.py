@@ -53,8 +53,8 @@ from torcrep.lattice import LatticePoint, ScaledLattice, unit_point
 def _cyclic_lattice(r, weights):
     """Lattice ``Z^3 + Z * (1/r) weights``, in or out of SL(3)."""
     cols = [(r, 0, 0), (0, r, 0), (0, 0, r), weights]
-    h = hermite_normal_form(IntMatrix.from_columns(cols))
-    return ScaledLattice(3, r, IntMatrix.from_columns(h.columns()[:3]))
+    h = hermite_normal_form(cols)
+    return ScaledLattice(3, r, IntMatrix(zip(*h[:3])))
 
 
 def std_lattice(n):
@@ -89,7 +89,7 @@ def cones_and_points(draw):
     n = draw(st.integers(1, 4))
     vec = st.tuples(*[st.integers(-9, 9)] * n)
     rays = draw(st.lists(vec, min_size=n, max_size=n, unique=True))
-    assume(IntMatrix.from_columns(rays).det() != 0)
+    assume(IntMatrix(zip(*rays)).det() != 0)
     r = draw(st.integers(1, 12))
     return Cone(tuple(LatticePoint(v, r) for v in rays)), LatticePoint(draw(vec), r)
 
@@ -421,7 +421,7 @@ def _dependent_cones(fan):
     """The full-dimensional cones of the fan whose rays are dependent."""
     n = fan.lattice.dim
     return [c for c in fan.maximal_cones if c.dim == n
-            and rank_loop(IntMatrix.from_columns([r.coords for r in c.rays])) < n]
+            and rank_loop(IntMatrix(zip(*[r.coords for r in c.rays]))) < n]
 
 
 def _rejection(check, fan):

@@ -39,9 +39,10 @@ def test_build_order6():
 def test_build_order5_alternative_basis(z5):
     # {(1/5)(1,2,2), (1/5)(3,1,1), (0,0,1)} spans the same lattice
     lat = z5.lattice
-    cand = IntMatrix.from_columns([(1, 2, 2), (3, 1, 1), (0, 0, 5)])
+    cols = [(1, 2, 2), (3, 1, 1), (0, 0, 5)]
+    cand = IntMatrix(zip(*cols))
     assert abs(cand.det()) == lat.det
-    for col in cand.columns():
+    for col in cols:
         assert lat.contains(LatticePoint(col, 5))
 
 
@@ -125,7 +126,7 @@ def test_index_formula_random(rng):
         r = group.r
         seen = {(0,) * 3}
         frontier = [(0,) * 3]
-        cols = group.lattice.basis.columns()
+        cols = list(zip(*group.lattice.basis.data))
         while frontier:
             nxt = []
             for base in frontier:
@@ -160,10 +161,10 @@ def test_quotient_kernel_and_section(z6):
     # the section from the same Hermite transform: w^T u = e_1^T, and the
     # rows of u^-1 after the first split the projection the columns give
     _, u = hermite_with_transform(IntMatrix([basis_coords(lat, g1)]))
-    sect = IntMatrix.from_columns(inverse_unimodular(u).data[1:])
-    hc, v = hermite_with_transform(IntMatrix(u.columns()[1:]).transpose())
-    assert quo == hc.transpose()
-    sect = matmul(sect, inverse_unimodular(v).transpose())
+    sect = IntMatrix(zip(*inverse_unimodular(u).data[1:]))
+    hc, v = hermite_with_transform(IntMatrix([row[1:] for row in u.data]))
+    assert quo == IntMatrix(zip(*hc.data))
+    sect = matmul(sect, IntMatrix(zip(*inverse_unimodular(v).data)))
     assert matmul(quo, sect) == IntMatrix.identity(2)
     for coords in [(0, 6, 0), (0, 0, 6), (2, 4, 0)]:
         q = project(lat, quo, LatticePoint(coords, 6))
