@@ -10,6 +10,7 @@ sort on the lex-sorted list.
 
 from __future__ import annotations
 
+import gc
 from functools import cached_property
 from math import gcd, lcm
 from operator import add, attrgetter, mod
@@ -106,10 +107,18 @@ def close_group(generators, n: int | None = None) -> GroupData:
             f"group of order {order} exceeds the closure limit of "
             f"{MAX_ELEMENTS} elements"
         )
-    coords = sorted([(0,) * n, *closure([g.coords for g in gens], r)])
-    if len(coords) != order:
-        raise InvariantError("lattice index must equal #G")
-    elements = tuple([LatticePoint(c, r) for c in coords])
+    # the tuples and points hold no reference cycles, so the cyclic collector,
+    # which would scan them at each threshold as they are allocated, is paused
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        coords = sorted([(0,) * n, *closure([g.coords for g in gens], r)])
+        if len(coords) != order:
+            raise InvariantError("lattice index must equal #G")
+        elements = tuple([LatticePoint(c, r) for c in coords])
+    finally:
+        if collecting:
+            gc.enable()
     return GroupData(n, r, elements, tuple(gens), lattice)
 
 

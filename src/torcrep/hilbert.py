@@ -1,25 +1,42 @@
 """Minimal generators of the monoid of lattice points in the orthant cone.
 
-The basis is the minimal candidates (:func:`hilbert_basis`); each
-candidate meets all minimal ones kept so far in one big-integer
-subtraction (Lamport, *Multiple byte processing with full-word
-instructions*, CACM 1975).  Points with coordinates in ``[0, r]`` are
-packed into ``n`` fields of ``w = r.bit_length() + 1`` bits, whose top
-bits ``2^(w-1) > r`` are guards; the kept ``h^0, h^1, ...`` fill slots of
-``n*w`` bits.  The candidate ``v`` with its guards set is below
-``2^(n*w)``, so times ``ones`` (1 at each slot start) it repeats
-``v_i + 2^(w-1)`` in field ``i`` of every slot without carries.  Less the
-kept elements, field ``i`` of slot ``k`` holds ``v_i + 2^(w-1) - h^k_i``,
-in ``(0, 2^w)`` as ``0 <= h^k_i, v_i <= r < 2^(w-1)``: no field borrows,
-and its guard is set exactly when ``v_i >= h^k_i``.  ANDing the guards of
-fields ``1 .. n-1`` onto field 0 (``n - 1`` shifts inside the slot) sets
-the guard of field 0 of slot ``k`` exactly when ``h^k <= v``; ``v`` is
-minimal when every slot has a failing field.
+The basis is built one age layer at a time (:func:`hilbert_basis`), the
+degree-ordered reduction of Bruns-Ichim (*Normaliz: algorithms for affine
+monoids and rational cones*, J. Algebra 324, 2010):
 
-In ``n <= 3`` the basis is the juniors and the units, read off the ages:
+- every nonzero orthant point of ``N`` has an integer age of at least 1,
+  because ``G`` lies in SL;
+- if ``v = u + u'`` with ``u`` and ``u'`` nonzero, then some basis element
+  ``b <= u`` has ``age b <= age u < age v``;
+- conversely, if ``b <= v`` with ``b != v``, then ``v - b`` is a nonzero
+  monoid point, so ``v`` is reducible.
 
-- age is additive, integral on ``N`` (``G`` lies in SL) and at least 1
-  on the orthant's nonzero points, so a point of age 1 is irreducible;
+So every point of age 1 (a junior or a unit) is in the basis, and a
+candidate of higher age is in it exactly when no basis element of lower
+age lies below it.  A unit ``r*e_i`` has a coordinate equal to ``r`` and
+every candidate's coordinates are below ``r``, so no unit lies below a
+candidate: the units join at the end and take part in no comparison.
+
+A layer meets one lower basis element ``b`` in one pass of big-integer
+arithmetic (Lamport, *Multiple byte processing with full-word
+instructions*, CACM 1975).  Coordinates in ``[0, r)`` are packed into
+``n`` fields of ``w = r.bit_length() + 1`` bits, whose top bits
+``2^(w-1) > r`` are guards.  The layer's candidates ``v^0, v^1, ...``,
+each with its guards set, fill slots of whole bytes: the ``n`` fields and
+at least one spare bit above them, whose top bit is ``top``.  Less ``b``
+times ``ones`` (1 at each slot start), field ``i`` of slot ``k`` holds
+``v^k_i + 2^(w-1) - b_i``, in ``(0, 2^w)`` as ``0 <= b_i, v^k_i < r <
+2^(w-1)``: no field borrows, and its guard is set exactly when
+``v^k_i >= b_i``.  The guards kept, subtracted from all guards plus
+``top - 1``, leave in slot ``k`` a value in ``[top - 1, 2*top)``, again
+without borrows, whose bit ``top`` is set exactly when some guard is
+clear, that is when ``b`` is not below ``v^k``.  ANDed over the passes,
+bit ``top`` of slot ``k`` stays set exactly while no basis element below
+``v^k`` has been met.  The passes stop as soon as no slot keeps its bit,
+and the candidates whose slots keep it join the basis.
+
+In ``n <= 3`` no layer above the juniors is tested:
+
 - a candidate other than a unit has coordinates below ``r``, so its age
   is at most ``n - 1 <= 2``;
 - a point of age 2 is a sum of two of age 1, as lattice polygons and
@@ -44,33 +61,36 @@ def hilbert_basis(group: GroupData) -> tuple[LatticePoint, ...]:
     lattice point ``u != 0, v`` with ``0 <= u <= v`` exists; every
     coordinate of ``u`` is below ``r`` (only ``r*e_i`` reaches ``r``, and
     ``u`` would be it), so ``u`` is a group element: the basis is the minimal
-    candidates.  In ``n <= 3`` they are the juniors and the units (module
-    docstring).  Otherwise a candidate above another lies above a minimal
-    one, earlier in lex order, so one lex scan against the kept minimal
-    ones suffices.
+    candidates.  They are found one age layer at a time (module docstring):
+    all the juniors, then in each higher layer, by increasing age, those
+    above no basis element of lower age, tested by one packed pass over the
+    whole layer per lower basis element until no candidate of the layer is
+    left.  In ``n <= 3`` the layers stop at the juniors.
     """
     n, w = group.n, group.r.bit_length() + 1
-    if n <= 3:
-        return tuple(sorted(group.juniors + group.lattice.units(), key=lambda p: p.coords))
-    candidates = [g for g in group.elements if not g.is_zero()]
-    candidates.extend(group.lattice.units())
-    candidates.sort(key=lambda p: p.coords)
-    minimal = []
-    first = 1 << (w - 1)
-    shifts = [i * w for i in range(n)]
-    guard = sum(first << s for s in shifts)
-    kept = ones = guards = firsts = 0
-    for v in candidates:
-        packed = sum(map(lshift, v.coords, shifts))
-        passed = ((packed | guard) * ones - kept) & guards
-        below = passed
-        for i in range(1, n):
-            below &= passed >> (i * w)
-        if below & firsts:
-            continue
-        shift = len(minimal) * n * w
-        kept |= packed << shift
-        ones |= 1 << shift
-        guards, firsts = guard * ones, first * ones
-        minimal.append(v)
-    return tuple(minimal)
+    layers = [[] for _ in range(n + 1)]  # ages 0 .. n - 1, and layer 1 when n = 1
+    for g in group.elements:
+        layers[g.age].append(g)
+    basis = layers[1]
+    if n > 3:
+        shifts = [i * w for i in range(n)]
+        guard = sum(1 << (s + w - 1) for s in shifts)
+        size = n * w // 8 + 1  # bytes per slot: n fields and a spare top bit
+        top = 1 << (8 * size - 1)
+        below = [sum(map(lshift, b.coords, shifts)) for b in basis]
+        for layer in layers[2:]:
+            slots = b"".join([sum(map(lshift, v.coords, shifts), guard).to_bytes(size, "little")
+                              for v in layer])
+            packed = int.from_bytes(slots, "little")
+            ones = int.from_bytes(b"\1".ljust(size, b"\0") * len(layer), "little")
+            guards, fill, alive = guard * ones, (guard + top - 1) * ones, top * ones
+            for b in below:
+                if not alive:
+                    break
+                alive &= fill - ((packed - b * ones) & guards)
+            flags = alive.to_bytes(len(slots), "little")[size - 1::size]
+            kept = [v for v, f in zip(layer, flags) if f]
+            basis += kept
+            below += [sum(map(lshift, v.coords, shifts)) for v in kept]
+    basis += group.lattice.units()
+    return tuple(sorted(basis, key=lambda p: p.coords))

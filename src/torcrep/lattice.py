@@ -77,20 +77,23 @@ class Record:
 class LatticePoint:
     """Point of ``(1/denom) Z^n`` stored as scaled integer coordinates."""
 
-    __slots__ = ("coords", "denom", "_hash")  # _hash: the record hash, kept
+    # _hash: the record hash, kept; _age: the age, or None off N; neither is a field
+    __slots__ = ("coords", "denom", "_hash", "_age")
 
     def __init__(self, coords, denom: int):
         coords = tuple(coords)
-        if not all(type(x) is int for x in coords):
+        if not set(map(type, coords)) <= {int}:
             raise TypeError(f"coordinates must be integers, got {coords!r}")
         if type(denom) is not int:
             raise TypeError(f"denominator must be an integer, got {denom!r}")
         if denom < 1:
             raise ValueError("denominator must be positive")
+        age, rest = divmod(sum(coords), denom)
         init = object.__setattr__
         init(self, "coords", coords)
         init(self, "denom", denom)
         init(self, "_hash", hash((coords, denom)))
+        init(self, "_age", None if rest else age)
 
     __setattr__ = __delattr__ = Record.__setattr__
 
@@ -112,10 +115,9 @@ class LatticePoint:
     @property
     def age(self) -> int:
         """Coordinate sum divided by the denominator, an integer for a point of ``N``."""
-        age, rest = divmod(sum(self.coords), self.denom)
-        if rest:
+        if self._age is None:
             raise InvariantError(f"{self} has non-integral age")
-        return age
+        return self._age
 
     def is_zero(self) -> bool:
         return not any(self.coords)

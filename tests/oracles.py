@@ -56,8 +56,11 @@ with ``map``.  ``element_names_by_key`` names the elements by one
 Hilbert basis oracles are the
 lex scan before its packed comparison (a Python test of each candidate
 against each kept minimal element, which is also the oracle of the n = 3
-dominance sweep) and a walk that decides irreducibility by enumerating
-the lattice points of the box below a candidate.  The search
+dominance sweep), ``hilbert_basis_packed_scan``, that lex scan with each
+candidate packed against all kept elements in one big-integer subtraction
+(the n >= 4 basis before it went one age layer at a time), and a walk
+that decides irreducibility by enumerating the lattice points of the box
+below a candidate.  The search
 oracles are ``search_resolution`` before the depth-first search (it folds
 every permutation of the targets from the orthant) and the depth-first
 search before it kept a builder per frame (``search_resolution_by_fans``:
@@ -79,6 +82,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, permutations, product
 from math import comb, factorial, gcd, prod
+from operator import lshift
 
 from torcrep.divisors import ClassGroup, dual_basis
 from torcrep.errors import (
@@ -959,6 +963,47 @@ def hilbert_basis_pairwise(group: GroupData) -> tuple[LatticePoint, ...]:
             all(a <= b for a, b in zip(h.coords, v.coords)) for h in minimal
         ):
             minimal.append(v)
+    return tuple(minimal)
+
+
+def hilbert_basis_packed_scan(group: GroupData) -> tuple[LatticePoint, ...]:
+    """``hilbert_basis`` by one lex scan, each candidate packed against all kept ones.
+
+    Points with coordinates in ``[0, r]`` are packed into ``n`` fields of
+    ``w = r.bit_length() + 1`` bits, whose top bits ``2^(w-1) > r`` are
+    guards; the kept ``h^0, h^1, ...`` fill slots of ``n*w`` bits.  The
+    candidate ``v`` with its guards set is below ``2^(n*w)``, so times
+    ``ones`` (1 at each slot start) it repeats ``v_i + 2^(w-1)`` in field
+    ``i`` of every slot without carries.  Less the kept elements, field ``i``
+    of slot ``k`` holds ``v_i + 2^(w-1) - h^k_i``, in ``(0, 2^w)``: no field
+    borrows, and its guard is set exactly when ``v_i >= h^k_i``.  ANDing the
+    guards of fields ``1 .. n-1`` onto field 0 sets the guard of field 0 of
+    slot ``k`` exactly when ``h^k <= v``; ``v`` is minimal when every slot
+    has a failing field.  A candidate above another lies above a minimal
+    one, earlier in lex order, so one lex scan suffices.
+    """
+    n, w = group.n, group.r.bit_length() + 1
+    candidates = [g for g in group.elements if not g.is_zero()]
+    candidates.extend(group.lattice.units())
+    candidates.sort(key=lambda p: p.coords)
+    minimal = []
+    first = 1 << (w - 1)
+    shifts = [i * w for i in range(n)]
+    guard = sum(first << s for s in shifts)
+    kept = ones = guards = firsts = 0
+    for v in candidates:
+        packed = sum(map(lshift, v.coords, shifts))
+        passed = ((packed | guard) * ones - kept) & guards
+        below = passed
+        for i in range(1, n):
+            below &= passed >> (i * w)
+        if below & firsts:
+            continue
+        shift = len(minimal) * n * w
+        kept |= packed << shift
+        ones |= 1 << shift
+        guards, firsts = guard * ones, first * ones
+        minimal.append(v)
     return tuple(minimal)
 
 

@@ -151,11 +151,15 @@ def test_analyze_large_order(capsys):
      "d758f8e4210eb83f375c5476ec2b78a0591cc3fa4351859e45191c405cb50101"),
     ("6:(1,5,0,0,0);6:(0,1,5,0,0);6:(0,0,1,5,0);6:(0,0,0,1,5)",
      "31f622551f40b7905373758dc1fe3eea7037801876ed13ca2ab6dde306237300"),
+    ("1009:(1,2,3,1003)",  # 676 basis elements, 504 of them of age 2
+     "751af3070c7c128cbcff13c4bfa4c7f0285fd6be57d8975d89ae3c5d11bfdfaf"),
+    ("20:(1,19,0,0);20:(0,1,19,0);20:(0,0,1,19)",  # 1771 basis elements
+     "9f13a6f6617074bc78e7fc801536c8977a6f157fba917b841b4c29b94fde3bd0"),
 ])
 def test_analyze_large_order_stdout_digest(capsys, group, digest):
     """``analyze`` stdout in n = 2 to 5, recorded from one ``print`` per
     table line and the ``(age, coords)`` name sort; the first two also from
-    the breadth-first closure."""
+    the breadth-first closure, the last two from the packed lex scan."""
     assert main(["analyze", group]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

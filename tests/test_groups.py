@@ -1,3 +1,4 @@
+import gc
 from itertools import product
 
 import hypothesis.strategies as st
@@ -7,7 +8,7 @@ from hypothesis import Phase, example, find, given, settings
 from conftest import random_cyclic_group, small_groups
 from oracles import closure_bfs, closure_by_zip, element_names_by_key, junior_simplex
 from torcrep import groups
-from torcrep.errors import ExplosionGuard, NotInSL
+from torcrep.errors import ExplosionGuard, InvariantError, NotInSL
 from torcrep.groups import (
     close_group,
     closure,
@@ -67,6 +68,32 @@ def test_close_group_builds_the_lattice_once(monkeypatch):
     group = close_group([LatticePoint((1, 2, 3), 6)])
     assert group.lattice.index_over_std == group.order == 6
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector_on", "collector_off"])
+def test_close_group_restores_the_collector_state(monkeypatch, enabled):
+    # the collector is paused while the elements are built, and left as the
+    # caller had it, also when the closure raises
+    seen = []
+    real = groups.closure
+
+    def closure(*args):
+        seen.append(gc.isenabled())
+        yield from real(*args)
+
+    monkeypatch.setattr(groups, "closure", closure)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert close_group([LatticePoint((1, 2, 3), 6)]).order == 6
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(groups.ScaledLattice, "index_over_std", 7)
+        with pytest.raises(InvariantError, match="lattice index must equal"):
+            close_group([LatticePoint((1, 2, 3), 6)])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_ages(z6, z2):

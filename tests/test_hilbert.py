@@ -9,6 +9,7 @@ from oracles import (
     NotInCone,
     box_lattice_points,
     hilbert_basis_box_walk,
+    hilbert_basis_packed_scan,
     hilbert_basis_pairwise,
     hilbert_candidate_rays_check,
     is_irreducible,
@@ -189,6 +190,7 @@ def _group(*gens):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(larger_groups())
 @example(close_group([], n=3))  # trivial: r = 1, every candidate a unit
+@example(close_group([], n=1))  # n = 1: no juniors, the unit alone
 # r = 2^k and 2^k - 1: a unit's coordinate r reaches the top bit below the
 # guard, or fills every bit below it
 @example(_cyclic((1, 1, 2, 4), 8))
@@ -202,8 +204,14 @@ def _group(*gens):
 @example(_group((7, (1, 6, 0)), (7, (0, 1, 6))))
 @example(close_group([], n=MAX_DIM))  # the most fields in one slot
 @example(_cyclic((1, 599), 600))  # n = 2: every nonzero element is minimal
+# no juniors: (2,...,2) is reducible only by the age-2 element (1,...,1)
+@example(_cyclic((1, 1, 1, 1, 1, 1), 3))
+# (Z/12)^3: every higher layer is fully reducible, so its passes stop early
+@example(_group((12, (1, 11, 0, 0)), (12, (0, 1, 11, 0)), (12, (0, 0, 1, 11))))
+@example(_cyclic((1, 2, 3, 1003), 1009))  # a higher layer keeps non-juniors
 def test_hilbert_basis_matches_pairwise_oracle(group):
     assert hilbert_basis(group) == hilbert_basis_pairwise(group)
+    assert hilbert_basis(group) == hilbert_basis_packed_scan(group)
 
 
 @st.composite

@@ -123,6 +123,59 @@ def test_benchmark_per_layer_metrics_name_traced_functions():
         "intlinalg.smith_normal_form", "intlinalg.solve_rational"]
 
 
+# arithmetic, comparison other than __eq__, container and call operators
+OPERATOR_DUNDERS = {
+    f"__{side}{op}__"
+    for op in ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod",
+               "pow", "lshift", "rshift", "and", "xor", "or")
+    for side in ("", "r", "i")
+} | {"__neg__", "__pos__", "__abs__", "__invert__", "__lt__", "__le__", "__gt__",
+     "__ge__", "__ne__", "__len__", "__getitem__", "__setitem__", "__delitem__",
+     "__contains__", "__iter__", "__call__"}
+
+
+def test_operator_dunders_are_applied_by_the_package_or_scripts(monkeypatch, tmp_path, capsys):
+    # the name walk above skips names that start with "_", which is how an
+    # operator only the tests applied (IntMatrix.__mul__) once stayed in src/;
+    # so each operator a package class defines must be applied by a frame of
+    # src/ or scripts/ while the worked examples run
+    import importlib
+
+    import run_worked_examples
+
+    owners = (SRC / "torcrep", ROOT / "scripts")
+    in_package = {}
+
+    def from_package(frame) -> bool:
+        name = frame.f_code.co_filename
+        if name not in in_package:
+            path = Path(name).resolve()
+            in_package[name] = any(path.is_relative_to(d) for d in owners)
+        return in_package[name]
+
+    defined = []
+    for path in sorted((SRC / "torcrep").glob("*.py")):
+        module = importlib.import_module(f"torcrep.{path.stem}".removesuffix(".__init__"))
+        defined += [(cls, name) for cls in vars(module).values()
+                    if isinstance(cls, type) and cls.__module__ == module.__name__
+                    for name in sorted(OPERATOR_DUNDERS & set(vars(cls)))]
+    from torcrep.lattice import LatticePoint
+    probe = (LatticePoint, "__eq__")  # shows that the wrappers see applications
+    applied = set()
+    for cls, name in [*defined, probe]:
+        def wrapper(*args, _real=getattr(cls, name), _key=(cls, name), **kwargs):
+            if from_package(sys._getframe(1)):
+                applied.add(_key)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+    monkeypatch.setattr(sys, "argv", ["run_worked_examples.py", "--out", str(tmp_path)])
+    run_worked_examples.main()
+    capsys.readouterr()
+    assert probe in applied
+    assert [f"{cls.__name__}.{name}" for cls, name in defined
+            if (cls, name) not in applied] == []
+
+
 def _attributes_read() -> set[str]:
     """Every attribute name that src/ (bar __init__.py) or scripts/ reads."""
     read = set()
