@@ -10,7 +10,8 @@ Commands::
 GROUP is an inline group description or a file (with --file): one
 generator per line in the form ``r:(a1,...,an)``; blank lines and ``#``
 comments are ignored, ``;`` also separates generators inline.  A
-generator has at most ``MAX_DIM`` coordinates.
+generator has at most ``MAX_DIM`` coordinates.  An error names the line
+and column of the text itself.
 
 Exit codes: 0 ok, 1 certificate failure, 2 input error, 3 not found.
 """
@@ -27,12 +28,8 @@ from itertools import islice
 from .divisors import class_group, class_group_to_json
 from .errors import (
     CertificateFailure,
-    DimensionMismatch,
-    DimensionUnsupported,
-    GroupSyntaxError,
     InputError,
     InvariantError,
-    NotInSL,
     ResolutionNotFound,
     TorcrepError,
 )
@@ -56,51 +53,56 @@ TABLE_CHUNK_LINES = 4096
 _GEN_RE = re.compile(r"^\s*(\d+)\s*:\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*$", re.ASCII)
 
 
+def _pieces(text: str):
+    """``(line, column, piece)`` of each nonblank ``;``-separated piece of each
+    line of the text, after its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        col = 1
+        for piece in raw.split("#", 1)[0].split(";"):
+            if piece.strip():
+                yield lineno, col, piece
+            col += len(piece) + 1
+
+
 def parse_group(text: str) -> GroupData:
-    """The group generated by the text; raises GroupSyntaxError with position."""
+    """The group generated by the text; raises InputError with the position."""
     gens = []
     n = None
-    for lineno, raw in enumerate(text.replace(";", "\n").splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        m = _GEN_RE.match(line)
+    for lineno, col, piece in _pieces(text):
+        m = _GEN_RE.match(piece)
         if not m:
-            col = len(line) - len(line.lstrip()) + 1
-            raise GroupSyntaxError(
-                f"expected 'r:(a1,...,an)', got {line.strip()!r}",
-                line=lineno, col=col,
+            col += len(piece) - len(piece.lstrip())
+            raise InputError(
+                f"line {lineno}, col {col}: expected 'r:(a1,...,an)', got {piece.strip()!r}"
             )
         try:
             r = int(m.group(1))
             coords = tuple(int(x) for x in m.group(2).split(","))
         except ValueError as exc:  # the interpreter's int-string digit limit
-            raise GroupSyntaxError(
-                f"number too long: more than {sys.get_int_max_str_digits()} digits",
-                line=lineno, col=1) from exc
+            raise InputError(
+                f"line {lineno}, col {col}: number too long: "
+                f"more than {sys.get_int_max_str_digits()} digits") from exc
         if len(coords) > MAX_DIM:
-            raise DimensionUnsupported(
+            raise InputError(
                 f"line {lineno}: dimension {len(coords)} exceeds the bound {MAX_DIM}"
             )
         if r < 1:
-            raise GroupSyntaxError("order must be positive", line=lineno, col=1)
+            raise InputError(f"line {lineno}, col {col}: order must be positive")
         if any(a < 0 or a >= r for a in coords):
-            raise GroupSyntaxError(
-                f"coordinates must lie in [0, {r})", line=lineno, col=1
-            )
+            raise InputError(f"line {lineno}, col {col}: coordinates must lie in [0, {r})")
         if sum(coords) % r:
-            raise NotInSL(
+            raise InputError(
                 f"line {lineno}: coordinate sum {sum(coords)} is not 0 mod {r}"
             )
         if n is None:
             n = len(coords)
         elif n != len(coords):
-            raise DimensionMismatch(
+            raise InputError(
                 f"line {lineno}: dimension {len(coords)} differs from {n}"
             )
         gens.append(LatticePoint(coords, r))
     if n is None:
-        raise GroupSyntaxError("no generators found")
+        raise InputError("no generators found")
     return close_group(gens, n)
 
 

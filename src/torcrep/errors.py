@@ -1,73 +1,16 @@
-"""Exception hierarchy shared across the package."""
+"""The package's errors: one class per way a command ends."""
 
 
 class TorcrepError(Exception):
-    """Base class for every package-specific error."""
+    """Base class for every package-specific error (CLI exit code 2, ``error:``)."""
 
 
 class InputError(TorcrepError):
-    """Malformed or inconsistent user-supplied data (CLI exit code 2)."""
-
-
-class GroupSyntaxError(InputError):
-    """Group grammar violation; the message leads with the line and column when known."""
-
-    def __init__(self, message, line=None, col=None):
-        if line is not None:
-            message = f"line {line}, col {col}: {message}"
-        super().__init__(message)
-
-
-class NotInSL(InputError):
-    """Generator coordinates do not sum to 0 mod r (determinant != 1)."""
-
-
-class InvalidGenerator(InputError):
-    """Generator violates the lattice construction preconditions."""
-
-
-class DimensionMismatch(InputError):
-    """Generators of different ambient dimensions were mixed."""
-
-
-class DimensionUnsupported(InputError):
-    """Operation only implemented for a specific ambient dimension."""
-
-
-class InvalidFan(InputError):
-    """Imported fan data fails structural validation."""
-
-
-class ExplosionGuard(TorcrepError):
-    """Group order exceeds the configured element bound of the closure."""
+    """Malformed or inconsistent user-supplied data (CLI exit code 2, ``input error:``)."""
 
 
 class InvariantError(TorcrepError):
     """An exact invariant that the mathematics guarantees did not hold."""
-
-
-class DenomMismatch(TorcrepError):
-    """Lattice point denominator differs from the ambient lattice's."""
-
-
-class NotInLattice(TorcrepError):
-    """Point is not an element of the lattice."""
-
-
-class NotPrimitive(TorcrepError):
-    """Point is a proper integer multiple of a lattice point."""
-
-
-class NotInSupport(TorcrepError):
-    """Point lies outside the support of the fan."""
-
-
-class RayAbsent(TorcrepError):
-    """The requested ray is not a ray of the fan."""
-
-
-class LiftAmbiguous(TorcrepError):
-    """Two distinct fan rays project onto the same star-fan ray."""
 
 
 class ResolutionNotFound(TorcrepError):
@@ -83,16 +26,7 @@ class ResolutionNotFound(TorcrepError):
 
 
 class CertificateFailure(TorcrepError):
-    """A normal-embedding certificate check failed; the message names what broke."""
+    """A normal-embedding certificate check failed (CLI exit code 1).
 
-
-class NotComplete(TorcrepError):
-    """Fan is not complete."""
-
-
-class NotSmooth(TorcrepError):
-    """Fan or cone is not smooth."""
-
-
-class NotSurface(TorcrepError):
-    """Fan is not two-dimensional."""
+    The message names what broke.
+    """

@@ -22,16 +22,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from math import gcd
 
-from .errors import (
-    CertificateFailure,
-    InvariantError,
-    LiftAmbiguous,
-    NotComplete,
-    NotInLattice,
-    NotSmooth,
-    NotSurface,
-    RayAbsent,
-)
+from .errors import CertificateFailure, InvariantError, TorcrepError
 from .fans import Cone, Fan, make_cone, make_fan
 from .groups import GroupData
 from .intlinalg import IntMatrix, solve
@@ -83,14 +74,14 @@ def _solved(fan: Fan, p: LatticePoint) -> tuple[int, ...]:
     """Basis coordinates of the ray ``p``, read off the fan's one solve of each ray."""
     x = fan.ray_coords[p]
     if x is None:
-        raise NotInLattice(f"{p} is not in the lattice")
+        raise TorcrepError(f"{p} is not in the lattice")
     return x
 
 
 def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
     """Project the cones through a ray into the quotient lattice, each ray once."""
     if g_hat not in fan.cones_through:
-        raise RayAbsent(f"{g_hat} is not a ray of the fan")
+        raise TorcrepError(f"{g_hat} is not a ray of the fan")
     m = fan.lattice.dim - 1
     proj = quotient_by_ray(g_hat, _solved(fan, g_hat))
     lifts: dict[LatticePoint, LatticePoint] = {}
@@ -106,7 +97,7 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
                 ubar = images[u] = LatticePoint(proj.mul_vec(_solved(fan, u)), 1)
                 prev = lifts.setdefault(ubar, u)
                 if prev != u:
-                    raise LiftAmbiguous(
+                    raise TorcrepError(
                         f"rays {prev} and {u} project to the same star ray {ubar}"
                     )
             imgs.append(ubar)
@@ -115,7 +106,7 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
     star = make_fan(ScaledLattice(m, 1, IntMatrix.identity(m)), cones)
     for ubar in star.rays:
         if gcd(*ubar.coords) != 1:
-            raise NotSmooth(f"star ray {ubar} is not primitive; fan is singular along the ray")
+            raise TorcrepError(f"star ray {ubar} is not primitive; fan is singular along the ray")
     complete = all(c > 0 for c in g_hat.coords)
     return StarFan(star, tuple(sorted(lifts.items(), key=lambda kv: kv[0].coords)), complete)
 
@@ -143,7 +134,7 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
     the checks guard the code that builds the star fan.
     """
     if not fan.is_smooth:
-        raise NotSmooth("embedding certificates require a smooth fan")
+        raise TorcrepError("embedding certificates require a smooth fan")
     star = star_fan(fan, g_hat)
     apex = LatticePoint((0,) * star.fan.lattice.dim + (1,), 1)
     weighted = {ubar: LatticePoint(ubar.coords + (u.age,), 1) for ubar, u in star.lifts}
@@ -225,20 +216,20 @@ def classify_surface(star: StarFan) -> SurfaceType:
     divisor comes from ``u_prev + u_next = -a * u``.
     """
     if star.fan.lattice.dim != 2:
-        raise NotSurface("surface classification needs a 2-dimensional fan")
+        raise TorcrepError("surface classification needs a 2-dimensional fan")
     if not star.complete:
-        raise NotComplete("star fan is not complete")
+        raise TorcrepError("star fan is not complete")
     rays = sorted((r.coords for r in star.fan.rays), key=cmp_to_key(_ccw_cmp))
     k = len(rays)
     cone_sets = {frozenset(r.coords for r in c.rays) for c in star.fan.maximal_cones}
     if len(cone_sets) != k:
-        raise NotComplete("maximal cones do not form a single cycle")
+        raise TorcrepError("maximal cones do not form a single cycle")
     for i in range(k):
         u, v = rays[i], rays[(i + 1) % k]
         if frozenset((u, v)) not in cone_sets:
-            raise NotComplete("adjacent rays do not span a maximal cone")
+            raise TorcrepError("adjacent rays do not span a maximal cone")
         if abs(u[0] * v[1] - u[1] * v[0]) != 1:
-            raise NotSmooth("adjacent ray pair is not a lattice basis")
+            raise TorcrepError("adjacent ray pair is not a lattice basis")
     selfints = []
     for i in range(k):
         p, u, q = rays[(i - 1) % k], rays[i], rays[(i + 1) % k]

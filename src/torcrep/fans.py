@@ -39,14 +39,7 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd
 
-from .errors import (
-    DenomMismatch,
-    InvalidFan,
-    InvariantError,
-    NotInLattice,
-    NotInSupport,
-    NotPrimitive,
-)
+from .errors import InputError, InvariantError, TorcrepError
 from .groups import closure
 from .intlinalg import IntMatrix, solve
 from .lattice import LatticePoint, Record, ScaledLattice
@@ -123,10 +116,10 @@ def barycentric(cone: Cone, p: LatticePoint) -> tuple[tuple[int, ...], int]:
     ``p = sum(numerators[i] / d * rays[i])`` with ``d > 0``, so signs of
     the coefficients are signs of the numerators: the numerators are the
     facet normals ``H`` dotted with ``p``.  ``p`` must share the rays'
-    denominator (DenomMismatch otherwise).
+    denominator (TorcrepError otherwise).
     """
     if p.denom != cone.rays[0].denom:
-        raise DenomMismatch(
+        raise TorcrepError(
             f"point denom {p.denom} differs from the denom {cone.rays[0].denom} of {cone}"
         )
     rows, d = cone.facet_normals
@@ -233,7 +226,7 @@ def validate_fan(fan: Fan) -> None:
     facets pair up (a facet inside a coordinate hyperplane belongs to one cone,
     every other facet to exactly two, on opposite sides of it), and the fan has
     cones, with the sum ``y`` of the first one's rays in no other.  Raises
-    InvalidFan, naming the ray, cone, facet or point, on the first failure.
+    InputError, naming the ray, cone, facet or point, on the first failure.
 
     These conditions hold for a fan with the orthant as support, and they
     imply one (the pseudo-manifold characterisation, De Loera-Rambau-Santos,
@@ -259,23 +252,23 @@ def validate_fan(fan: Fan) -> None:
     n = lat.dim
     for p, x in fan.ray_coords.items():
         if x is None:
-            raise InvalidFan(f"ray {p} is not a lattice point")
+            raise InputError(f"ray {p} is not a lattice point")
         if gcd(*x) != 1:
-            raise InvalidFan(f"ray {p} is not primitive")
+            raise InputError(f"ray {p} is not primitive")
     for c in fan.maximal_cones:
         if c.dim != n:
-            raise InvalidFan(
+            raise InputError(
                 f"cone {c} has dimension {c.dim}; a fan with the orthant as "
                 f"support has full-dimensional cones (dimension {n})"
             )
         try:
             c.facet_normals  # the solve the facet pairing reads
         except ValueError as exc:
-            raise InvalidFan(f"cone {c}: rays are linearly dependent; "
+            raise InputError(f"cone {c}: rays are linearly dependent; "
                              "cone is not simplicial") from exc
     for p in fan.rays:
         if any(x < 0 for x in p.coords):
-            raise InvalidFan(f"ray {p} lies outside the orthant")
+            raise InputError(f"ray {p} lies outside the orthant")
     # facet rays -> (cone, inner normal of the facet, ray opposite it)
     owners: dict[tuple[LatticePoint, ...], list] = {}
     for c in fan.maximal_cones:
@@ -286,22 +279,22 @@ def validate_fan(fan: Fan) -> None:
         want = 1 if boundary else 2
         if len(cones) != want:
             names = ", ".join(str(c) for c, _, _ in cones)
-            raise InvalidFan(
+            raise InputError(
                 f"facet {Cone(rays)} lies in {len(cones)} cone(s), not {want}: {names}"
             )
         if not boundary:
             (a, h, _), (b, _, far) = cones
             if sum(x * y for x, y in zip(h, far.coords)) > 0:
-                raise InvalidFan(
+                raise InputError(
                     f"cones {a} and {b} lie on the same side of their facet {Cone(rays)}"
                 )
     if not fan.maximal_cones:
-        raise InvalidFan("the fan has no cones")
+        raise InputError("the fan has no cones")
     first = fan.maximal_cones[0]
     y = LatticePoint(tuple(map(sum, zip(*(r.coords for r in first.rays)))), lat.denom)
     for c in fan.maximal_cones[1:]:
         if min(barycentric(c, y)[0]) >= 0:
-            raise InvalidFan(f"cones {first} and {c} overlap at {y}")
+            raise InputError(f"cones {first} and {c} overlap at {y}")
 
 
 class _FanBuilder:
@@ -325,9 +318,9 @@ class _FanBuilder:
                 continue
             x = lat.coords_or_none(p)
             if x is None:
-                raise NotInLattice(f"{p} is not a lattice point")
+                raise TorcrepError(f"{p} is not a lattice point")
             if gcd(*x) != 1:
-                raise NotPrimitive(f"{p} is not primitive")
+                raise TorcrepError(f"{p} is not primitive")
             if p in self.ray_counts:
                 continue
             for cone, held in self.inside.items():
@@ -336,7 +329,7 @@ class _FanBuilder:
                     held[p] = b
                     self.where.setdefault(p, []).append(cone)
             if p not in self.where:
-                raise NotInSupport(f"{p} is outside the support of the fan")
+                raise TorcrepError(f"{p} is outside the support of the fan")
 
     def copy(self) -> _FanBuilder:
         twin = _FanBuilder.__new__(_FanBuilder)
@@ -401,7 +394,7 @@ def fan_to_json(fan: Fan) -> dict:
 def _json_int(x) -> int:
     # int() would silently truncate 6.9 to 6, and bool is a subclass of int
     if type(x) is not int:
-        raise InvalidFan(f"malformed fan data: expected an integer, got {x!r}")
+        raise InputError(f"malformed fan data: expected an integer, got {x!r}")
     return x
 
 
@@ -445,5 +438,5 @@ def fan_from_json(data: dict) -> Fan:
         if unused:
             raise ValueError(f"ray {min(unused, key=lambda p: p.coords)} lies in no cone")
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise InvalidFan(f"malformed fan data: {exc}") from exc
+        raise InputError(f"malformed fan data: {exc}") from exc
     return make_fan(lat, cones)

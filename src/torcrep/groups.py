@@ -15,7 +15,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import add, attrgetter, mod
 
-from .errors import DimensionMismatch, ExplosionGuard, InvariantError, NotInSL
+from .errors import InputError, InvariantError, TorcrepError
 from .lattice import LatticePoint, Record, ScaledLattice, build_lattice
 
 MAX_ELEMENTS = 10**6  # closure limit, read at each call
@@ -45,12 +45,12 @@ def _normalize_generators(generators, n):
     scaled = []
     for g in generators:
         if g.dim != n:
-            raise DimensionMismatch(
+            raise InputError(
                 f"generator {g} has dimension {g.dim}, expected {n}"
             )
         coords = tuple(c * (r0 // g.denom) % r0 for c in g.coords)
         if sum(coords) % r0:
-            raise NotInSL(f"generator {g}: coordinate sum is not 0 mod {g.denom}")
+            raise InputError(f"generator {g}: coordinate sum is not 0 mod {g.denom}")
         scaled.append(coords)
     d = r0
     for coords in scaled:
@@ -93,7 +93,7 @@ def close_group(generators, n: int | None = None) -> GroupData:
     generators = list(generators)
     if not generators:
         if n is None:
-            raise DimensionMismatch("dimension required for the trivial group")
+            raise InputError("dimension required for the trivial group")
         zero = LatticePoint((0,) * n, 1)
         return GroupData(n, 1, (zero,), (), build_lattice([], n, 1))
     if n is None:
@@ -103,7 +103,7 @@ def close_group(generators, n: int | None = None) -> GroupData:
     lattice = build_lattice(gens, n, r)
     order = lattice.index_over_std
     if order > MAX_ELEMENTS:
-        raise ExplosionGuard(
+        raise TorcrepError(
             f"group of order {order} exceeds the closure limit of "
             f"{MAX_ELEMENTS} elements"
         )

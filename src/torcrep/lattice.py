@@ -25,12 +25,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import gcd
 
-from .errors import (
-    DenomMismatch,
-    InvalidGenerator,
-    InvariantError,
-    NotPrimitive,
-)
+from .errors import InputError, InvariantError, TorcrepError
 from .intlinalg import IntMatrix, hermite_normal_form
 
 
@@ -161,7 +156,7 @@ class ScaledLattice(Record):
         """Basis coordinates of ``p``, or None when ``p`` is off the lattice."""
         # forward substitution against the lower-triangular Hermite basis
         if p.denom != self.denom:
-            raise DenomMismatch(
+            raise TorcrepError(
                 f"point denom {p.denom} differs from lattice denom {self.denom}"
             )
         b = self.basis.data
@@ -184,17 +179,17 @@ def build_lattice(gens, n: int, denom: int) -> ScaledLattice:
     divisible by ``denom`` (the determinant-one condition).
     """
     if type(denom) is not int or denom < 1:
-        raise InvalidGenerator(f"denominator must be a positive integer, got {denom!r}")
+        raise InputError(f"denominator must be a positive integer, got {denom!r}")
     cols = [tuple(denom if j == i else 0 for j in range(n)) for i in range(n)]
     for g in gens:
         if g.dim != n:
-            raise InvalidGenerator(f"generator {g} has dimension {g.dim}, expected {n}")
+            raise InputError(f"generator {g} has dimension {g.dim}, expected {n}")
         if g.denom != denom:
-            raise DenomMismatch("generators must share one denominator")
+            raise TorcrepError("generators must share one denominator")
         if any(c < 0 or c >= denom for c in g.coords):
-            raise InvalidGenerator(f"generator {g} has coordinates outside [0, r)")
+            raise InputError(f"generator {g} has coordinates outside [0, r)")
         if sum(g.coords) % denom:
-            raise InvalidGenerator(
+            raise InputError(
                 f"generator {g} violates the determinant-one condition"
             )
         cols.append(g.coords)
@@ -213,7 +208,7 @@ def quotient_by_ray(v: LatticePoint, w: tuple[int, ...]) -> IntMatrix:
     ``w`` is ``v`` in basis coordinates; the kernel is exactly the line through it.
     """
     if gcd(*w) != 1:
-        raise NotPrimitive(f"{v} is not primitive")
+        raise TorcrepError(f"{v} is not primitive")
     # the Hermite form of w over the identity is [w u; u] with u unimodular;
     # w u = e_1 as w is primitive, so the lower blocks of the other columns
     # are the Hermite basis of the annihilator of w, which maps N onto Z^(n-1)

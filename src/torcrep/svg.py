@@ -9,7 +9,7 @@ fan.
 
 from __future__ import annotations
 
-from .errors import DimensionUnsupported
+from .errors import InputError
 from .fans import Fan
 from .groups import GroupData, element_names
 
@@ -35,7 +35,7 @@ def _position(coords) -> tuple[int, int, int]:
 def junior_graph_svg(fan: Fan, group: GroupData) -> str:
     """SVG of the triangulated junior simplex with labeled points."""
     if fan.lattice.dim != 3:
-        raise DimensionUnsupported("graph export is only defined for n = 3")
+        raise InputError("graph export is only defined for n = 3")
     names = element_names(group)
     positions = {ray: _position(ray.coords) for ray in fan.rays}
 

@@ -87,13 +87,8 @@ from operator import lshift
 from torcrep.divisors import ClassGroup, dual_basis
 from torcrep.errors import (
     CertificateFailure,
-    InvalidFan,
+    InputError,
     InvariantError,
-    NotInLattice,
-    NotInSupport,
-    NotPrimitive,
-    NotSmooth,
-    RayAbsent,
     ResolutionNotFound,
     TorcrepError,
 )
@@ -133,7 +128,7 @@ from torcrep.resolve import (
 def basis_coords(lat: ScaledLattice, p: LatticePoint) -> tuple[int, ...]:
     x = lat.coords_or_none(p)
     if x is None:
-        raise NotInLattice(f"{p} is not in the lattice")
+        raise TorcrepError(f"{p} is not in the lattice")
     return x
 
 
@@ -144,7 +139,7 @@ def from_basis_coords(lat: ScaledLattice, x) -> LatticePoint:
 
 def is_primitive(lat: ScaledLattice, p: LatticePoint) -> bool:
     if p.is_zero():
-        raise NotInLattice("the zero vector has no primitivity")
+        raise TorcrepError("the zero vector has no primitivity")
     return gcd(*basis_coords(lat, p)) == 1
 
 
@@ -542,9 +537,9 @@ def star_subdivision_by_pivot(fan: Fan, mu: LatticePoint) -> Fan:
     """``star_subdivision`` as a scan of every cone and a pivot per child."""
     lat = fan.lattice
     if not lat.contains(mu):
-        raise NotInLattice(f"{mu} is not a lattice point")
+        raise TorcrepError(f"{mu} is not a lattice point")
     if not is_primitive(lat, mu):
-        raise NotPrimitive(f"{mu} is not primitive")
+        raise TorcrepError(f"{mu} is not primitive")
     hit = False
     new_cones = []
     for cone in fan.maximal_cones:
@@ -555,7 +550,7 @@ def star_subdivision_by_pivot(fan: Fan, mu: LatticePoint) -> Fan:
         hit = True
         new_cones += [_pivot(cone, i, mu, b) for i, v in enumerate(b) if v > 0]
     if not hit:
-        raise NotInSupport(f"{mu} is outside the support of the fan")
+        raise TorcrepError(f"{mu} is outside the support of the fan")
     result = make_fan(lat, new_cones)
     if set(result.rays) != set(fan.rays) | {mu}:
         raise InvariantError(f"subdividing at {mu} changed rays other than {mu}")
@@ -574,9 +569,9 @@ def star_subdivision_by_make_cone(fan: Fan, mu: LatticePoint) -> Fan:
     """``star_subdivision`` with one ``make_cone`` per new cone."""
     lat = fan.lattice
     if not lat.contains(mu):
-        raise NotInLattice(f"{mu} is not a lattice point")
+        raise TorcrepError(f"{mu} is not a lattice point")
     if not is_primitive(lat, mu):
-        raise NotPrimitive(f"{mu} is not primitive")
+        raise TorcrepError(f"{mu} is not primitive")
     hit = False
     new_cones = []
     for cone in fan.maximal_cones:
@@ -591,7 +586,7 @@ def star_subdivision_by_make_cone(fan: Fan, mu: LatticePoint) -> Fan:
                 rays.append(mu)
                 new_cones.append(make_cone(rays))
     if not hit:
-        raise NotInSupport(f"{mu} is outside the support of the fan")
+        raise TorcrepError(f"{mu} is outside the support of the fan")
     result = make_fan(lat, new_cones)
     if set(result.rays) != set(fan.rays) | {mu}:
         raise InvariantError(f"subdividing at {mu} changed rays other than {mu}")
@@ -643,20 +638,20 @@ def validate_fan_all_pairs(fan: Fan) -> None:
     lat = fan.lattice
     for p in fan.rays:
         if not lat.contains(p):
-            raise InvalidFan(f"ray {p} is not a lattice point")
+            raise InputError(f"ray {p} is not a lattice point")
         if not is_primitive(lat, p):
-            raise InvalidFan(f"ray {p} is not primitive")
+            raise InputError(f"ray {p} is not primitive")
     for c in fan.maximal_cones:
         mat = IntMatrix(zip(*[r.coords for r in c.rays]))
         if rank_loop(mat) != c.dim:
-            raise InvalidFan(f"cone {c} is not simplicial")
+            raise InputError(f"cone {c} is not simplicial")
     for a, b in combinations(fan.maximal_cones, 2):
         common = set(a.rays) & set(b.rays)
         tau = make_cone(common) if common else Cone(())
         for x in intersection_generators(a, b):
             pt = LatticePoint(x, a.rays[0].denom)
             if not contains_point_by_solve(tau, pt):
-                raise InvalidFan(
+                raise InputError(
                     f"cones {a} and {b} do not intersect in a common face"
                 )
 
@@ -669,7 +664,7 @@ def validate_fan_by_volume(fan: Fan) -> None:
     volume equals the group order ``[N : Z^n]`` (the orthant's), and the
     facets pair up: a facet inside a coordinate hyperplane belongs to one
     cone, every other facet to exactly two, on opposite sides of it.
-    Raises InvalidFan, naming the ray, cone or facet, on the first failure.
+    Raises InputError, naming the ray, cone or facet, on the first failure.
 
     These conditions hold for a fan with the orthant as support, and they
     imply one (the pseudo-manifold characterisation, De Loera-Rambau-Santos,
@@ -693,21 +688,21 @@ def validate_fan_by_volume(fan: Fan) -> None:
     for p in fan.rays:
         x = lat.coords_or_none(p)
         if x is None:
-            raise InvalidFan(f"ray {p} is not a lattice point")
+            raise InputError(f"ray {p} is not a lattice point")
         if gcd(*x) != 1:
-            raise InvalidFan(f"ray {p} is not primitive")
+            raise InputError(f"ray {p} is not primitive")
     for c in fan.maximal_cones:
         if c.dim != n:
-            raise InvalidFan(
+            raise InputError(
                 f"cone {c} has dimension {c.dim}; a fan with the orthant as "
                 f"support has full-dimensional cones (dimension {n})"
             )
     for p in fan.rays:
         if any(x < 0 for x in p.coords):
-            raise InvalidFan(f"ray {p} lies outside the orthant")
+            raise InputError(f"ray {p} lies outside the orthant")
     volume = support_volume(fan)
     if volume != lat.index_over_std:
-        raise InvalidFan(
+        raise InputError(
             f"the cones have support volume {volume}, not the orthant's "
             f"{lat.index_over_std}"
         )
@@ -721,13 +716,13 @@ def validate_fan_by_volume(fan: Fan) -> None:
         want = 1 if boundary else 2
         if len(cones) != want:
             names = ", ".join(str(c) for c, _, _ in cones)
-            raise InvalidFan(
+            raise InputError(
                 f"facet {Cone(rays)} lies in {len(cones)} cone(s), not {want}: {names}"
             )
         if not boundary:
             (a, h, _), (b, _, far) = cones
             if sum(x * y for x, y in zip(h, far.coords)) > 0:
-                raise InvalidFan(
+                raise InputError(
                     f"cones {a} and {b} lie on the same side of their facet {Cone(rays)}"
                 )
 
@@ -1185,7 +1180,7 @@ def xi_g(fan: Fan, g_hat: LatticePoint) -> Fan:
     stored, faces are implicit.
     """
     if g_hat not in fan.cones_through:
-        raise RayAbsent(f"{g_hat} is not a ray of the fan")
+        raise TorcrepError(f"{g_hat} is not a ray of the fan")
     return make_fan(fan.lattice, fan.cones_through[g_hat])
 
 
@@ -1255,7 +1250,7 @@ def certify_normal_embedding_per_anchor(
     """
     lat = fan.lattice
     if not fan.is_smooth:
-        raise NotSmooth("embedding certificates require a smooth fan")
+        raise TorcrepError("embedding certificates require a smooth fan")
     star = star_fan(fan, g_hat)
     div = age_weighted_divisor(star)
     total = total_space_fan(star, div)

@@ -31,7 +31,7 @@ from torcrep.cli import (
     write_json,
 )
 from torcrep.divisors import class_group, class_group_to_json
-from torcrep.errors import DimensionMismatch, GroupSyntaxError, NotInSL
+from torcrep.errors import InputError
 from torcrep.fans import Cone, fan_from_json, fan_to_json, make_cone, make_fan, sigma_fan
 from torcrep.groups import close_group, element_names
 from torcrep.lattice import LatticePoint
@@ -59,29 +59,50 @@ def test_parse_multiple_generators_semicolon():
 
 
 def test_parse_rejects_non_sl():
-    with pytest.raises(NotInSL):
+    with pytest.raises(InputError, match="coordinate sum 5 is not 0 mod 6"):
         parse_group("6:(1,2,2)")
 
 
 def test_parse_rejects_syntax():
-    with pytest.raises(GroupSyntaxError) as info:
+    with pytest.raises(InputError, match=r"expected 'r:\(a1,...,an\)', got '6:1,2,3'") as info:
         parse_group("6:1,2,3")
     assert str(info.value).startswith("line 1, col 1: ")
 
 
 def test_parse_rejects_out_of_range():
-    with pytest.raises(GroupSyntaxError):
+    with pytest.raises(InputError, match=r"coordinates must lie in \[0, 6\)"):
         parse_group("6:(1,2,9)")
 
 
 def test_parse_rejects_mixed_dimension():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match="line 2: dimension 3 differs from 2"):
         parse_group("2:(1,1)\n3:(1,1,1)")
 
 
 def test_parse_rejects_empty():
-    with pytest.raises(GroupSyntaxError):
+    with pytest.raises(InputError, match="no generators found"):
         parse_group("# nothing\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("6:(1,2,3);6:(1,2,3)\nbad", "line 2, col 1: expected 'r:(a1,...,an)', got 'bad'"),
+    ("6:(1,2,3);  7:(1,x)", "line 1, col 13: expected 'r:(a1,...,an)', got '7:(1,x)'"),
+    ("6:(1,2,3)\n# c\n  6:(1,2,3) ;6:(1,2,9)", "line 3, col 14: coordinates must lie in [0, 6)"),
+], ids=["second-line", "second-piece", "third-piece"])
+def test_group_error_names_the_line_and_column_of_the_text(text, message, tmp_path, capsys):
+    # ";" splits a line into pieces; the line and column are the text's own
+    with pytest.raises(InputError) as info:
+        parse_group(text)
+    assert str(info.value) == message
+    path = tmp_path / "group.txt"
+    path.write_text(text)
+    assert main(["analyze", str(path), "--file"]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_semicolon_inside_a_comment_is_comment():
+    group = parse_group("6:(1,2,3)  # note; see paper")
+    assert [(g.denom, g.coords) for g in group.generators] == [(6, (1, 2, 3))]
 
 
 def test_analyze_exit_codes(capsys):
@@ -173,7 +194,7 @@ def test_group_number_beyond_the_digit_limit_is_input_error(capsys):
     limit = sys.get_int_max_str_digits()
     assert main(["analyze", f"1:(0,0);{'6' * (limit + 1)}:(1,2,3)"]) == 2
     err = capsys.readouterr().err
-    assert f"input error: line 2, col 1: number too long: more than {limit} digits" in err
+    assert f"input error: line 1, col 9: number too long: more than {limit} digits" in err
     assert "Traceback" not in err
 
 
@@ -429,12 +450,10 @@ def test_verify_empty_fan_is_input_error(tmp_path, capsys):
 
 def test_verify_non_smooth_fan_fails(tmp_path, capsys):
     # the singular 4-cone minimal model of the order-7 group
-    z7 = torcrep.close_group([torcrep.LatticePoint((1, 1, 2, 3), 7)])
-    fan = star_subdivision(
-        torcrep.sigma_fan(z7.lattice), torcrep.LatticePoint((1, 1, 2, 3), 7)
-    )
+    z7 = close_group([LatticePoint((1, 1, 2, 3), 7)])
+    fan = star_subdivision(sigma_fan(z7.lattice), LatticePoint((1, 1, 2, 3), 7))
     path = tmp_path / "partial.json"
-    path.write_text(json.dumps(torcrep.fan_to_json(fan)))
+    path.write_text(json.dumps(fan_to_json(fan)))
     assert main(["verify", str(path), "7:(1,1,2,3)"]) == 1
     out = capsys.readouterr().out
     assert "not smooth" in out
@@ -663,8 +682,8 @@ def test_verify_rejects_a_fan_beyond_the_dimension_bound(tmp_path, capsys):
 
 
 def _edge_fan_file(tmp_path):
-    z6 = torcrep.close_group([torcrep.LatticePoint((1, 2, 3), 6)])
-    data = fan_to_json(torcrep.sigma_fan(z6.lattice))
+    z6 = close_group([LatticePoint((1, 2, 3), 6)])
+    data = fan_to_json(sigma_fan(z6.lattice))
     data["maximal_cones"] = [[0, 1]]  # a 2-dimensional cone inside the orthant
     data["rays"] = data["rays"][:2]  # a ray no cone uses is rejected first
     path = tmp_path / "edge.json"
@@ -713,6 +732,40 @@ def test_export_graph_wrong_group(tmp_path, capsys):
                  "--svg", str(svg_path)]) == 2
     assert "fan lattice does not match the group lattice" in capsys.readouterr().err
     assert not svg_path.exists()
+
+
+# how each kind of bad input ends: the exit code and the whole of stderr
+@pytest.mark.parametrize("argv, code, err", [
+    (["analyze", "6:(1,2,2)"], 2, "input error: line 1: coordinate sum 5 is not 0 mod 6\n"),
+    (["analyze", "6:1,2,3"], 2,
+     "input error: line 1, col 1: expected 'r:(a1,...,an)', got '6:1,2,3'\n"),
+    (["analyze", "6:(1,2,9)"], 2, "input error: line 1, col 1: coordinates must lie in [0, 6)\n"),
+    (["analyze", "0:(0,0)"], 2, "input error: line 1, col 1: order must be positive\n"),
+    (["analyze", "2:(1,1)\n3:(1,1,1)"], 2, "input error: line 2: dimension 3 differs from 2\n"),
+    (["analyze", "# nothing"], 2, "input error: no generators found\n"),
+    (["analyze", "1001:(1,1000,0)\n1001:(0,1,1000)"], 2,
+     "error: group of order 1002001 exceeds the closure limit of 1000000 elements\n"),
+    (["analyze", f"1:({','.join(['0'] * 65)})"], 2,
+     "input error: line 1: dimension 65 exceeds the bound 64\n"),
+    (["resolve", "8:(2,3,3)", "--sequence", "g6"], 2, "error: (1/8)(4,6,6) is not primitive\n"),
+    (["resolve", "6:(1,2,3)", "--sequence", "g9"], 2,
+     "input error: unknown element name 'g9'; see 'analyze'\n"),
+    (["verify", "{dir}/unused.json", "6:(1,2,3)"], 2,
+     "input error: malformed fan data: ray (1/6)(2,4,0) lies in no cone\n"),
+    (["export-graph", "{dir}/n4.json", "2:(1,1,0,0)", "--svg", "{dir}/n4.svg"], 2,
+     "input error: graph export is only defined for n = 3\n"),
+], ids=["not-in-sl", "syntax", "out-of-range", "order-zero", "mixed-dimension", "empty",
+        "closure-limit", "dimension-bound", "imprimitive-step", "unknown-name",
+        "unused-ray", "export-graph-n4"])
+def test_each_error_ends_with_its_exit_code_and_message(argv, code, err, tmp_path, capsys):
+    data = fan_to_json(sigma_fan(close_group([LatticePoint((1, 2, 3), 6)]).lattice))
+    data["rays"].append([2, 4, 0])  # a lattice ray that no cone uses
+    (tmp_path / "unused.json").write_text(json.dumps(data))
+    n4 = sigma_fan(close_group([LatticePoint((1, 1, 0, 0), 2)]).lattice)
+    (tmp_path / "n4.json").write_text(json.dumps(fan_to_json(n4)))
+    assert main([a.format(dir=tmp_path) for a in argv]) == code
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "n4.svg").exists()
 
 
 @pytest.mark.parametrize("argv, body", [

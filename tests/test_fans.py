@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import weakref
 from itertools import combinations
 from math import prod
@@ -30,7 +31,7 @@ from oracles import (
     validate_fan_all_pairs,
     validate_fan_by_volume,
 )
-from torcrep.errors import DenomMismatch, InvalidFan, NotInSupport, NotPrimitive
+from torcrep.errors import InputError, TorcrepError
 from torcrep.fans import (
     Cone,
     _FanBuilder,
@@ -120,7 +121,7 @@ def test_cone_questions_need_full_dimension_and_one_denominator(z6):
                            r"\(1/6\)\(6,0,0\)\) is not full-dimensional"):
             ask()
     sigma = make_cone(lat.units())
-    with pytest.raises(DenomMismatch):
+    with pytest.raises(TorcrepError, match="point denom 5 differs from the denom 6 of"):
         barycentric(sigma, LatticePoint((1, 2, 2), 5))
 
 
@@ -178,9 +179,9 @@ def test_star_subdivision_at_existing_ray(z6):
 
 def test_star_subdivision_errors(z6):
     fan = sigma_fan(z6.lattice)
-    with pytest.raises(NotPrimitive):
+    with pytest.raises(TorcrepError, match=r"\(1/6\)\(2,4,6\) is not primitive"):
         star_subdivision(fan, LatticePoint((2, 4, 6), 6))
-    with pytest.raises(NotInSupport):
+    with pytest.raises(TorcrepError, match="is outside the support of the fan"):
         outside = LatticePoint((-6, 6, 6), 6)
         star_subdivision(fan, outside)
 
@@ -300,7 +301,7 @@ def test_fan_json_round_trip(z6_result):
 
 
 def test_fan_json_rejects_garbage(z6_result):
-    with pytest.raises(InvalidFan):
+    with pytest.raises(InputError, match=r"ray index out of range in \[0, 5\]"):
         fan_from_json({"lattice": {"n": 2, "r": 1, "basis": [[1, 0], [0, 1]]},
                        "rays": [[1, 0]], "maximal_cones": [[0, 5]]})
     # rays [0,0,6], [0,6,0], [1,2,3], ...; the first cone is [0, 1, 2]
@@ -313,7 +314,7 @@ def test_fan_json_rejects_garbage(z6_result):
     ]:
         data = fan_to_json(z6_result.fan)
         edit(data)
-        with pytest.raises(InvalidFan) as exc:
+        with pytest.raises(InputError, match="malformed fan data: ") as exc:
             fan_from_json(data)
         assert str(exc.value) == "malformed fan data: " + message
 
@@ -346,7 +347,7 @@ def test_fan_json_basis_check_matches_recomputation(m):
     try:
         fan_from_json(data)
         accepted = True
-    except InvalidFan as exc:
+    except InputError as exc:
         assert str(exc) == "malformed fan data: lattice basis must be in column Hermite form"
         accepted = False
     assert accepted == is_hermite_basis_by_recomputation(m)
@@ -357,14 +358,14 @@ def test_validate_fan_rejects_overlap():
     c1 = make_cone([LatticePoint((1, 0), 1), LatticePoint((0, 1), 1)])
     c2 = make_cone([LatticePoint((2, 1), 1), LatticePoint((1, 2), 1)])
     fan = make_fan(lat, [c1, c2])
-    with pytest.raises(InvalidFan):
+    with pytest.raises(InputError, match=r"facet Cone\(\(2,1\)\) lies in 1 cone\(s\), not 2"):
         validate_fan(fan)
 
 
 def test_validate_fan_rejects_imprimitive_ray():
     lat = std_lattice(2)
     c = make_cone([LatticePoint((2, 0), 1), LatticePoint((0, 1), 1)])
-    with pytest.raises(InvalidFan):
+    with pytest.raises(InputError, match=r"ray \(2,0\) is not primitive"):
         validate_fan(make_fan(lat, [c]))
 
 
@@ -427,7 +428,7 @@ def _dependent_cones(fan):
 def _rejection(check, fan):
     try:
         check(fan)
-    except InvalidFan as exc:
+    except InputError as exc:
         return str(exc)
     return None
 
@@ -534,9 +535,9 @@ def test_validate_fan_rejects_orthant_t_junction():
     fan = make_fan(std_lattice(3), [make_cone(t) for t in [
         (g, e2, e3), (g, e1, e3), (m, e1, e2), (g, m, e2)]])
     assert refines(fan, sigma_fan(fan.lattice))
-    with pytest.raises(InvalidFan, match="do not intersect in a common face"):
+    with pytest.raises(InputError, match="do not intersect in a common face"):
         validate_fan_all_pairs(fan)
-    with pytest.raises(InvalidFan) as exc:
+    with pytest.raises(InputError, match=r"lies in 1 cone\(s\), not 2") as exc:
         validate_fan(fan)
     assert str(exc.value) == (
         "facet Cone((1,0,0), (1,1,1)) lies in 1 cone(s), not 2: "
@@ -578,7 +579,7 @@ def _std_fan(cones):
 ], ids=["outside", "volume", "volume-grouped", "same-side", "boundary-facet-twice",
         "overlap", "no-cones", "dependent"])
 def test_validate_fan_names_what_breaks(fan, message):
-    with pytest.raises(InvalidFan) as exc:
+    with pytest.raises(InputError, match=re.escape(message)) as exc:
         validate_fan(fan)
     assert str(exc.value) == message
 
