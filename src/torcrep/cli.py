@@ -8,10 +8,10 @@ Commands::
     torcrep export-graph FAN.json GROUP --svg OUT.svg
 
 GROUP is an inline group description or a file (with --file): one
-generator per line in the form ``r:(a1,...,an)``; blank lines and ``#``
-comments are ignored, ``;`` also separates generators inline.  A
-generator has at most ``MAX_DIM`` coordinates.  An error names the line
-and column of the text itself.
+generator per line in the form ``r:(a1,...,an)``, where only a line feed
+ends a line; blank lines and ``#`` comments are ignored, ``;`` also
+separates generators inline.  A generator has at most ``MAX_DIM``
+coordinates.  An error names the line and column of the text itself.
 
 Exit codes: 0 ok, 1 certificate failure, 2 input error, 3 not found.
 """
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import string
 import sys
 from functools import cache
 from itertools import islice
@@ -39,12 +40,16 @@ from .exceptional import (
     classify_surface,
     coverage_check,
 )
-from .fans import MAX_DIM, Fan, fan_from_json, validate_fan
+from .fans import Fan, fan_from_json, validate_fan
 from .groups import GroupData, close_group, compact_juniors, crepant_obstructions, element_names
 from .hilbert import hilbert_basis
 from .lattice import LatticePoint
 from .resolve import is_crepant, resolve, result_to_json, search_resolution
 from .svg import junior_graph_svg
+
+# the eliminations behind every command are cubic in the dimension, so a larger
+# group would run for minutes before any check failed; a fan file must match it
+MAX_DIM = 64
 
 # element table lines per write: a write per line costs a call each, and one
 # write of all would hold the whole table (51 MB at the closure limit)
@@ -55,8 +60,8 @@ _GEN_RE = re.compile(r"^\s*(\d+)\s*:\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*$", 
 
 def _pieces(text: str):
     """``(line, column, piece)`` of each nonblank ``;``-separated piece of each
-    line of the text, after its ``#`` comment is cut."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    line (ended by a line feed alone) of the text, after its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         col = 1
         for piece in raw.split("#", 1)[0].split(";"):
             if piece.strip():
@@ -71,10 +76,10 @@ def parse_group(text: str) -> GroupData:
     for lineno, col, piece in _pieces(text):
         m = _GEN_RE.match(piece)
         if not m:
-            col += len(piece) - len(piece.lstrip())
-            raise InputError(
-                f"line {lineno}, col {col}: expected 'r:(a1,...,an)', got {piece.strip()!r}"
-            )
+            # the pattern's \s is ASCII, so a Unicode space it refused stays in view
+            got = piece.strip(string.whitespace)
+            col += len(piece) - len(piece.lstrip(string.whitespace))
+            raise InputError(f"line {lineno}, col {col}: expected 'r:(a1,...,an)', got {got!r}")
         try:
             r = int(m.group(1))
             coords = tuple(int(x) for x in m.group(2).split(","))
@@ -127,9 +132,7 @@ def _load_fan(path: str, group: GroupData) -> Fan:
         raise InputError(f"cannot parse {path}: {exc}") from exc
     if isinstance(data, dict) and "fan" in data:
         data = data["fan"]
-    fan = fan_from_json(data)
-    if fan.lattice != group.lattice:
-        raise InputError("fan lattice does not match the group lattice")
+    fan = fan_from_json(data, group.lattice)
     validate_fan(fan)
     return fan
 

@@ -185,7 +185,13 @@ def certify_normal_embedding(fan: Fan, g_hat: LatticePoint) -> EmbeddingCertific
 
 
 def coverage_check(fan: Fan, group: GroupData) -> bool | None:
-    """Every maximal cone must contain a junior ray; None when no juniors."""
+    """Every maximal cone must contain a junior ray; None when no juniors.
+
+    On the fans ``cmd_verify`` passes it (valid, smooth, crepant) it is True
+    for a nontrivial group: every ray has age 1, and a point of ``N`` in the
+    closed orthant of age 1 is a unit or a junior, so a cone with no junior
+    ray is the orthant, the fan's one cone, smooth only for the trivial group.
+    """
     if not group.juniors:
         return None
     covered = {c for g in group.juniors for c in fan.cones_through.get(g, ())}

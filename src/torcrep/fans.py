@@ -6,10 +6,11 @@ maximal cones.  The fans torcrep builds and reads refine the orthant, so
 every cone it asks a question of is full-dimensional and simplicial: one
 H-description, its cached facet normals, answers membership, barycentric
 coordinates, the cone's index and its terminality, all exactly.
-``validate_fan`` checks one rule for such fans: the facets pair up, and
-one point inside one cone lies in no other; the solve for a cone's facet
-normals proves its rays independent.  A cone torcrep builds is independent
-by construction: the orthant, a star subdivision's child (below), a star cone.
+``validate_fan`` checks one rule for such fans: the facets of ``Fan.facets``
+pair up, and one point inside one cone lies in no other; the solve for a
+cone's facet normals proves its rays independent.  A cone torcrep builds
+is independent by construction: the orthant, a star subdivision's child
+(below), a star cone.
 
 A star subdivision moves each tracked point by a fraction-free pivot
 (Bareiss 1968).  Let ``A`` be the parent's rays, ``d = |det A|``,
@@ -36,18 +37,12 @@ which is bit-exact across runs.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
 from math import gcd
 
 from .errors import InputError, InvariantError, TorcrepError
 from .groups import closure
 from .intlinalg import IntMatrix, solve
 from .lattice import LatticePoint, Record, ScaledLattice
-
-# The Hermite forms and eliminations behind every command are cubic in the
-# dimension, so a group or fan of higher dimension would run for minutes
-# before any other check could fail; it is refused at once.
-MAX_DIM = 64
 
 
 class Cone:
@@ -194,12 +189,15 @@ class Fan(Record):
                 index.setdefault(r, []).append(c)
         return {r: tuple(cs) for r, cs in index.items()}
 
-    def two_cones(self) -> tuple[Cone, ...]:
-        seen = set()
+    @cached_property
+    def facets(self) -> dict[tuple[LatticePoint, ...], list]:
+        """Each facet's rays -> ``(cone, inner normal, opposite ray)`` per cone on it,
+        in fan order; ``validate_fan`` first checks that every cone has normals."""
+        table: dict[tuple[LatticePoint, ...], list] = {}
         for c in self.maximal_cones:
-            for pair in combinations(c.rays, 2):
-                seen.add(Cone(tuple(sorted(pair, key=lambda p: p.coords))))
-        return tuple(sorted(seen, key=lambda c: tuple(r.coords for r in c.rays)))
+            for i, h in enumerate(c.facet_normals[0]):
+                table.setdefault(c.rays[:i] + c.rays[i + 1:], []).append((c, h, c.rays[i]))
+        return table
 
     @cached_property
     def is_smooth(self) -> bool:
@@ -269,12 +267,7 @@ def validate_fan(fan: Fan) -> None:
     for p in fan.rays:
         if any(x < 0 for x in p.coords):
             raise InputError(f"ray {p} lies outside the orthant")
-    # facet rays -> (cone, inner normal of the facet, ray opposite it)
-    owners: dict[tuple[LatticePoint, ...], list] = {}
-    for c in fan.maximal_cones:
-        for i, h in enumerate(c.facet_normals[0]):
-            owners.setdefault(c.rays[:i] + c.rays[i + 1:], []).append((c, h, c.rays[i]))
-    for rays, cones in owners.items():
+    for rays, cones in fan.facets.items():
         boundary = any(all(r.coords[k] == 0 for r in rays) for k in range(n))
         want = 1 if boundary else 2
         if len(cones) != want:
@@ -398,25 +391,19 @@ def _json_int(x) -> int:
     return x
 
 
-def fan_from_json(data: dict) -> Fan:
-    """Parse the interchange schema; ``validate_fan`` checks the result.
+def fan_from_json(data: dict, lattice: ScaledLattice) -> Fan:
+    """Parse the interchange schema onto ``lattice``; ``validate_fan`` checks the result.
 
-    A dimension above ``MAX_DIM`` is refused before the basis is read.
+    The file's ``n``, ``r`` and basis must equal ``lattice``'s, integer for
+    integer; they are compared before any ray is read.
     """
     try:
-        n, r = _json_int(data["lattice"]["n"]), _json_int(data["lattice"]["r"])
-        if n > MAX_DIM:
-            raise ValueError(f"dimension {n} exceeds the bound {MAX_DIM}")
-        basis = IntMatrix([map(_json_int, row) for row in data["lattice"]["basis"]])
-        if (basis.rows, basis.cols) != (n, n):
-            raise ValueError("lattice basis must be an n-by-n matrix")
-        # membership solves against a lower-triangular Hermite basis; its
-        # shape is checked, as recomputing the form is slow on dense input,
-        # and a positive diagonal makes it nonsingular
-        if any(row[i] <= 0 or any(row[i + 1:]) or not all(0 <= x < row[i] for x in row[:i])
-               for i, row in enumerate(basis.data)):
-            raise ValueError("lattice basis must be in column Hermite form")
-        lat = ScaledLattice(n, r, basis)
+        given, n, r = data["lattice"], lattice.dim, lattice.denom
+        if (_json_int(given["n"]) != n or _json_int(given["r"]) != r
+                or len(given["basis"]) != n
+                or any(tuple(map(_json_int, row)) != want
+                       for row, want in zip(given["basis"], lattice.basis.data))):
+            raise InputError("fan lattice does not match the group lattice")
         rays = [LatticePoint(tuple(map(_json_int, c)), r) for c in data["rays"]]
         if any(p.dim != n for p in rays):
             raise ValueError(f"every ray must have {n} coordinates")
@@ -439,4 +426,4 @@ def fan_from_json(data: dict) -> Fan:
             raise ValueError(f"ray {min(unused, key=lambda p: p.coords)} lies in no cone")
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise InputError(f"malformed fan data: {exc}") from exc
-    return make_fan(lat, cones)
+    return make_fan(lattice, cones)

@@ -45,8 +45,8 @@ def junior_graph_svg(fan: Fan, group: GroupData) -> str:
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
-    for edge in fan.two_cones():
-        a, b = edge.rays
+    # in n = 3 the 2-cones are the facets
+    for a, b in sorted(fan.facets, key=lambda rays: tuple(r.coords for r in rays)):
         xa, ya, da = positions[a]
         xb, yb, db = positions[b]
         lines.append(

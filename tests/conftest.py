@@ -4,12 +4,18 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
+from hypothesis import settings
 
 from oracles import is_primitive, star_subdivision
 from torcrep.fans import validate_fan
 from torcrep.groups import close_group
 from torcrep.lattice import LatticePoint
 from torcrep.resolve import resolve
+
+# every @given test draws the same examples on every run, so a run of the
+# suite does not depend on its seed; a test's own @settings may add to this
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 # the worked-example script owns the hand-entered non-star model
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))

@@ -28,8 +28,11 @@ intersection of two cones, computed exactly) with ``refines`` (containment
 plus support volume), which ``validate_fan`` replaced by facet pairing over
 the orthant; ``validate_fan_by_volume``, that check when it pinned the
 covering multiplicity by the ``support_volume`` of the cones rather than by
-one point inside one cone; ``support_volume_fraction``, the support volume
-summed as one ``Fraction`` per cone; ``is_terminal`` before the age rule (the bounding-box walk
+one point inside one cone; ``validate_fan_by_owners``, that check before it
+read the fan's facet table (it built its own and dropped it), and
+``two_cones``, the SVG's edges before they were read off that table;
+``support_volume_fraction``, the support volume summed as one
+``Fraction`` per cone; ``is_terminal`` before the age rule (the bounding-box walk
 over ``Conv(0, rays)``); ``certify_normal_embedding`` before it checked
 one map per junior (a map per anchor cone) and before its single pass
 (the open subfan ``xi_g``, the ``age_weighted_divisor`` and the general
@@ -46,9 +49,7 @@ child, a re-sorted fan and a ray check over the whole fan each step, with
 one step of the package's builder, and ``fans_equal`` now live here, as
 only the tests call them; ``freudenthal_fan`` builds crepant fans in
 n = 4 without ``resolve``, and ``mckay_vectors`` gives both sides of the
-McKay correspondence on a fan.  ``fan_from_json`` once
-recomputed a basis's Hermite form to check it; that is the oracle of its
-shape test.  ``closure_bfs`` is the group closure before it went coset
+McKay correspondence on a fan.  ``closure_bfs`` is the group closure before it went coset
 by coset (breadth-first, each element built once per generator), and
 ``closure_by_zip`` the coset-by-coset closure before it added and reduced
 with ``map``.  ``element_names_by_key`` names the elements by one
@@ -452,11 +453,6 @@ def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     return [uc for hc, uc in zip(zip(*h.data), zip(*u.data)) if not any(hc)]
 
 
-def is_hermite_basis_by_recomputation(m: IntMatrix) -> bool:
-    """A nonsingular square matrix equal to its own column Hermite form."""
-    return m.rows == m.cols and m.det() != 0 and hermite_with_transform(m)[0] == m
-
-
 # ---------------------------------------------------------------------------
 # Cones, fans and groups
 
@@ -725,6 +721,70 @@ def validate_fan_by_volume(fan: Fan) -> None:
                 raise InputError(
                     f"cones {a} and {b} lie on the same side of their facet {Cone(rays)}"
                 )
+
+
+def validate_fan_by_owners(fan: Fan) -> None:
+    """``validate_fan`` when it built its own facet table, ``owners``.
+
+    The checks, their order and their messages are ``validate_fan``'s; see
+    its docstring for why they characterise fans with the orthant as support.
+    """
+    lat = fan.lattice
+    n = lat.dim
+    for p, x in fan.ray_coords.items():
+        if x is None:
+            raise InputError(f"ray {p} is not a lattice point")
+        if gcd(*x) != 1:
+            raise InputError(f"ray {p} is not primitive")
+    for c in fan.maximal_cones:
+        if c.dim != n:
+            raise InputError(
+                f"cone {c} has dimension {c.dim}; a fan with the orthant as "
+                f"support has full-dimensional cones (dimension {n})"
+            )
+        try:
+            c.facet_normals  # the solve the facet pairing reads
+        except ValueError as exc:
+            raise InputError(f"cone {c}: rays are linearly dependent; "
+                             "cone is not simplicial") from exc
+    for p in fan.rays:
+        if any(x < 0 for x in p.coords):
+            raise InputError(f"ray {p} lies outside the orthant")
+    # facet rays -> (cone, inner normal of the facet, ray opposite it)
+    owners: dict[tuple[LatticePoint, ...], list] = {}
+    for c in fan.maximal_cones:
+        for i, h in enumerate(c.facet_normals[0]):
+            owners.setdefault(c.rays[:i] + c.rays[i + 1:], []).append((c, h, c.rays[i]))
+    for rays, cones in owners.items():
+        boundary = any(all(r.coords[k] == 0 for r in rays) for k in range(n))
+        want = 1 if boundary else 2
+        if len(cones) != want:
+            names = ", ".join(str(c) for c, _, _ in cones)
+            raise InputError(
+                f"facet {Cone(rays)} lies in {len(cones)} cone(s), not {want}: {names}"
+            )
+        if not boundary:
+            (a, h, _), (b, _, far) = cones
+            if sum(x * y for x, y in zip(h, far.coords)) > 0:
+                raise InputError(
+                    f"cones {a} and {b} lie on the same side of their facet {Cone(rays)}"
+                )
+    if not fan.maximal_cones:
+        raise InputError("the fan has no cones")
+    first = fan.maximal_cones[0]
+    y = LatticePoint(tuple(map(sum, zip(*(r.coords for r in first.rays)))), lat.denom)
+    for c in fan.maximal_cones[1:]:
+        if min(barycentric(c, y)[0]) >= 0:
+            raise InputError(f"cones {first} and {c} overlap at {y}")
+
+
+def two_cones(fan: Fan) -> tuple[Cone, ...]:
+    """Every 2-face of the fan's cones, sorted, as ``Fan.two_cones`` gave the SVG's edges."""
+    seen = set()
+    for c in fan.maximal_cones:
+        for pair in combinations(c.rays, 2):
+            seen.add(Cone(tuple(sorted(pair, key=lambda p: p.coords))))
+    return tuple(sorted(seen, key=lambda c: tuple(r.coords for r in c.rays)))
 
 
 def support_volume(fan: Fan) -> Fraction:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,12 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 
 import torcrep
+from conftest import crepant3_resolutions
 from oracles import (
     class_group_json_reference,
     freudenthal_fan,
     freudenthal_spec,
     is_terminal_box_walk,
     star_subdivision,
+    two_cones,
 )
 from torcrep.cli import (
     MAX_DIM,
@@ -98,6 +101,37 @@ def test_group_error_names_the_line_and_column_of_the_text(text, message, tmp_pa
     path.write_text(text)
     assert main(["analyze", str(path), "--file"]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("text", [
+    "6:(1,2,3)\fbad", "6:(1,2,3)\vbad", "6:(1,2,3)\rbad", "6:(1,2,3)\x1cbad",
+    "6:(1,2,3)\x85bad", "6:(1,2,3)\u2028bad", "6:(1,2,3)\u2029bad", "6:(1,2,3)\u2028",
+], ids=["form-feed", "vertical-tab", "carriage-return", "file-separator", "next-line",
+        "line-separator", "paragraph-separator", "line-separator-at-end"])
+def test_only_a_line_feed_ends_a_group_line(text, capsys):
+    # str.splitlines would start a line at each break; the text has one line,
+    # and the message shows the break the pattern refused
+    message = f"line 1, col 1: expected 'r:(a1,...,an)', got {text!r}"
+    with pytest.raises(InputError) as info:
+        parse_group(text)
+    assert str(info.value) == message
+    assert main(["analyze", text]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_group_text_with_crlf_line_ends_parses(tmp_path, capsys):
+    lf = "# two generators\n2:(1,1,0,0)\n\n2:(0,0,1,1) # the second\n"
+    crlf = lf.replace("\n", "\r\n")
+    assert parse_group(crlf) == parse_group(lf)
+    with pytest.raises(InputError) as info:
+        parse_group("6:(1,2,3)\r\n  bad\r\n")
+    assert str(info.value) == "line 2, col 3: expected 'r:(a1,...,an)', got 'bad'"
+    path = tmp_path / "group.txt"
+    path.write_bytes(crlf.encode())
+    assert main(["analyze", crlf]) == 0
+    inline = capsys.readouterr().out
+    assert main(["analyze", str(path), "--file"]) == 0
+    assert capsys.readouterr().out == inline
 
 
 def test_semicolon_inside_a_comment_is_comment():
@@ -318,7 +352,7 @@ def test_resolve_partial_fold_terminal_flags(group, seq, tmp_path, capsys):
     assert main(["resolve", group, "--sequence", seq, "--out", str(out)]) == 0
     assert "smooth: False" in capsys.readouterr().out
     data = json.loads(out.read_text())
-    fan = fan_from_json(data["fan"])
+    fan = fan_from_json(data["fan"], parse_group(group).lattice)
     assert data["cone_terminal"] == [
         is_terminal_box_walk(Cone(c.rays), fan.lattice) for c in fan.maximal_cones]
 
@@ -386,7 +420,8 @@ def test_verify_bundle_and_stdout_digests_at_961_cones(scale_verify):
 
 
 def test_class_group_matches_reference_at_961_cones(scale_verify):
-    fan = fan_from_json(json.loads(scale_verify[0].read_text())["fan"])
+    fan = fan_from_json(json.loads(scale_verify[0].read_text())["fan"],
+                        parse_group(SCALE_GROUP).lattice)
     assert len(fan.maximal_cones) == 961
     assert class_group_to_json(class_group(fan)) == class_group_json_reference(fan)
 
@@ -523,6 +558,23 @@ def test_svg_edge_count_order6(z6, z6_result):
     assert svg.count("<circle") == 7
 
 
+_SVG_POINT = re.compile(r'<circle cx="([\d.]+)" cy="([\d.]+)"')
+_SVG_LINE = re.compile(r'<line x1="([\d.]+)" y1="([\d.]+)" x2="([\d.]+)" y2="([\d.]+)"')
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(crepant3_resolutions())
+def test_svg_edges_are_the_two_cones(case):
+    # the SVG draws a circle per ray in fan order; read each line's ends back
+    # to rays: the edges, in order, are the fan's 2-faces
+    group, fan = case
+    svg = junior_graph_svg(fan, group)
+    ray_at = dict(zip(_SVG_POINT.findall(svg), fan.rays))
+    assert len(ray_at) == len(fan.rays)
+    edges = [(ray_at[(x1, y1)], ray_at[(x2, y2)]) for x1, y1, x2, y2 in _SVG_LINE.findall(svg)]
+    assert edges == [c.rays for c in two_cones(fan)]
+
+
 def test_parser_help_smoke():
     parser = build_parser()
     assert parser.prog == "torcrep"
@@ -632,29 +684,33 @@ def _dense_basis(n):
     return [[rng.randint(1, 10**6) for _ in range(n)] for _ in range(n)]
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda f: _set_ray(f, [6, 0, 0], [6.9, 0, 0]),  # int() would read [6, 0, 0]
-    lambda f: _set_ray(f, [6, 0, 0], [6.0, 0, 0]),
-    lambda f: _set_ray(f, [0, 6, 0], [0, 6, False]),
-    lambda f: f["lattice"].update(n=3.0),
-    lambda f: f["lattice"].update(r=True),
-    lambda f: f["lattice"]["basis"][0].__setitem__(0, 1.0),
-    lambda f: f["maximal_cones"][0].__setitem__(0, True),
-    lambda f: f["maximal_cones"][0].__setitem__(0, 0.0),
-    lambda f: f["lattice"].update(basis=[[0, 0, 0]] * 3),
-    lambda f: f["maximal_cones"].append([]),
-    lambda f: f["maximal_cones"].append({}),
-    lambda f: _set_ray(f, [6, 0, 0], [6, 0]),
-    lambda f: _set_ray(f, [6, 0, 0], [6, 0, 0, 0]),
+_MALFORMED = "input error: malformed fan data: "
+_MISMATCH = "input error: fan lattice does not match the group lattice\n"
+
+
+@pytest.mark.parametrize("mutate, err", [
+    (lambda f: _set_ray(f, [6, 0, 0], [6.9, 0, 0]), _MALFORMED),  # int() would read 6
+    (lambda f: _set_ray(f, [6, 0, 0], [6.0, 0, 0]), _MALFORMED),
+    (lambda f: _set_ray(f, [0, 6, 0], [0, 6, False]), _MALFORMED),
+    (lambda f: f["lattice"].update(n=3.0), _MALFORMED),
+    (lambda f: f["lattice"].update(r=True), _MALFORMED),
+    (lambda f: f["lattice"]["basis"][0].__setitem__(0, 1.0), _MALFORMED),
+    (lambda f: f["maximal_cones"][0].__setitem__(0, True), _MALFORMED),
+    (lambda f: f["maximal_cones"][0].__setitem__(0, 0.0), _MALFORMED),
+    (lambda f: f["lattice"].update(basis=[[0, 0, 0]] * 3), _MISMATCH),
+    (lambda f: f["maximal_cones"].append([]), _MALFORMED),
+    (lambda f: f["maximal_cones"].append({}), _MALFORMED),
+    (lambda f: _set_ray(f, [6, 0, 0], [6, 0]), _MALFORMED),
+    (lambda f: _set_ray(f, [6, 0, 0], [6, 0, 0, 0]), _MALFORMED),
     # the order-6 lattice again, but not in the lower-triangular Hermite form
-    lambda f: f["lattice"].update(basis=[[1, -6, 0], [2, 0, 0], [3, 0, 6]]),
-    # recomputing the Hermite form of a dense 40-by-40 basis would not end
-    lambda f: f["lattice"].update(n=40, basis=_dense_basis(40)),
+    (lambda f: f["lattice"].update(basis=[[1, -6, 0], [2, 0, 0], [3, 0, 6]]), _MISMATCH),
+    # a dense 40-by-40 basis is refused by its n before a row is read
+    (lambda f: f["lattice"].update(n=40, basis=_dense_basis(40)), _MISMATCH),
 ], ids=["float-ray", "integral-float-ray", "bool-ray", "float-n", "bool-r",
         "float-basis", "bool-index", "float-index", "singular-basis",
         "empty-cone", "empty-object-cone", "short-ray", "long-ray",
         "non-hermite-basis", "dense-basis"])
-def test_verify_rejects_malformed_fan_numbers(tmp_path, capsys, mutate):
+def test_verify_rejects_malformed_fan_numbers(tmp_path, capsys, mutate, err):
     fan_path = tmp_path / "z6.json"
     assert main(["resolve", "6:(1,2,3)", "--sequence", "g1,g2,g3,g4",
                  "--out", str(fan_path)]) == 0
@@ -664,12 +720,13 @@ def test_verify_rejects_malformed_fan_numbers(tmp_path, capsys, mutate):
     capsys.readouterr()
     assert main(["verify", str(fan_path), "6:(1,2,3)"]) == 2
     captured = capsys.readouterr()
-    assert "input error: malformed fan data" in captured.err
+    assert captured.err.startswith(err)
     assert "all certificates verified" not in captured.out
 
 
 def test_verify_rejects_a_fan_beyond_the_dimension_bound(tmp_path, capsys):
-    # an identity-basis fan in n = MAX_DIM + 1 is refused before its cone is built
+    # an identity-basis fan in n = MAX_DIM + 1 is refused by its n, before a
+    # basis row or a ray is read
     n = MAX_DIM + 1
     units = [[int(i == j) for j in range(n)] for i in range(n)]
     data = {"lattice": {"n": n, "r": 1, "basis": units},
@@ -677,8 +734,7 @@ def test_verify_rejects_a_fan_beyond_the_dimension_bound(tmp_path, capsys):
     fan_path = tmp_path / "big.json"
     fan_path.write_text(json.dumps(data))
     assert main(["verify", str(fan_path), "6:(1,2,3)"]) == 2
-    err = capsys.readouterr().err
-    assert f"malformed fan data: dimension {n} exceeds the bound {MAX_DIM}" in err
+    assert capsys.readouterr().err == _MISMATCH
 
 
 def _edge_fan_file(tmp_path):

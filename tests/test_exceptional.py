@@ -40,7 +40,7 @@ from torcrep.groups import close_group, compact_juniors
 from torcrep.hilbert import hilbert_basis
 from torcrep.intlinalg import IntMatrix
 from torcrep.lattice import LatticePoint, ScaledLattice, unit_point
-from torcrep.resolve import resolve
+from torcrep.resolve import is_crepant, resolve
 
 
 def std_lattice(n):
@@ -213,8 +213,9 @@ def test_certificate_substitutes_each_ray_once(group, monkeypatch):
     # fan is read back from JSON, so no cone has its facet normals yet.
     # The kernel takes rows and columns as they are, so validate_fan and
     # class_group build no IntMatrix, and a certificate builds two at most:
-    # the quotient projection and the anchor map
-    fan = fan_from_json(fan_to_json(resolve(group, group.juniors).fan))
+    # the quotient projection and the anchor map. The fan is read onto the
+    # group's lattice, so reading it builds no lattice and no IntMatrix
+    data = fan_to_json(resolve(group, group.juniors).fan)
     calls = []
     substitute = ScaledLattice.coords_or_none
     built = []
@@ -235,6 +236,8 @@ def test_certificate_substitutes_each_ray_once(group, monkeypatch):
     monkeypatch.setattr(ScaledLattice, "coords_or_none", counted)
     monkeypatch.setattr(IntMatrix, "__init__", counted_construct)
     IntMatrix.identity.cache_clear()
+    fan = fan_from_json(data, group.lattice)
+    assert fan.lattice is group.lattice
     validate_fan(fan)
     class_group(fan)
     assert matrices_built() == 0
@@ -307,6 +310,25 @@ def test_coverage(z6, z6_result, z5, z5_result, trivial3):
     assert coverage_check(z5_result.fan, z5) is True
     assert coverage_check(sigma_fan(trivial3.lattice), trivial3) is None
     assert coverage_check(sigma_fan(z6.lattice), z6) is False
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(crepant3_resolutions(), validated_fans()))
+def test_coverage_holds_on_every_smooth_crepant_fan(case):
+    # the proof in coverage_check's docstring: on a fan that verify would
+    # pass it, True for a nontrivial group and None for the trivial one
+    group, fan = case
+    validate_fan(fan)
+    if fan.is_smooth and is_crepant(fan):
+        assert coverage_check(fan, group) is (True if group.order > 1 else None)
+
+
+def test_validated_fans_include_smooth_crepant_fans():
+    # the test above also sees smooth crepant fans that validated_fans folds
+    quick = settings(deadline=None, database=None, phases=[Phase.generate],
+                     derandomize=True)
+    find(validated_fans(), lambda case: case[0].order > 1 and case[1].is_smooth
+         and is_crepant(case[1]), settings=quick)
 
 
 def test_union_counts(z6, z6_result):

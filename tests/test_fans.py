@@ -9,7 +9,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 
-from conftest import partial_folds, random_cyclic_group, smooth_fans, validated_fans
+from conftest import (
+    partial_folds,
+    random_cyclic_group,
+    small_groups,
+    smooth_fans,
+    validated_fans,
+)
 from oracles import (
     barycentric_by_solve,
     contains_point,
@@ -19,7 +25,6 @@ from oracles import (
     gl2_equivalent,
     gl2_normal_form,
     is_canonical,
-    is_hermite_basis_by_recomputation,
     is_primitive,
     is_terminal_box_walk,
     rank_loop,
@@ -29,6 +34,7 @@ from oracles import (
     support_volume,
     support_volume_fraction,
     validate_fan_all_pairs,
+    validate_fan_by_owners,
     validate_fan_by_volume,
 )
 from torcrep.errors import InputError, TorcrepError
@@ -295,7 +301,7 @@ def test_support_volume_groups_unequal_age_products(z7_hilbert_result):
 
 def test_fan_json_round_trip(z6_result):
     data = fan_to_json(z6_result.fan)
-    again = fan_from_json(data)
+    again = fan_from_json(data, z6_result.fan.lattice)
     assert fans_equal(z6_result.fan, again)
     assert json.dumps(fan_to_json(again)) == json.dumps(fan_to_json(z6_result.fan))
 
@@ -303,7 +309,7 @@ def test_fan_json_round_trip(z6_result):
 def test_fan_json_rejects_garbage(z6_result):
     with pytest.raises(InputError, match=r"ray index out of range in \[0, 5\]"):
         fan_from_json({"lattice": {"n": 2, "r": 1, "basis": [[1, 0], [0, 1]]},
-                       "rays": [[1, 0]], "maximal_cones": [[0, 5]]})
+                       "rays": [[1, 0]], "maximal_cones": [[0, 5]]}, std_lattice(2))
     # rays [0,0,6], [0,6,0], [1,2,3], ...; the first cone is [0, 1, 2]
     for edit, message in [
         (lambda d: d["maximal_cones"].append([2, 1, 0]),
@@ -315,42 +321,85 @@ def test_fan_json_rejects_garbage(z6_result):
         data = fan_to_json(z6_result.fan)
         edit(data)
         with pytest.raises(InputError, match="malformed fan data: ") as exc:
-            fan_from_json(data)
+            fan_from_json(data, z6_result.fan.lattice)
         assert str(exc.value) == "malformed fan data: " + message
 
 
+def _lattice_json(lat):
+    return {"n": lat.dim, "r": lat.denom, "basis": [list(row) for row in lat.basis.data]}
+
+
 @st.composite
-def square_matrices(draw):
-    """Small square matrices: dense, lower triangular, or in Hermite form."""
-    n = draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(st.integers(-2, 5), min_size=n, max_size=n),
-                         min_size=n, max_size=n))
-    kind = draw(st.sampled_from(["dense", "lower", "hermite"]))
-    if kind != "dense":
-        rows = [row[:i + 1] + [0] * (n - 1 - i) for i, row in enumerate(rows)]
-    if kind == "hermite":
-        for i, row in enumerate(rows):
-            row[i] = abs(row[i]) + 1
-            row[:i] = [x % row[i] for x in row[:i]]
-    return IntMatrix(rows)
+def file_lattices(draw):
+    """A group's lattice and a fan file's ``lattice`` object: its own, or edited once."""
+    lat = draw(small_groups()).lattice
+    given = _lattice_json(lat)
+    basis, n = given["basis"], lat.dim
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["same", "n", "r", "entry", "extra-row", "no-row",
+                                 "long-row", "float", "bool"]))
+    if kind in ("n", "r"):
+        given[kind] += draw(st.integers(-2, 2))
+    elif kind == "entry":
+        basis[i][j] += draw(st.integers(-2, 2))
+    elif kind == "extra-row":
+        basis.append(list(basis[i]))
+    elif kind == "no-row":
+        del basis[i]
+    elif kind == "long-row":
+        basis[i].append(0)
+    elif kind == "float":
+        basis[i][j] = float(basis[i][j])
+    elif kind == "bool":  # an entry above the diagonal is 0
+        basis[0][-1] = bool(basis[0][-1])
+    return lat, given
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(square_matrices())
-@example(IntMatrix([[2, 0], [1, 3]]))  # accepted
-@example(IntMatrix([[2, 0], [3, 3]]))  # entry left of the diagonal not reduced
-@example(IntMatrix([[2, 0], [1, 0]]))  # singular, triangular
-@example(IntMatrix([[1, 2], [0, 1]]))  # nonsingular, upper triangular
-def test_fan_json_basis_check_matches_recomputation(m):
-    data = {"lattice": {"n": m.rows, "r": 1, "basis": [list(row) for row in m.data]},
-            "rays": [], "maximal_cones": []}
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(file_lattices())
+def test_fan_json_lattice_is_accepted_exactly_when_it_is_the_group_lattice(case):
+    # JSON text tells 1.0 and true from 1, as the comparison must
+    lat, given = case
+    data = fan_to_json(sigma_fan(lat)) | {"lattice": given}
+    same = json.dumps(given) == json.dumps(_lattice_json(lat))
     try:
-        fan_from_json(data)
-        accepted = True
+        fan = fan_from_json(data, lat)
     except InputError as exc:
-        assert str(exc) == "malformed fan data: lattice basis must be in column Hermite form"
-        accepted = False
-    assert accepted == is_hermite_basis_by_recomputation(m)
+        assert not same
+        assert str(exc) == "fan lattice does not match the group lattice" or \
+            str(exc).startswith("malformed fan data: expected an integer, got ")
+    else:
+        assert same and fan.lattice is lat
+
+
+def _edit_z6_lattice(**edit):
+    z6 = close_group([LatticePoint((1, 2, 3), 6)])
+    data = fan_to_json(sigma_fan(z6.lattice))  # basis [[1, 0, 0], [2, 6, 0], [3, 0, 6]]
+    data["lattice"].update(edit)
+    return data, z6.lattice
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"basis": [[1.0, 0, 0], [2, 6, 0], [3, 0, 6]]},
+     "malformed fan data: expected an integer, got 1.0"),
+    ({"basis": [[True, 0, 0], [2, 6, 0], [3, 0, 6]]},
+     "malformed fan data: expected an integer, got True"),
+    ({"r": 6.0}, "malformed fan data: expected an integer, got 6.0"),
+    ({"n": 4}, "fan lattice does not match the group lattice"),
+    ({"r": 12}, "fan lattice does not match the group lattice"),
+    ({"basis": [[1, 0, 0], [2, 6, 0], [3, 0, 6], [0, 0, 6]]},
+     "fan lattice does not match the group lattice"),
+    ({"basis": [[1, 0, 0], [2, 6, 0], [3, 1, 6]]},
+     "fan lattice does not match the group lattice"),
+    ({"basis": [[1, 0, 0], [2, 6, 0], [3, 0, "6"]]},
+     "malformed fan data: expected an integer, got '6'"),
+], ids=["float-entry", "true-entry", "float-r", "wrong-n", "wrong-r", "extra-row",
+        "changed-entry", "string-entry"])
+def test_fan_json_rejects_another_lattice(edit, message):
+    data, lat = _edit_z6_lattice(**edit)
+    with pytest.raises(InputError) as exc:
+        fan_from_json(data, lat)
+    assert str(exc.value) == message
 
 
 def test_validate_fan_rejects_overlap():
@@ -582,6 +631,16 @@ def test_validate_fan_names_what_breaks(fan, message):
     with pytest.raises(InputError, match=re.escape(message)) as exc:
         validate_fan(fan)
     assert str(exc.value) == message
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(validated_fans().map(lambda case: case[1]), perturbed_fans()))
+@example(make_fan(std_lattice(3), []))
+@example(_two_folds(3))
+@example(_std_fan([[(1, 0), (1, 2)], [(1, 2), (2, 1)]]))
+def test_validate_fan_matches_owners_oracle(fan):
+    # the facet table is read, not rebuilt: the same result, or the same message
+    assert _rejection(validate_fan, fan) == _rejection(validate_fan_by_owners, fan)
 
 
 def test_is_terminal_matches_box_walk(rng, z6):
