@@ -25,6 +25,7 @@ import string
 import sys
 from functools import cache
 from itertools import islice
+from math import gcd
 
 from .divisors import class_group, class_group_to_json
 from .errors import (
@@ -64,7 +65,7 @@ def _pieces(text: str):
     for lineno, raw in enumerate(text.split("\n"), start=1):
         col = 1
         for piece in raw.split("#", 1)[0].split(";"):
-            if piece.strip():
+            if piece.strip(string.whitespace):  # as the pattern's ASCII \s
                 yield lineno, col, piece
             col += len(piece) + 1
 
@@ -208,6 +209,9 @@ def cmd_resolve(args) -> int:
     names = element_names(group)
     if args.sequence is not None:
         seq = _sequence_points(names, args.sequence)
+        for p in seq:
+            if gcd(*group.lattice.coords_or_none(p)) != 1:
+                raise InputError(f"sequence element {names[p]} {p} is not primitive")
         result = resolve(group, seq)
     else:
         result = search_resolution(group, args.search)

@@ -15,7 +15,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import add, attrgetter, mod
 
-from .errors import InputError, InvariantError, TorcrepError
+from .errors import InputError, InvariantError
 from .lattice import LatticePoint, Record, ScaledLattice, build_lattice
 
 MAX_ELEMENTS = 10**6  # closure limit, read at each call
@@ -103,7 +103,7 @@ def close_group(generators, n: int | None = None) -> GroupData:
     lattice = build_lattice(gens, n, r)
     order = lattice.index_over_std
     if order > MAX_ELEMENTS:
-        raise TorcrepError(
+        raise InputError(
             f"group of order {order} exceeds the closure limit of "
             f"{MAX_ELEMENTS} elements"
         )

@@ -3,16 +3,16 @@
 A resolution attempt folds star subdivisions over a sequence of lattice
 points starting from the orthant fan, then certifies the result: ray
 discrepancies (integers ``age - 1``), smoothness, crepancy, per-cone
-terminality and the Euler number (= number of maximal cones), all read
-off the fan and its lattice.  The search walks the star-subdivision
-sequences over a target set depth first, each distinct fan once, and
-returns the first smooth fan, proves that no sequence gives one
-(exhausted), or stops when it has expanded ``TORCREP_BUDGET`` fans.
+terminality and the Euler number (= number of maximal cones), all read off
+the fan and its lattice.  The search walks the star-subdivision sequences
+over a target set depth first, expands each distinct fan once and remembers
+only those, and returns the first smooth fan, proves that no sequence gives
+one (exhausted), or stops at ``TORCREP_BUDGET`` expanded fans.
 
 Both drive the builder of ``fans``: each point still to fold (each
 pending target) has a conflict list, the live cones that contain it, so
-a subdivision costs only the cones it replaces.  A search frame keeps a
-builder, and a singular live cone whose list is empty is dead.
+a subdivision costs only the cones it replaces, and a singular live cone
+whose list is empty is dead.
 """
 
 from __future__ import annotations
@@ -121,13 +121,14 @@ def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
     A fan's children are its star subdivisions at its pending targets (not
     yet rays), in policy order.  Two skips drop only subtrees without a
     smooth leaf.  *Seen fans:* a fan's rays fix its pending targets and so
-    its subtree, which was ruled out when the fan was first met (a success
-    returns, a budget stop ends the search).  *Dead cones:*
-    a star subdivision at ``mu`` replaces exactly the maximal cones that
-    contain ``mu``, so a singular one containing no pending target is a
-    cone of every leaf below.  So the first smooth leaf met is the fold of
-    the first permutation of the targets (``itertools.permutations``
-    order) with a smooth fan, and it is certified as it stands.
+    its subtree, which was ruled out when the fan was first expanded (a
+    success returns, a budget stop ends the search).  Only expanded fans are
+    kept; a dead fan met again is pruned again.  *Dead cones:* a star
+    subdivision at ``mu`` replaces exactly the maximal cones that contain
+    ``mu``, so a singular one containing no pending target is a cone of
+    every leaf below.  So the first smooth leaf met is the fold of the first
+    permutation of the targets (``itertools.permutations`` order) with a
+    smooth fan, and it is certified as it stands.
 
     ``TORCREP_BUDGET`` bounds the fans expanded; ResolutionNotFound has
     ``exhausted`` False when the budget stopped it.
@@ -141,37 +142,30 @@ def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
     else:
         raise ValueError(f"unknown search mode {mode!r}")
 
-    seen = set()
-    expanded = 0
-    frames = []  # (builder, its sequence, iterator over its pending targets)
-    state, seq = _FanBuilder(sigma_fan(group.lattice), targets), ()
-    while True:
+    seen = set()  # fans without a dead cone, all expanded but the one in hand
+    # (parent builder, its sequence, target to fold); the orthant has no target
+    stack = [(_FanBuilder(sigma_fan(group.lattice), targets), (), None)]
+    while stack:
+        state, seq, mu = stack.pop()
+        if mu is not None:
+            state, seq = state.copy(), seq + (mu,)
+            state.subdivide(mu)
         live = frozenset(state.inside)
-        if live not in seen:
-            seen.add(live)
-            pending = [t for t in targets if t in state.where]
-            if not _has_dead_cone(state):
-                if not pending:
-                    return certify_fan(state.fan(), seq)
-                if expanded == budget:
-                    raise ResolutionNotFound(
-                        f"budget hit: the {mode} search stopped after expanding {budget} "
-                        f"fans ({BUDGET_ENV}); a resolution may still exist", exhausted=False)
-                expanded += 1
-                frames.append((state, seq, iter(pending)))
-        while frames:
-            parent, prefix, children = frames[-1]
-            mu = next(children, None)
-            if mu is not None:
-                state, seq = parent.copy(), prefix + (mu,)
-                state.subdivide(mu)
-                break
-            frames.pop()
-        else:
+        if live in seen or _has_dead_cone(state):
+            continue
+        seen.add(live)
+        pending = [t for t in targets if t in state.where]
+        if not pending:
+            return certify_fan(state.fan(), seq)
+        if len(seen) > budget:
             raise ResolutionNotFound(
-                f"exhausted: no star-subdivision sequence over the {mode} targets "
-                f"({len(targets)} points) gives a smooth fan; fans expanded: {expanded}; "
-                f"fans that are not star subdivisions are not covered", exhausted=True)
+                f"budget hit: the {mode} search stopped after expanding {budget} "
+                f"fans ({BUDGET_ENV}); a resolution may still exist", exhausted=False)
+        stack.extend([(state, seq, t) for t in reversed(pending)])
+    raise ResolutionNotFound(
+        f"exhausted: no star-subdivision sequence over the {mode} targets "
+        f"({len(targets)} points) gives a smooth fan; fans expanded: {len(seen)}; "
+        f"fans that are not star subdivisions are not covered", exhausted=True)
 
 
 def result_to_json(result: ResolutionResult) -> dict:

@@ -119,6 +119,21 @@ def test_only_a_line_feed_ends_a_group_line(text, capsys):
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("text, col, got", [
+    ("6:(1,2,3);\xa0", 11, "\xa0"),
+    ("6:(1,2,3)\xa0", 1, "6:(1,2,3)\xa0"),
+], ids=["nbsp-piece", "nbsp-after-generator"])
+def test_a_unicode_space_is_not_blank(text, col, got, capsys):
+    # blank means ASCII whitespace, as the pattern's \s, so a no-break space
+    # is refused alone as after a generator
+    message = f"line 1, col {col}: expected 'r:(a1,...,an)', got {got!r}"
+    with pytest.raises(InputError) as info:
+        parse_group(text)
+    assert str(info.value) == message
+    assert main(["analyze", text]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_group_text_with_crlf_line_ends_parses(tmp_path, capsys):
     lf = "# two generators\n2:(1,1,0,0)\n\n2:(0,0,1,1) # the second\n"
     crlf = lf.replace("\n", "\r\n")
@@ -800,10 +815,11 @@ def test_export_graph_wrong_group(tmp_path, capsys):
     (["analyze", "2:(1,1)\n3:(1,1,1)"], 2, "input error: line 2: dimension 3 differs from 2\n"),
     (["analyze", "# nothing"], 2, "input error: no generators found\n"),
     (["analyze", "1001:(1,1000,0)\n1001:(0,1,1000)"], 2,
-     "error: group of order 1002001 exceeds the closure limit of 1000000 elements\n"),
+     "input error: group of order 1002001 exceeds the closure limit of 1000000 elements\n"),
     (["analyze", f"1:({','.join(['0'] * 65)})"], 2,
      "input error: line 1: dimension 65 exceeds the bound 64\n"),
-    (["resolve", "8:(2,3,3)", "--sequence", "g6"], 2, "error: (1/8)(4,6,6) is not primitive\n"),
+    (["resolve", "8:(2,3,3)", "--sequence", "g6"], 2,
+     "input error: sequence element g6 (1/8)(4,6,6) is not primitive\n"),
     (["resolve", "6:(1,2,3)", "--sequence", "g9"], 2,
      "input error: unknown element name 'g9'; see 'analyze'\n"),
     (["verify", "{dir}/unused.json", "6:(1,2,3)"], 2,

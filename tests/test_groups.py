@@ -8,7 +8,7 @@ from hypothesis import Phase, example, find, given, settings
 from conftest import random_cyclic_group, small_groups
 from oracles import closure_bfs, closure_by_zip, element_names_by_key, junior_simplex
 from torcrep import groups
-from torcrep.errors import InputError, InvariantError, TorcrepError
+from torcrep.errors import InputError, InvariantError
 from torcrep.groups import (
     close_group,
     closure,
@@ -55,7 +55,7 @@ def test_close_normalizes_denominator():
 def test_explosion_guard(monkeypatch):
     # the order is the lattice index, so the guard fires before enumerating
     monkeypatch.setattr(groups, "MAX_ELEMENTS", 50)
-    with pytest.raises(TorcrepError, match="group of order 10000 exceeds"):
+    with pytest.raises(InputError, match="group of order 10000 exceeds"):
         close_group([LatticePoint((1, 99, 0), 100), LatticePoint((0, 1, 99), 100)])
 
 

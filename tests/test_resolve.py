@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 from collections import Counter
 from itertools import permutations
 
@@ -223,6 +224,21 @@ def test_search_budget_env_override(z6, z7, monkeypatch):
     assert not info.value.exhausted
 
 
+def test_search_memory_grows_with_expanded_fans_only(monkeypatch):
+    # the memo keeps only fans that passed the dead-cone test; a memo of
+    # every fan met peaks near 25 MB here
+    group = parse_group("8:(1,7,0,0);8:(0,1,7,0);8:(0,0,1,7)")
+    monkeypatch.setenv("TORCREP_BUDGET", "300")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResolutionNotFound, match="budget hit"):
+            search_resolution(group, "juniors")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("text, mode, budget, exhausted", [
     ("7:(1,1,2,3)", "juniors", None, True),
     ("11:(1,2,3,5)", "hilbert", None, True),
@@ -266,7 +282,11 @@ def search_cases(draw):
 
 
 def _search_with_counts(group, mode):
-    """Search outcome, memo hits and dead-cone prunes of non-leaf fans."""
+    """Search outcome, memo hits on expanded fans and dead-cone prunes of non-leaf fans.
+
+    Only a fan that passes the dead-cone test is remembered, so a dead fan
+    met again is tested again and counts as distinct, not as a hit.
+    """
     counts = Counter()
     builder = resolve_module._FanBuilder
     subdivide, dead = builder.subdivide, resolve_module._has_dead_cone
@@ -285,7 +305,7 @@ def _search_with_counts(group, mode):
         mp.setattr(builder, "subdivide", counted_subdivision)
         mp.setattr(resolve_module, "_has_dead_cone", counted_dead)
         outcome = _outcome(search_resolution, group, mode)
-    # every fan reached (the orthant and each child) is checked once unless seen
+    # every fan reached (the orthant and each child) is tested unless seen
     return outcome, counts["children"] + 1 - counts["distinct"], counts["prunes"]
 
 
@@ -296,12 +316,11 @@ def _outcome(search, group, mode):
         return {"exhausted": exc.exhausted}
 
 
-def _not_found(search, group, mode):
+def _whole_outcome(search, group, mode):
     try:
-        search(group, mode)
+        return result_to_json(search(group, mode))
     except ResolutionNotFound as exc:
         return exc.exhausted, str(exc)
-    raise AssertionError("the search found a resolution")
 
 
 def _cyclic(coords, m):
@@ -332,9 +351,21 @@ def test_search_not_found_matches_whole_fan_dfs(text, mode, budget, exhausted, m
     else:
         monkeypatch.setenv("TORCREP_BUDGET", budget)
     group = parse_group(text)
-    got = _not_found(search_resolution, group, mode)
-    assert got == _not_found(search_resolution_by_fans, group, mode)
-    assert got[0] is exhausted
+    got = _whole_outcome(search_resolution, group, mode)
+    assert got == _whole_outcome(search_resolution_by_fans, group, mode)
+    assert got[0] is exhausted  # a found result is a dict, without the key 0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(search_cases(), st.integers(1, 40))
+def test_search_matches_whole_fan_dfs_at_each_budget(case, budget):
+    # the result, or the exhausted flag and the whole message with its
+    # "fans expanded: N", equal the DFS over whole fans at every budget
+    group, mode = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("TORCREP_BUDGET", str(budget))
+        assert _whole_outcome(search_resolution, group, mode) == \
+            _whole_outcome(search_resolution_by_fans, group, mode)
 
 
 @pytest.mark.parametrize("kind", ["memo hit", "prune", "exhausted"])
