@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import string
 import sys
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 from math import gcd
 
 from .divisors import class_group, class_group_to_json
@@ -118,11 +119,20 @@ def _read_text(path: str) -> str:
             return f.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot decode {path}: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_group(args) -> GroupData:
-    text = _read_text(args.group) if args.file else args.group
-    return parse_group(text)
+    return parse_group(_read_text(args.group) if args.file else args.group)
 
 
 def _load_fan(path: str, group: GroupData) -> Fan:
@@ -157,8 +167,7 @@ def _json_text(v, pad: str) -> str:
 
 def write_json(path: str, data) -> None:
     """Write ``json.dumps(data, sort_keys=True, indent=1)`` and a newline; keys are strings."""
-    with open(path, "w") as f:
-        f.write(_json_text(data, "") + "\n")
+    _write_text(path, _json_text(data, "") + "\n")
 
 
 def _sequence_points(names: dict[LatticePoint, str], spec: str) -> list[LatticePoint]:
@@ -179,18 +188,19 @@ def cmd_analyze(args) -> int:
     report = crepant_obstructions(group, hlb)
     juniors = group.juniors
     compact = compact_juniors(group)
-    labels = names | {u: f"e{i + 1}" for i, u in enumerate(group.lattice.units())}
+    units = {u: f"e{i + 1}" for i, u in enumerate(group.lattice.units())}
     try:
-        hlb_names = [labels[p] for p in hlb]
+        hlb_names = [names[p] if p in names else units[p] for p in hlb]
     except KeyError as exc:
         raise InvariantError(f"Hilbert basis element {exc.args[0]} is neither "
                              "a group element nor a unit") from None
     print(f"group order {group.order}, denominator r={group.r}, dimension n={group.n}")
     print("elements:")
-    lines = (f"  {names[g]:<5} {g}  age {g.age}\n" if g in names else "  id    0\n"
-             for g in group.elements)
+    # elements[0] is the zero (close_group sorts), so r > 1 for the rows after it
+    row = f"  {{:<5}} (1/{group.r})({','.join(['{}'] * group.n)})  age {{}}\n".format
+    lines = chain(["  id    0\n"], (row(names[g], *g.coords, g.age) for g in group.elements[1:]))
     while chunk := "".join(islice(lines, TABLE_CHUNK_LINES)):
-        sys.stdout.write(chunk)
+        print(chunk, end="")  # not sys.stdout.write: a closed stdout is None
     print(f"junior simplex: {len(juniors)} junior point(s)"
           f" [{', '.join(names[g] for g in juniors)}]")
     print(f"compact juniors: [{', '.join(names[g] for g in compact)}]")
@@ -265,7 +275,6 @@ def cmd_verify(args) -> int:
             cert = certify_normal_embedding(fan, g)
         except CertificateFailure as exc:
             failures.append((g, str(exc)))
-            all_ok = False
             continue
         surface = None
         if group.n == 3 and cert.star.complete:
@@ -295,9 +304,7 @@ def cmd_verify(args) -> int:
 def cmd_export_graph(args) -> int:
     group = _load_group(args)
     fan = _load_fan(args.fan, group)
-    svg = junior_graph_svg(fan, group)
-    with open(args.svg, "w") as f:
-        f.write(svg)
+    _write_text(args.svg, junior_graph_svg(fan, group))
     print(f"wrote {args.svg}")
     return 0
 
@@ -353,18 +360,26 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:  # buffered output fails here, not at exit; print skips a closed stdout
+            print(end="", flush=True)
     except ResolutionNotFound as exc:
         print(f"not found: {exc}", file=sys.stderr)
         return 3
     except CertificateFailure as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1
-    except (InputError, OSError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except TorcrepError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a named file fails as an InputError, so this is stdout
+        print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:  # so that the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

@@ -206,13 +206,9 @@ def _angle_class(v) -> int:
 def _ccw_cmp(u, v) -> int:
     hu, hv = _angle_class(u), _angle_class(v)
     if hu != hv:
-        return -1 if hu < hv else 1
+        return hu - hv
     cross = u[0] * v[1] - u[1] * v[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
+    return (cross < 0) - (cross > 0)
 
 
 def classify_surface(star: StarFan) -> SurfaceType:
@@ -254,10 +250,7 @@ def classify_surface(star: StarFan) -> SurfaceType:
             w = vec[rot:] + vec[:rot]
             if w[0] == 0 and w[2] == 0 and w[1] == -w[3] and w[1] >= 0:
                 return SurfaceType("hirzebruch", w[1], vec)
-    canon = min(
-        min(vec[i:] + vec[:i] for i in range(k)),
-        min(vec[::-1][i:] + vec[::-1][:i] for i in range(k)),
-    )
+    canon = min(w[i:] + w[:i] for w in (vec, vec[::-1]) for i in range(k))
     return SurfaceType("chain", None, canon)
 
 
@@ -267,13 +260,8 @@ def certificate_to_json(cert: EmbeddingCertificate,
         "junior": list(cert.junior.coords),
         "iso_matrix": [list(row) for row in cert.iso.data],
         "anchor_cones_checked": len(cert.cone_bijection),
-        "cone_pairs": [
-            [
-                [list(r.coords) for r in tc.rays],
-                [list(r.coords) for r in img.rays],
-            ]
-            for tc, img in cert.cone_bijection
-        ],
+        "cone_pairs": [[[list(r.coords) for r in c.rays] for c in pair]
+                       for pair in cert.cone_bijection],
         "verified": True,
         "surface_type": None,
     }

@@ -3,17 +3,18 @@
 A group element ``diag(eps^a1, ..., eps^an)`` of order dividing ``r`` is
 stored as the scaled fractional expression ``(a1, ..., an)`` with
 denominator ``r``.  The whole group is the closure of its generators
-under componentwise addition mod r, built coset by coset.  Elements are
-named ``g1, g2, ...`` by age, then lex: one age per element and a stable
-sort on the lex-sorted list.
+under componentwise addition mod r, built coset by coset and sorted lex.
+It is split by age once (``GroupData.ages``), each layer in lex order:
+elements are named ``g1, g2, ...`` layer by layer, so by age, then lex.
 """
 
 from __future__ import annotations
 
 import gc
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
-from operator import add, attrgetter, mod
+from operator import add, mod
 
 from .errors import InputError, InvariantError
 from .lattice import LatticePoint, Record, ScaledLattice, build_lattice
@@ -35,8 +36,16 @@ class GroupData(Record):
         return len(self.elements)
 
     @cached_property
+    def ages(self) -> tuple[tuple[LatticePoint, ...], ...]:
+        """The elements of age 0, 1, ..., n, each layer in lex order; layer 0 is the zero."""
+        layers = [[] for _ in range(self.n + 1)]  # ages 0 .. n - 1, and layer 1 when n = 1
+        for g in self.elements:
+            layers[g.age].append(g)
+        return tuple(map(tuple, layers))
+
+    @property
     def juniors(self) -> tuple[LatticePoint, ...]:
-        return tuple(g for g in self.elements if g.age == 1)
+        return self.ages[1]
 
 
 def _normalize_generators(generators, n):
@@ -162,9 +171,7 @@ def crepant_obstructions(group: GroupData, hlb) -> ObstructionReport:
 def element_names(group: GroupData) -> dict[LatticePoint, str]:
     """Stable names g1, g2, ... for nonzero elements, by age then lex.
 
-    Juniors always occupy the initial prefix since they sort first by age.
+    They read the age layers above 0 in turn, so the juniors come first.
     """
-    nonzero = [g for g in group.elements if not g.is_zero()]
-    nonzero.sort(key=attrgetter("coords"))
-    nonzero.sort(key=attrgetter("age"))  # stable: lex within each age
-    return {g: f"g{i + 1}" for i, g in enumerate(nonzero)}
+    nonzero = chain.from_iterable(group.ages[1:])
+    return {g: f"g{i}" for i, g in enumerate(nonzero, 1)}

@@ -2,7 +2,8 @@
 
 The basis is built one age layer at a time (:func:`hilbert_basis`), the
 degree-ordered reduction of Bruns-Ichim (*Normaliz: algorithms for affine
-monoids and rational cones*, J. Algebra 324, 2010):
+monoids and rational cones*, J. Algebra 324, 2010).  The layers are the
+group's one age split, ``GroupData.ages``, which the element names read too:
 
 - every nonzero orthant point of ``N`` has an integer age of at least 1,
   because ``G`` lies in SL;
@@ -61,24 +62,21 @@ def hilbert_basis(group: GroupData) -> tuple[LatticePoint, ...]:
     lattice point ``u != 0, v`` with ``0 <= u <= v`` exists; every
     coordinate of ``u`` is below ``r`` (only ``r*e_i`` reaches ``r``, and
     ``u`` would be it), so ``u`` is a group element: the basis is the minimal
-    candidates.  They are found one age layer at a time (module docstring):
-    all the juniors, then in each higher layer, by increasing age, those
-    above no basis element of lower age, tested by one packed pass over the
-    whole layer per lower basis element until no candidate of the layer is
-    left.  In ``n <= 3`` the layers stop at the juniors.
+    candidates.  They are found one layer of ``group.ages`` at a time (module
+    docstring): all the juniors, then in each higher layer, by increasing
+    age, those above no basis element of lower age, tested by one packed pass
+    over the whole layer per lower basis element until no candidate of the
+    layer is left.  In ``n <= 3`` the layers stop at the juniors.
     """
     n, w = group.n, group.r.bit_length() + 1
-    layers = [[] for _ in range(n + 1)]  # ages 0 .. n - 1, and layer 1 when n = 1
-    for g in group.elements:
-        layers[g.age].append(g)
-    basis = layers[1]
+    basis = list(group.ages[1])
     if n > 3:
         shifts = [i * w for i in range(n)]
         guard = sum(1 << (s + w - 1) for s in shifts)
         size = n * w // 8 + 1  # bytes per slot: n fields and a spare top bit
         top = 1 << (8 * size - 1)
         below = [sum(map(lshift, b.coords, shifts)) for b in basis]
-        for layer in layers[2:]:
+        for layer in group.ages[2:]:
             slots = b"".join([sum(map(lshift, v.coords, shifts), guard).to_bytes(size, "little")
                               for v in layer])
             packed = int.from_bytes(slots, "little")

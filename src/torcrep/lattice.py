@@ -77,18 +77,17 @@ class LatticePoint:
 
     def __init__(self, coords, denom: int):
         coords = tuple(coords)
-        if not set(map(type, coords)) <= {int}:
+        if not _INT.issuperset(map(type, coords)):
             raise TypeError(f"coordinates must be integers, got {coords!r}")
         if type(denom) is not int:
             raise TypeError(f"denominator must be an integer, got {denom!r}")
         if denom < 1:
             raise ValueError("denominator must be positive")
         age, rest = divmod(sum(coords), denom)
-        init = object.__setattr__
-        init(self, "coords", coords)
-        init(self, "denom", denom)
-        init(self, "_hash", hash((coords, denom)))
-        init(self, "_age", None if rest else age)
+        _set_coords(self, coords)
+        _set_denom(self, denom)
+        _set_hash(self, hash((coords, denom)))
+        _set_age(self, None if rest else age)
 
     __setattr__ = __delattr__ = Record.__setattr__
 
@@ -114,14 +113,17 @@ class LatticePoint:
             raise InvariantError(f"{self} has non-integral age")
         return self._age
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def __str__(self) -> str:
         body = ",".join(map(str, self.coords))
         if self.denom == 1:
             return f"({body})"
         return f"(1/{self.denom})({body})"
+
+
+_INT = frozenset({int})
+# the slots' own setters: __setattr__ refuses, and object.__setattr__ looks each name up
+_set_coords, _set_denom, _set_hash, _set_age = (
+    LatticePoint.__dict__[s].__set__ for s in LatticePoint.__slots__)
 
 
 def unit_point(i: int, n: int, denom: int) -> LatticePoint:

@@ -53,7 +53,13 @@ McKay correspondence on a fan.  ``closure_bfs`` is the group closure before it w
 by coset (breadth-first, each element built once per generator), and
 ``closure_by_zip`` the coset-by-coset closure before it added and reduced
 with ``map``.  ``element_names_by_key`` names the elements by one
-``(age, coords)`` key sort, before the two stable sorts.  The
+``(age, coords)`` key sort, before the two stable sorts and before the
+names read the group's age split; ``element_table_by_fstring`` is
+``analyze``'s element table before one format template per group (a
+formatted line per element, through ``LatticePoint.__str__`` and
+``age``).  ``is_zero`` left ``LatticePoint`` once no package code asked
+it, and ``lattice_point_by_setattr`` is the ``LatticePoint`` constructor
+before its one type test and its slot setters.  The
 Hilbert basis oracles are the
 lex scan before its packed comparison (a Python test of each candidate
 against each kept minimal element, which is also the oracle of the n = 3
@@ -126,6 +132,30 @@ from torcrep.resolve import (
 # Lattice oracles
 
 
+def is_zero(p: LatticePoint) -> bool:
+    return not any(p.coords)
+
+
+def lattice_point_by_setattr(coords, denom) -> LatticePoint:
+    """``LatticePoint(coords, denom)`` with a set of the coordinate types and
+    four ``object.__setattr__`` calls, as the constructor was."""
+    self = object.__new__(LatticePoint)
+    coords = tuple(coords)
+    if not set(map(type, coords)) <= {int}:
+        raise TypeError(f"coordinates must be integers, got {coords!r}")
+    if type(denom) is not int:
+        raise TypeError(f"denominator must be an integer, got {denom!r}")
+    if denom < 1:
+        raise ValueError("denominator must be positive")
+    age, rest = divmod(sum(coords), denom)
+    init = object.__setattr__
+    init(self, "coords", coords)
+    init(self, "denom", denom)
+    init(self, "_hash", hash((coords, denom)))
+    init(self, "_age", None if rest else age)
+    return self
+
+
 def basis_coords(lat: ScaledLattice, p: LatticePoint) -> tuple[int, ...]:
     x = lat.coords_or_none(p)
     if x is None:
@@ -139,7 +169,7 @@ def from_basis_coords(lat: ScaledLattice, x) -> LatticePoint:
 
 
 def is_primitive(lat: ScaledLattice, p: LatticePoint) -> bool:
-    if p.is_zero():
+    if is_zero(p):
         raise TorcrepError("the zero vector has no primitivity")
     return gcd(*basis_coords(lat, p)) == 1
 
@@ -490,7 +520,7 @@ def barycentric_by_solve(cone: Cone, p: LatticePoint):
 def contains_point_by_solve(cone: Cone, p: LatticePoint) -> bool:
     """``contains_point`` for any cone, faces and the empty cone included."""
     if not cone.rays:
-        return p.is_zero()
+        return is_zero(p)
     bary = barycentric_by_solve(cone, p)
     return bary is not None and all(x >= 0 for x in bary[0])
 
@@ -941,9 +971,15 @@ def closure_by_zip(gens, r: int):
 
 def element_names_by_key(group: GroupData) -> dict[LatticePoint, str]:
     """``element_names`` before it sorted twice: one ``(age, coords)`` key sort."""
-    nonzero = [g for g in group.elements if not g.is_zero()]
+    nonzero = [g for g in group.elements if not is_zero(g)]
     nonzero.sort(key=lambda g: (g.age, g.coords))
     return {g: f"g{i + 1}" for i, g in enumerate(nonzero)}
+
+
+def element_table_by_fstring(group: GroupData, names) -> str:
+    """``analyze``'s element table, one f-string per element."""
+    return "".join(f"  {names[g]:<5} {g}  age {g.age}\n" if g in names else "  id    0\n"
+                   for g in group.elements)
 
 
 class NotInCone(TorcrepError):
@@ -984,12 +1020,12 @@ def is_irreducible(group: GroupData, v: LatticePoint):
     Returns ``(True, None)`` or ``(False, (u, v - u))`` with ``u`` the
     lexicographically smallest nonzero decomposition part.
     """
-    if v.is_zero() or any(c < 0 for c in v.coords):
+    if is_zero(v) or any(c < 0 for c in v.coords):
         raise NotInCone(f"{v} is not a nonzero point of the orthant")
     if not group.lattice.contains(v):
         raise NotInCone(f"{v} is not a lattice point")
     for u in box_lattice_points(group, v):
-        if u.is_zero() or u == v:
+        if is_zero(u) or u == v:
             continue
         w = LatticePoint(
             tuple(a - b for a, b in zip(v.coords, u.coords)), group.r
@@ -1000,7 +1036,7 @@ def is_irreducible(group: GroupData, v: LatticePoint):
 
 def hilbert_basis_box_walk(group: GroupData) -> tuple[LatticePoint, ...]:
     """``hilbert_basis`` by ``is_irreducible`` over every candidate."""
-    candidates = {g for g in group.elements if not g.is_zero()}
+    candidates = {g for g in group.elements if not is_zero(g)}
     candidates.update(group.lattice.units())
     return tuple(
         v for v in sorted(candidates, key=lambda p: p.coords)
@@ -1010,7 +1046,7 @@ def hilbert_basis_box_walk(group: GroupData) -> tuple[LatticePoint, ...]:
 
 def hilbert_basis_pairwise(group: GroupData) -> tuple[LatticePoint, ...]:
     """``hilbert_basis`` by comparing each candidate with each kept element."""
-    candidates = [g for g in group.elements if not g.is_zero()]
+    candidates = [g for g in group.elements if not is_zero(g)]
     candidates.extend(group.lattice.units())
     minimal = []
     for v in sorted(candidates, key=lambda p: p.coords):
@@ -1038,7 +1074,7 @@ def hilbert_basis_packed_scan(group: GroupData) -> tuple[LatticePoint, ...]:
     one, earlier in lex order, so one lex scan suffices.
     """
     n, w = group.n, group.r.bit_length() + 1
-    candidates = [g for g in group.elements if not g.is_zero()]
+    candidates = [g for g in group.elements if not is_zero(g)]
     candidates.extend(group.lattice.units())
     candidates.sort(key=lambda p: p.coords)
     minimal = []

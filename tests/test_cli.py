@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -20,6 +21,8 @@ import torcrep
 from conftest import crepant3_resolutions
 from oracles import (
     class_group_json_reference,
+    element_names_by_key,
+    element_table_by_fstring,
     freudenthal_fan,
     freudenthal_spec,
     is_terminal_box_walk,
@@ -389,16 +392,22 @@ def test_verify_accepts_freudenthal_fan(r, tmp_path, capsys):
     assert bundle["all_verified"] and bundle["coverage"]
 
 
+def _cli_env(unbuffered=""):
+    """The environment of a child Python that imports this ``src``'s torcrep."""
+    # PYTHONUNBUFFERED unset: stdout is a block-buffered file, as a user's is
+    src = str(Path(torcrep.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), PYTHONUNBUFFERED=unbuffered)
+
+
 def test_verify_cli_accepts_freudenthal_fan_at_512_cones(tmp_path):
     spec, path = _freudenthal_fan_file(8, tmp_path)
     assert len(json.loads(path.read_text())["maximal_cones"]) == 512
     out = tmp_path / "report.json"
-    src = str(Path(torcrep.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "torcrep.cli", "verify", str(path), spec, "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_cli_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("all certificates verified\n")
     bundle = json.loads(out.read_text())
@@ -642,11 +651,8 @@ def test_import_builds_no_parser_and_main_builds_one():
         counts.append(len(built))
         print(json.dumps(counts))
     """
-    src = str(Path(torcrep.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", script],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=_cli_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     at_import, first, second, fresh = json.loads(proc.stdout)
     assert at_import == 0
@@ -669,6 +675,82 @@ def test_analyze_writes_the_table_in_chunks(monkeypatch):
         outs.append(out.getvalue())
         assert max(w.count("\n") for w in writes) == min(chunk, 9)
     assert outs[0].count("\n  ") == 9 and outs[1] == outs[0] and outs[2] == outs[0]
+
+
+@st.composite
+def group_texts(draw):
+    """One or two generators ``r:(a1,...,an)`` in n = 2..6, orders 1 to a few dozen."""
+    n = draw(st.integers(2, 6))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        m = draw(st.integers(1, {2: 30, 3: 12, 4: 6, 5: 4, 6: 3}[n]))
+        coords = draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
+        gens.append(f"{m}:({','.join(map(str, [*coords, -sum(coords) % m]))})")
+    return ";".join(gens)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(group_texts())
+@example("1:(0,0,0)")  # the trivial group: the zero alone
+@example("100003:(1,2,100000)")  # names up to g100002, past the 5-wide field
+def test_element_table_matches_the_fstring_oracle(text):
+    # one format template per group prints what one f-string per element did
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["analyze", text]) == 0
+    table = out.getvalue().split("elements:\n", 1)[1].split("junior simplex:", 1)[0]
+    group = parse_group(text)
+    want = element_table_by_fstring(group, element_names_by_key(group))
+    # as lists of lines, so that a failure names the first row that differs
+    assert table.splitlines(keepends=True) == want.splitlines(keepends=True)
+
+
+def test_stdout_closed_after_the_first_line_is_one_error_line():
+    # about 1.3 MB of table, more than a pipe holds, so writes go on after the close
+    argv = [sys.executable, "-m", "torcrep.cli", "analyze", "200:(1,199,0);200:(0,1,199)"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
+    assert proc.stdout.readline() == b"group order 40000, denominator r=200, dimension n=3\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    # no traceback, and no "Exception ignored" from the flush at exit
+    assert err == b"error: cannot write to stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_stdout_on_a_full_device_is_one_error_line(unbuffered):
+    # buffered, the output fits the buffer and fails at the flush that ends main;
+    # unbuffered, it fails at the first print
+    argv = [sys.executable, "-m", "torcrep.cli", "resolve", "7:(1,6,0);7:(0,1,6)",
+            "--search", "juniors"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE,
+                              env=_cli_env(unbuffered), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write to stdout: No space left on device\n"
+
+
+def test_a_path_that_cannot_be_read_or_written_is_an_input_error(tmp_path, capsys):
+    fan = tmp_path / "z6.json"
+    assert main(["resolve", "6:(1,2,3)", "--sequence", "g1,g2,g3,g4", "--out", str(fan)]) == 0
+    missing = tmp_path / "no" / "file"
+    absent, folder = os.strerror(errno.ENOENT), os.strerror(errno.EISDIR)
+    cases = [
+        (["analyze", str(missing), "--file"], f"cannot read {missing}: {absent}"),
+        (["analyze", str(tmp_path), "--file"], f"cannot read {tmp_path}: {folder}"),
+        (["verify", str(missing), "6:(1,2,3)"], f"cannot read {missing}: {absent}"),
+        (["resolve", "6:(1,2,3)", "--sequence", "g1", "--out", str(missing)],
+         f"cannot write {missing}: {absent}"),
+        (["verify", str(fan), "6:(1,2,3)", "--out", str(tmp_path)],
+         f"cannot write {tmp_path}: {folder}"),
+        (["export-graph", str(fan), "6:(1,2,3)", "--svg", str(missing)],
+         f"cannot write {missing}: {absent}"),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 def test_foreign_hilbert_basis_element_is_invariant_error(monkeypatch, capsys):

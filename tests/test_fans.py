@@ -27,6 +27,7 @@ from oracles import (
     is_canonical,
     is_primitive,
     is_terminal_box_walk,
+    is_zero,
     rank_loop,
     refines,
     star_subdivision,
@@ -221,14 +222,14 @@ def subdivision_sequences(draw):
     group = close_group(gens, n)
     lat = group.lattice
     points = [p for p in group.elements + group.lattice.units()
-              if not p.is_zero() and is_primitive(lat, p)]
+              if not is_zero(p) and is_primitive(lat, p)]
     return lat, draw(st.lists(st.sampled_from(points), max_size=8))
 
 
 def _primitive_points(generator):
     group = close_group([generator])
     lat = group.lattice
-    return lat, [p for p in group.elements if not p.is_zero() and is_primitive(lat, p)]
+    return lat, [p for p in group.elements if not is_zero(p) and is_primitive(lat, p)]
 
 
 _R = 1024
@@ -263,7 +264,7 @@ def test_random_subdivision_conservation(rng):
         group = random_cyclic_group(rng, n, rmax=8)
         fan = sigma_fan(group.lattice)
         vol = support_volume(fan)
-        candidates = [p for p in group.elements if not p.is_zero()]
+        candidates = [p for p in group.elements if not is_zero(p)]
         rng.shuffle(candidates)
         for mu in candidates:
             if not is_primitive(group.lattice, mu):
@@ -435,7 +436,7 @@ def perturbed_fans(draw):
     coords.append(-sum(coords) % r)
     group = close_group([LatticePoint(tuple(coords), r)], n)
     points = [p for p in group.elements
-              if not p.is_zero() and is_primitive(group.lattice, p)]
+              if not is_zero(p) and is_primitive(group.lattice, p)]
     fan = sigma_fan(group.lattice)
     order = draw(st.permutations(points))
     steps = min(len(order), 4 if n < 4 else 2)  # the oracle is slow in n = 4
@@ -654,7 +655,7 @@ def test_is_terminal_matches_box_walk(rng, z6):
         group = random_cyclic_group(rng, rng.choice([2, 3, 4]), rmax=9)
         lat = group.lattice
         fan = sigma_fan(lat)
-        points = [p for p in group.elements if not p.is_zero()]
+        points = [p for p in group.elements if not is_zero(p)]
         for mu in rng.sample(points, min(len(points), 2)):
             if is_primitive(lat, mu):
                 fan = star_subdivision(fan, mu)

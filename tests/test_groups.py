@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 
 from conftest import random_cyclic_group, small_groups
-from oracles import closure_bfs, closure_by_zip, element_names_by_key, junior_simplex
+from oracles import closure_bfs, closure_by_zip, element_names_by_key, is_zero, junior_simplex
 from torcrep import groups
 from torcrep.errors import InputError, InvariantError
 from torcrep.groups import (
@@ -101,7 +101,7 @@ def test_ages(z6, z2):
     assert LatticePoint((1, 2, 3), 6).age == 1
     assert LatticePoint((1, 1, 1, 1), 2).age == 2
     for g in z6.elements:
-        if not g.is_zero():
+        if not is_zero(g):
             assert 1 <= g.age <= 2
             assert type(g.age) is int
 
@@ -197,6 +197,22 @@ def test_element_names(z6):
 def test_element_names_match_key_sort_oracle(group):
     names = element_names(group)
     assert list(names.items()) == list(element_names_by_key(group).items())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_groups())
+@example(close_group([], n=3))
+@example(close_group([], n=1))
+def test_age_split_partitions_the_elements_in_coordinate_order(group):
+    ages = group.ages
+    assert len(ages) == group.n + 1
+    assert len(ages[0]) == 1 and is_zero(ages[0][0])
+    assert {g for layer in ages for g in layer} == set(group.elements)
+    assert sum(map(len, ages)) == group.order
+    for age, layer in enumerate(ages):
+        assert all(g.age == age for g in layer)
+        assert list(layer) == sorted(layer, key=lambda g: g.coords)
+    assert group.juniors is ages[1]
 
 
 def test_element_names_of_the_trivial_group(trivial3):

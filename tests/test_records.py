@@ -6,9 +6,11 @@ Every field of a record takes part in ``==`` and ``hash``.
 """
 
 import re
+from fractions import Fraction
 
 import pytest
 
+from oracles import lattice_point_by_setattr
 from torcrep.divisors import ClassGroup, class_group
 from torcrep.exceptional import (
     EmbeddingCertificate,
@@ -138,6 +140,38 @@ def test_lattice_point_checks_are_unchanged():
     for args, exc, message in cases:
         with pytest.raises(exc, match=f"^{re.escape(message)}$"):
             LatticePoint(*args)
+
+
+def _outcome(build, coords, denom):
+    """What ``build(coords(), denom)`` gives: its exception's class and message,
+    or the point's hash, repr, coordinates and age (or the age's error)."""
+    try:
+        p = build(coords(), denom)
+    except Exception as exc:
+        return type(exc), str(exc)
+    try:
+        age = p.age
+    except Exception as exc:
+        age = type(exc), str(exc)
+    return hash(p), repr(p), p.coords, p.denom, age
+
+
+@pytest.mark.parametrize("coords", [
+    lambda: (1, 2, 3), lambda: [1, 2, 3], lambda: (c for c in (1, 2, 3)), lambda: (),
+    lambda: (1, 2, 2), lambda: (0, -3, 9), lambda: (True, 2, 3), lambda: [1, False],
+    lambda: (c for c in (1.0, 2, 3)), lambda: (1, 2.5), lambda: (Fraction(1), 2, 3),
+    lambda: (Fraction(1, 2), 2), lambda: (2**70, 6 - 2**70),
+], ids=["tuple", "list", "generator", "empty", "non-integral-age", "negative",
+        "bool", "bool-list", "float-generator", "float", "fraction", "half", "big"])
+@pytest.mark.parametrize("denom", [6, 1, True, False, 6.0, 0.5, 0, -6, Fraction(6)],
+                         ids=["6", "1", "True", "False", "6.0", "0.5", "0", "-6", "fraction"])
+def test_lattice_point_matches_the_setattr_constructor(coords, denom):
+    # the one type test and the slot setters accept and reject exactly the
+    # inputs the set test and object.__setattr__ did, with the same messages
+    got = _outcome(LatticePoint, coords, denom)
+    assert got == _outcome(lattice_point_by_setattr, coords, denom)
+    if not isinstance(got[0], type):
+        assert LatticePoint(coords(), denom) == lattice_point_by_setattr(coords(), denom)
 
 
 def test_repr_is_the_dataclass_repr(records):
