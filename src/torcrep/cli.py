@@ -365,22 +365,24 @@ def main(argv=None) -> int:
         finally:  # buffered output fails here, not at exit; print skips a closed stdout
             print(end="", flush=True)
     except ResolutionNotFound as exc:
-        print(f"not found: {exc}", file=sys.stderr)
-        return 3
+        message, code = f"not found: {exc}", 3
     except CertificateFailure as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return 1
+        message, code = f"certificate failure: {exc}", 1
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"input error: {exc}", 2
     except TorcrepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message, code = f"error: {exc}", 2
     except OSError as exc:  # a named file fails as an InputError, so this is stdout
-        print(f"error: cannot write to stdout: {exc.strerror or exc}", file=sys.stderr)
         if sys.stdout is sys.__stdout__:  # so that the flush at exit cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 2
+        message, code = f"error: cannot write to stdout: {exc.strerror or exc}", 2
+    try:  # a message that cannot be printed keeps the exit code
+        if sys.stderr is not None:  # None when fd 2 was closed at start; print would use stdout
+            print(message, file=sys.stderr)
+    except OSError:
+        if sys.stderr is sys.__stderr__:  # as for stdout
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
 
 
 if __name__ == "__main__":

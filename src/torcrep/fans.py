@@ -23,7 +23,12 @@ sign, so each division is exact.  ``_FanBuilder`` keeps these numerators
 for each tracked point in each live cone that contains it (a conflict
 list), so a subdivision at ``mu`` replaces exactly the cones of ``mu``'s
 list and moves only their points, each into the children where its
-numerators are ``>= 0``.
+numerators are ``>= 0``: the ``i`` with ``b_i > 0`` that minimise
+``bq_i / b_i`` (the simplex ratio test).  For ``(b_i * bq_j - b_j * bq_i) / d``
+is ``>= 0`` outright if ``b_j <= 0``, as ``b_i > 0`` and ``bq >= 0``, and if
+``b_j > 0`` exactly when ``bq_i / b_i <= bq_j / b_j``.  So one exact scan of
+the positive ``b_j``, cross-multiplied, places a point, and a tie (a point
+on a facet two children share) lands it in each.
 
 The JSON interchange schema for fans is::
 
@@ -99,10 +104,9 @@ def make_cone(points) -> Cone:
 
 
 def _pivot(bq, i: int, b, d: int, order) -> tuple[int, ...]:
-    """Numerators ``H' * q`` in the child from ``bq = H * q`` (see above)."""
+    """Numerators ``H' * q`` in the child's ray ``order`` from ``bq = H * q`` (see above)."""
     qi, bi = bq[i], b[i]
-    out = [qi if j == i else (bi * y - bj * qi) // d for j, (bj, y) in enumerate(zip(b, bq))]
-    return tuple(out[k] for k in order)
+    return tuple([qi if k == i else (bi * bq[k] - b[k] * qi) // d for k in order])
 
 
 def barycentric(cone: Cone, p: LatticePoint) -> tuple[tuple[int, ...], int]:
@@ -330,35 +334,53 @@ class _FanBuilder:
         twin.ray_counts = dict(self.ray_counts)
         return twin
 
-    def subdivide(self, mu: LatticePoint) -> None:
-        """Star-subdivide at a tracked point or a ray, in place."""
-        hits = self.where.pop(mu, ())  # none for a ray
+    def landings(self, mu: LatticePoint) -> list:
+        """``(cone, b = H * mu, children)`` per cone holding ``mu``; ``children``
+        maps each ray ``i`` with ``b_i > 0``, in order, to the points other than
+        ``mu`` that land in that child (above), in held order.  Changes nothing."""
+        out = []
+        for cone in self.where.get(mu, ()):  # none for a ray
+            held = self.inside[cone]
+            b = held[mu]
+            first, *rest = pos = [j for j, bj in enumerate(b) if bj > 0]
+            children: dict[int, list[LatticePoint]] = {i: [] for i in pos}
+            for q, bq in held.items():
+                if q == mu:
+                    continue
+                best, y, x = [first], bq[first], b[first]  # the least bq_j / b_j so far
+                for j in rest:
+                    s = bq[j] * x - y * b[j]
+                    if s < 0:
+                        best, y, x = [j], bq[j], b[j]
+                    elif not s:
+                        best.append(j)
+                for i in best:
+                    children[i].append(q)
+            out.append((cone, b, children))
+        return out
+
+    def subdivide(self, mu: LatticePoint, moves=None) -> None:
+        """Star-subdivide at a tracked point or a ray in place, by ``moves = landings(mu)``."""
         inside, counts = self.inside, self.ray_counts
         gained: dict[LatticePoint, list[Cone]] = {}
-        for cone in hits:
-            held = inside.pop(cone)
-            b, d, rays = held[mu], cone.det, cone.rays
+        for cone, b, children in self.landings(mu) if moves is None else moves:
+            held, d, rays = inside.pop(cone), cone.det, cone.rays
             for r in rays:
                 counts[r] -= 1
-            for i, bi in enumerate(b):
-                if bi <= 0:
-                    continue
+            for i, qs in children.items():
                 new = rays[:i] + (mu,) + rays[i + 1:]
                 order = sorted(range(len(new)), key=lambda k: new[k].coords)
                 child = Cone(tuple(new[k] for k in order))
-                child.__dict__["det"] = bi
-                # a numerator is >= 0 exactly when it is before the division by d
-                inside[child] = own = {
-                    q: _pivot(bq, i, b, d, order) for q, bq in held.items()
-                    if q != mu and all(bi * y >= bj * bq[i] for bj, y in zip(b, bq))}
-                for q in own:
+                child.__dict__["det"] = b[i]
+                inside[child] = {q: _pivot(held[q], i, b, d, order) for q in qs}
+                for q in qs:
                     gained.setdefault(q, []).append(child)
                 for r in child.rays:
                     counts[r] = counts.get(r, 0) + 1
-        gone = set(hits)
+        gone = set(self.where.pop(mu, ()))  # the cones of the landings
         for q, cones in gained.items():
             self.where[q] = [c for c in self.where[q] if c not in gone] + cones
-        if not counts.get(mu) or any(not counts[r] for cone in hits for r in cone.rays):
+        if not counts.get(mu) or any(not counts[r] for cone in gone for r in cone.rays):
             raise InvariantError(f"subdividing at {mu} changed rays other than {mu}")
 
     def fan(self) -> Fan:

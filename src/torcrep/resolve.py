@@ -25,7 +25,6 @@ from .fans import (
     Fan,
     _FanBuilder,
     fan_to_json,
-    is_smooth_cone,
     is_terminal,
     sigma_fan,
 )
@@ -107,12 +106,6 @@ def _policy_order(points) -> list[LatticePoint]:
     )
 
 
-def _has_dead_cone(state: _FanBuilder) -> bool:
-    """A singular live cone that contains none of the pending targets."""
-    return any(not held and not is_smooth_cone(c, state.lattice)
-               for c, held in state.inside.items())
-
-
 def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
     """Depth-first search over star-subdivision sequences of the targets.
 
@@ -126,9 +119,12 @@ def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
     kept; a dead fan met again is pruned again.  *Dead cones:* a star
     subdivision at ``mu`` replaces exactly the maximal cones that contain
     ``mu``, so a singular one containing no pending target is a cone of
-    every leaf below.  So the first smooth leaf met is the fold of the first
-    permutation of the targets (``itertools.permutations`` order) with a
-    smooth fan, and it is certified as it stands.
+    every leaf below.  Only a child's new cones can be dead (every other
+    cone keeps exactly the targets it held, and the parent had no dead cone),
+    so the builder's ``landings`` decide it before the child is built.
+    Hence the first smooth leaf met is the fold of the first permutation of
+    the targets (``itertools.permutations`` order) with a smooth fan, and it
+    is certified as it stands.
 
     ``TORCREP_BUDGET`` bounds the fans expanded; ResolutionNotFound has
     ``exhausted`` False when the budget stopped it.
@@ -142,16 +138,22 @@ def search_resolution(group: GroupData, mode: str) -> ResolutionResult:
     else:
         raise ValueError(f"unknown search mode {mode!r}")
 
+    det = group.lattice.det  # the |det| of a smooth cone's rays
     seen = set()  # fans without a dead cone, all expanded but the one in hand
-    # (parent builder, its sequence, target to fold); the orthant has no target
-    stack = [(_FanBuilder(sigma_fan(group.lattice), targets), (), None)]
+    # (parent builder, its sequence, target to fold); the orthant has no target,
+    # and it is dead when it is singular and holds none
+    orthant = sigma_fan(group.lattice)
+    stack = [(_FanBuilder(orthant, targets), (), None)] if targets or orthant.is_smooth else []
     while stack:
         state, seq, mu = stack.pop()
         if mu is not None:
+            moves = state.landings(mu)
+            if any(not qs and b[i] != det for _, b, kids in moves for i, qs in kids.items()):
+                continue  # a new cone is singular and receives no target
             state, seq = state.copy(), seq + (mu,)
-            state.subdivide(mu)
+            state.subdivide(mu, moves)
         live = frozenset(state.inside)
-        if live in seen or _has_dead_cone(state):
+        if live in seen:
             continue
         seen.add(live)
         pending = [t for t in targets if t in state.where]

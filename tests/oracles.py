@@ -45,7 +45,10 @@ took its facet normals from its parent by a pivot (``make_cone`` per
 child, its normals solved when first read) and before the incremental
 builder (``star_subdivision_by_pivot``: a scan of every cone, a pivot per
 child, a re-sorted fan and a ray check over the whole fan each step, with
-``fold_by_pivot`` the fold over it).  ``star_subdivision`` itself,
+``fold_by_pivot`` the fold over it); ``subdivide_by_filter`` is the
+builder's step before its landings (each held point tested against each
+child by its numerators, not placed by one minimum-ratio test).
+``star_subdivision`` itself,
 one step of the package's builder, and ``fans_equal`` now live here, as
 only the tests call them; ``freudenthal_fan`` builds crepant fans in
 n = 4 without ``resolve``, and ``mckay_vectors`` gives both sides of the
@@ -539,6 +542,44 @@ def star_subdivision(fan: Fan, mu: LatticePoint) -> Fan:
     state = _FanBuilder(fan, (mu,))
     state.subdivide(mu)
     return state.fan()
+
+
+def subdivide_by_filter(state: _FanBuilder, mu: LatticePoint) -> None:
+    """``_FanBuilder.subdivide`` before its landings: each held point is
+    tested against each child, all its child numerators ``>= 0``."""
+    hits = state.where.pop(mu, ())  # none for a ray
+    inside, counts = state.inside, state.ray_counts
+    gained: dict[LatticePoint, list[Cone]] = {}
+    for cone in hits:
+        held = inside.pop(cone)
+        b, d, rays = held[mu], cone.det, cone.rays
+        for r in rays:
+            counts[r] -= 1
+        for i, bi in enumerate(b):
+            if bi <= 0:
+                continue
+            new = rays[:i] + (mu,) + rays[i + 1:]
+            order = sorted(range(len(new)), key=lambda k: new[k].coords)
+            child = Cone(tuple(new[k] for k in order))
+            child.__dict__["det"] = bi
+            own = {}
+            for q, bq in held.items():
+                if q == mu:
+                    continue
+                out = [bq[i] if j == i else (bi * y - bj * bq[i]) // d
+                       for j, (bj, y) in enumerate(zip(b, bq))]
+                if min(out) >= 0:
+                    own[q] = tuple(out[k] for k in order)
+            inside[child] = own
+            for q in own:
+                gained.setdefault(q, []).append(child)
+            for r in child.rays:
+                counts[r] = counts.get(r, 0) + 1
+    gone = set(hits)
+    for q, cones in gained.items():
+        state.where[q] = [c for c in state.where[q] if c not in gone] + cones
+    if not counts.get(mu) or any(not counts[r] for cone in hits for r in cone.rays):
+        raise InvariantError(f"subdividing at {mu} changed rays other than {mu}")
 
 
 def fans_equal(a: Fan, b: Fan) -> bool:

@@ -731,6 +731,20 @@ def test_stdout_on_a_full_device_is_one_error_line(unbuffered):
     assert proc.stderr == b"error: cannot write to stdout: No space left on device\n"
 
 
+@pytest.mark.skipif(os.name != "posix", reason="redirects fd 2 with a POSIX shell")
+@pytest.mark.parametrize("stderr", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "6:(1,2,2)"], 2),  # an input error
+    (["resolve", "11:(1,2,3,5)", "--search", "hilbert"], 3),  # ends "not found"
+])
+def test_a_closed_stderr_keeps_the_exit_code(argv, code, stderr):
+    # closed, sys.stderr is None; read-only, the print raises EBADF.  Either
+    # way the message is lost, and the exit code still says how it ended
+    cmd = ["sh", "-c", f'exec "$0" "$@" {stderr}', sys.executable, "-m", "torcrep.cli", *argv]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE, env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
 def test_a_path_that_cannot_be_read_or_written_is_an_input_error(tmp_path, capsys):
     fan = tmp_path / "z6.json"
     assert main(["resolve", "6:(1,2,3)", "--sequence", "g1,g2,g3,g4", "--out", str(fan)]) == 0

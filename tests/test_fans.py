@@ -32,6 +32,7 @@ from oracles import (
     refines,
     star_subdivision,
     star_subdivision_by_make_cone,
+    subdivide_by_filter,
     support_volume,
     support_volume_fraction,
     validate_fan_all_pairs,
@@ -254,6 +255,40 @@ def test_star_subdivision_matches_make_cone_oracle(case):
         # every new cone brings its |det A|; its normals are solved when read
         for c in fan.maximal_cones:
             assert c.det == Cone(c.rays).facet_normals[1]
+
+
+def _layout(state):
+    # the live cones in order, each held map in order, each where list
+    return ([(c, list(held.items())) for c, held in state.inside.items()],
+            list(state.where.items()))
+
+
+_TRIPLE = _cyclic_lattice(3, (1, 1, 1))
+_MU, _ON_FACET = LatticePoint((1, 1, 1), 3), LatticePoint((1, 1, 4), 3)  # mu + e3
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(subdivision_sequences())
+@example((_TRIPLE, [_MU, _ON_FACET]))
+@example((_CHAIN, [LatticePoint(tuple((k * c) % _R for c in (1, _R - 1, 3)), _R)
+                   for k in (1, 5, 9, 341, 3)]))
+def test_landings_match_the_per_child_filter(case):
+    lat, seq = case
+    state, oracle = _FanBuilder(sigma_fan(lat), seq), _FanBuilder(sigma_fan(lat), seq)
+    for mu in seq:
+        state.subdivide(mu)
+        subdivide_by_filter(oracle, mu)
+        assert _layout(state) == _layout(oracle)
+
+
+def test_a_point_on_a_facet_two_children_share_lands_in_both():
+    # the orthant's rays are e3, e2, e1 in order; mu + e3 ties e2 and e1
+    state = _FanBuilder(sigma_fan(_TRIPLE), (_MU, _ON_FACET))
+    [(orthant, b, children)] = state.landings(_MU)
+    assert b == (9, 9, 9) and children == {0: [], 1: [_ON_FACET], 2: [_ON_FACET]}
+    state.subdivide(_MU)
+    e3, e2, e1 = orthant.rays
+    assert [set(c.rays) for c in state.where[_ON_FACET]] == [{e3, _MU, e1}, {e3, e2, _MU}]
 
 
 def test_random_subdivision_conservation(rng):

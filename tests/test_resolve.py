@@ -1,6 +1,5 @@
 import importlib
 import tracemalloc
-from collections import Counter
 from itertools import permutations
 
 import hypothesis.strategies as st
@@ -239,6 +238,17 @@ def test_search_memory_grows_with_expanded_fans_only(monkeypatch):
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("coords, m, mode, memo_hits, prunes", [
+    ((1, 2, 4, 5), 6, "hilbert", 2, 36),
+    ((1, 5, 5, 9), 10, "juniors", 0, 8),
+    ((1, 2, 3, 4), 5, "hilbert", 0, 12),
+])
+def test_search_skips_on_the_oracle_examples(coords, m, mode, memo_hits, prunes):
+    # the skips of the explicit examples above, as the search counted them
+    # when it built every child before its dead-cone test
+    assert _search_with_counts(_cyclic(coords, m), mode)[1:] == (memo_hits, prunes)
+
+
 @pytest.mark.parametrize("text, mode, budget, exhausted", [
     ("7:(1,1,2,3)", "juniors", None, True),
     ("11:(1,2,3,5)", "hilbert", None, True),
@@ -284,29 +294,35 @@ def search_cases(draw):
 def _search_with_counts(group, mode):
     """Search outcome, memo hits on expanded fans and dead-cone prunes of non-leaf fans.
 
-    Only a fan that passes the dead-cone test is remembered, so a dead fan
-    met again is tested again and counts as distinct, not as a hit.
+    Each child the search meets asks the builder's ``landings`` once; the
+    children it builds are the ones it copies a parent for, so the others
+    were pruned, each a non-leaf when its parent tracks a point besides the
+    one folded (tracked = pending).  Only a fan that passes the dead-cone
+    test is remembered, so a dead fan met again is pruned again and is not
+    a hit; every built fan is memo-tested, and those whose cones the orthant
+    or an earlier built fan already had are the hits.
     """
-    counts = Counter()
     builder = resolve_module._FanBuilder
-    subdivide, dead = builder.subdivide, resolve_module._has_dead_cone
+    landings, copy = builder.landings, builder.copy
+    met, built = [], []  # per child: non-leaf, built?; the built builders
 
-    def counted_subdivision(state, mu):
-        counts["children"] += 1
-        return subdivide(state, mu)
+    def counted_landings(state, mu):
+        met.append([len(state.where) > 1, False])
+        return landings(state, mu)
 
-    def counted_dead(state):
-        counts["distinct"] += 1
-        out = dead(state)
-        counts["prunes"] += bool(out and state.where)  # tracked = pending
-        return out
+    def counted_copy(state):
+        met[-1][1] = True
+        built.append(copy(state))
+        return built[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(builder, "subdivide", counted_subdivision)
-        mp.setattr(resolve_module, "_has_dead_cone", counted_dead)
+        mp.setattr(builder, "landings", counted_landings)
+        mp.setattr(builder, "copy", counted_copy)
         outcome = _outcome(search_resolution, group, mode)
-    # every fan reached (the orthant and each child) is tested unless seen
-    return outcome, counts["children"] + 1 - counts["distinct"], counts["prunes"]
+    fans = [frozenset(sigma_fan(group.lattice).maximal_cones)]
+    fans += [frozenset(state.inside) for state in built]
+    prunes = sum(nonleaf and not made for nonleaf, made in met)
+    return outcome, len(fans) - len(set(fans)), prunes
 
 
 def _outcome(search, group, mode):
