@@ -209,7 +209,10 @@ def cmd_analyze(args) -> int:
         print("no crepant resolution: not generated by juniors")
     if report.hilbert_basis_contains_seniors:
         print("no crepant resolution: Hilbert basis contains senior elements")
-    if not report.crepant_excluded:
+    # juniors that generate a proper subgroup H leave a senior in the basis:
+    # an element outside H is a sum of basis elements, and the units vanish
+    # mod Z^n, so not all of them are juniors; the senior flag is the verdict
+    if not report.hilbert_basis_contains_seniors:
         print("no crepant obstruction found")
     return 0
 
@@ -248,53 +251,37 @@ def cmd_verify(args) -> int:
     crepant = is_crepant(fan)
     # the union-of-neighborhoods statement only applies to crepant resolutions
     coverage = coverage_check(fan, group) if smooth and crepant else None
-    bundle = {
-        "group": {
-            "n": group.n,
-            "r": group.r,
-            "generators": [list(g.coords) for g in group.generators],
-        },
-        "smooth": smooth,
-        "crepant": crepant,
-        "coverage": coverage,
-        "certificates": [],
-    }
     cg = class_group(fan)
-    bundle["class_group"] = class_group_to_json(cg)
     names = element_names(group)
-    all_ok = smooth
     if not smooth:
         print("fan is not smooth; embedding certificates not applicable")
-    junior_rays = [g for g in group.juniors if g in fan.cones_through]
-    bundle["juniors_missing_from_rays"] = [
-        list(g.coords) for g in group.juniors if g not in fan.cones_through
-    ]
-    failures = []
-    for g in junior_rays if smooth else []:
-        try:
+    certificates = []
+    for g in [h for h in group.juniors if h in fan.cones_through] if smooth else []:
+        try:  # the first failing check ends the command, and no report is written
             cert = certify_normal_embedding(fan, g)
+            surface = classify_surface(cert.star) if group.n == 3 and cert.star.complete else None
         except CertificateFailure as exc:
-            failures.append((g, str(exc)))
-            continue
-        surface = None
-        if group.n == 3 and cert.star.complete:
-            surface = classify_surface(cert.star)
-        bundle["certificates"].append(certificate_to_json(cert, surface))
+            raise CertificateFailure(f"junior {names[g]} {g}: {exc}") from exc
+        certificates.append(certificate_to_json(cert, surface))
         extra = f", surface {surface}" if surface else ""
         print(f"junior {names[g]} {g}: verified over "
               f"{len(cert.cone_bijection)} anchor cone(s){extra}")
-    if bundle["coverage"] is not None:
-        print(f"coverage (every cone meets a junior ray): {bundle['coverage']}")
-        all_ok = all_ok and bundle["coverage"]
-    else:
-        print("coverage: n/a (not a crepant resolution or no juniors)")
+    print("coverage: n/a (not a crepant resolution or no juniors)" if coverage is None
+          else f"coverage (every cone meets a junior ray): {coverage}")
     print(f"class group: rank {cg.rank}, torsion {list(cg.torsion)}")
-    for g, msg in failures:
-        print(f"junior {names[g]} {g}: FAILED: {msg}")
-    bundle["all_verified"] = all_ok and not failures
+    all_verified = smooth and coverage is not False
     if args.out:
-        write_json(args.out, bundle)
-    if not bundle["all_verified"]:
+        write_json(args.out, {
+            "group": {"n": group.n, "r": group.r,
+                      "generators": [list(g.coords) for g in group.generators]},
+            "smooth": smooth, "crepant": crepant, "coverage": coverage,
+            "certificates": certificates,
+            "class_group": class_group_to_json(cg),
+            "juniors_missing_from_rays": [list(g.coords) for g in group.juniors
+                                          if g not in fan.cones_through],
+            "all_verified": all_verified,
+        })
+    if not all_verified:
         print("verification FAILED")
         return 1
     print("all certificates verified")

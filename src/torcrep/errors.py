@@ -26,7 +26,7 @@ class ResolutionNotFound(TorcrepError):
 
 
 class CertificateFailure(TorcrepError):
-    """A normal-embedding certificate check failed (CLI exit code 1).
+    """A certificate check of ``verify`` failed (CLI exit code 1).
 
-    The message names what broke.
+    The message names what broke; ``verify`` adds the junior it was checking.
     """

@@ -97,7 +97,7 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
                 ubar = images[u] = LatticePoint(proj.mul_vec(_solved(fan, u)), 1)
                 prev = lifts.setdefault(ubar, u)
                 if prev != u:
-                    raise TorcrepError(
+                    raise CertificateFailure(
                         f"rays {prev} and {u} project to the same star ray {ubar}"
                     )
             imgs.append(ubar)
@@ -106,7 +106,8 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
     star = make_fan(ScaledLattice(m, 1, IntMatrix.identity(m)), cones)
     for ubar in star.rays:
         if gcd(*ubar.coords) != 1:
-            raise TorcrepError(f"star ray {ubar} is not primitive; fan is singular along the ray")
+            raise CertificateFailure(
+                f"star ray {ubar} is not primitive; fan is singular along the ray")
     complete = all(c > 0 for c in g_hat.coords)
     return StarFan(star, tuple(sorted(lifts.items(), key=lambda kv: kv[0].coords)), complete)
 
@@ -225,13 +226,13 @@ def classify_surface(star: StarFan) -> SurfaceType:
     k = len(rays)
     cone_sets = {frozenset(r.coords for r in c.rays) for c in star.fan.maximal_cones}
     if len(cone_sets) != k:
-        raise TorcrepError("maximal cones do not form a single cycle")
+        raise CertificateFailure("maximal cones do not form a single cycle")
     for i in range(k):
         u, v = rays[i], rays[(i + 1) % k]
         if frozenset((u, v)) not in cone_sets:
-            raise TorcrepError("adjacent rays do not span a maximal cone")
+            raise CertificateFailure("adjacent rays do not span a maximal cone")
         if abs(u[0] * v[1] - u[1] * v[0]) != 1:
-            raise TorcrepError("adjacent ray pair is not a lattice basis")
+            raise CertificateFailure("adjacent ray pair is not a lattice basis")
     selfints = []
     for i in range(k):
         p, u, q = rays[(i - 1) % k], rays[i], rays[(i + 1) % k]

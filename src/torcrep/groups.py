@@ -142,10 +142,6 @@ class ObstructionReport(Record):
     not_generated_by_juniors: bool
     hilbert_basis_contains_seniors: bool
 
-    @property
-    def crepant_excluded(self) -> bool:
-        return self.not_generated_by_juniors or self.hilbert_basis_contains_seniors
-
 
 def crepant_obstructions(group: GroupData, hlb) -> ObstructionReport:
     """Check the two senior-element obstructions against the Hilbert basis."""

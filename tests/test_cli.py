@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import torcrep
-from conftest import crepant3_resolutions
+from conftest import crepant3_resolutions, nonstar_order6_fan
 from oracles import (
     class_group_json_reference,
     element_names_by_key,
@@ -516,6 +516,64 @@ def test_verify_non_smooth_fan_fails(tmp_path, capsys):
     assert main(["verify", str(path), "7:(1,1,2,3)"]) == 1
     out = capsys.readouterr().out
     assert "not smooth" in out
+
+
+# verify's whole outcome on fans a user can reach: the exit code and the
+# SHA-256 of stdout and of the --out report, recorded before verify stopped
+# at its first failing certificate check.  A fan is the fold of the first k
+# elements (the juniors), a search result, the non-star model or the orthant
+VERIFY_PINS = [
+    ("12:(1,2,9)", "fold 7", 0,
+     "7f79c410fce76b3e66a14b2d1919d28b3476b33e84b87a35c048402f00cd20e2",
+     "890e0133689f45310fd7cae297769c6e70ed136ea8a72a3bbdd362f6489b07bd"),
+    ("24:(1,2,21)", "fold 13", 0,
+     "87e96fef515a5da98e2d06b73af4132d13cdd13c8e8689035791f9450dc42b37",
+     "95d0ea581adc630082415d510048020dfb019baf8dd9a7b7475f5a520318aed0"),
+    ("48:(1,2,45)", "fold 25", 0,
+     "ca6e845ccb90a9de1da7558218aaf87867450a258b2a26228e79a64b6b680e80",
+     "7c22fea2116cee7fe4913f95068815f693743f363feb3f904291684c92f7d05c"),
+    ("5:(1,4,0);5:(0,1,4)", "fold 18", 0,
+     "d45c4d9768cd1c6c648446f006fb722c68a509729d825ec2a538106e4776be36",
+     "da95c1d5a15fb4f8a0f51bf3d4bd427f6b8218390413c67fb77c1ef8f9c1e0e1"),
+    ("7:(1,6,0);7:(0,1,6)", "fold 33", 0,
+     "4a36326732c6b50c53eb695a2ab628d1adbd9a2c6294c632daec73e5eae3e2f9",
+     "d186d3c63c1596db0ca1a365eaa571a98f9403161cc3c4b9bed4c47068509d32"),
+    ("6:(1,2,3)", "nonstar", 0,
+     "c6e78f42cb8c763c014e466df4cbc36ec3d64a495be1eec5be0e145829fd8ffb",
+     "066477b87d71eec15e39c5b76bb8bbc4141c4807221fe06031cae690591736b1"),
+    ("6:(1,2,3)", "orthant", 1,  # not smooth: "verification FAILED"
+     "934ac7943be2f2d766f74c7d5767f5df36a8a27e79754358b72e474a28a3c8e9",
+     "9f3243ddce4dcdcef6a8a7c85a192300f1ba02ff8a7a23450fe03dd06d75cea7"),
+    ("7:(1,1,2,3)", "search hilbert", 0,
+     "772aa9856d6e966895df2c87936f863f0289c27841313695ad23251638645a7d",
+     "b2d83a60886e089503f07070376685e3b8be1c50fb368c1377698cdddf116446"),
+    ("1:(0,0,0)", "orthant", 0,  # no juniors: coverage n/a
+     "dd0da4ef9df7378dd11a1b77a183725b1af082917437ea8d13ccb0c4201242cc",
+     "be0bceaf63d189c3570221a0a7a417c73462ed9309ce73ee5ce464ecbf9c141e"),
+]
+
+
+@pytest.mark.parametrize("group, fan_kind, code, stdout_sha, report_sha", VERIFY_PINS,
+                         ids=[f"{p[0]} {p[1]}" for p in VERIFY_PINS])
+def test_verify_outcome_is_pinned(group, fan_kind, code, stdout_sha, report_sha,
+                                  tmp_path, capsys):
+    fan, report = tmp_path / "fan.json", tmp_path / "report.json"
+    kind, _, arg = fan_kind.partition(" ")
+    if kind == "fold":
+        seq = ",".join(f"g{i}" for i in range(1, int(arg) + 1))
+        assert main(["resolve", group, "--sequence", seq, "--out", str(fan)]) == 0
+    elif kind == "search":
+        assert main(["resolve", group, "--search", arg, "--out", str(fan)]) == 0
+    else:
+        lattice = parse_group(group).lattice
+        write_json(str(fan), fan_to_json(
+            nonstar_order6_fan(lattice) if kind == "nonstar" else sigma_fan(lattice)))
+    capsys.readouterr()
+    assert main(["verify", str(fan), group, "--out", str(report)]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_sha
 
 
 def test_analyze_rejects_dimension_above_bound(capsys):

@@ -1,3 +1,6 @@
+import ast
+import traceback
+from functools import cache
 from math import gcd
 
 import hypothesis.strategies as st
@@ -25,6 +28,8 @@ from oracles import (
     validate_fan_all_pairs,
     xi_g,
 )
+import torcrep.exceptional as exceptional
+from torcrep.cli import main
 from torcrep.divisors import class_group
 from torcrep.errors import CertificateFailure, TorcrepError
 from torcrep.exceptional import (
@@ -35,7 +40,9 @@ from torcrep.exceptional import (
     coverage_check,
     star_fan,
 )
-from torcrep.fans import fan_from_json, fan_to_json, make_cone, make_fan, sigma_fan, validate_fan
+from torcrep.fans import (
+    Fan, fan_from_json, fan_to_json, make_cone, make_fan, sigma_fan, validate_fan,
+)
 from torcrep.groups import close_group, compact_juniors
 from torcrep.hilbert import hilbert_basis
 from torcrep.intlinalg import IntMatrix
@@ -415,3 +422,151 @@ def test_compact_surfaces_satisfy_noether(case):
     for g in compact_juniors(group):
         ints = classify_surface(star_fan(fan, g)).self_intersections
         assert sum(ints) == 12 - 3 * len(ints)
+
+
+# Every ``raise CertificateFailure`` site of exceptional.py, with a call that
+# makes it fire.  On input that verify accepts the star-fan and anchor-map
+# checks cannot fire (certify_normal_embedding's docstring), so each of them
+# fires on a code fault seeded in the function it guards; the surface checks
+# fire on a crafted star fan.  A case is (faults, call, message); a fault
+# maps a name in exceptional to a function that wraps what the name holds.
+
+
+@cache
+def _order6():
+    """The order-6 resolution over g1..g4 and its compact junior g1."""
+    return resolve(_Z6, _Z6.juniors).fan, _Z6.juniors[0]
+
+
+@cache
+def _order3_unit():
+    """The resolution of 3:(1,2) in n = 2 and its unit ray e1, which lies in one cone."""
+    group = close_group([LatticePoint((1, 2), 3)])
+    return resolve(group, group.juniors).fan, LatticePoint((3, 0), 3)
+
+
+def _certify(target):
+    return lambda: certify_normal_embedding(*target())
+
+
+def _surface(*cones):
+    rays = [[LatticePoint(r, 1) for r in c] for c in cones]
+    fan = make_fan(std_lattice(2), map(make_cone, rays))
+    return lambda: classify_surface(plain_star(fan))
+
+
+def _second_row_times(k):
+    """A fault in quotient_by_ray (n = 3): the projection's second row times k."""
+    def fault(quotient):
+        def faulty(v, w):
+            first, second = quotient(v, w).data
+            return IntMatrix([first, tuple(k * x for x in second)])
+        return faulty
+    return fault
+
+
+def _solution(edit):
+    """A fault in solve: its ``(numerator columns, d)`` edited."""
+    return lambda solve: lambda rows, rhs: edit(*solve(rows, rhs))
+
+
+def _apex_off(solve):
+    """A fault in solve: the apex's image moved from g to g plus the anchor ray before it."""
+    def faulty(rows, rhs):
+        j = rows.index((0,) * (len(rows[0]) - 1) + (1,))  # the apex's preimage row
+        return solve(rows, [(*b[:j], b[j] + b[j - 1], *b[j + 1:]) for b in rhs])
+    return faulty
+
+
+def _star_cones(edit):
+    """A fault in star_fan: its maximal cones edited."""
+    def fault(star_fan):
+        def faulty(fan, g):
+            s = star_fan(fan, g)
+            return StarFan(Fan(s.fan.lattice, edit(s.fan.maximal_cones)), s.lifts, s.complete)
+        return faulty
+    return fault
+
+
+_ANCHOR6 = "anchor Cone((1/6)(0,0,6), (1/6)(0,6,0), (1/6)(1,2,3))"
+CERTIFICATE_FAULTS = {
+    "two rays, one star ray": (
+        {"quotient_by_ray": _second_row_times(0)}, _certify(_order6),
+        "rays (1/6)(0,0,6) and (1/6)(2,4,0) project to the same star ray (0,0)"),
+    "star ray not primitive": (
+        {"quotient_by_ray": _second_row_times(2)}, _certify(_order6),
+        "star ray (-2,-6) is not primitive; fan is singular along the ray"),
+    "anchor map not unimodular": (
+        {"solve": _solution(lambda cols, d: (cols, 2 * d))},
+        _certify(_order6), f"{_ANCHOR6}: induced map is not unimodular"),
+    "ray off its lift": (
+        {"solve": _solution(lambda cols, d: (cols[::-1], d))},
+        _certify(_order6), f"{_ANCHOR6}: ray (-2,-3) maps off its lift (1/6)(6,0,0)"),
+    # the apex is an anchor ray, so only a wrong solve moves it; at a ray in
+    # one cone every lift is an anchor ray, whose images the fault keeps
+    "apex off the ray": (
+        {"solve": _apex_off}, _certify(_order3_unit),
+        "anchor Cone((1/3)(2,1), (1/3)(3,0)): apex does not map to the ray"),
+    "cone not fresh": (
+        {"star_fan": _star_cones(lambda cones: cones + cones[:1])}, _certify(_order6),
+        "cone Cone((-2,-3,1), (-1,-2,1), (0,0,1)) maps to "
+        "Cone((1/6)(1,2,3), (1/6)(4,2,0), (1/6)(6,0,0)), not a fresh maximal cone"),
+    "cone map not onto": (
+        {"star_fan": _star_cones(lambda cones: cones[:-1])}, _certify(_order6),
+        "cone map is not onto the open subfan"),
+    "cones not one cycle": (
+        {}, _surface([(1, 0), (0, 1)], [(0, 1), (-1, -1)]),
+        "maximal cones do not form a single cycle"),
+    "adjacent rays span no cone": (  # (1,0) and (0,1) are not adjacent
+        {}, _surface([(1, 0), (1, 1)], [(1, 1), (0, 1)], [(0, 1), (-1, -1)],
+                     [(1, 0), (0, 1)]),
+        "adjacent rays do not span a maximal cone"),
+    "adjacent pair not a basis": (
+        {}, _surface([(1, 0), (1, 2)], [(1, 2), (-1, -1)], [(-1, -1), (1, 0)]),
+        "adjacent ray pair is not a lattice basis"),
+}
+
+
+def _fire(case):
+    """The message of the case's CertificateFailure and the ``(file, line)`` that raised it."""
+    faults, call, _ = CERTIFICATE_FAULTS[case]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fault in faults.items():
+            mp.setattr(exceptional, name, fault(getattr(exceptional, name)))
+        with pytest.raises(CertificateFailure) as info:
+            call()
+    frame = traceback.extract_tb(info.tb)[-1]
+    return str(info.value), (frame.filename, frame.lineno)
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_FAULTS)
+def test_certificate_check_fires(case):
+    assert _fire(case)[0] == CERTIFICATE_FAULTS[case][2]
+
+
+def test_every_certificate_check_has_a_case():
+    path = exceptional.__file__
+    with open(path) as f:
+        tree = ast.parse(f.read(), filename=path)
+    sites = {(path, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and getattr(node.exc.func, "id", None) == "CertificateFailure"}
+    reached = {_fire(case)[1] for case in CERTIFICATE_FAULTS}
+    assert len(reached) == len(CERTIFICATE_FAULTS)  # one case per site
+    assert [f"{file}:{line}" for file, line in sorted(sites - reached)] == []
+    assert reached <= sites
+
+
+@pytest.mark.parametrize("case", ["star ray not primitive", "anchor map not unimodular"])
+def test_verify_ends_at_the_first_failing_check(case, tmp_path, capsys, monkeypatch):
+    # a star-fan check and an anchor-map check end verify the same way: the
+    # junior named on stderr, exit 1 and no report
+    faults, _, message = CERTIFICATE_FAULTS[case]
+    fan, report = tmp_path / "z6.json", tmp_path / "report.json"
+    assert main(["resolve", "6:(1,2,3)", "--sequence", "g1,g2,g3,g4", "--out", str(fan)]) == 0
+    capsys.readouterr()
+    for name, fault in faults.items():
+        monkeypatch.setattr(exceptional, name, fault(getattr(exceptional, name)))
+    assert main(["verify", str(fan), "6:(1,2,3)", "--out", str(report)]) == 1
+    assert capsys.readouterr() == ("", f"certificate failure: junior g1 (1/6)(1,2,3): {message}\n")
+    assert not report.exists()

@@ -427,3 +427,14 @@ def test_result_json(z6_result):
     assert len(data["cone_terminal"]) == 6
     assert all(data["cone_terminal"])
     assert len(data["sequence"]) == 4
+
+
+def test_the_ray_set_does_not_fix_a_star_fan(z6, z6_result, z6_result_alt):
+    # folding g1, g3 and g3, g1 gives the same rays and different cones, so
+    # a memo of star fans must be keyed by something that fixes the cone set
+    g1, g3 = z6.juniors[0], z6.juniors[2]
+    pairs = [(resolve(z6, [g1, g3]).fan, resolve(z6, [g3, g1]).fan),
+             (z6_result.fan, z6_result_alt.fan)]
+    for a, b in pairs:
+        assert a.rays == b.rays
+        assert set(a.maximal_cones) != set(b.maximal_cones)
