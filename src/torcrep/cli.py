@@ -45,7 +45,7 @@ from .exceptional import (
 from .fans import Fan, fan_from_json, validate_fan
 from .groups import GroupData, close_group, compact_juniors, crepant_obstructions, element_names
 from .hilbert import hilbert_basis
-from .lattice import LatticePoint
+from .lattice import LatticePoint, generator_fault
 from .resolve import is_crepant, resolve, result_to_json, search_resolution
 from .svg import junior_graph_svg
 
@@ -61,13 +61,14 @@ _GEN_RE = re.compile(r"^\s*(\d+)\s*:\s*\(\s*(-?\d+(?:\s*,\s*-?\d+)*)\s*\)\s*$", 
 
 
 def _pieces(text: str):
-    """``(line, column, piece)`` of each nonblank ``;``-separated piece of each
-    line (ended by a line feed alone) of the text, after its ``#`` comment is cut."""
+    """``(line, column of its first non-blank, piece)`` of each nonblank ``;``-separated
+    piece of each line (ended by a line feed alone), after its ``#`` comment is cut."""
     for lineno, raw in enumerate(text.split("\n"), start=1):
         col = 1
         for piece in raw.split("#", 1)[0].split(";"):
-            if piece.strip(string.whitespace):  # as the pattern's ASCII \s
-                yield lineno, col, piece
+            got = piece.lstrip(string.whitespace)  # blank as the pattern's ASCII \s
+            if got:
+                yield lineno, col + len(piece) - len(got), piece
             col += len(piece) + 1
 
 
@@ -76,37 +77,25 @@ def parse_group(text: str) -> GroupData:
     gens = []
     n = None
     for lineno, col, piece in _pieces(text):
+        where = f"line {lineno}, col {col}"
         m = _GEN_RE.match(piece)
         if not m:
             # the pattern's \s is ASCII, so a Unicode space it refused stays in view
             got = piece.strip(string.whitespace)
-            col += len(piece) - len(piece.lstrip(string.whitespace))
-            raise InputError(f"line {lineno}, col {col}: expected 'r:(a1,...,an)', got {got!r}")
+            raise InputError(f"{where}: expected 'r:(a1,...,an)', got {got!r}")
         try:
             r = int(m.group(1))
             coords = tuple(int(x) for x in m.group(2).split(","))
         except ValueError as exc:  # the interpreter's int-string digit limit
-            raise InputError(
-                f"line {lineno}, col {col}: number too long: "
-                f"more than {sys.get_int_max_str_digits()} digits") from exc
+            raise InputError(f"{where}: number too long: "
+                             f"more than {sys.get_int_max_str_digits()} digits") from exc
         if len(coords) > MAX_DIM:
-            raise InputError(
-                f"line {lineno}: dimension {len(coords)} exceeds the bound {MAX_DIM}"
-            )
+            raise InputError(f"{where}: dimension {len(coords)} exceeds the bound {MAX_DIM}")
         if r < 1:
-            raise InputError(f"line {lineno}, col {col}: order must be positive")
-        if any(a < 0 or a >= r for a in coords):
-            raise InputError(f"line {lineno}, col {col}: coordinates must lie in [0, {r})")
-        if sum(coords) % r:
-            raise InputError(
-                f"line {lineno}: coordinate sum {sum(coords)} is not 0 mod {r}"
-            )
-        if n is None:
-            n = len(coords)
-        elif n != len(coords):
-            raise InputError(
-                f"line {lineno}: dimension {len(coords)} differs from {n}"
-            )
+            raise InputError(f"{where}: order must be positive")
+        if fault := generator_fault(coords, r, n):
+            raise InputError(f"{where}: {fault}")
+        n = len(coords)
         gens.append(LatticePoint(coords, r))
     if n is None:
         raise InputError("no generators found")

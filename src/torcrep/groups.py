@@ -17,7 +17,7 @@ from math import gcd, lcm
 from operator import add, mod
 
 from .errors import InputError, InvariantError
-from .lattice import LatticePoint, Record, ScaledLattice, build_lattice
+from .lattice import LatticePoint, Record, ScaledLattice, build_lattice, generator_fault
 
 MAX_ELEMENTS = 10**6  # closure limit, read at each call
 
@@ -49,22 +49,13 @@ class GroupData(Record):
 
 
 def _normalize_generators(generators, n):
-    """Rescale to the lcm of the element orders and reduce mod r."""
-    r0 = lcm(*(g.denom for g in generators))
-    scaled = []
+    """Check each generator, then rescale all to the lcm of the element orders."""
     for g in generators:
-        if g.dim != n:
-            raise InputError(
-                f"generator {g} has dimension {g.dim}, expected {n}"
-            )
-        coords = tuple(c * (r0 // g.denom) % r0 for c in g.coords)
-        if sum(coords) % r0:
-            raise InputError(f"generator {g}: coordinate sum is not 0 mod {g.denom}")
-        scaled.append(coords)
-    d = r0
-    for coords in scaled:
-        for c in coords:
-            d = gcd(d, c)
+        if fault := generator_fault(g.coords, g.denom, n):
+            raise InputError(f"generator {g}: {fault}")
+    r0 = lcm(*(g.denom for g in generators))
+    scaled = [tuple(c * (r0 // g.denom) for c in g.coords) for g in generators]
+    d = gcd(r0, *chain.from_iterable(scaled))
     r = r0 // d
     return [LatticePoint(tuple(c // d for c in coords), r) for coords in scaled], r
 
@@ -98,7 +89,8 @@ def closure(gens, r: int):
 
 
 def close_group(generators, n: int | None = None) -> GroupData:
-    """Smallest set containing the generators and 0, closed under + mod r."""
+    """Smallest set containing the generators and 0, closed under + mod r; a generator
+    that breaks a rule of ``generator_fault`` is an InputError, none is reduced mod r."""
     generators = list(generators)
     if not generators:
         if n is None:
@@ -122,6 +114,7 @@ def close_group(generators, n: int | None = None) -> GroupData:
     gc.disable()
     try:
         coords = sorted([(0,) * n, *closure([g.coords for g in gens], r)])
+        # the closure of the generators is N / Z^n, whose size is the lattice index
         if len(coords) != order:
             raise InvariantError("lattice index must equal #G")
         elements = tuple([LatticePoint(c, r) for c in coords])

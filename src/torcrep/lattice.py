@@ -109,6 +109,7 @@ class LatticePoint:
     @property
     def age(self) -> int:
         """Coordinate sum divided by the denominator, an integer for a point of ``N``."""
+        # a point of N has an integral age; the API can make a point off N, and reach this
         if self._age is None:
             raise InvariantError(f"{self} has non-integral age")
         return self._age
@@ -174,31 +175,40 @@ class ScaledLattice(Record):
         return self.coords_or_none(p) is not None
 
 
+def generator_fault(coords, r: int, n: int | None) -> str | None:
+    """The first rule of a generator ``r:(a1,...,an)`` of a group in ``SL(n)`` that
+    ``coords`` breaks, or None: each ``ai`` in ``[0, r)``, ``sum ai = 0 mod r``
+    (determinant one), and ``n`` coordinates unless ``n`` is None."""
+    if any(a < 0 or a >= r for a in coords):
+        return f"coordinates must lie in [0, {r})"
+    if sum(coords) % r:
+        return f"coordinate sum {sum(coords)} is not 0 mod {r}"
+    if n is not None and len(coords) != n:
+        return f"dimension {len(coords)} differs from {n}"
+    return None
+
+
 def build_lattice(gens, n: int, denom: int) -> ScaledLattice:
     """Hermite basis of ``Z^n + sum Z*g`` for scaled generators ``gens``.
 
-    Generators must have coordinates in ``[0, denom)`` and coordinate sum
-    divisible by ``denom`` (the determinant-one condition).
+    Each generator has denominator ``denom`` and keeps the rules of
+    :func:`generator_fault`; none is reduced mod ``denom``.
     """
     if type(denom) is not int or denom < 1:
         raise InputError(f"denominator must be a positive integer, got {denom!r}")
     cols = [tuple(denom if j == i else 0 for j in range(n)) for i in range(n)]
     for g in gens:
-        if g.dim != n:
-            raise InputError(f"generator {g} has dimension {g.dim}, expected {n}")
         if g.denom != denom:
             raise TorcrepError("generators must share one denominator")
-        if any(c < 0 or c >= denom for c in g.coords):
-            raise InputError(f"generator {g} has coordinates outside [0, r)")
-        if sum(g.coords) % denom:
-            raise InputError(
-                f"generator {g} violates the determinant-one condition"
-            )
+        if fault := generator_fault(g.coords, denom, n):
+            raise InputError(f"generator {g}: {fault}")
         cols.append(g.coords)
     h = hermite_normal_form(cols)
+    # the columns span a lattice of rank n, and a Hermite form puts its zero columns last
     if any(any(c) for c in h[n:]):
         raise InvariantError("Hermite form left extra columns")
     basis = IntMatrix(zip(*h[:n]))
+    # the columns r*e_i alone span a full-rank lattice, so the n nonzero columns do too
     if basis.det() == 0:
         raise InvariantError("lattice basis is singular")
     return ScaledLattice(n, denom, basis)
@@ -216,6 +226,7 @@ def quotient_by_ray(v: LatticePoint, w: tuple[int, ...]) -> IntMatrix:
     # are the Hermite basis of the annihilator of w, which maps N onto Z^(n-1)
     units = IntMatrix.identity(len(w)).data
     h = hermite_normal_form([(w_j, *e_j) for w_j, e_j in zip(w, units)])
+    # w u = e_1 as w is primitive, so every other column has a zero first entry
     if any(col[0] for col in h[1:]):
         raise InvariantError(f"quotient by {v} does not have {v} in its kernel")
     return IntMatrix([col[1:] for col in h[1:]])

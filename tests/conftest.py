@@ -1,5 +1,7 @@
+import ast
 import random
 import sys
+import traceback
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -78,6 +80,32 @@ def z7_hilbert_result(z7):
 def z6_nonstar_fan(z6):
     """Hand-entered crepant model of the order-6 example (not a star fan)."""
     return nonstar_order6_fan(z6.lattice)
+
+
+def raised_at(module, faults, call, exc_type):
+    """The message of the ``exc_type`` that ``call()`` raises, and the ``(file, line)``
+    that raised it, with each fault (name -> wrapper of the module's own) in place."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, fault in faults.items():
+            mp.setattr(module, name, fault(getattr(module, name)))
+        with pytest.raises(exc_type) as info:
+            call()
+    frame = traceback.extract_tb(info.tb)[-1]
+    return str(info.value), (frame.filename, frame.lineno)
+
+
+def assert_each_raise_reached(module, reached, exc_name=None):
+    """Fail by ``file:line`` on each ``raise`` in the module's source (of ``exc_name``
+    alone when given) that no case reached; ``reached`` holds each case's site."""
+    path = module.__file__
+    with open(path) as f:
+        tree = ast.parse(f.read(), filename=path)
+    sites = {(path, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+             and exc_name in (None, getattr(node.exc.func, "id", None))}
+    assert len(set(reached)) == len(reached)  # one case per site
+    assert [f"{file}:{line}" for file, line in sorted(sites - set(reached))] == []
+    assert set(reached) <= sites
 
 
 @pytest.fixture()

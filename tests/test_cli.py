@@ -81,7 +81,7 @@ def test_parse_rejects_out_of_range():
 
 
 def test_parse_rejects_mixed_dimension():
-    with pytest.raises(InputError, match="line 2: dimension 3 differs from 2"):
+    with pytest.raises(InputError, match="line 2, col 1: dimension 3 differs from 2"):
         parse_group("2:(1,1)\n3:(1,1,1)")
 
 
@@ -94,7 +94,13 @@ def test_parse_rejects_empty():
     ("6:(1,2,3);6:(1,2,3)\nbad", "line 2, col 1: expected 'r:(a1,...,an)', got 'bad'"),
     ("6:(1,2,3);  7:(1,x)", "line 1, col 13: expected 'r:(a1,...,an)', got '7:(1,x)'"),
     ("6:(1,2,3)\n# c\n  6:(1,2,3) ;6:(1,2,9)", "line 3, col 14: coordinates must lie in [0, 6)"),
-], ids=["second-line", "second-piece", "third-piece"])
+    ("6:(1,2,3);  6:(1,2,9)", "line 1, col 13: coordinates must lie in [0, 6)"),
+    ("6:(1,2,3)\n \t6:(1,2,2)", "line 2, col 3: coordinate sum 5 is not 0 mod 6"),
+    ("6:(1,2,3); 2:(1,1)", "line 1, col 12: dimension 2 differs from 3"),
+    (f"6:(1,2,3);  1:({','.join(['0'] * 65)})",
+     "line 1, col 13: dimension 65 exceeds the bound 64"),
+], ids=["second-line", "second-piece", "third-piece", "range-after-blanks", "sum", "dimension",
+        "dimension-bound"])
 def test_group_error_names_the_line_and_column_of_the_text(text, message, tmp_path, capsys):
     # ";" splits a line into pieces; the line and column are the text's own
     with pytest.raises(InputError) as info:
@@ -104,6 +110,43 @@ def test_group_error_names_the_line_and_column_of_the_text(text, message, tmp_pa
     path.write_text(text)
     assert main(["analyze", str(path), "--file"]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@st.composite
+def one_generator(draw):
+    """``r`` and ``n`` coordinates in ``[-r, 2r)``, so the range and sum rules may fail."""
+    n, r = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    return r, tuple(draw(st.lists(st.integers(-r, 2 * r - 1), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_generator())
+@example((6, (7, 5, 0)))  # once read by the API as (1/6)(1,5,0)
+@example((6, (-1, 1, 0)))  # once read by the API as (1/6)(5,1,0)
+@example((6, (1, 2, 2)))
+@example((6, (1, 2, 3)))
+def test_group_text_and_the_api_keep_one_generator_rule(case):
+    # the same generator is accepted by both into one group, or refused by
+    # both with one fault behind each caller's own prefix
+    r, coords = case
+    point = LatticePoint(coords, r)
+    try:
+        group = parse_group(f"{r}:({','.join(map(str, coords))})")
+    except InputError as exc:
+        where, fault = str(exc).split(": ", 1)
+        assert where == "line 1, col 1"
+        with pytest.raises(InputError) as info:
+            close_group([point], len(coords))
+        assert str(info.value) == f"generator {point}: {fault}"
+    else:
+        assert close_group([point], len(coords)) == group
+
+
+def test_group_text_and_the_api_name_one_dimension_fault():
+    with pytest.raises(InputError, match=r"^line 2, col 1: dimension 2 differs from 3$"):
+        parse_group("6:(1,2,3)\n2:(1,1)")
+    with pytest.raises(InputError, match=r"^generator \(1/2\)\(1,1\): dimension 2 differs from 3$"):
+        close_group([LatticePoint((1, 2, 3), 6), LatticePoint((1, 1), 2)], 3)
 
 
 @pytest.mark.parametrize("text", [
@@ -588,7 +631,7 @@ def test_group_file_rejects_dimension_above_bound(tmp_path, capsys):
     path = tmp_path / "group.txt"
     path.write_text("# a long trivial generator\n1:(" + ",".join(["0"] * 4000) + ")\n")
     assert main(["analyze", str(path), "--file"]) == 2
-    assert f"line 2: dimension 4000 exceeds the bound {MAX_DIM}" in capsys.readouterr().err
+    assert f"line 2, col 1: dimension 4000 exceeds the bound {MAX_DIM}" in capsys.readouterr().err
 
 
 def test_group_file_input(tmp_path, capsys):
@@ -961,17 +1004,18 @@ def test_export_graph_wrong_group(tmp_path, capsys):
 
 # how each kind of bad input ends: the exit code and the whole of stderr
 @pytest.mark.parametrize("argv, code, err", [
-    (["analyze", "6:(1,2,2)"], 2, "input error: line 1: coordinate sum 5 is not 0 mod 6\n"),
+    (["analyze", "6:(1,2,2)"], 2, "input error: line 1, col 1: coordinate sum 5 is not 0 mod 6\n"),
     (["analyze", "6:1,2,3"], 2,
      "input error: line 1, col 1: expected 'r:(a1,...,an)', got '6:1,2,3'\n"),
     (["analyze", "6:(1,2,9)"], 2, "input error: line 1, col 1: coordinates must lie in [0, 6)\n"),
     (["analyze", "0:(0,0)"], 2, "input error: line 1, col 1: order must be positive\n"),
-    (["analyze", "2:(1,1)\n3:(1,1,1)"], 2, "input error: line 2: dimension 3 differs from 2\n"),
+    (["analyze", "2:(1,1)\n3:(1,1,1)"], 2,
+     "input error: line 2, col 1: dimension 3 differs from 2\n"),
     (["analyze", "# nothing"], 2, "input error: no generators found\n"),
     (["analyze", "1001:(1,1000,0)\n1001:(0,1,1000)"], 2,
      "input error: group of order 1002001 exceeds the closure limit of 1000000 elements\n"),
     (["analyze", f"1:({','.join(['0'] * 65)})"], 2,
-     "input error: line 1: dimension 65 exceeds the bound 64\n"),
+     "input error: line 1, col 1: dimension 65 exceeds the bound 64\n"),
     (["resolve", "8:(2,3,3)", "--sequence", "g6"], 2,
      "input error: sequence element g6 (1/8)(4,6,6) is not primitive\n"),
     (["resolve", "6:(1,2,3)", "--sequence", "g9"], 2,

@@ -1,5 +1,3 @@
-import ast
-import traceback
 from functools import cache
 from math import gcd
 
@@ -9,8 +7,10 @@ from hypothesis import Phase, example, find, given, settings
 
 from conftest import (
     Z7_HILBERT_SEQUENCE,
+    assert_each_raise_reached,
     crepant3_resolutions,
     nonstar_order6_fan,
+    raised_at,
     smooth_fans,
     validated_fans,
 )
@@ -530,13 +530,7 @@ CERTIFICATE_FAULTS = {
 def _fire(case):
     """The message of the case's CertificateFailure and the ``(file, line)`` that raised it."""
     faults, call, _ = CERTIFICATE_FAULTS[case]
-    with pytest.MonkeyPatch.context() as mp:
-        for name, fault in faults.items():
-            mp.setattr(exceptional, name, fault(getattr(exceptional, name)))
-        with pytest.raises(CertificateFailure) as info:
-            call()
-    frame = traceback.extract_tb(info.tb)[-1]
-    return str(info.value), (frame.filename, frame.lineno)
+    return raised_at(exceptional, faults, call, CertificateFailure)
 
 
 @pytest.mark.parametrize("case", CERTIFICATE_FAULTS)
@@ -545,16 +539,8 @@ def test_certificate_check_fires(case):
 
 
 def test_every_certificate_check_has_a_case():
-    path = exceptional.__file__
-    with open(path) as f:
-        tree = ast.parse(f.read(), filename=path)
-    sites = {(path, node.lineno) for node in ast.walk(tree)
-             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-             and getattr(node.exc.func, "id", None) == "CertificateFailure"}
-    reached = {_fire(case)[1] for case in CERTIFICATE_FAULTS}
-    assert len(reached) == len(CERTIFICATE_FAULTS)  # one case per site
-    assert [f"{file}:{line}" for file, line in sorted(sites - reached)] == []
-    assert reached <= sites
+    reached = [_fire(case)[1] for case in CERTIFICATE_FAULTS]
+    assert_each_raise_reached(exceptional, reached, "CertificateFailure")
 
 
 @pytest.mark.parametrize("case", ["star ray not primitive", "anchor map not unimodular"])

@@ -1,11 +1,11 @@
 import gc
-from itertools import product
+from itertools import islice, product
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, example, find, given, settings
 
-from conftest import random_cyclic_group, small_groups
+from conftest import assert_each_raise_reached, raised_at, random_cyclic_group, small_groups
 from oracles import closure_bfs, closure_by_zip, element_names_by_key, is_zero, junior_simplex
 from torcrep import groups
 from torcrep.errors import InputError, InvariantError
@@ -42,7 +42,8 @@ def test_close_empty(trivial3):
 
 
 def test_close_rejects_non_sl():
-    with pytest.raises(InputError, match="coordinate sum is not 0 mod 6"):
+    message = r"^generator \(1/6\)\(1,2,2\): coordinate sum 5 is not 0 mod 6$"
+    with pytest.raises(InputError, match=message):
         close_group([LatticePoint((1, 2, 2), 6)])
 
 
@@ -256,3 +257,36 @@ def test_closure_matches_breadth_first_oracle(case):
     assert (0,) * len(gens[0]) not in got
     assert set(got) == set(closure_bfs(gens, r))
     assert got == list(closure_by_zip(gens, r))  # the same tuples in the same order
+
+
+# one case per raise in groups.py: the faults, the call, the exception and its message
+GROUPS_RAISES = {
+    "generator off its rules": (
+        {}, lambda: close_group([LatticePoint((-1, 1, 0), 6)]), InputError,
+        "generator (1/6)(-1,1,0): coordinates must lie in [0, 6)"),
+    "trivial group without n": (
+        {}, lambda: close_group([]), InputError, "dimension required for the trivial group"),
+    "closure limit": (
+        {}, lambda: close_group([LatticePoint((1, 1000, 0), 1001),
+                                 LatticePoint((0, 1, 1000), 1001)]), InputError,
+        "group of order 1002001 exceeds the closure limit of 1000000 elements"),
+    # the closure is N / Z^n on any input, so only a closure that drops an element fires it
+    "closure short of the index": (
+        {"closure": lambda closure: lambda gens, r: islice(closure(gens, r), 1, None)},
+        lambda: close_group([LatticePoint((1, 2, 3), 6)]), InvariantError,
+        "lattice index must equal #G"),
+}
+
+
+def _raise(case):
+    faults, call, exc_type, _ = GROUPS_RAISES[case]
+    return raised_at(groups, faults, call, exc_type)
+
+
+@pytest.mark.parametrize("case", GROUPS_RAISES)
+def test_groups_raise_fires(case):
+    assert _raise(case)[0] == GROUPS_RAISES[case][3]
+
+
+def test_every_groups_raise_has_a_case():
+    assert_each_raise_reached(groups, [_raise(case)[1] for case in GROUPS_RAISES])

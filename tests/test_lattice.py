@@ -2,7 +2,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from conftest import random_cyclic_group
+from conftest import assert_each_raise_reached, raised_at, random_cyclic_group
 from oracles import (
     basis_coords,
     from_basis_coords,
@@ -14,11 +14,13 @@ from oracles import (
     project,
     quotient_projection_two_forms,
 )
-from torcrep.errors import InputError, TorcrepError
+from torcrep import lattice
+from torcrep.errors import InputError, InvariantError, TorcrepError
 from torcrep.groups import close_group
 from torcrep.intlinalg import IntMatrix
 from torcrep.lattice import (
     LatticePoint,
+    ScaledLattice,
     build_lattice,
     quotient_by_ray,
     unit_point,
@@ -48,7 +50,8 @@ def test_build_order5_alternative_basis(z5):
 
 
 def test_build_rejects_bad_generator():
-    with pytest.raises(InputError, match="violates the determinant-one condition"):
+    message = r"^generator \(1/6\)\(1,2,2\): coordinate sum 5 is not 0 mod 6$"
+    with pytest.raises(InputError, match=message):
         build_lattice([LatticePoint((1, 2, 2), 6)], 3, 6)
 
 
@@ -242,3 +245,72 @@ def test_age_is_scaled_sum(r, a, b):
     p = LatticePoint((a % r, b % r, c), r)
     assert p.age * r == sum(p.coords)
     assert type(p.age) is int  # coordinate sum is 0 mod r by construction
+
+
+def _hermite_edit(edit):
+    """A fault in hermite_normal_form: its columns edited."""
+    return lambda hermite: lambda cols: edit(hermite(cols))
+
+
+_Z6_GEN = LatticePoint((1, 2, 3), 6)
+# one case per raise in lattice.py: the faults, the call, the exception and its message;
+# the InvariantError sites cannot fire on any input, so a fault in the Hermite form seeds each
+LATTICE_RAISES = {
+    "record arity": (
+        {}, lambda: ScaledLattice(3, 6), TypeError,
+        "ScaledLattice takes the fields ('dim', 'denom', 'basis'), got 2 positional and []"),
+    "record assignment": (
+        {}, lambda: setattr(_Z6_GEN, "denom", 5), AttributeError,
+        "cannot assign to or delete field 'denom'"),
+    "float coordinate": (
+        {}, lambda: LatticePoint((1.0, 2, 3), 6), TypeError,
+        "coordinates must be integers, got (1.0, 2, 3)"),
+    "float denominator": (
+        {}, lambda: LatticePoint((1, 2, 3), 6.0), TypeError,
+        "denominator must be an integer, got 6.0"),
+    "zero denominator": (
+        {}, lambda: LatticePoint((1, 2, 3), 0), ValueError, "denominator must be positive"),
+    "age off N": (  # the API makes a point off N; group text cannot
+        {}, lambda: LatticePoint((1, 2, 2), 6).age, InvariantError,
+        "(1/6)(1,2,2) has non-integral age"),
+    "point of another denominator": (
+        {}, lambda: build_lattice([], 3, 6).contains(LatticePoint((1, 2, 2), 5)), TorcrepError,
+        "point denom 5 differs from lattice denom 6"),
+    "lattice denominator zero": (
+        {}, lambda: build_lattice([], 3, 0), InputError,
+        "denominator must be a positive integer, got 0"),
+    "generators of two denominators": (
+        {}, lambda: build_lattice([_Z6_GEN, LatticePoint((2, 4, 6), 12)], 3, 6), TorcrepError,
+        "generators must share one denominator"),
+    "generator off its rules": (
+        {}, lambda: build_lattice([LatticePoint((7, 5, 0), 6)], 3, 6), InputError,
+        "generator (1/6)(7,5,0): coordinates must lie in [0, 6)"),
+    "extra Hermite column": (
+        {"hermite_normal_form": _hermite_edit(lambda h: [*h[:-1], (0, 0, 1)])},
+        lambda: build_lattice([_Z6_GEN], 3, 6), InvariantError,
+        "Hermite form left extra columns"),
+    "singular basis": (
+        {"hermite_normal_form": _hermite_edit(lambda h: [(0, 0, 0), *h[1:]])},
+        lambda: build_lattice([_Z6_GEN], 3, 6), InvariantError, "lattice basis is singular"),
+    "ray not primitive": (
+        {}, lambda: quotient_by_ray(LatticePoint((2, 4, 6), 6), (2, 4, 6)), TorcrepError,
+        "(1/6)(2,4,6) is not primitive"),
+    "ray outside its kernel": (
+        {"hermite_normal_form": _hermite_edit(lambda h: [h[0], (1, *h[1][1:]), *h[2:]])},
+        lambda: quotient_by_ray(_Z6_GEN, (1, 0, 0)), InvariantError,
+        "quotient by (1/6)(1,2,3) does not have (1/6)(1,2,3) in its kernel"),
+}
+
+
+def _raise(case):
+    faults, call, exc_type, _ = LATTICE_RAISES[case]
+    return raised_at(lattice, faults, call, exc_type)
+
+
+@pytest.mark.parametrize("case", LATTICE_RAISES)
+def test_lattice_raise_fires(case):
+    assert _raise(case)[0] == LATTICE_RAISES[case][3]
+
+
+def test_every_lattice_raise_has_a_case():
+    assert_each_raise_reached(lattice, [_raise(case)[1] for case in LATTICE_RAISES])
