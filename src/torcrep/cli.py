@@ -24,9 +24,11 @@ import os
 import re
 import string
 import sys
+from collections.abc import Sequence
 from functools import cache
-from itertools import chain, islice
-from math import gcd
+from itertools import chain, islice, repeat, starmap
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from math import gcd, prod
 
 from .divisors import class_group, class_group_to_json
 from .errors import (
@@ -112,10 +114,11 @@ def _read_text(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_pieces(path: str, pieces) -> None:
+    """Write each string in turn; a failure is an InputError, and what was written stays."""
     try:
         with open(path, "w") as f:
-            f.write(text)
+            f.writelines(pieces)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -137,26 +140,99 @@ def _load_fan(path: str, group: GroupData) -> Fan:
     return fan
 
 
-def _json_text(v, pad: str) -> str:
-    # the layout of json.dumps(v, sort_keys=True, indent=1), with each flat
-    # integer list (most of a bundle) joined at once
+# the stdlib's C encoder writes each of these, and a container of them alone, in one call
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+_INT, _ARRAYS = frozenset({int}), frozenset({list, tuple})
+
+
+@cache
+def _template(shape: tuple[int, ...], pad: str) -> str:
+    """``str.format`` template of a rectangular int array of ``shape`` written at ``pad``."""
+    if not shape:
+        return "{}"
     inner = pad + " "
-    sep = ",\n" + inner
-    if isinstance(v, dict) and v:
-        body = sep.join(f"{json.dumps(k)}: {_json_text(v[k], inner)}" for k in sorted(v))
-        return "{\n" + inner + body + "\n" + pad + "}"
-    if isinstance(v, (list, tuple)) and v:
-        if set(map(type, v)) == {int}:
-            body = sep.join(map(str, v))
-        else:
-            body = sep.join(_json_text(x, inner) for x in v)
+    item = _template(shape[1:], inner)
+    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + pad + "]"
+
+
+@cache
+def _flat_encoder(pad: str):
+    """``json.dumps`` of a scalar or a container of scalars, with the item separator of
+    ``indent=1`` at ``pad``: the encoder ``JSONEncoder.encode`` builds, built once."""
+    sep = ",\n" + pad + " "
+    if c_make_encoder is None:  # an interpreter without the C encoder
+        return json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
+    # as JSONEncoder.iterencode builds it, without the circular check (a flat container
+    # holds no other), a default or an indent; then sort_keys, skipkeys and allow_nan
+    encode = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", sep,
+                            True, False, True)
+    return lambda v: "".join(encode(v, 0))
+
+
+def _int_array(v: list | tuple):
+    """``(shape of an item, the ints in row-major order)`` when ``v`` is a nonempty
+    rectangular array of ints (not bools), else None; an empty row leaves no ints."""
+    shape, flat = [], v
+    while (kinds := set(map(type, flat))) != _INT:
+        lens = set(map(len, flat)) if kinds <= _ARRAYS else ()
+        if len(lens) != 1:
+            return None
+        shape += lens
+        flat = list(chain.from_iterable(flat))
+    return tuple(shape), flat
+
+
+def _text(v, pad: str) -> str | None:
+    """The text of ``v`` written at ``pad`` when it is a scalar, an empty or flat dict or
+    list, or a rectangular int array; None for any other container."""
+    if type(v) in _SCALARS:
+        return _flat_encoder(pad)(v)
+    if isinstance(v, (dict, list, tuple)):
+        if not v:
+            return json.dumps(v)
+        if _SCALARS.issuperset(map(type, v.values() if isinstance(v, dict) else v)):
+            text = _flat_encoder(pad)(v)  # the brackets still need their own lines
+            return f"{text[0]}\n{pad} {text[1:-1]}\n{pad}{text[-1]}"
+        if isinstance(v, dict) or not (array := _int_array(v)):
+            return None
+        shape, flat = array
+        inner = pad + " "
+        items = zip(*[iter(flat)] * prod(shape))  # each item's ints, in turn
+        body = (",\n" + inner).join(starmap(_template(shape, inner).format, items))
         return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(v, Sequence) and not isinstance(v, str):
+        return None
     return json.dumps(v)
 
 
+def _json_pieces(v, pad: str):
+    """``json.dumps(v, sort_keys=True, indent=1)`` written at ``pad``, for a container that
+    ``_text`` leaves to pieces: one per dict entry or array item that ``_text`` writes,
+    the pieces of each other one in turn.  Any sequence but a string is an array."""
+    inner = pad + " "
+    if isinstance(v, dict):
+        keys = sorted(v)
+        entries, brackets = zip(map(encode_basestring_ascii, keys), map(v.__getitem__, keys)), "{}"
+    else:
+        entries, brackets = zip(repeat(""), v), "[]"
+    lead = brackets[0] + "\n" + inner
+    for key, x in entries:
+        head = f"{lead}{key}: " if key else lead  # an encoded key is never empty
+        text = _text(x, inner)
+        if text is None:
+            yield head
+            yield from _json_pieces(x, inner)
+        else:
+            yield head + text
+        lead = ",\n" + inner
+    yield "\n" + pad + brackets[1] if lead.startswith(",") else brackets
+
+
 def write_json(path: str, data) -> None:
-    """Write ``json.dumps(data, sort_keys=True, indent=1)`` and a newline; keys are strings."""
-    _write_text(path, _json_text(data, "") + "\n")
+    """Write ``json.dumps(data, sort_keys=True, indent=1)`` and a newline, piece by piece;
+    keys are strings."""
+    text = _text(data, "")
+    _write_pieces(path, chain(_json_pieces(data, "") if text is None else [text], "\n"))
 
 
 def _sequence_points(names: dict[LatticePoint, str], spec: str) -> list[LatticePoint]:
@@ -280,7 +356,7 @@ def cmd_verify(args) -> int:
 def cmd_export_graph(args) -> int:
     group = _load_group(args)
     fan = _load_fan(args.fan, group)
-    _write_text(args.svg, junior_graph_svg(fan, group))
+    _write_pieces(args.svg, [junior_graph_svg(fan, group)])
     print(f"wrote {args.svg}")
     return 0
 

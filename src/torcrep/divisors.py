@@ -6,10 +6,13 @@ elimination ``s = p * a * q`` of the pairing matrix ``a`` gives it all: the
 group from the diagonal of ``s``, the class of the ray ``i`` from column
 ``i`` of ``p``, and the class of ``K_X = -sum D_i`` from ``p * (-1, ..., -1)``.
 Only ``p`` is kept, as sparse rows, and each class coordinate is read off
-one of them; class coordinates are basis-dependent.
+one of them; class coordinates are basis-dependent.  A ray's class stays a
+sparse row and is made dense only when read.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from .errors import InvariantError
 from .fans import Fan
@@ -27,6 +30,7 @@ def dual_basis(lattice: ScaledLattice) -> list[tuple[int, ...]]:
     r = lattice.denom
     # basis * num = d * I: num holds the columns of d * basis^-1, zip(*num) its rows
     num, d = solve(lattice.basis.data, IntMatrix.identity(lattice.dim).data)
+    # build_lattice puts the columns r * e_i in every basis, so r * B^-1 is integral
     if any(r * v % d for col in num for v in col):
         raise InvariantError("lattice does not contain Z^n")
     return hermite_normal_form([tuple(r * v // d for v in row) for row in zip(*num)])
@@ -93,16 +97,51 @@ def _smith_rows(s: list[list[int]]) -> tuple[list[int], list[dict[int, int]]]:
     return diag, p
 
 
+class ClassRows(Sequence):
+    """The ray classes in ``Fan.rays`` order: each kept as its ``(coordinate, value)``
+    pairs, and read by an int index as a dense tuple of ``width`` ints."""
+
+    __slots__ = ("width", "rows")
+    __setattr__ = __delattr__ = Record.__setattr__  # immutable, as the tuples it replaced
+
+    def __init__(self, width: int, rows: list[dict[int, int]]):
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "rows", tuple(tuple(row.items()) for row in rows))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        dense = [0] * self.width
+        for c, v in self.rows[i]:
+            dense[c] = v
+        return tuple(dense)
+
+    def __iter__(self):  # by index, without the mixin's IndexError one past the end
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        # equal to any sequence of the same rows, tuples or the lists of its JSON
+        return (isinstance(other, Sequence) and len(self) == len(other) and all(
+            isinstance(b, Sequence) and a == tuple(b) for a, b in zip(self, other)))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 class ClassGroup(Record):
     """``Cl(X)`` with the class of each ray and of the canonical divisor.
 
     A class lists torsion coordinates (mod the matching invariant factor)
-    followed by free coordinates; ``ray_classes`` follows ``Fan.rays``.
+    followed by free coordinates.
     """
 
     rank: int
     torsion: tuple[int, ...]
-    ray_classes: tuple[tuple[int, ...], ...]
+    ray_classes: ClassRows
     canonical_class: tuple[int, ...]
 
 
@@ -115,7 +154,7 @@ def class_group(fan: Fan) -> ClassGroup:
         for col in mb:
             v = sum(a * b for a, b in zip(col, ray.coords))
             m, rem = divmod(v, ray.denom)
-            if rem:
+            if rem:  # validate_fan keeps each ray in N; only an unvalidated fan gets here
                 raise InvariantError(f"ray {ray} pairs non-integrally with the dual lattice")
             row.append(m)
         rows.append(row)
@@ -123,7 +162,7 @@ def class_group(fan: Fan) -> ClassGroup:
     diag += [0] * (len(rows) - len(diag))  # coordinates past the diagonal are free
     torsion = [k for k, d in enumerate(diag) if d > 1]
     coords = torsion + [k for k, d in enumerate(diag) if d == 0]
-    ray_classes = [[0] * len(coords) for _ in rows]
+    ray_classes = [{} for _ in rows]
     canonical_class = []
     for c, k in enumerate(coords):
         d = diag[k]
@@ -134,15 +173,16 @@ def class_group(fan: Fan) -> ClassGroup:
     return ClassGroup(
         rank=len(coords) - len(torsion),
         torsion=tuple(diag[k] for k in torsion),
-        ray_classes=tuple(map(tuple, ray_classes)),
+        ray_classes=ClassRows(len(coords), ray_classes),
         canonical_class=tuple(canonical_class),
     )
 
 
 def class_group_to_json(cg: ClassGroup) -> dict:
+    """JSON data; ``ray_classes`` stays a ``ClassRows``, written one dense row at a time."""
     return {
         "rank": cg.rank,
         "torsion": list(cg.torsion),
-        "ray_classes": [list(c) for c in cg.ray_classes],
+        "ray_classes": cg.ray_classes,
         "canonical_class": list(cg.canonical_class),
     }

@@ -89,9 +89,12 @@ def closure(gens, r: int):
 
 
 def close_group(generators, n: int | None = None) -> GroupData:
-    """Smallest set containing the generators and 0, closed under + mod r; a generator
-    that breaks a rule of ``generator_fault`` is an InputError, none is reduced mod r."""
+    """Smallest set containing the generators and 0, closed under + mod r; a dimension
+    ``n`` that is not a positive int, or a generator that breaks a rule of
+    ``generator_fault``, is an InputError, and no generator is reduced mod r."""
     generators = list(generators)
+    if n is not None and (type(n) is not int or n < 1):
+        raise InputError(f"dimension must be a positive integer, got {n!r}")
     if not generators:
         if n is None:
             raise InputError("dimension required for the trivial group")

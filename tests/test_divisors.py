@@ -4,7 +4,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, find, given, settings
 
-from conftest import partial_folds, random_cyclic_group, small_groups, smooth_fans
+from conftest import (
+    assert_each_raise_reached,
+    partial_folds,
+    raised_at,
+    random_cyclic_group,
+    small_groups,
+    smooth_fans,
+)
 from oracles import (
     NotInDualLattice,
     TDivisor,
@@ -15,11 +22,14 @@ from oracles import (
     pairing,
     principal_divisor,
 )
-from torcrep.divisors import class_group, class_group_to_json, dual_basis
+from torcrep import divisors
+from torcrep.divisors import ClassRows, class_group, class_group_to_json, dual_basis
 from torcrep.errors import InvariantError
 from torcrep.fans import make_cone, make_fan, sigma_fan
+from torcrep.groups import close_group
 from torcrep.intlinalg import IntMatrix, solve
 from torcrep.lattice import LatticePoint, unit_point
+from torcrep.resolve import resolve
 
 
 def reference_basis_transform():
@@ -199,3 +209,51 @@ def test_class_group_rejects_a_ray_off_the_lattice(z6):
     fan = make_fan(z6.lattice, [make_cone([ray, unit_point(1, 3, 6), unit_point(2, 3, 6)])])
     with pytest.raises(InvariantError, match="pairs non-integrally"):
         class_group(fan)
+
+
+def test_class_rows_read_as_the_tuple_of_dense_rows():
+    rows = ClassRows(3, [{1: 5}, {}, {0: -1, 2: 7}])
+    dense = ((0, 5, 0), (0, 0, 0), (-1, 0, 7))
+    assert (tuple(rows), len(rows), rows[0], rows[-1]) == (dense, 3, dense[0], dense[-1])
+    # equal to the tuples it replaced and to the lists of its JSON, and hashed as the tuples
+    assert rows == dense and rows == [list(row) for row in dense] and hash(rows) == hash(dense)
+    assert rows != dense[:2] and rows != (*dense[:2], (-1, 0, 8))
+    assert rows != "abc" and rows != [1, 2, 3] and rows != 3
+    assert repr(rows) == repr(dense)
+    for change in (lambda: setattr(rows, "width", 2), lambda: delattr(rows, "rows")):
+        with pytest.raises(AttributeError):
+            change()
+    assert tuple(rows) == dense
+
+
+def _z6_fan():
+    z6 = close_group([LatticePoint((1, 2, 3), 6)])
+    return resolve(z6, z6.juniors).fan
+
+
+# one case per raise in divisors.py: the faults, the call, the exception and its message;
+# both are InvariantErrors, so each fires on a seeded fault
+DIVISORS_RAISES = {
+    "lattice without Z^n": (
+        {"solve": lambda solve: lambda a, b: (lambda num, d: (num, 2 * d))(*solve(a, b))},
+        lambda: dual_basis(close_group([], 3).lattice), InvariantError,
+        "lattice does not contain Z^n"),
+    "ray off the dual pairing": (
+        {"dual_basis": lambda dual_basis: lambda lattice: [(1, 0, 0), (0, 1, 0), (0, 0, 1)]},
+        lambda: class_group(_z6_fan()), InvariantError,
+        "ray (1/6)(1,2,3) pairs non-integrally with the dual lattice"),
+}
+
+
+def _raise(case):
+    faults, call, exc_type, _ = DIVISORS_RAISES[case]
+    return raised_at(divisors, faults, call, exc_type)
+
+
+@pytest.mark.parametrize("case", DIVISORS_RAISES)
+def test_divisors_raise_fires(case):
+    assert _raise(case)[0] == DIVISORS_RAISES[case][3]
+
+
+def test_every_divisors_raise_has_a_case():
+    assert_each_raise_reached(divisors, [_raise(case)[1] for case in DIVISORS_RAISES])

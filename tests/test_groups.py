@@ -41,6 +41,14 @@ def test_close_empty(trivial3):
     assert trivial3.r == 1
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.0, True])
+@pytest.mark.parametrize("gens", [[], [LatticePoint((1, 2, 3), 6)]], ids=["trivial", "z6"])
+def test_close_rejects_a_dimension_that_is_not_a_positive_int(gens, n):
+    # 0 and -1 used to end in an IndexError, 2.0 in a TypeError, and True built a group
+    with pytest.raises(InputError, match=f"^dimension must be a positive integer, got {n!r}$"):
+        close_group(gens, n)
+
+
 def test_close_rejects_non_sl():
     message = r"^generator \(1/6\)\(1,2,2\): coordinate sum 5 is not 0 mod 6$"
     with pytest.raises(InputError, match=message):
@@ -264,6 +272,9 @@ GROUPS_RAISES = {
     "generator off its rules": (
         {}, lambda: close_group([LatticePoint((-1, 1, 0), 6)]), InputError,
         "generator (1/6)(-1,1,0): coordinates must lie in [0, 6)"),
+    "dimension not a positive int": (
+        {}, lambda: close_group([], 0), InputError,
+        "dimension must be a positive integer, got 0"),
     "trivial group without n": (
         {}, lambda: close_group([]), InputError, "dimension required for the trivial group"),
     "closure limit": (
