@@ -27,7 +27,7 @@ import sys
 from collections.abc import Sequence
 from functools import cache
 from itertools import chain, islice, repeat, starmap
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from math import gcd, prod
 
 from .divisors import class_group, class_group_to_json
@@ -158,15 +158,8 @@ def _template(shape: tuple[int, ...], pad: str) -> str:
 @cache
 def _flat_encoder(pad: str):
     """``json.dumps`` of a scalar or a container of scalars, with the item separator of
-    ``indent=1`` at ``pad``: the encoder ``JSONEncoder.encode`` builds, built once."""
-    sep = ",\n" + pad + " "
-    if c_make_encoder is None:  # an interpreter without the C encoder
-        return json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
-    # as JSONEncoder.iterencode builds it, without the circular check (a flat container
-    # holds no other), a default or an indent; then sort_keys, skipkeys and allow_nan
-    encode = c_make_encoder(None, None, encode_basestring_ascii, None, ": ", sep,
-                            True, False, True)
-    return lambda v: "".join(encode(v, 0))
+    ``indent=1`` at ``pad``; without an indent, the stdlib's C encoder writes it in one call."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad + " ", ": ")).encode
 
 
 def _int_array(v: list | tuple):

@@ -7,7 +7,7 @@ group from the diagonal of ``s``, the class of the ray ``i`` from column
 ``i`` of ``p``, and the class of ``K_X = -sum D_i`` from ``p * (-1, ..., -1)``.
 Only ``p`` is kept, as sparse rows, and each class coordinate is read off
 one of them; class coordinates are basis-dependent.  A ray's class stays a
-sparse row and is made dense only when read.
+sparse row and is made dense only when written.
 """
 
 from __future__ import annotations
@@ -98,15 +98,13 @@ def _smith_rows(s: list[list[int]]) -> tuple[list[int], list[dict[int, int]]]:
 
 
 class ClassRows(Sequence):
-    """The ray classes in ``Fan.rays`` order: each kept as its ``(coordinate, value)``
-    pairs, and read by an int index as a dense tuple of ``width`` ints."""
+    """Sparse class rows read as dense ones: row ``i`` is the tuple of ``width`` ints
+    with each ``(coordinate, value)`` pair of ``rows[i]`` in place."""
 
     __slots__ = ("width", "rows")
-    __setattr__ = __delattr__ = Record.__setattr__  # immutable, as the tuples it replaced
 
-    def __init__(self, width: int, rows: list[dict[int, int]]):
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "rows", tuple(tuple(row.items()) for row in rows))
+    def __init__(self, width: int, rows: tuple[tuple[tuple[int, int], ...], ...]):
+        self.width, self.rows = width, rows
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -120,28 +118,17 @@ class ClassRows(Sequence):
     def __iter__(self):  # by index, without the mixin's IndexError one past the end
         return map(self.__getitem__, range(len(self)))
 
-    def __eq__(self, other):
-        # equal to any sequence of the same rows, tuples or the lists of its JSON
-        return (isinstance(other, Sequence) and len(self) == len(other) and all(
-            isinstance(b, Sequence) and a == tuple(b) for a, b in zip(self, other)))
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
 
 class ClassGroup(Record):
     """``Cl(X)`` with the class of each ray and of the canonical divisor.
 
-    A class lists torsion coordinates (mod the matching invariant factor)
-    followed by free coordinates.
+    A class lists torsion coordinates (mod the matching invariant factor), then
+    free ones; a ray's class is the ``(coordinate, value)`` pairs off its Smith rows.
     """
 
     rank: int
     torsion: tuple[int, ...]
-    ray_classes: ClassRows
+    ray_classes: tuple[tuple[tuple[int, int], ...], ...]
     canonical_class: tuple[int, ...]
 
 
@@ -162,27 +149,27 @@ def class_group(fan: Fan) -> ClassGroup:
     diag += [0] * (len(rows) - len(diag))  # coordinates past the diagonal are free
     torsion = [k for k, d in enumerate(diag) if d > 1]
     coords = torsion + [k for k, d in enumerate(diag) if d == 0]
-    ray_classes = [{} for _ in rows]
+    ray_classes = [[] for _ in rows]
     canonical_class = []
     for c, k in enumerate(coords):
         d = diag[k]
         for i, v in p[k].items():
-            ray_classes[i][c] = v % d if d else v
+            ray_classes[i].append((c, v % d if d else v))
         total = -sum(p[k].values())
         canonical_class.append(total % d if d else total)
     return ClassGroup(
         rank=len(coords) - len(torsion),
         torsion=tuple(diag[k] for k in torsion),
-        ray_classes=ClassRows(len(coords), ray_classes),
+        ray_classes=tuple(map(tuple, ray_classes)),
         canonical_class=tuple(canonical_class),
     )
 
 
 def class_group_to_json(cg: ClassGroup) -> dict:
-    """JSON data; ``ray_classes`` stays a ``ClassRows``, written one dense row at a time."""
+    """JSON data; ``ray_classes`` is a ``ClassRows``, written one dense row at a time."""
     return {
         "rank": cg.rank,
         "torsion": list(cg.torsion),
-        "ray_classes": cg.ray_classes,
+        "ray_classes": ClassRows(len(cg.torsion) + cg.rank, cg.ray_classes),
         "canonical_class": list(cg.canonical_class),
     }

@@ -446,6 +446,11 @@ def fan_from_json(data: dict, lattice: ScaledLattice) -> Fan:
         unused = set(rays).difference(*(c.rays for c in cones))
         if unused:
             raise ValueError(f"ray {min(unused, key=lambda p: p.coords)} lies in no cone")
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:  # a missing key, or a value of the wrong kind
+        raise InputError(
+            'malformed fan data: expected {"lattice": {"n": int, "r": int, "basis": '
+            '[[int, ...], ...]}, "rays": [[int, ...], ...], "maximal_cones": '
+            '[[int, ...], ...]}') from exc
+    except (IndexError, ValueError) as exc:
         raise InputError(f"malformed fan data: {exc}") from exc
     return make_fan(lattice, cones)

@@ -75,9 +75,14 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be positive")
         if any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("rows have unequal lengths")
-        self.rows = len(rows)
-        self.cols = len(rows[0])
-        self.data = rows
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", len(rows[0]))
+        object.__setattr__(self, "data", rows)
+
+    def __setattr__(self, key, value=None):  # a lattice basis keys hashed records
+        raise AttributeError(f"cannot assign to or delete field {key!r}")
+
+    __delattr__ = __setattr__
 
     @classmethod
     @cache  # immutable, so one per dimension serves every caller

@@ -1264,7 +1264,7 @@ def class_vector(fan: Fan, cg: ClassGroup, div: TDivisor) -> tuple[int, ...]:
     index = {ray: i for i, ray in enumerate(fan.rays)}
     total = [0] * (len(cg.torsion) + cg.rank)
     for ray, c in div.coeffs:
-        for k, v in enumerate(cg.ray_classes[index[ray]]):
+        for k, v in cg.ray_classes[index[ray]]:
             total[k] += c * v
     t = len(cg.torsion)
     return tuple(v % d for v, d in zip(total, cg.torsion)) + tuple(total[t:])

@@ -508,7 +508,9 @@ def test_class_group_matches_reference_at_961_cones(scale_verify):
     fan = fan_from_json(json.loads(scale_verify[0].read_text())["fan"],
                         parse_group(SCALE_GROUP).lattice)
     assert len(fan.maximal_cones) == 961
-    assert class_group_to_json(class_group(fan)) == class_group_json_reference(fan)
+    data = class_group_to_json(class_group(fan))  # its class rows read densely
+    assert {**data, "ray_classes": list(map(list, data["ray_classes"]))} == (
+        class_group_json_reference(fan))
 
 
 def test_resolve_all_juniors_at_961_cones(scale_verify):
@@ -588,12 +590,10 @@ def test_write_json_is_the_stdlib_indent_1_layout(value):
 def test_write_json_without_the_c_encoder_is_the_same_layout(tmp_path, monkeypatch):
     value = {"flat": [1, True, None, "é", 2.5], "scalar": -2**70, "rows": [[1, 2], (3, 4)],
              "flat dict": {"b": 1, "a": "x"}, "nested": [{"k": [[True]]}]}
-    monkeypatch.setattr(cli, "c_make_encoder", None)
-    cli._flat_encoder.cache_clear()  # each pad's encoder is built again without it
-    try:
-        write_json(str(tmp_path / "out.json"), value)
-    finally:
-        cli._flat_encoder.cache_clear()
+    # JSONEncoder reads the module's c_make_encoder at each encode, so the
+    # pure-Python encoder writes every flat container here
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    write_json(str(tmp_path / "out.json"), value)
     want = json.dumps(value, sort_keys=True, indent=1) + "\n"
     assert (tmp_path / "out.json").read_text() == want
 
@@ -611,8 +611,8 @@ def test_lazy_class_rows_write_the_bytes_of_the_dense_rows(fan):
 
 def test_class_rows_without_rows_or_width_write_as_json_does(tmp_path):
     path = tmp_path / "rows.json"
-    for rows, dense in [(ClassRows(0, []), []), (ClassRows(0, [{}, {}]), [[], []]),
-                        (ClassRows(3, [{1: 5}, {}]), [[0, 5, 0], [0, 0, 0]])]:
+    for rows, dense in [(ClassRows(0, ()), []), (ClassRows(0, ((), ())), [[], []]),
+                        (ClassRows(3, (((1, 5),), ())), [[0, 5, 0], [0, 0, 0]])]:
         write_json(str(path), {"rows": rows, "in a list": [rows]})
         want = {"rows": dense, "in a list": [dense]}
         assert path.read_text() == json.dumps(want, sort_keys=True, indent=1) + "\n"
@@ -1040,6 +1040,33 @@ def test_verify_rejects_malformed_fan_numbers(tmp_path, capsys, mutate, err):
     captured = capsys.readouterr()
     assert captured.err.startswith(err)
     assert "all certificates verified" not in captured.out
+
+
+_FAN_SHAPE = ('input error: malformed fan data: expected {"lattice": {"n": int, "r": int, '
+              '"basis": [[int, ...], ...]}, "rays": [[int, ...], ...], "maximal_cones": '
+              '[[int, ...], ...]}\n')
+
+
+@pytest.mark.parametrize("shape", [
+    lambda f: [f],
+    lambda f: {"fan": None},
+    lambda f: {**f, "lattice": None},
+    lambda f: {**f, "lattice": {**f["lattice"], "basis": 5}},
+    lambda f: {**f, "lattice": {**f["lattice"], "basis": [5, *f["lattice"]["basis"][1:]]}},
+    lambda f: {**f, "rays": 5},
+    lambda f: {**f, "rays": [5, *f["rays"][1:]]},
+    lambda f: {**f, "maximal_cones": 5},
+    lambda f: {**f, "maximal_cones": [5, *f["maximal_cones"][1:]]},
+    lambda f: {k: v for k, v in f.items() if k != "rays"},
+], ids=["top-level-list", "null-fan", "null-lattice", "int-basis", "int-basis-row",
+        "int-rays", "int-ray", "int-maximal-cones", "int-cone", "missing-rays"])
+def test_verify_names_the_fan_schema_on_a_wrong_shape(tmp_path, capsys, z6_result, shape):
+    # a missing key or a value of the wrong kind is named by the schema it breaks, not by
+    # the interpreter's wording ("'int' object is not iterable", "'rays'", ...)
+    fan_path = tmp_path / "shape.json"
+    fan_path.write_text(json.dumps(shape(fan_to_json(z6_result.fan))))
+    assert main(["verify", str(fan_path), "6:(1,2,3)"]) == 2
+    assert capsys.readouterr().err == _FAN_SHAPE
 
 
 def test_verify_rejects_a_fan_beyond_the_dimension_bound(tmp_path, capsys):

@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from conftest import assert_each_raise_reached, raised_at
 from oracles import (
     adjugate,
     det_loop,
@@ -17,6 +18,7 @@ from oracles import (
     solve_integer,
     solve_rational,
 )
+from torcrep import intlinalg
 from torcrep.divisors import _smith_rows
 from torcrep.intlinalg import IntMatrix, clearing, hermite_normal_form, solve, xgcd
 
@@ -196,6 +198,40 @@ def test_inverse_unimodular():
 def test_matrix_rejects_non_integer_entries(data):
     with pytest.raises(TypeError):
         IntMatrix(data)
+
+
+# one case per raise in intlinalg.py, each reached by its input: the call, the
+# exception and its message
+INTLINALG_RAISES = {
+    "float entry": (lambda: IntMatrix([[1.0, 0], [0, 1]]), TypeError,
+                    "matrix entries must be integers"),
+    "no rows": (lambda: IntMatrix([]), ValueError, "matrix dimensions must be positive"),
+    "ragged rows": (lambda: IntMatrix([[1, 2], [3]]), ValueError, "rows have unequal lengths"),
+    "assignment": (lambda: setattr(IntMatrix.identity(2), "cols", 3), AttributeError,
+                   "cannot assign to or delete field 'cols'"),
+    "short vector": (lambda: IntMatrix.identity(2).mul_vec((1,)), ValueError,
+                     "dimension mismatch in matrix-vector product"),
+    "non-square determinant": (lambda: IntMatrix([[1, 2]]).det(), ValueError,
+                               "determinant of a non-square matrix"),
+    "short right-hand side": (lambda: solve(((1, 0), (0, 1)), [(1,)]), ValueError,
+                              "dimension mismatch"),
+    "dependent columns": (lambda: solve(((1, 2), (2, 4)), [(1, 2)]), ValueError,
+                          "columns are linearly dependent"),
+}
+
+
+def _raise(case):
+    call, exc_type, _ = INTLINALG_RAISES[case]
+    return raised_at(intlinalg, {}, call, exc_type)
+
+
+@pytest.mark.parametrize("case", INTLINALG_RAISES)
+def test_intlinalg_raise_fires(case):
+    assert _raise(case)[0] == INTLINALG_RAISES[case][2]
+
+
+def test_every_intlinalg_raise_has_a_case():
+    assert_each_raise_reached(intlinalg, [_raise(case)[1] for case in INTLINALG_RAISES])
 
 
 @st.composite

@@ -98,6 +98,9 @@ def test_assigning_or_deleting_a_field_raises_attribute_error(records):
     targets = [(rec, f) for rec in records.values() for f in FIELDS[type(rec)]]
     p = LatticePoint((1, 2, 2), 5)
     targets += [(p, "coords"), (p, "denom"), (Cone((p,)), "rays")]
+    # a lattice's basis matrix is part of the lattice's hash
+    basis = records[ScaledLattice].basis
+    targets += [(basis, "rows"), (basis, "cols"), (basis, "data")]
     for rec, f in targets:
         before = getattr(rec, f)
         with pytest.raises(AttributeError):

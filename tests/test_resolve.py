@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 
-from conftest import crepant3_resolutions, small_groups
+from conftest import assert_each_raise_reached, crepant3_resolutions, raised_at, small_groups
 from oracles import (
     PreconditionNotCrepant,
     euler_check,
@@ -22,7 +22,7 @@ from oracles import (
     support_volume,
 )
 from torcrep.cli import main, parse_group
-from torcrep.errors import InvariantError, ResolutionNotFound, TorcrepError
+from torcrep.errors import InputError, InvariantError, ResolutionNotFound, TorcrepError
 from torcrep.fans import is_terminal, sigma_fan
 from torcrep.groups import close_group
 from torcrep.hilbert import hilbert_basis
@@ -221,6 +221,51 @@ def test_search_budget_env_override(z6, z7, monkeypatch):
     with pytest.raises(ResolutionNotFound) as info:
         search_resolution(z6, "juniors")
     assert not info.value.exhausted
+
+
+def _search(text, mode, budget=None):
+    """``search_resolution`` on the group text, with ``TORCREP_BUDGET`` set or unset."""
+    def call():
+        with pytest.MonkeyPatch.context() as mp:
+            if budget is None:
+                mp.delenv("TORCREP_BUDGET", raising=False)
+            else:
+                mp.setenv("TORCREP_BUDGET", budget)
+            search_resolution(parse_group(text), mode)
+    return call
+
+
+# one case per raise in resolve.py, each reached by its input: the call, the
+# exception and its message
+RESOLVE_RAISES = {
+    "budget not a positive integer": (
+        _search("6:(1,2,3)", "juniors", "0"), InputError,
+        "TORCREP_BUDGET must be a positive integer, got '0'"),
+    "unknown search mode": (
+        _search("6:(1,2,3)", "sideways"), ValueError, "unknown search mode 'sideways'"),
+    "budget hit": (
+        _search("6:(1,2,3)", "juniors", "3"), ResolutionNotFound,
+        "budget hit: the juniors search stopped after expanding 3 fans (TORCREP_BUDGET); "
+        "a resolution may still exist"),
+    "exhausted": (
+        _search("7:(1,1,2,3)", "juniors"), ResolutionNotFound,
+        "exhausted: no star-subdivision sequence over the juniors targets (1 points) gives "
+        "a smooth fan; fans expanded: 1; fans that are not star subdivisions are not covered"),
+}
+
+
+def _raise(case):
+    call, exc_type, _ = RESOLVE_RAISES[case]
+    return raised_at(resolve_module, {}, call, exc_type)
+
+
+@pytest.mark.parametrize("case", RESOLVE_RAISES)
+def test_resolve_raise_fires(case):
+    assert _raise(case)[0] == RESOLVE_RAISES[case][2]
+
+
+def test_every_resolve_raise_has_a_case():
+    assert_each_raise_reached(resolve_module, [_raise(case)[1] for case in RESOLVE_RAISES])
 
 
 def test_search_memory_grows_with_expanded_fans_only(monkeypatch):
