@@ -94,7 +94,7 @@ def main() -> None:
         run_ok(cmd)
         run_ok(["verify", str(fan_path), group,
                 "--out", str(outdir / f"{name}_report.json")])
-        data = json.loads(fan_path.read_text())
+        data = json.loads(fan_path.read_text(encoding="utf-8"))
         if data["fan"]["lattice"]["n"] == 3:
             run_ok(["export-graph", str(fan_path), group,
                     "--svg", str(outdir / f"{name}.svg")])

@@ -106,7 +106,7 @@ def parse_group(text: str) -> GroupData:
 
 def _read_text(path: str) -> str:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return f.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot decode {path}: {exc}") from exc
@@ -117,7 +117,7 @@ def _read_text(path: str) -> str:
 def _write_pieces(path: str, pieces) -> None:
     """Write each string in turn; a failure is an InputError, and what was written stays."""
     try:
-        with open(path, "w") as f:
+        with open(path, "w", encoding="utf-8") as f:
             f.writelines(pieces)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -70,20 +70,12 @@ class EmbeddingCertificate(Record):
     cone_bijection: tuple[tuple[Cone, Cone], ...]
 
 
-def _solved(fan: Fan, p: LatticePoint) -> tuple[int, ...]:
-    """Basis coordinates of the ray ``p``, read off the fan's one solve of each ray."""
-    x = fan.ray_coords[p]
-    if x is None:
-        raise TorcrepError(f"{p} is not in the lattice")
-    return x
-
-
 def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
     """Project the cones through a ray into the quotient lattice, each ray once."""
     if g_hat not in fan.cones_through:
         raise TorcrepError(f"{g_hat} is not a ray of the fan")
-    m = fan.lattice.dim - 1
-    proj = quotient_by_ray(g_hat, _solved(fan, g_hat))
+    m, coords = fan.lattice.dim - 1, fan.ray_coords
+    proj = quotient_by_ray(g_hat, coords[g_hat])
     lifts: dict[LatticePoint, LatticePoint] = {}
     images: dict[LatticePoint, LatticePoint] = {}  # ray -> star ray
     cones = []
@@ -94,7 +86,7 @@ def star_fan(fan: Fan, g_hat: LatticePoint) -> StarFan:
                 continue
             ubar = images.get(u)
             if ubar is None:
-                ubar = images[u] = LatticePoint(proj.mul_vec(_solved(fan, u)), 1)
+                ubar = images[u] = LatticePoint(proj.mul_vec(coords[u]), 1)
                 prev = lifts.setdefault(ubar, u)
                 if prev != u:
                     raise CertificateFailure(
@@ -236,8 +228,8 @@ def classify_surface(star: StarFan) -> SurfaceType:
     selfints = []
     for i in range(k):
         p, u, q = rays[(i - 1) % k], rays[i], rays[(i + 1) % k]
-        # adjacent bases force p + q = -a * u with a an integer: the sum is
-        # parallel to u, and a is read off its dot product with u
+        # in a complete fan adjacent rays form bases and lie under a half-turn apart, so
+        # p + q is parallel to the primitive u: p + q = -a * u, a read off their dot product
         s0, s1 = p[0] + q[0], p[1] + q[1]
         dot, norm = s0 * u[0] + s1 * u[1], u[0] * u[0] + u[1] * u[1]
         if u[0] * s1 - u[1] * s0 or dot % norm:

@@ -42,7 +42,6 @@ which is bit-exact across runs.
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
 
 from .errors import InputError, InvariantError, TorcrepError
 from .groups import closure
@@ -180,9 +179,9 @@ class Fan(Record):
         return tuple(sorted(self.cones_through, key=lambda p: p.coords))
 
     @cached_property
-    def ray_coords(self) -> dict[LatticePoint, tuple[int, ...] | None]:
-        """Each ray's basis coordinates, or None off the lattice, solved once per fan."""
-        return {p: self.lattice.coords_or_none(p) for p in self.rays}
+    def ray_coords(self) -> dict[LatticePoint, tuple[int, ...]]:
+        """Each ray's basis coordinates, solved once per fan by ``ScaledLattice.ray_coords``."""
+        return {p: self.lattice.ray_coords(p) for p in self.rays}
 
     @cached_property
     def cones_through(self) -> dict[LatticePoint, tuple[Cone, ...]]:
@@ -252,11 +251,7 @@ def validate_fan(fan: Fan) -> None:
     """
     lat = fan.lattice
     n = lat.dim
-    for p, x in fan.ray_coords.items():
-        if x is None:
-            raise InputError(f"ray {p} is not a lattice point")
-        if gcd(*x) != 1:
-            raise InputError(f"ray {p} is not primitive")
+    fan.ray_coords  # the rays are primitive lattice points
     for c in fan.maximal_cones:
         if c.dim != n:
             raise InputError(
@@ -313,11 +308,7 @@ class _FanBuilder:
         for p in points:
             if p in self.where:
                 continue
-            x = lat.coords_or_none(p)
-            if x is None:
-                raise TorcrepError(f"{p} is not a lattice point")
-            if gcd(*x) != 1:
-                raise TorcrepError(f"{p} is not primitive")
+            lat.ray_coords(p)  # a primitive lattice point
             if p in self.ray_counts:
                 continue
             for cone, held in self.inside.items():
@@ -380,6 +371,8 @@ class _FanBuilder:
         gone = set(self.where.pop(mu, ()))  # the cones of the landings
         for q, cones in gained.items():
             self.where[q] = [c for c in self.where[q] if c not in gone] + cones
+        # a tracked point is primitive and no ray, so each cone it lands in has two b_i > 0 (one
+        # makes mu ray i): mu and every ray keep a cone; only an untracked non-ray gets none
         if not counts.get(mu) or any(not counts[r] for cone in gone for r in cone.rays):
             raise InvariantError(f"subdividing at {mu} changed rays other than {mu}")
 

@@ -11,9 +11,9 @@ lies in ``SL(n)``.
 A :class:`ScaledLattice` keeps a column-Hermite basis of ``r*N`` inside
 ``Z^n``.  One forward substitution against that basis gives a point's
 basis coordinates, or ``None`` off the lattice; membership reads it, a
-point is primitive when the gcd of its coordinates is 1, and the quotient
-``N / Z*v`` by a primitive ``v`` is the integer matrix that projects them
-onto ``Z^(n-1)``.  A fan solves each ray once, in ``Fan.ray_coords``.
+ray is a point where they have gcd 1 (``ScaledLattice.ray_coords``), and
+the quotient ``N / Z*v`` by a ray ``v`` is the integer matrix that projects
+them onto ``Z^(n-1)``.  A fan solves each ray once, in ``Fan.ray_coords``.
 
 The package's records are immutable and compare by their fields.  Points
 and cones key every dict and set, so they are written by hand with their
@@ -173,6 +173,15 @@ class ScaledLattice(Record):
 
     def contains(self, p: LatticePoint) -> bool:
         return self.coords_or_none(p) is not None
+
+    def ray_coords(self, p: LatticePoint) -> tuple[int, ...]:
+        """Basis coordinates of a ray: a primitive point of the lattice, InputError otherwise."""
+        x = self.coords_or_none(p)
+        if x is None:
+            raise InputError(f"ray {p} is not a lattice point")
+        if gcd(*x) != 1:
+            raise InputError(f"ray {p} is not primitive")
+        return x
 
 
 def generator_fault(coords, r: int, n: int | None) -> str | None:

@@ -604,9 +604,9 @@ def star_subdivision_by_pivot(fan: Fan, mu: LatticePoint) -> Fan:
     """``star_subdivision`` as a scan of every cone and a pivot per child."""
     lat = fan.lattice
     if not lat.contains(mu):
-        raise TorcrepError(f"{mu} is not a lattice point")
+        raise InputError(f"ray {mu} is not a lattice point")
     if not is_primitive(lat, mu):
-        raise TorcrepError(f"{mu} is not primitive")
+        raise InputError(f"ray {mu} is not primitive")
     hit = False
     new_cones = []
     for cone in fan.maximal_cones:
@@ -636,9 +636,9 @@ def star_subdivision_by_make_cone(fan: Fan, mu: LatticePoint) -> Fan:
     """``star_subdivision`` with one ``make_cone`` per new cone."""
     lat = fan.lattice
     if not lat.contains(mu):
-        raise TorcrepError(f"{mu} is not a lattice point")
+        raise InputError(f"ray {mu} is not a lattice point")
     if not is_primitive(lat, mu):
-        raise TorcrepError(f"{mu} is not primitive")
+        raise InputError(f"ray {mu} is not primitive")
     hit = False
     new_cones = []
     for cone in fan.maximal_cones:
@@ -802,7 +802,8 @@ def validate_fan_by_owners(fan: Fan) -> None:
     """
     lat = fan.lattice
     n = lat.dim
-    for p, x in fan.ray_coords.items():
+    for p in fan.rays:
+        x = lat.coords_or_none(p)
         if x is None:
             raise InputError(f"ray {p} is not a lattice point")
         if gcd(*x) != 1:

@@ -19,7 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 
 import torcrep
-from conftest import crepant3_resolutions, nonstar_order6_fan, partial_folds
+from conftest import (
+    assert_each_raise_reached,
+    crepant3_resolutions,
+    nonstar_order6_fan,
+    partial_folds,
+    raised_at,
+)
 from oracles import (
     class_group_json_reference,
     element_names_by_key,
@@ -31,6 +37,7 @@ from oracles import (
     two_cones,
 )
 from torcrep import cli
+from torcrep import svg as svg_module
 from torcrep.cli import (
     MAX_DIM,
     build_parser,
@@ -729,6 +736,35 @@ def test_group_file_input(tmp_path, capsys):
     assert main(["analyze", str(path), "--file"]) == 0
 
 
+def _cli(command, *flags, **env):
+    """``python *flags -m torcrep.cli *command`` in a child, ``env`` added to ``_cli_env()``."""
+    return subprocess.run([sys.executable, *flags, "-m", "torcrep.cli", *command],
+                          capture_output=True, env=_cli_env() | env, timeout=60)
+
+
+def test_group_file_is_read_as_utf8_in_the_c_locale(tmp_path):
+    # LC_ALL=C stops the locale coercion and PYTHONUTF8=0 the UTF-8 mode, so a
+    # default open() would decode with ASCII and refuse the comment's accent
+    path = tmp_path / "group.txt"
+    path.write_bytes("6:(1,2,3)  # ordre r\u00e9duit\n".encode("utf-8"))
+    from_file = _cli(["analyze", str(path), "--file"], LC_ALL="C", PYTHONUTF8="0")
+    inline = _cli(["analyze", "6:(1,2,3)"])
+    assert (from_file.returncode, from_file.stderr) == (0, b"")
+    assert from_file.stdout == inline.stdout
+
+
+def test_file_commands_name_their_encoding(tmp_path):
+    # every file a command opens names its encoding, so no EncodingWarning is raised
+    fan, report, svg = (str(tmp_path / name) for name in ("fan.json", "report.json", "z6.svg"))
+    strict = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    for command in (["resolve", "6:(1,2,3)", "--sequence", "g1,g2,g3,g4", "--out", fan],
+                    ["verify", fan, "6:(1,2,3)", "--out", report],
+                    ["export-graph", fan, "6:(1,2,3)", "--svg", svg]):
+        done = _cli(command, *strict)
+        assert (done.returncode, done.stderr) == (0, b""), command
+    assert Path(svg).read_bytes().startswith(b"<?xml")
+
+
 def test_export_graph(tmp_path, capsys):
     fan_path = tmp_path / "z6.json"
     main(["resolve", "6:(1,2,3)", "--sequence", "g1,g2,g3,g4",
@@ -770,6 +806,14 @@ def test_svg_edge_count_order6(z6, z6_result):
     # a 6-triangle planar triangulation of the simplex has 12 edges
     assert svg.count("<line") == 12
     assert svg.count("<circle") == 7
+
+
+def test_every_svg_raise_has_a_case(z2):
+    # svg.py's one raise: the junior simplex is drawn for n = 3 alone
+    message, site = raised_at(svg_module, {}, lambda: junior_graph_svg(
+        sigma_fan(z2.lattice), z2), InputError)
+    assert message == "graph export is only defined for n = 3"
+    assert_each_raise_reached(svg_module, [site])
 
 
 _SVG_POINT = re.compile(r'<circle cx="([\d.]+)" cy="([\d.]+)"')

@@ -31,7 +31,7 @@ from oracles import (
 import torcrep.exceptional as exceptional
 from torcrep.cli import main
 from torcrep.divisors import class_group
-from torcrep.errors import CertificateFailure, TorcrepError
+from torcrep.errors import CertificateFailure, InvariantError, TorcrepError
 from torcrep.exceptional import (
     StarFan,
     certificate_to_json,
@@ -538,9 +538,41 @@ def test_certificate_check_fires(case):
     assert _fire(case)[0] == CERTIFICATE_FAULTS[case][2]
 
 
+# the other raises in exceptional.py: a case is (call, exception, message); each
+# refuses a call the commands never make, and the InvariantError fires on a crafted
+# star that is no fan (its cones overlap and leave a gap of over a half-turn) but
+# passes the cycle and basis checks
+EXCEPTIONAL_RAISES = {
+    "not a ray": (
+        lambda: star_fan(_order6()[0], LatticePoint((5, 4, 3), 6)), TorcrepError,
+        "(1/6)(5,4,3) is not a ray of the fan"),
+    "singular fan": (
+        lambda: certify_normal_embedding(sigma_fan(_Z6.lattice), _Z6.juniors[0]),
+        TorcrepError, "embedding certificates require a smooth fan"),
+    "star of dimension 3": (
+        lambda: classify_surface(plain_star(sigma_fan(std_lattice(3)))), TorcrepError,
+        "surface classification needs a 2-dimensional fan"),
+    "incomplete star": (
+        lambda: classify_surface(plain_star(sigma_fan(std_lattice(2)), complete=False)),
+        TorcrepError, "star fan is not complete"),
+    "neighbours off the ray": (
+        _surface([(1, 0), (0, 1)], [(0, 1), (-1, 1)], [(-1, 1), (1, 0)]), InvariantError,
+        "neighbours of (1, 0) do not sum to a multiple of it"),
+}
+
+
+@pytest.mark.parametrize("case", EXCEPTIONAL_RAISES)
+def test_exceptional_raise_fires(case):
+    call, exc_type, message = EXCEPTIONAL_RAISES[case]
+    assert raised_at(exceptional, {}, call, exc_type)[0] == message
+
+
 def test_every_certificate_check_has_a_case():
+    # every raise in the module: the certificate checks and the raises above
     reached = [_fire(case)[1] for case in CERTIFICATE_FAULTS]
-    assert_each_raise_reached(exceptional, reached, "CertificateFailure")
+    reached += [raised_at(exceptional, {}, call, exc_type)[1]
+                for call, exc_type, _ in EXCEPTIONAL_RAISES.values()]
+    assert_each_raise_reached(exceptional, reached)
 
 
 @pytest.mark.parametrize("case", ["star ray not primitive", "anchor map not unimodular"])

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import Phase, assume, example, find, given, settings
 
 from conftest import (
+    assert_each_raise_reached,
     partial_folds,
+    raised_at,
     random_cyclic_group,
     small_groups,
     smooth_fans,
@@ -39,7 +41,8 @@ from oracles import (
     validate_fan_by_owners,
     validate_fan_by_volume,
 )
-from torcrep.errors import InputError, TorcrepError
+import torcrep.fans as fans
+from torcrep.errors import InputError, InvariantError, TorcrepError
 from torcrep.fans import (
     Cone,
     _FanBuilder,
@@ -187,7 +190,7 @@ def test_star_subdivision_at_existing_ray(z6):
 
 def test_star_subdivision_errors(z6):
     fan = sigma_fan(z6.lattice)
-    with pytest.raises(TorcrepError, match=r"\(1/6\)\(2,4,6\) is not primitive"):
+    with pytest.raises(InputError, match=r"^ray \(1/6\)\(2,4,6\) is not primitive$"):
         star_subdivision(fan, LatticePoint((2, 4, 6), 6))
     with pytest.raises(TorcrepError, match="is outside the support of the fan"):
         outside = LatticePoint((-6, 6, 6), 6)
@@ -731,3 +734,109 @@ def test_gl2_normal_form():
                  ((0, -1), (1, 0))])
     assert not gl2_equivalent(p2, f1)
     assert gl2_normal_form(p2) == gl2_normal_form(twisted)
+
+
+_Z6_LATTICE = close_group([LatticePoint((1, 2, 3), 6)]).lattice
+
+
+def _z6_file(edit):
+    """``fan_from_json`` on the file of the order-6 orthant, edited: its rays are
+    ``[[0, 0, 6], [0, 6, 0], [6, 0, 0]]`` and its one cone ``[0, 1, 2]``."""
+    data = fan_to_json(sigma_fan(_Z6_LATTICE))
+    edit(data)
+    return lambda: fan_from_json(data, _Z6_LATTICE)
+
+
+# one case per raise in fans.py: the call, the exception and its message; a case in
+# _SITE_IN_CAUSE ends in the InputError that wraps the ValueError raised at its site
+FANS_RAISES = {
+    # a ray longer than the lattice passes the ray rule, which reads its first n coordinates
+    "rays longer than the lattice": (
+        lambda: validate_fan(make_fan(std_lattice(2), [make_cone(
+            [LatticePoint((1, 0, 0), 1), LatticePoint((0, 1, 0), 1)])])), InputError,
+        "cone Cone((0,1,0), (1,0,0)): rays are linearly dependent; cone is not simplicial"),
+    "point of another denominator": (
+        lambda: barycentric(make_cone(_Z6_LATTICE.units()), LatticePoint((1, 2, 2), 5)),
+        TorcrepError, "point denom 5 differs from the denom 6 of "
+        "Cone((1/6)(0,0,6), (1/6)(0,6,0), (1/6)(6,0,0))"),
+    "cone below full dimension": (
+        lambda: validate_fan(make_fan(std_lattice(3), [make_cone(_E[:2])])), InputError,
+        "cone Cone((0,1,0), (1,0,0)) has dimension 2; a fan with the orthant as support "
+        "has full-dimensional cones (dimension 3)"),
+    "dependent rays": (
+        lambda: validate_fan(make_fan(std_lattice(3), [make_cone([_E[0], _E[1], _E[3]])])),
+        InputError, "cone Cone((0,1,0), (1,0,0), (1,1,0)): rays are linearly dependent; "
+        "cone is not simplicial"),
+    "ray outside the orthant": (
+        lambda: validate_fan(_std_fan([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]])), InputError,
+        "ray (-1,0) lies outside the orthant"),
+    "facet in one cone": (
+        lambda: validate_fan(_std_fan([[(1, 0), (0, 1)], [(2, 1), (1, 2)]])), InputError,
+        "facet Cone((2,1)) lies in 1 cone(s), not 2: Cone((1,2), (2,1))"),
+    "cones on one side": (
+        lambda: validate_fan(_std_fan([[(1, 0), (1, 2)], [(1, 2), (2, 1)]])), InputError,
+        "cones Cone((1,0), (1,2)) and Cone((1,2), (2,1)) lie on the same side "
+        "of their facet Cone((1,2))"),
+    "no cones": (
+        lambda: validate_fan(make_fan(std_lattice(3), [])), InputError, "the fan has no cones"),
+    "overlap": (
+        lambda: validate_fan(_two_folds(3)), InputError,
+        "cones Cone((0,0,1), (0,1,1), (1,1,0)) and Cone((0,0,1), (0,1,2), (1,2,0)) "
+        "overlap at (1,2,2)"),
+    "point outside the support": (
+        lambda: _FanBuilder(sigma_fan(_Z6_LATTICE), [LatticePoint((-6, 6, 6), 6)]),
+        TorcrepError, "(1/6)(-6,6,6) is outside the support of the fan"),
+    # a tracked point or a ray cannot fire it (the why-comment); this point is neither
+    "subdividing at an untracked point": (
+        lambda: _FanBuilder(sigma_fan(_Z6_LATTICE)).subdivide(LatticePoint((1, 2, 3), 6)),
+        InvariantError, "subdividing at (1/6)(1,2,3) changed rays other than (1/6)(1,2,3)"),
+    "float in the file": (
+        lambda: fan_from_json(*_edit_z6_lattice(r=6.0)), InputError,
+        "malformed fan data: expected an integer, got 6.0"),
+    "another lattice": (
+        lambda: fan_from_json(*_edit_z6_lattice(r=12)), InputError,
+        "fan lattice does not match the group lattice"),
+    "short ray": (
+        _z6_file(lambda d: d["rays"].append([1, 2])), InputError,
+        "malformed fan data: every ray must have 3 coordinates"),
+    "cone of no rays": (
+        _z6_file(lambda d: d["maximal_cones"].append([])), InputError,
+        "malformed fan data: a maximal cone has no rays"),
+    "index out of range": (
+        _z6_file(lambda d: d["maximal_cones"][0].append(5)), InputError,
+        "malformed fan data: ray index out of range in [0, 1, 2, 5]"),
+    "index twice": (
+        _z6_file(lambda d: d["maximal_cones"][0].append(1)), InputError,
+        "malformed fan data: cone [0, 1, 2, 1] lists a ray index twice"),
+    "ray twice": (
+        _z6_file(lambda d: d["rays"].append([0, 6, 0])), InputError,
+        "malformed fan data: ray (1/6)(0,6,0) is listed twice"),
+    "ray in no cone": (
+        _z6_file(lambda d: d["rays"].append([1, 2, 3])), InputError,
+        "malformed fan data: ray (1/6)(1,2,3) lies in no cone"),
+    "missing key": (
+        _z6_file(lambda d: d.pop("rays")), InputError,
+        'malformed fan data: expected {"lattice": {"n": int, "r": int, "basis": '
+        '[[int, ...], ...]}, "rays": [[int, ...], ...], "maximal_cones": '
+        '[[int, ...], ...]}'),
+    # the wrapper of every ValueError above, read at its own site
+    "malformed fan data": (
+        _z6_file(lambda d: d["maximal_cones"].append([])), InputError,
+        "malformed fan data: a maximal cone has no rays"),
+}
+_SITE_IN_CAUSE = {"rays longer than the lattice", "short ray", "cone of no rays",
+                  "index out of range", "index twice", "ray twice", "ray in no cone"}
+
+
+def _raise(case):
+    call, exc_type, _ = FANS_RAISES[case]
+    return raised_at(fans, {}, call, exc_type, cause=case in _SITE_IN_CAUSE)
+
+
+@pytest.mark.parametrize("case", FANS_RAISES)
+def test_fans_raise_fires(case):
+    assert _raise(case)[0] == FANS_RAISES[case][2]
+
+
+def test_every_fans_raise_has_a_case():
+    assert_each_raise_reached(fans, [_raise(case)[1] for case in FANS_RAISES])

@@ -292,6 +292,12 @@ LATTICE_RAISES = {
     "singular basis": (
         {"hermite_normal_form": _hermite_edit(lambda h: [(0, 0, 0), *h[1:]])},
         lambda: build_lattice([_Z6_GEN], 3, 6), InvariantError, "lattice basis is singular"),
+    "point off the lattice as a ray": (
+        {}, lambda: build_lattice([_Z6_GEN], 3, 6).ray_coords(LatticePoint((1, 1, 4), 6)),
+        InputError, "ray (1/6)(1,1,4) is not a lattice point"),
+    "imprimitive point as a ray": (
+        {}, lambda: build_lattice([_Z6_GEN], 3, 6).ray_coords(LatticePoint((2, 4, 6), 6)),
+        InputError, "ray (1/6)(2,4,6) is not primitive"),
     "ray not primitive": (
         {}, lambda: quotient_by_ray(LatticePoint((2, 4, 6), 6), (2, 4, 6)), TorcrepError,
         "(1/6)(2,4,6) is not primitive"),
